@@ -537,11 +537,22 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _seed(text):
+    """A --seed value: an integer in the config schema's range [0, 2^64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError("must lie in [0, 2^64), got %d" % seed)
+    return seed
+
+
 def _add_run_flags(p):
     p.add_argument("--config", required=True, help="experiment config (JSON)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="override the config seed, in [0, 2^64)")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for trials")
 

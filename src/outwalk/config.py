@@ -77,17 +77,21 @@ def parse_weight(w):
     return value
 
 
+def _build_atom(cfg, i):
+    atom = cfg["measure"][i]
+    try:
+        if cfg["mode"] == "outer":
+            return fg.from_trace(cfg["rank"], atom["trace"])
+        w = fg.parse_word(atom["word"])
+        fg.check_rank(w, cfg["rank"])
+        return w
+    except ValueError as exc:     # RankError, or a move like R:1:1:+
+        raise ConfigError("at $.measure[%d]: %s" % (i, exc)) from exc
+
+
 def build_measure(cfg):
-    rank = cfg["rank"]
     weights = [parse_weight(a["weight"]) for a in cfg["measure"]]
-    if cfg["mode"] == "outer":
-        atoms = [fg.from_trace(rank, a["trace"]) for a in cfg["measure"]]
-    else:
-        atoms = []
-        for a in cfg["measure"]:
-            w = fg.parse_word(a["word"])
-            fg.check_rank(w, rank)
-            atoms.append(w)
+    atoms = [_build_atom(cfg, i) for i in range(len(cfg["measure"]))]
     try:
         return walk.MeasureSpec(atoms, weights)
     except ValueError as exc:
@@ -141,13 +145,16 @@ def build_rose_points(cfg):
         raise ConfigError("config has no distance section")
     rank = cfg["rank"]
     pts = []
-    for entry in section["points"]:
+    for i, entry in enumerate(section["points"]):
         lengths = [Fraction(x) if isinstance(x, str) else x
                    for x in entry["lengths"]]
         if len(lengths) != rank:
             raise ConfigError("distance point needs %d lengths" % rank)
-        marking = fg.from_trace(rank, entry["marking_trace"]) \
-            if entry.get("marking_trace") else fg.Automorphism.identity(rank)
+        try:
+            marking = fg.from_trace(rank, entry.get("marking_trace", ()))
+        except ValueError as exc:     # RankError, or a move like R:1:1:+
+            raise ConfigError("at $.distance.points[%d].marking_trace: %s"
+                              % (i, exc)) from exc
         pts.append(rose.rose_point(lengths, marking))
     return pts
 

@@ -528,10 +528,6 @@ def compose(phi, psi):
     return Automorphism._trusted(phi.rank, fwd, inv, psi.trace + phi.trace)
 
 
-def invert(phi):
-    return phi.inverted()
-
-
 def from_trace(rank, moves):
     """Compose elementary moves left to right: the last move acts last."""
     if not moves:

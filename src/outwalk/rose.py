@@ -177,15 +177,20 @@ def sigma_ratio(phi, g):
     return Fraction(num, den)
 
 
-def length_cocycle(phi, g):
-    """σ(Φ, g) = log(‖Φ(g)‖ / ‖g‖); satisfies σ(Φ∘Ψ,g) = σ(Φ,Ψg) + σ(Ψ,g)."""
-    return math.log(sigma_ratio(phi, g))
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle: enumerate every conjugacy class up to a length bound
 # and take the true supremum of the stretch ratio.  Kept deliberately
 # independent of the candidate shortcut so the two can cross-check.
+#
+# The conjugates of a cyclically reduced word are its rotations, so each
+# class is named by its least rotation under the letter order a < A < b <
+# B < ..., a necklace.  Necklaces are generated directly, one letter at a
+# time, as packed integers (Ruskey-Savage-Wang, J. Algorithms 13, 1992).
+# Images of a whole block of classes are freely reduced together by
+# freegroup's cancel pass, rows kept apart by a separator letter, and then
+# cyclically reduced by peeling inverse letters off both ends of every row.
+
+_SEPARATOR = 64     # a letter value that never cancels: no letter is -64
 
 
 def _enumeration_count(rank, max_len):
@@ -195,79 +200,51 @@ def _enumeration_count(rank, max_len):
     return total
 
 
+def _unpack(vals, length, bits):
+    """Packed letter codes (first letter most significant) -> int8 rows."""
+    shifts = bits * np.arange(length - 1, -1, -1, dtype=np.int64)
+    codes = (vals[:, None] >> shifts) & ((1 << bits) - 1)
+    return (((codes >> 1) + 1) * (1 - 2 * (codes & 1))).astype(np.int8)
+
+
 @lru_cache(maxsize=8)
 def _necklace_blocks(rank, max_len):
     """Cyclically reduced conjugacy-class representatives, grouped by length.
 
-    Returns a tuple of 2-D int8 arrays, one per word length; each row is the
-    canonical rotation of one class.  Conjugates of a cyclically reduced word
-    are exactly its rotations, so deduplicating rotations enumerates classes.
+    Returns a tuple of 2-D int8 arrays, one per word length 1..max_len; each
+    row is the least rotation of one class under the letter order a < A <
+    b < B < ..., and rows ascend in that order.
     """
     if _enumeration_count(rank, max_len) > ENUMERATION_BOUND:
         raise ResourceLimitError(
             "enumerating %d words exceeds the %d bound"
             % (_enumeration_count(rank, max_len), ENUMERATION_BOUND))
-    gens = np.array([v for i in range(1, rank + 1) for v in (i, -i)],
-                    dtype=np.int8)
-    # next letters allowed after each letter (no immediate inverse)
-    succ = {int(v): gens[gens != -v] for v in gens}
-    blocks = []
-    words = gens.reshape(-1, 1)
-    for L in range(1, max_len + 1):
-        if L > 1:
-            # extend every word by each allowed next letter
-            nxt = np.stack([succ[int(v)] for v in gens])  # (2N, 2N-1)
-            last = words[:, -1]
-            idx = ((np.abs(last).astype(np.intp) - 1) << 1) | (last < 0)
-            ext = nxt[idx]  # (M, 2N-1)
-            words = np.concatenate(
-                [np.repeat(words, 2 * rank - 1, axis=0),
-                 ext.reshape(-1, 1)], axis=1)
-        cyc = words[words[:, 0] != -words[:, -1]] if L > 1 else words
-        blocks.append(_dedup_rotations(cyc))
+    # letter codes a=0, A=1, b=2, B=3, ...: the inverse of code c is c ^ 1
+    bits = (2 * rank - 1).bit_length()
+    mask = (1 << bits) - 1
+    if max_len * bits > 63:
+        raise ResourceLimitError(
+            "words of %d letters at rank %d do not pack into 63 bits"
+            % (max_len, rank))
+    codes = np.arange(2 * rank, dtype=np.int64)
+    # Every word kept is a reduced prenecklace (a prefix of a necklace) and
+    # carries p, the length of its longest Lyndon prefix.  Appending c keeps
+    # a prenecklace iff c >= the letter p places back; p becomes the new
+    # length iff c is larger; a prenecklace of length n is a necklace iff
+    # p divides n.  Extending a sorted array row by row keeps it sorted.
+    vals = codes
+    lyn = np.ones(2 * rank, dtype=np.int64)
+    blocks = [_unpack(vals, 1, bits)]
+    for n in range(2, max_len + 1):
+        ref = (vals >> ((lyn - 1) * bits)) & mask
+        ok = (codes >= ref[:, None]) & (codes != ((vals & mask) ^ 1)[:, None])
+        rows, c = np.nonzero(ok)
+        vals = (vals[rows] << bits) | c
+        lyn = np.where(c > ref[rows], n, lyn[rows])
+        first = vals >> ((n - 1) * bits)
+        keep = (n % lyn == 0) & (first != (c ^ 1))
+        blocks.append(_unpack(vals[keep], n, bits))
     return tuple(blocks)
-
-
-def _dedup_rotations(words):
-    """Keep one canonical rotation per row; rows are cyclically reduced."""
-    m, L = words.shape
-    if m == 0:
-        return words
-    codes = (((np.abs(words).astype(np.int64) - 1) << 1) | (words < 0))
-    # pack each rotation into one integer, 5 bits per letter (L*5 <= 60)
-    powers = 1 << (5 * np.arange(L - 1, -1, -1, dtype=np.int64))
-    vals = None
-    for r in range(L):
-        v = codes[:, np.r_[r:L, 0:r]] @ powers
-        vals = v if vals is None else np.minimum(vals, v)
-    canon = np.unique(vals)
-    # unpack the canonical values back into letter rows
-    shifts = 5 * np.arange(L - 1, -1, -1, dtype=np.int64)
-    c = (canon[:, None] >> shifts[None, :]) & 31
-    letters = ((c >> 1) + 1) * np.where(c & 1, -1, 1)
-    return letters.astype(np.int8)
-
-
-def _reduce_with_ids(letters, ids):
-    """Freely reduce many concatenated words at once; ids mark word
-    membership and cancellation never crosses an id boundary."""
-    while len(letters) >= 2:
-        m = (letters[:-1] == -letters[1:]) & (ids[:-1] == ids[1:])
-        idx = np.flatnonzero(m)
-        if idx.size == 0:
-            break
-        is_start = np.empty(idx.size, dtype=bool)
-        is_start[0] = True
-        np.greater(idx[1:], idx[:-1] + 1, out=is_start[1:])
-        anchor = np.where(is_start, idx, 0)
-        np.maximum.accumulate(anchor, out=anchor)
-        sel = idx[((idx - anchor) & 1) == 0]
-        keep = np.ones(len(letters), dtype=bool)
-        keep[sel] = False
-        keep[sel + 1] = False
-        letters = letters[keep]
-        ids = ids[keep]
-    return letters, ids
 
 
 def _batch_weighted_cyclic(theta_inv, block, weights_num):
@@ -277,38 +254,38 @@ def _batch_weighted_cyclic(theta_inv, block, weights_num):
     denominator.  Exact: returns an int64 vector of weighted cyclic lengths
     (times the common denominator).
     """
-    m, L = block.shape
     flat_img, starts, lens = theta_inv._image_arrays(+1)
-    letters_in = block.ravel()
-    ids_in = np.repeat(np.arange(m, dtype=np.int64), L)
-    codes = ((np.abs(letters_in).astype(np.intp) - 1) << 1) | (letters_in < 0)
+    # one separator after each row's image, so one reduction serves them all:
+    # code 2N is a one-letter image holding the separator
+    sep = len(lens)
+    flat_img = np.append(flat_img, np.int8(_SEPARATOR))
+    starts = np.append(starts, len(flat_img) - 1)
+    lens = np.append(lens, 1)
+    codes = ((np.abs(block).astype(np.intp) - 1) << 1) | (block < 0)
+    codes = np.pad(codes, ((0, 0), (0, 1)), constant_values=sep).ravel()
     lens_pp = lens[codes]
-    total = int(lens_pp.sum())
     ends = np.cumsum(lens_pp)
-    pos = np.arange(total, dtype=np.int64)
-    pos -= np.repeat(ends - lens_pp, lens_pp)
-    pos += np.repeat(starts[codes], lens_pp)
+    # ragged gather: letter k of the image of code c sits at starts[c] + k
+    pos = np.arange(int(ends[-1]), dtype=np.int64)
+    pos += np.repeat(starts[codes] - (ends - lens_pp), lens_pp)
     letters = flat_img[pos]
-    ids = np.repeat(ids_in, lens_pp)
-    letters, ids = _reduce_with_ids(letters, ids)
+    changed = True
+    while changed:
+        letters, changed = fg._cancel_pass(letters)
 
-    wt = weights_num[np.abs(letters).astype(np.intp) - 1]
-    single = np.bincount(ids, weights=wt, minlength=m).astype(np.int64)
-    seg_len = np.bincount(ids, minlength=m)
-    # double every segment: the reduction of w.w is s(cc)s^-1, so the
-    # weighted cyclic part is weight(ww reduced) - weight(w reduced)
-    seg_start = np.concatenate(([0], np.cumsum(seg_len)))[:-1]
-    lens2 = 2 * seg_len
-    total2 = int(lens2.sum())
-    ends2 = np.cumsum(lens2)
-    p = np.arange(total2, dtype=np.int64) - np.repeat(ends2 - lens2, lens2)
-    seg_of = np.repeat(np.arange(m, dtype=np.int64), lens2)
-    rel = np.where(p < seg_len[seg_of], p, p - seg_len[seg_of])
-    letters2 = letters[seg_start[seg_of] + rel]
-    letters2, ids2 = _reduce_with_ids(letters2, seg_of)
-    wt2 = weights_num[np.abs(letters2).astype(np.intp) - 1]
-    double = np.bincount(ids2, weights=wt2, minlength=m).astype(np.int64)
-    return double - single
+    stop = np.flatnonzero(letters == _SEPARATOR)       # one per row, in order
+    begin = np.concatenate(([0], stop[:-1] + 1))
+    wtab = np.zeros(_SEPARATOR + 1, dtype=np.int64)
+    wtab[1:len(weights_num) + 1] = weights_num
+    cum = np.concatenate(([0], np.cumsum(wtab[np.abs(letters)])))
+    # a reduced row is s c s^-1 with c cyclically reduced: peel s and s^-1
+    lo, hi = begin.copy(), stop - 1
+    rows = np.flatnonzero(hi > lo)
+    while rows.size:
+        rows = rows[letters[lo[rows]] == -letters[hi[rows]]]
+        lo[rows] += 1
+        hi[rows] -= 1
+    return cum[stop] - cum[begin] - 2 * (cum[lo] - cum[begin])
 
 
 def brute_force_max_stretch(t, u, max_len):
@@ -316,8 +293,7 @@ def brute_force_max_stretch(t, u, max_len):
     length ≤ max_len, by full enumeration (no candidate shortcut)."""
     if t.rank != u.rank:
         raise RankError("points live in different ranks")
-    rank = t.rank
-    blocks = _necklace_blocks(rank, max_len)
+    blocks = _necklace_blocks(t.rank, max_len)
     # translate to T having identity marking (the action is by isometries)
     theta = fg.compose(t.marking.inverted(), u.marking)
     theta_inv = theta.inverted()
@@ -329,14 +305,8 @@ def brute_force_max_stretch(t, u, max_len):
 
     best = None
     for block in blocks:
-        m, L = block.shape
-        if m == 0:
-            continue
-        counts = np.zeros((m, rank), dtype=np.int64)
-        for i in range(1, rank + 1):
-            counts[:, i - 1] = (np.abs(block) == i).sum(axis=1)
-        t_len = counts @ num_t                       # times den_t
-        u_len = _batch_weighted_cyclic(theta_inv, block, num_u)  # times den_u
+        t_len = num_t[np.abs(block).astype(np.intp) - 1].sum(axis=1)  # times den_t
+        u_len = _batch_weighted_cyclic(theta_inv, block, num_u)      # times den_u
         ratios = (u_len.astype(np.float64) * den_t) / (t_len.astype(np.float64) * den_u)
         top = float(ratios.max())
         near = np.flatnonzero(ratios >= top * (1.0 - 1e-9))
@@ -345,10 +315,3 @@ def brute_force_max_stretch(t, u, max_len):
             if best is None or r > best:
                 best = r
     return best
-
-
-def brute_force_distance_oracle(t, u, max_len):
-    """log of brute_force_max_stretch; an enumeration oracle for White's
-    formula, monotone in max_len and equal to lipschitz_distance once
-    max_len covers the candidate lengths."""
-    return math.log(brute_force_max_stretch(t, u, max_len))

@@ -102,6 +102,44 @@ def test_mode_mismatch_between_command_and_config(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_the_schema_range_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        run(["clt", "--config", os.path.join(ROOT, "configs", "outf2_clt.json"),
+             "--seed", seed, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()     # refused before any trial ran
+
+
+def test_rank_1_config_exits_2(tmp_path, capsys):
+    cfg = outer_cfg(rank=1, measure=[{"trace": ["I:1"], "weight": 1.0}],
+                    tracked=["a"])
+    path = write_cfg(tmp_path, cfg)
+    assert run(["clt", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "$.rank" in capsys.readouterr().err
+
+
+def test_move_beyond_the_rank_exits_2(tmp_path, capsys):
+    cfg = outer_cfg(measure=[{"trace": ["R:1:2:+"], "weight": 0.5},
+                             {"trace": ["R:1:3:+"], "weight": 0.5}])
+    path = write_cfg(tmp_path, cfg)
+    assert run(["clt", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "$.measure[1]" in err and "R:1:3:+" in err
+
+
+def test_marking_move_beyond_the_rank_exits_2(tmp_path, capsys):
+    with open(os.path.join(ROOT, "configs", "rose_asymmetry.json")) as fh:
+        cfg = json.load(fh)
+    cfg["distance"]["points"][1]["marking_trace"] = ["R:1:3:+"]
+    path = write_cfg(tmp_path, cfg)
+    assert run(["distance", "--config", path,
+                "--out", str(tmp_path / "o")]) == 2
+    assert "$.distance.points[1].marking_trace" in capsys.readouterr().err
+
+
 # -- experiment failures
 
 def test_word_cap_failure_exits_1(tmp_path, capsys):

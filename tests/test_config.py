@@ -135,6 +135,18 @@ def test_build_measure_modes():
     assert nu.atoms[0].literal() == "a>ab; b>b"
 
 
+def test_build_measure_reports_rank_errors_as_config_errors():
+    bad = dict(GOOD_TREE, measure=[{"word": "a", "weight": "1/2"},
+                                   {"word": "c", "weight": "1/2"}])
+    with pytest.raises(ConfigError) as err:
+        cfgmod.build_measure(bad)
+    assert "$.measure[1]" in str(err.value)
+    bad = dict(GOOD_OUTER, measure=[{"trace": ["T:1:3"], "weight": 1}])
+    with pytest.raises(ConfigError) as err:
+        cfgmod.build_measure(bad)
+    assert "$.measure[0]" in str(err.value)
+
+
 def test_resolve_every_checkpoints_appends_horizon():
     assert cfgmod.resolve_checkpoints(GOOD_TREE) == tuple(range(20, 101, 20))
     cfg = dict(GOOD_TREE, horizon=90)

@@ -1,6 +1,7 @@
 """Marked metric roses: translation lengths, stretch, and the candidate
 formula checked against full enumeration."""
 
+import itertools
 from fractions import Fraction
 
 import math
@@ -171,3 +172,98 @@ def test_enumeration_refuses_unreasonable_sizes():
     u = rose.rose_point(["1/2", "1/4", "1/4"])
     with pytest.raises(rose.ResourceLimitError):
         rose.brute_force_max_stretch(t, u, 30)
+
+
+def _burnside_class_count(rank, length):
+    # cyclically reduced words of length d: trace of the (2N)x(2N) transfer
+    # matrix that forbids a letter after its inverse, (2N-1)^d + 1 +
+    # (N-1)(1+(-1)^d); Burnside over rotations divides out the classes
+    total = 0
+    for d in range(1, length + 1):
+        if length % d == 0:
+            phi = sum(1 for k in range(1, length // d + 1)
+                      if math.gcd(k, length // d) == 1)
+            total += phi * ((2 * rank - 1) ** d + 1
+                            + (rank - 1) * (1 + (-1) ** d))
+    return total // length
+
+
+def test_necklace_block_sizes_match_the_burnside_count():
+    for rank, max_len in ((2, 14), (3, 8)):
+        sizes = [len(b) for b in rose._necklace_blocks(rank, max_len)]
+        assert sizes == [_burnside_class_count(rank, L)
+                         for L in range(1, max_len + 1)]
+    assert [_burnside_class_count(2, L) for L in (12, 13, 14)] == \
+        [44370, 122644, 341804]
+
+
+def test_length_14_classes_are_not_wrapped_around():
+    # a^13 b is its own least rotation; a packing that overflows 63 bits
+    # turns it into a word that was never enumerated
+    block = rose._necklace_blocks(2, 14)[13]
+    for text in ("a" * 13 + "b", "a" * 14):
+        assert (block == fg.parse_word(text)).all(axis=1).any(), text
+
+
+def _reference_blocks(rank, max_len):
+    # every word, filtered to cyclically reduced ones, each replaced by its
+    # least rotation under the letter codes a=0, A=1, b=2, ...; then sorted
+    letters = [v for i in range(1, rank + 1) for v in (i, -i)]
+    code = {v: k for k, v in enumerate(letters)}
+    out = []
+    for L in range(1, max_len + 1):
+        classes = set()
+        for w in itertools.product(letters, repeat=L):
+            if any(w[k] == -w[(k + 1) % L] for k in range(L)):
+                continue
+            classes.add(min(tuple(code[v] for v in w[r:] + w[:r])
+                            for r in range(L)))
+        out.append([[letters[c] for c in row] for row in sorted(classes)])
+    return out
+
+
+def test_necklace_blocks_match_a_pure_python_enumeration():
+    for rank, max_len in ((2, 8), (3, 5), (4, 4)):
+        blocks = rose._necklace_blocks(rank, max_len)
+        assert len(blocks) == max_len
+        for L, (block, ref) in enumerate(
+                zip(blocks, _reference_blocks(rank, max_len)), start=1):
+            assert block.dtype == np.int8 and block.shape == (len(ref), L)
+            assert block.tolist() == ref
+
+
+def test_packing_refuses_words_wider_than_63_bits(monkeypatch):
+    # two bits per letter at rank 2: 31 letters fit, 32 do not; lift the
+    # enumeration bound so the packing check is the one that fires, and
+    # stop at once should the enumeration start anyway
+    def started(*args):
+        raise AssertionError("enumeration started past the packing check")
+
+    monkeypatch.setattr(rose, "ENUMERATION_BOUND", 10 ** 30)
+    monkeypatch.setattr(rose, "_unpack", started)
+    with pytest.raises(rose.ResourceLimitError):
+        rose._necklace_blocks(2, 32)
+    with pytest.raises(rose.ResourceLimitError):
+        rose._necklace_blocks(16, 13)      # five bits per letter
+
+
+def test_batch_weighted_cyclic_matches_the_word_engine():
+    rng = np.random.default_rng(77)
+    for rank in (2, 3):
+        weights = np.arange(1, rank + 1, dtype=np.int64) * 3 + 1
+        for _ in range(6):
+            theta = fg.random_automorphism(rng, rank, int(rng.integers(8, 15)))
+            L = int(rng.integers(2, 5)) * 2
+            signs = rng.choice([-1, 1], size=(40, L))
+            rows = signs * rng.integers(1, rank + 1, size=(40, L))
+            # w w^-1 rows: their images cancel completely
+            half = rows[:8, :L // 2]
+            rows[:8, L // 2:] = -half[:, ::-1]
+            block = rows.astype(np.int8)
+            got = rose._batch_weighted_cyclic(theta, block, weights)
+            want = []
+            for row in block:
+                core, _ = fg.cyclic_reduce(theta.apply(row))
+                want.append(int(sum(weights[abs(int(v)) - 1] for v in core)))
+            assert got.tolist() == want
+            assert want[:8] == [0] * 8
