@@ -110,16 +110,16 @@ def resolve_checkpoints(cfg):
     return tuple(cps)
 
 
-def build_tracked(cfg):
-    tracked = cfg.get("tracked", [])
+def _build_tracked_item(cfg, text):
     if cfg["mode"] == "outer":
-        out = []
-        for t in tracked:
-            w = fg.parse_word(t)
-            fg.check_rank(w, cfg["rank"])
-            out.append(w)
-        return tuple(out)
-    return tuple(treemod.parse_boundary(t) for t in tracked)
+        w = fg.parse_word(text)
+        fg.check_rank(w, cfg["rank"])
+        return w
+    return treemod.parse_boundary(text)
+
+
+def build_tracked(cfg):
+    return tuple(_build_tracked_item(cfg, t) for t in cfg.get("tracked", []))
 
 
 def build_walk_config(cfg, seed_override=None):
@@ -129,11 +129,17 @@ def build_walk_config(cfg, seed_override=None):
         kwargs["max_word_letters"] = cfg["max_word_letters"]
     if "spot_check_rate" in cfg:
         kwargs["spot_check_rate"] = cfg["spot_check_rate"]
+    tracked = []
+    for i, text in enumerate(cfg.get("tracked", [])):
+        try:
+            tracked.append(_build_tracked_item(cfg, text))
+        except ValueError as exc:     # RankError, or a bad literal
+            raise ConfigError("at $.tracked[%d]: %s" % (i, exc)) from exc
     try:
         return walk.WalkConfig(
             horizon=cfg["horizon"], trials=cfg["trials"], master_seed=int(seed),
             checkpoints=resolve_checkpoints(cfg),
-            tracked_classes=build_tracked(cfg), **kwargs)
+            tracked_classes=tuple(tracked), **kwargs)
     except ValueError as exc:
         raise ConfigError("invalid walk settings: %s" % exc) from exc
 

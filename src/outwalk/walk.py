@@ -7,12 +7,15 @@ user-chosen conjugacy classes: as reduced words in general, or as
 abelianized vectors in exact ints when the rank is 2 and every class is
 primitive.  Tree mode walks on the free group itself and tracks the walk
 position in the Cayley tree together with Busemann values toward tracked
-boundary points.
+boundary points.  Tree trials run in lock-step blocks: the positions of a
+block of trials are rows of one int8 stack array, and each step is a few
+numpy operations over all rows.
 
 Reproducibility contract: increments for trial t are drawn from a Philox
 counter-based stream keyed by (master_seed, t), so every trial is an
-independent pure function of (measure, config, trial index).  Records are
-therefore identical whatever the worker count or execution order.
+independent pure function of (measure, config, trial index), whichever
+block it runs in.  Records are therefore identical whatever the worker
+count, block size or execution order, and a failing trial fails alone.
 """
 
 from __future__ import annotations
@@ -384,112 +387,354 @@ def _outer_trial(mu, config, trial, engine=None):
 # ---------------------------------------------------------------------------
 # tree mode
 
-def _tree_trial(mu, config, trial):
-    inv_atoms = [[int(v) for v in fg.inverse(a)] for a in mu.atoms]
-    tracked = list(config.tracked_classes)
-    for xi in tracked:
-        if not isinstance(xi, treemod.BoundaryPoint):
-            raise ValueError("tree mode tracks boundary points")
-    idx = mu.draw_indices(config.master_seed, trial, config.horizon)
-    ckpt_set = set(config.checkpoints)
-    cap = config.max_word_letters
+# never the inverse of a letter: the floor under every stack, and the
+# stream value past a truncated point's certified letters
+_NO_LETTER = 127
+# stack and increment bytes per block of trials advanced together
+_BLOCK_BYTES = 1 << 19
 
-    u = []                          # walk position g_n^{-1} as a letter stack
-    cps = [0] * len(tracked)        # common prefix of u with each xi
-    kappa = []
-    sigma = {treemod.format_boundary(xi): [] for xi in tracked}
-    snap_words = []
-    peak = 0
-    spots = []
 
-    for step in range(1, config.horizon + 1):
-        for v in inv_atoms[idx[step - 1]]:
-            if u and u[-1] == -v:
-                u.pop()
-                n = len(u)
-                for i in range(len(cps)):
-                    if cps[i] > n:
-                        cps[i] = n
+def _inverse_atom_table(mu):
+    """Inverse atoms as the rows of one int8 table, padded with the no-op
+    letter 0."""
+    inv = [fg.inverse(a) for a in mu.atoms]
+    table = np.zeros((len(inv), max(1, max(len(w) for w in inv))),
+                     dtype=fg.LETTER_DTYPE)
+    for row, w in zip(table, inv):
+        row[:len(w)] = w
+    return table
+
+
+def _tree_width(config, table):
+    # a stack grows at most one atom per step, and a row over the cap at
+    # the end of a step stops there
+    atom = table.shape[1]
+    return min(config.horizon * atom, config.max_word_letters + atom)
+
+
+class _TreeBlock:
+    """Tree-mode trials lo .. hi-1 advanced together, one step at a time.
+
+    Row r is trial lo + r.  Its walk position g_n^{-1} is a letter stack in
+    row r of one int8 array above a floor column, with its length in n;
+    cp[i] is the common prefix of each stack with tracked point i, compared
+    against the point's letters built once.  Each letter of a step is a
+    few numpy operations over all rows.  A row that fails (word cap,
+    truncated point, spot check) stops moving and fails only its own trial.
+    Checkpoint words are kept as the low-water mark since the previous
+    checkpoint plus the letters above it.
+    """
+
+    def __init__(self, mu, config, lo, hi, table):
+        self.mu = mu
+        self.config = config
+        self.lo = lo
+        self.table = table
+        self.padded = not table.all()
+        rows = hi - lo
+        width = _tree_width(config, table)
+        self.stride = width + 2         # floor, letters, one write past the top
+        self.stack = np.empty(rows * self.stride, dtype=fg.LETTER_DTYPE)
+        self.base = np.arange(rows, dtype=np.intp) * self.stride
+        self.stack[self.base] = _NO_LETTER
+        self.n = np.zeros(rows, dtype=np.intp)
+        self.low = np.zeros(rows, dtype=np.intp)
+        self.peak = np.zeros(rows, dtype=np.intp)
+        # letters[s, k, r]: letter k of the inverse atom of row r's step s+1
+        self.letters = np.empty((config.horizon, table.shape[1], rows),
+                                dtype=fg.LETTER_DTYPE)
+        for r in range(rows):
+            self.letters[:, :, r] = table[mu.draw_indices(
+                config.master_seed, lo + r, config.horizon)]
+
+        self.tracked = config.tracked_classes
+        self.labels = [treemod.format_boundary(xi) for xi in self.tracked]
+        streams = np.full((len(self.tracked), self.stride), _NO_LETTER,
+                          dtype=fg.LETTER_DTYPE)
+        depth = []
+        for row, xi in zip(streams, self.tracked):
+            d = xi.certified_depth
+            k = self.stride if d is None else min(self.stride, d)
+            row[:k] = xi.letters(k)
+            depth.append(-1 if d is None else d)
+        self.streams = streams.ravel()
+        # where each point's letters start in streams; None: one point at 0
+        self.stream_base = (np.arange(len(self.tracked), dtype=np.intp)
+                            * self.stride)[:, None] \
+            if len(self.tracked) > 1 else None
+        self.depth = np.array(depth, dtype=np.intp)[:, None]
+        self.truncated = bool((self.depth >= 0).any())
+        self.cp = np.zeros((len(self.tracked), rows), dtype=np.intp)
+
+        self.kappa = []
+        self.sigma = []
+        self.marks = []                 # per checkpoint: low-water marks
+        self.tops = []                  # per checkpoint: letters above them
+        self.spots = [[] for _ in range(rows)]
+        self.failures = {}
+
+    def fail(self, r, exc):
+        """Trial lo + r fails with exc; its row stops moving."""
+        self.failures[r] = exc
+        self.letters[:, :, r] = 0
+        self.n[r] = self.low[r] = 0
+
+    def advance(self, start, stop):
+        """Apply the inverse atoms of steps start+1 .. stop to every row."""
+        stack, base, n, low, peak = (self.stack, self.base, self.n,
+                                     self.low, self.peak)
+        streams, stream_base, cp = self.streams, self.stream_base, self.cp
+        tracked = len(self.tracked) > 0
+        cap = self.config.max_word_letters
+        atom = self.letters.shape[1]
+        for s in range(start, stop):
+            for v in self.letters[s]:
+                pos = base + n
+                pop = stack.take(pos) == -v
+                # every letter moves its row unless some are the no-op 0
+                push = (v != 0) ^ pop if self.padded or self.failures \
+                    else ~pop
+                if self.truncated:
+                    self._check_depth(cp, n, push)
+                pos += 1
+                stack[pos] = v          # above the top: harmless unless pushed
+                if tracked:
+                    at = n if stream_base is None else stream_base + n
+                    hit = (streams.take(at) == v) & (cp == n)
+                n += push
+                n -= pop
+                if tracked:
+                    np.minimum(cp, n, out=cp)
+                    cp += hit
+                np.minimum(low, n, out=low)
+            np.maximum(peak, n, out=peak)
+            if (s + 1) * atom > cap:
+                for r in np.flatnonzero(n > cap).tolist():
+                    self.fail(r, WordCapExceeded(self.lo + r, s + 1,
+                                                 int(n[r]), cap))
+
+    def _check_depth(self, cp, n, push):
+        # a push onto a stack equal to a truncated point's certified
+        # prefix needs the letter after it, which is unknown
+        blind = (cp == self.depth) & (n == self.depth) & push
+        for i, r in zip(*np.nonzero(blind)):
+            if int(r) not in self.failures:
+                try:
+                    self.tracked[i].letter(int(n[r]))
+                except treemod.DepthError as exc:
+                    self.fail(int(r), exc)
+
+    def _span(self, lo, hi):
+        """Flat stack indices of positions lo[r] .. hi[r]-1 of every row."""
+        size = hi - lo
+        ends = np.cumsum(size)
+        at = np.repeat(self.base + 1 + lo - (ends - size), size)
+        at += np.arange(int(ends[-1]), dtype=np.intp)
+        return at
+
+    def checkpoint(self, step):
+        """Record the checkpoint values and spot checks after `step`."""
+        n, low = self.n, self.low
+        self.kappa.append(n.copy())
+        self.sigma.append(n - 2 * self.cp)
+        self.marks.append(low.copy())
+        self.tops.append(self.stack.take(self._span(low, n)))
+        low[:] = n
+        config = self.config
+        last = step == config.checkpoints[-1]
+        for r in range(len(n)):
+            trial = self.lo + r
+            if r in self.failures or not (
+                    _spot_selected(config.master_seed, trial, step,
+                                   config.spot_check_rate)
+                    or (trial == 0 and last)):
+                continue
+            try:
+                self.spot_check(r, step)
+            except AssertionError as exc:
+                self.fail(r, exc)
             else:
-                n = len(u)
-                for i, xi in enumerate(tracked):
-                    if cps[i] == n and xi.letter(n) == v:
-                        cps[i] += 1
-                u.append(v)
-        if len(u) > cap:
-            raise WordCapExceeded(trial, step, len(u), cap)
-        if len(u) > peak:
-            peak = len(u)
-        if step in ckpt_set:
-            kappa.append(len(u))
-            for i, xi in enumerate(tracked):
-                sigma[treemod.format_boundary(xi)].append(len(u) - 2 * cps[i])
-            snap_words.append(np.array(u, dtype=fg.LETTER_DTYPE))
-            if _spot_selected(config.master_seed, trial, step,
-                              config.spot_check_rate) or \
-                    (trial == 0 and step == config.checkpoints[-1]):
-                _tree_spot_check(mu, idx, step, u, cps, tracked, trial)
-                spots.append(step)
+                self.spots[r].append(step)
 
-    bnd, tracking = _tree_limit_data(config.checkpoints, snap_words)
-    return PathRecord(
-        trial_index=trial, checkpoints=config.checkpoints,
-        kappa=tuple(kappa),
-        sigma={k: tuple(v) for k, v in sigma.items()},
-        lengths={}, peak_letters=peak, spot_checked=tuple(spots),
-        bnd=bnd, tracking=tracking)
+    def spot_check(self, r, step):
+        """Row r against a from-scratch reduction of its redrawn steps."""
+        trial = self.lo + r
+        start = self.base[r] + 1
+        u = self.stack[start:start + self.n[r]]
+        idx = self.mu.draw_indices(self.config.master_seed, trial, step)
+        flat = self.table[idx].ravel()
+        if not np.array_equal(fg.reduce(flat[flat != 0]), u):
+            raise AssertionError("trial %d step %d: position stack diverged "
+                                 "from from-scratch reduction" % (trial, step))
+        for i, xi in enumerate(self.tracked):
+            k = len(u) if xi.is_periodic else min(len(u), xi.depth)
+            if fg.common_prefix_len(u[:k], xi.letters(k)) != self.cp[i, r]:
+                raise AssertionError(
+                    "trial %d step %d: incremental common prefix with %s "
+                    "diverged" % (trial, step, self.labels[i]))
+
+    def run(self):
+        done = 0
+        for step in self.config.checkpoints:
+            self.advance(done, step)
+            self.checkpoint(step)
+            done = step
+        self.advance(done, self.config.horizon)
+
+    def _common_prefix(self, a, b, start, limit):
+        # first position from start on where rows of a and b differ, or limit
+        p = start.copy()
+        rows = np.flatnonzero(p < limit)
+        while rows.size:
+            at = self.base[rows] + 1 + p[rows]
+            rows = rows[a.take(at) == b.take(at)]
+            p[rows] += 1
+            rows = rows[p[rows] < limit[rows]]
+        return p
+
+    def _limit_data(self, kappa):
+        """Limit prefix and tracking distances of every row.
+
+        The certified limit prefix is the common prefix of the checkpoint
+        words in the trailing tenth (at least two) of the checkpoints; a
+        word's distance to the ray toward it is decided unless the word
+        runs along the whole prefix and beyond.  Both come from q[k], the
+        common prefix of word k with the first word of the tail.  Letters
+        below the lowest stack between two checkpoints are shared, so only
+        the letters above it are compared.  Words are rebuilt in turn from
+        the letters each checkpoint kept above its low-water mark.
+        """
+        count = len(kappa)
+        first = max(0, count - max(2, (count + 9) // 10))
+        marks = np.array(self.marks)
+        shared = np.empty_like(kappa)
+        shared[first] = kappa[first]
+        for k in range(first - 1, -1, -1):
+            shared[k] = np.minimum(shared[k + 1], marks[k + 1])
+        for k in range(first + 1, count):
+            shared[k] = np.minimum(shared[k - 1], marks[k])
+
+        def rebuild(word, k):
+            word[self._span(marks[k], kappa[k])] = self.tops[k]
+
+        anchor = np.empty_like(self.stack)
+        for k in range(first + 1):
+            rebuild(anchor, k)
+        word = self.stack               # the walk is over
+        q = np.empty_like(kappa)
+        for k in range(count):
+            rebuild(word, k)
+            q[k] = self._common_prefix(word, anchor, shared[k],
+                                       np.minimum(kappa[k], kappa[first]))
+        self.stack = self.tops = word = None
+        depth = q[first:].min(axis=0)
+        c = np.minimum(q, depth)
+        decided = ((c < depth) | (kappa <= depth)) & (depth > 0)
+        tracking = [tuple(d if ok else None for d, ok in zip(ds, oks))
+                    for ds, oks in zip((kappa - c).T.tolist(),
+                                       decided.T.tolist())]
+        # one read-only buffer of all limit prefixes, which the records view
+        rows = anchor.reshape(len(depth), self.stride)[:, 1:]
+        prefixes = rows[np.arange(rows.shape[1]) < depth[:, None]]
+        prefixes.flags.writeable = False
+        ends = np.cumsum(depth).tolist()
+        bnd = [treemod.BoundaryPoint.truncated(prefixes[e - d:e], d)
+               if d > 0 else None for e, d in zip(ends, depth.tolist())]
+        return bnd, tracking
+
+    def results(self):
+        """(records, [(trial, exc)]) of the block, in trial order."""
+        config = self.config
+        del self.letters
+        kappa = np.array(self.kappa)
+        bnd, tracking = self._limit_data(kappa)
+        sigma = np.array(self.sigma).transpose(2, 0, 1).tolist()
+        kappa = kappa.T.tolist()
+        peak = self.peak.tolist()
+        records = []
+        for r in range(len(kappa)):
+            if r in self.failures:
+                continue
+            sig = {lab: [] for lab in self.labels}
+            for row in sigma[r]:
+                for lab, value in zip(self.labels, row):
+                    sig[lab].append(value)
+            records.append(PathRecord(
+                trial_index=self.lo + r, checkpoints=config.checkpoints,
+                kappa=tuple(kappa[r]),
+                sigma={k: tuple(v) for k, v in sig.items()},
+                lengths={}, peak_letters=peak[r],
+                spot_checked=tuple(self.spots[r]),
+                bnd=bnd[r], tracking=tracking[r]))
+        failures = [(self.lo + r, self.failures[r])
+                    for r in sorted(self.failures)]
+        return records, failures
 
 
-def _tree_spot_check(mu, idx, step, u, cps, tracked, trial):
-    flat = []
-    for k in range(step):
-        flat.extend(int(v) for v in fg.inverse(mu.atoms[idx[k]]))
-    fresh = fg.reduce(np.array(flat, dtype=np.int64))
-    if list(fresh) != u:
-        raise AssertionError("trial %d step %d: position stack diverged from "
-                             "from-scratch reduction" % (trial, step))
-    for i, xi in enumerate(tracked):
-        ref = fg.common_prefix_len(np.array(u, dtype=fg.LETTER_DTYPE),
-                                   xi.letters(len(u)))
-        if ref != cps[i]:
-            raise AssertionError(
-                "trial %d step %d: incremental common prefix with %s diverged"
-                % (trial, step, treemod.format_boundary(xi)))
+def _block_size(trials, parts, rows):
+    """Run size that cuts `trials` into near-equal runs of at most `rows`,
+    about a multiple of `parts` of them."""
+    runs = parts * -(-trials // (parts * rows))
+    return -(-trials // runs)
 
 
-def _tree_limit_data(checkpoints, snap_words):
-    """Certified limit prefix from the trailing tenth of the checkpoints,
-    and exact tracking distances to the ray toward it where decidable."""
-    tail = max(2, (len(snap_words) + 9) // 10)
-    window = snap_words[-tail:] if len(snap_words) >= 2 else snap_words
-    depth = min(len(w) for w in window)
-    for w in window[1:]:
-        depth = min(depth, fg.common_prefix_len(window[0][:depth], w[:depth]))
-    bnd = treemod.BoundaryPoint.truncated(window[0][:depth], depth) \
-        if depth > 0 else None
-    tracking = []
-    for w in snap_words:
-        if bnd is None:
-            tracking.append(None)
-            continue
-        c = fg.common_prefix_len(w[:depth], bnd.prefix)
-        if c < depth or len(w) <= depth:
-            tracking.append(len(w) - c)
-        else:
-            tracking.append(None)   # ray certified too shallow to decide
-    return bnd, tuple(tracking)
+def _tree_rows(config, table):
+    """Trials per block: as many as _BLOCK_BYTES of stack and steps hold."""
+    row_bytes = _tree_width(config, table) + config.horizon * table.shape[1]
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _tree_trials(mu, config, lo, hi):
+    """Trials lo .. hi-1, a block at a time."""
+    table = _inverse_atom_table(mu)
+    size = _block_size(hi - lo, 1, _tree_rows(config, table))
+    records, failures = [], []
+    for a in range(lo, hi, size):
+        block = _TreeBlock(mu, config, a, min(a + size, hi), table)
+        block.run()
+        recs, fails = block.results()
+        records.extend(recs)
+        failures.extend(fails)
+    return records, failures
 
 
 # ---------------------------------------------------------------------------
 # driver
 
+def _check_tracked(mu, config):
+    # tree mode tracks boundary points, outer mode conjugacy classes
+    tree_mode = mu.mode == "tree"
+    for x in config.tracked_classes:
+        if isinstance(x, treemod.BoundaryPoint) != tree_mode:
+            raise ValueError("tree mode tracks boundary points" if tree_mode
+                             else "outer mode tracks words, not boundary "
+                                  "points")
+
+
 def sample_path(mu, config, trial):
     """Run one trial; a pure function of (mu, config, trial)."""
     if not 0 <= trial < config.trials:
         raise ValueError("trial index out of range")
+    _check_tracked(mu, config)
     if mu.mode == "outer":
         return _outer_trial(mu, config, trial)
-    return _tree_trial(mu, config, trial)
+    records, failures = _tree_trials(mu, config, trial, trial + 1)
+    if failures:
+        raise failures[0][1]
+    return records[0]
+
+
+def _run_trials(mu, config, lo, hi):
+    """Trials lo .. hi-1: (records, [(trial, exc)]), both in trial order."""
+    if mu.mode == "tree":
+        return _tree_trials(mu, config, lo, hi)
+    records, failures = [], []
+    for trial in range(lo, hi):
+        try:
+            records.append(sample_path(mu, config, trial))
+        except Exception as exc:    # aggregated with the trial index
+            failures.append((trial, exc))
+    return records, failures
 
 
 _POOL_STATE = {}
@@ -500,38 +745,33 @@ def _pool_init(mu, config):
     _POOL_STATE["config"] = config
 
 
-def _pool_trial(trial):
-    try:
-        rec = sample_path(_POOL_STATE["mu"], _POOL_STATE["config"], trial)
-        return trial, rec, None
-    except Exception as exc:    # aggregated by the parent with the index
-        return trial, None, exc
+def _pool_run(span):
+    return _run_trials(_POOL_STATE["mu"], _POOL_STATE["config"], *span)
 
 
 def run_experiment(mu, config, workers=1):
-    """All trials, ordered by trial index; identical for any worker count."""
+    """All trials, ordered by trial index; identical for any worker count.
+
+    Tree mode hands the workers contiguous blocks of trials of near-equal
+    size, each within _BLOCK_BYTES; outer mode hands out runs of trials a
+    few at a time."""
+    _check_tracked(mu, config)
+    trials = config.trials
     if workers <= 1:
-        records = []
-        failures = []
-        for trial in range(config.trials):
-            try:
-                records.append(sample_path(mu, config, trial))
-            except Exception as exc:
-                failures.append((trial, exc))
-        if failures:
-            raise ExperimentError(failures)
-        return records
-    results = {}
-    failures = []
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(mu, config)) as pool:
-        for trial, rec, exc in pool.map(_pool_trial, range(config.trials),
-                                        chunksize=max(1, config.trials // (8 * workers))):
-            if exc is not None:
-                failures.append((trial, exc))
-            else:
-                results[trial] = rec
+        records, failures = _run_trials(mu, config, 0, trials)
+    else:
+        if mu.mode == "tree":
+            size = _block_size(trials, workers,
+                               _tree_rows(config, _inverse_atom_table(mu)))
+        else:
+            size = max(1, trials // (8 * workers))
+        spans = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+        records, failures = [], []
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                                 initargs=(mu, config)) as pool:
+            for recs, fails in pool.map(_pool_run, spans):
+                records.extend(recs)
+                failures.extend(fails)
     if failures:
-        failures.sort(key=lambda p: p[0])
         raise ExperimentError(failures)
-    return [results[t] for t in range(config.trials)]
+    return records

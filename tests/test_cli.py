@@ -140,6 +140,12 @@ def test_marking_move_beyond_the_rank_exits_2(tmp_path, capsys):
     assert "$.distance.points[1].marking_trace" in capsys.readouterr().err
 
 
+def test_tracked_class_beyond_the_rank_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, outer_cfg(tracked=["a", "abc"]))
+    assert run(["clt", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "$.tracked[1]" in capsys.readouterr().err
+
+
 # -- experiment failures
 
 def test_word_cap_failure_exits_1(tmp_path, capsys):
@@ -245,6 +251,21 @@ def test_tree_lab_summary(tmp_path):
     assert set(summary["centering"]) == {"per:a", "per:b"}
     assert summary["lambda_hat"] > 0
     assert summary["n_boundary_samples"] == 60
+
+
+def test_tree_lab_outputs_do_not_depend_on_the_thread_count(tmp_path):
+    with open(os.path.join(ROOT, "configs", "tree_srw_f2.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(trials=61, horizon=400)
+    path = write_cfg(tmp_path, cfg)
+    one, three = str(tmp_path / "t1"), str(tmp_path / "t3")
+    assert run(["tree-lab", "--config", path, "--out", one,
+                "--threads", "1"]) == 0
+    assert run(["tree-lab", "--config", path, "--out", three,
+                "--threads", "3"]) == 0
+    for name in ("tree_lab_summary.json", "manifest.json"):
+        assert open(os.path.join(one, name), "rb").read() == \
+            open(os.path.join(three, name), "rb").read()
 
 
 def test_distance_command_prints_frozen_asymmetry(tmp_path, capsys):

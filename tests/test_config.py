@@ -161,6 +161,17 @@ def test_build_tracked_checks_rank(tmp_path):
         cfgmod.build_tracked(cfg)
 
 
+def test_build_walk_config_names_the_tracked_entry_at_fault(tmp_path):
+    bad = dict(GOOD_OUTER, tracked=["a", "abc"])
+    cfg = cfgmod.load_config(write(tmp_path, bad))
+    with pytest.raises(ConfigError, match=r"\$\.tracked\[1\]"):
+        cfgmod.build_walk_config(cfg)
+    bad_point = dict(GOOD_TREE, tracked=["per:a", "per:aA"])
+    cfg = cfgmod.load_config(write(tmp_path, bad_point, "tree.json"))
+    with pytest.raises(ConfigError, match=r"\$\.tracked\[1\]"):
+        cfgmod.build_walk_config(cfg)
+
+
 def test_build_walk_config_and_seed_override():
     wc = cfgmod.build_walk_config(GOOD_OUTER)
     assert wc.master_seed == 1

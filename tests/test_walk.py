@@ -399,3 +399,223 @@ def test_gl2z_cap_counts_exact_cyclic_length():
     with pytest.raises(WordCapExceeded) as err:
         walk.sample_path(mu, cfg, 0)
     assert (err.value.step, err.value.length) == (63, 65)
+
+
+# -- tree blocks against the per-letter reference
+
+def _reference_limit_data(checkpoints, snap_words):
+    tail = max(2, (len(snap_words) + 9) // 10)
+    window = snap_words[-tail:] if len(snap_words) >= 2 else snap_words
+    depth = min(len(w) for w in window)
+    for w in window[1:]:
+        depth = min(depth, fg.common_prefix_len(window[0][:depth], w[:depth]))
+    bnd = tree.BoundaryPoint.truncated(window[0][:depth], depth) \
+        if depth > 0 else None
+    tracking = []
+    for w in snap_words:
+        if bnd is None:
+            tracking.append(None)
+            continue
+        c = fg.common_prefix_len(w[:depth], bnd.prefix)
+        if c < depth or len(w) <= depth:
+            tracking.append(len(w) - c)
+        else:
+            tracking.append(None)
+    return bnd, tuple(tracking)
+
+
+def _reference_spot_check(mu, idx, step, u, cps, tracked):
+    flat = [int(v) for k in range(step) for v in fg.inverse(mu.atoms[idx[k]])]
+    assert fg.reduce(flat).tolist() == u
+    for i, xi in enumerate(tracked):
+        k = len(u) if xi.is_periodic else min(len(u), xi.depth)
+        assert fg.common_prefix_len(np.array(u[:k], dtype=np.int8),
+                                    xi.letters(k)) == cps[i]
+
+
+def per_letter_trial(mu, config, trial):
+    """One tree trial pushed a letter at a time onto a Python list."""
+    inv_atoms = [[int(v) for v in fg.inverse(a)] for a in mu.atoms]
+    tracked = list(config.tracked_classes)
+    idx = mu.draw_indices(config.master_seed, trial, config.horizon)
+    cap = config.max_word_letters
+    u = []                          # walk position g_n^{-1}
+    cps = [0] * len(tracked)        # common prefix of u with each point
+    kappa, snap_words, spots, peak = [], [], [], 0
+    sigma = {tree.format_boundary(xi): [] for xi in tracked}
+    for step in range(1, config.horizon + 1):
+        for v in inv_atoms[idx[step - 1]]:
+            if u and u[-1] == -v:
+                u.pop()
+                cps = [min(c, len(u)) for c in cps]
+            else:
+                n = len(u)
+                for i, xi in enumerate(tracked):
+                    if cps[i] == n and xi.letter(n) == v:   # DepthError
+                        cps[i] += 1
+                u.append(v)
+        if len(u) > cap:
+            raise WordCapExceeded(trial, step, len(u), cap)
+        peak = max(peak, len(u))
+        if step in config.checkpoints:
+            kappa.append(len(u))
+            for i, xi in enumerate(tracked):
+                sigma[tree.format_boundary(xi)].append(len(u) - 2 * cps[i])
+            snap_words.append(np.array(u, dtype=fg.LETTER_DTYPE))
+            if walk._spot_selected(config.master_seed, trial, step,
+                                   config.spot_check_rate) or \
+                    (trial == 0 and step == config.checkpoints[-1]):
+                _reference_spot_check(mu, idx, step, u, cps, tracked)
+                spots.append(step)
+    bnd, tracking = _reference_limit_data(config.checkpoints, snap_words)
+    return walk.PathRecord(
+        trial_index=trial, checkpoints=config.checkpoints, kappa=tuple(kappa),
+        sigma={k: tuple(v) for k, v in sigma.items()}, lengths={},
+        peak_letters=peak, spot_checked=tuple(spots), bnd=bnd,
+        tracking=tracking)
+
+
+def reference_run(mu, config):
+    records, failures = [], []
+    for trial in range(config.trials):
+        try:
+            records.append(per_letter_trial(mu, config, trial))
+        except (WordCapExceeded, tree.DepthError) as exc:
+            failures.append((trial, exc))
+    return records, failures
+
+
+def assert_same_tree_record(got, want):
+    assert (got.trial_index, got.checkpoints, got.kappa, got.sigma,
+            got.lengths, got.peak_letters, got.spot_checked, got.tracking) == \
+        (want.trial_index, want.checkpoints, want.kappa, want.sigma,
+         want.lengths, want.peak_letters, want.spot_checked, want.tracking)
+    if want.bnd is None:
+        assert got.bnd is None
+    else:
+        assert got.bnd.depth == want.bnd.depth
+        assert got.bnd.prefix.tolist() == want.bnd.prefix.tolist()
+    # the results are written as JSON: plain ints, not numpy scalars
+    values = [got.peak_letters, *got.kappa, *(v for s in got.sigma.values()
+                                              for v in s)]
+    assert all(type(v) is int for v in values)
+
+
+def failure_key(failures):
+    return [(t, type(e), str(e), getattr(e, "step", None),
+             getattr(e, "length", None)) for t, e in failures]
+
+
+MULTI_LETTER_ATOMS = {2: ("aB", "bbA", "Ab", "a", "B", "BA"),
+                      3: ("aB", "bbA", "Ab", "c", "Ca", "bC", "A", "")}
+TREE_POINTS = {2: ("per:a", "pre:Ba per:abAB", "per:b", "pre:ab per:aB"),
+               3: ("pre:Ba per:abAB", "per:c", "pre:C per:ab", "per:bca")}
+
+
+def random_tree_measure(rng, rank):
+    atoms = MULTI_LETTER_ATOMS[rank]
+    raw = rng.integers(1, 6, size=len(atoms))
+    return MeasureSpec([fg.parse_word(w) for w in atoms],
+                       [float(v) / float(raw.sum()) for v in raw])
+
+
+@pytest.mark.parametrize("rank,seed", [(2, 0), (2, 17), (3, 4), (3, 29)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tree_blocks_match_the_per_letter_reference(rank, seed, workers,
+                                                    monkeypatch):
+    # blocks of two trials (390 stack and 390 step bytes each), so every
+    # worker runs several blocks and block edges split the trial range
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 2 * (130 * 3 + 130 * 3))
+    rng = np.random.default_rng(seed)
+    mu = random_tree_measure(rng, rank)
+    cfg = WalkConfig(horizon=130, trials=7, master_seed=seed,
+                     checkpoints=tuple(range(5, 121, 5)), spot_check_rate=0.3,
+                     tracked_classes=tuple(tree.parse_boundary(s)
+                                           for s in TREE_POINTS[rank]))
+    want, failures = reference_run(mu, cfg)
+    assert not failures
+    got = run_experiment(mu, cfg, workers=workers)
+    assert len(got) == len(want) == 7
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tree_failures_are_attributed_to_their_own_trials(workers):
+    # 40 trials at seed 5: 12 pass the cap, 10 run off the certified depth
+    mu = MeasureSpec([fg.parse_word(w) for w in
+                      ("BA", "Ab", "bbA", "a", "B", "aB", "A", "b")], [1 / 8] * 8)
+    cfg = WalkConfig(horizon=40, trials=40, master_seed=5,
+                     checkpoints=(10, 30, 40), max_word_letters=42,
+                     spot_check_rate=0.5,
+                     tracked_classes=(tree.parse_boundary("per:a"),
+                                      tree.parse_boundary("prefix:ab depth:2")))
+    want, want_failures = reference_run(mu, cfg)
+    kinds = [type(e) for _, e in want_failures]
+    assert WordCapExceeded in kinds and tree.DepthError in kinds
+    assert want
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg, workers=workers)
+    assert failure_key(err.value.failures) == failure_key(want_failures)
+    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    assert failure_key(failures) == failure_key(want_failures)
+    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
+
+
+@pytest.mark.parametrize("checkpoints", [(20, 40, 60), (60,)])
+def test_sample_path_is_a_block_of_one(checkpoints):
+    mu = random_tree_measure(np.random.default_rng(3), 2)
+    cfg = WalkConfig(horizon=60, trials=4, master_seed=3,
+                     checkpoints=checkpoints,
+                     tracked_classes=(tree.parse_boundary("pre:Ba per:abAB"),))
+    for trial in range(cfg.trials):
+        assert_same_tree_record(walk.sample_path(mu, cfg, trial),
+                                per_letter_trial(mu, cfg, trial))
+
+
+def test_sample_path_raises_the_trial_failure():
+    cfg = WalkConfig(horizon=10, trials=1, master_seed=0, checkpoints=(10,),
+                     tracked_classes=(tree.parse_boundary("prefix:AA depth:2"),))
+    with pytest.raises(tree.DepthError, match="letter 2 beyond certified "
+                                              "depth 2"):
+        walk.sample_path(tree_point_mass("a"), cfg, 0)
+
+
+def test_tree_spot_check_catches_a_corrupted_stack_entry():
+    mu = srw_measure()
+    cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,),
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    block = walk._TreeBlock(mu, cfg, 0, 1, walk._inverse_atom_table(mu))
+    block.advance(0, 30)
+    block.spot_check(0, 30)
+    assert block.n[0] > 3
+    at = block.base[0] + 3
+    block.stack[at] = block.stack[at] % 2 + 1     # another letter, a or b
+    with pytest.raises(AssertionError, match="position stack diverged"):
+        block.spot_check(0, 30)
+
+
+def test_tree_spot_check_catches_a_corrupted_common_prefix():
+    mu = srw_measure()
+    cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,),
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    block = walk._TreeBlock(mu, cfg, 0, 1, walk._inverse_atom_table(mu))
+    block.advance(0, 30)
+    block.cp[0, 0] += 1
+    with pytest.raises(AssertionError, match="common prefix"):
+        block.spot_check(0, 30)
+
+
+def test_tracked_kinds_are_checked_before_any_trial_runs():
+    words = WalkConfig(horizon=5, trials=3, master_seed=0, checkpoints=(5,),
+                       tracked_classes=(fg.parse_word("ab"),))
+    with pytest.raises(ValueError, match="tree mode tracks boundary points"):
+        run_experiment(srw_measure(), words)
+    with pytest.raises(ValueError, match="tree mode tracks boundary points"):
+        walk.sample_path(srw_measure(), words, 0)
+    points = WalkConfig(horizon=5, trials=3, master_seed=0, checkpoints=(5,),
+                        tracked_classes=(tree.parse_boundary("per:a"),))
+    with pytest.raises(ValueError, match="outer mode tracks words"):
+        run_experiment(nielsen_measure(), points, workers=2)
