@@ -44,9 +44,10 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, obj):
+    # NaN and Infinity are not JSON; encoding first leaves no partial file
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(out_dir, command, cfg, seed, outputs):
@@ -198,7 +199,9 @@ def cmd_gap(args):
         "half_horizon": gr.half_horizon,
         "quantiles": {str(q): {"full": f, "half": h}
                       for q, (f, h) in gr.quantiles.items()},
-        "median_ratio": gr.median_ratio,
+        # infinite when only the half-horizon median is 0; JSON has no inf
+        "median_ratio": (gr.median_ratio if math.isfinite(gr.median_ratio)
+                         else None),
         "tolerances": cfgmod.tolerances(cfg),
     })
     _write_manifest(args.out, "gap", cfg, wcfg.master_seed,
@@ -234,6 +237,10 @@ def cmd_distance(args):
 
 def cmd_tree_lab(args):
     cfg, mu, wcfg = _prepare(args, expect_mode="tree")
+    if wcfg.trials < 2:
+        # one trial has no standard error: the summary would carry NaN
+        raise cfgmod.ConfigError("%s: at $.trials: tree-lab needs at least 2 "
+                                 "trials, got %d" % (args.config, wcfg.trials))
     records = _run_records(mu, wcfg, args.threads)
     section = cfg.get("tree_lab", {})
     x_points = [treemod.parse_boundary(s)

@@ -365,6 +365,56 @@ def four_point_slack(x, y, z):
 # ---------------------------------------------------------------------------
 # statistical estimators on the boundary
 
+# The estimators need (x|y) for one point x against every boundary sample y.
+# The products of sampled walk limits with a fixed point have geometric
+# tails, so the first _HEAD letters decide nearly all of them.
+_HEAD = 64
+
+
+def _known_head(p):
+    """Up to _HEAD letters of p known for certain; none for a finite word,
+    which therefore always takes the scalar path."""
+    if not isinstance(p, BoundaryPoint):
+        return ()
+    return p.letters(_HEAD) if p.is_periodic else p.prefix[:_HEAD]
+
+
+class _HeadScreen:
+    """Gromov products of one point against many boundary samples at once.
+
+    The first _HEAD known letters of every sample are stacked once as int8
+    rows padded with 0.  For a query x, one comparison with x's head finds
+    each row's first mismatch; a mismatch of two known letters is the
+    product.  A row without one (a product of _HEAD or more, equal points,
+    a certified depth reached, a finite word) gets fallback(x, y), which
+    sees exactly what the scalar definition would, in sample order."""
+
+    def __init__(self, samples):
+        self.samples = list(samples)
+        self.rows = np.zeros((len(self.samples), _HEAD), dtype=fg.LETTER_DTYPE)
+        self.known = np.zeros(len(self.samples), dtype=np.intp)
+        for i, y in enumerate(self.samples):
+            head = _known_head(y)
+            self.rows[i, :len(head)] = head
+            self.known[i] = len(head)
+
+    def products(self, x, fallback):
+        """(x|y) for every sample y as a float array."""
+        head = _known_head(x)
+        xrow = np.zeros(_HEAD, dtype=fg.LETTER_DTYPE)
+        xrow[:len(head)] = head
+        neq = self.rows != xrow
+        first = np.where(neq.any(axis=1), neq.argmax(axis=1), _HEAD)
+        out = first.astype(np.float64)
+        for i in np.flatnonzero(first >= np.minimum(self.known, len(head))):
+            out[i] = fallback(x, self.samples[i])
+        return out
+
+
+def _float_product(x, y):
+    return float(gromov_product(x, y))
+
+
 @dataclass(frozen=True)
 class PsiEstimate:
     value: float
@@ -373,10 +423,14 @@ class PsiEstimate:
 
 
 def psi_estimate(x, boundary_samples):
-    """Monte Carlo ψ(x) = -2 E[(x|y)] over boundary samples y."""
+    """Monte Carlo ψ(x) = -2 E[(x|y)] over boundary samples y.
+
+    The products come from one head screen of all samples (_HeadScreen);
+    a sample the screen cannot decide gets the scalar gromov_product, so an
+    equal or undecidable pair fails exactly as that function does."""
     if not boundary_samples:
         raise ValueError("need at least one boundary sample")
-    vals = np.array([float(gromov_product(x, y)) for y in boundary_samples])
+    vals = _HeadScreen(boundary_samples).products(x, _float_product)
     se = 2.0 * vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
     return PsiEstimate(-2.0 * float(vals.mean()), se, len(vals))
 
@@ -396,12 +450,16 @@ def centering_check(mu, x_points, records, lambda_hat=None, lambda_se=None):
     Boundary samples for ψ are the limit points of the supplied tree-mode
     walk records, which also provide the drift estimate unless one is
     passed in.  For a centerable cocycle every estimate matches the drift.
+    The samples are stacked into one _HeadScreen, which serves all the
+    products (x|y) and (a.x|y) with the scalar gromov_product as fallback.
     """
     if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
         raise ValueError("centering_check needs a tree-mode (word) measure")
     ys = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
-    if not ys:
-        raise ValueError("no usable boundary samples (walks too short?)")
+    if len(ys) < 2:
+        raise ValueError("need at least 2 usable boundary samples, got %d "
+                         "(walks too short?)" % len(ys))
+    screen = _HeadScreen(ys)
     horizon = int(records[0].checkpoints[-1])
     if lambda_hat is None:
         ends = np.array([float(r.kappa[-1]) for r in records])
@@ -420,9 +478,8 @@ def centering_check(mu, x_points, records, lambda_hat=None, lambda_se=None):
         for atom, weight in zip(mu.atoms, mu.weights):
             const += weight * busemann(atom, x)
             sx = boundary_action(atom, x)
-            per_sample += weight * (-2.0) * np.array(
-                [float(gromov_product(sx, y)) for y in ys])
-        per_sample += 2.0 * np.array([float(gromov_product(x, y)) for y in ys])
+            per_sample += weight * (-2.0) * screen.products(sx, _float_product)
+        per_sample += 2.0 * screen.products(x, _float_product)
         est = const + float(per_sample.mean())
         se = float(per_sample.std(ddof=1)) / math.sqrt(len(ys))
         results[label] = (est, se)
@@ -456,8 +513,11 @@ def _product_lower_value(x, y):
 
 def h2_tail_estimate(x, boundary_samples, alpha, n_grid):
     """Empirical tail P[(x|y) >= alpha * n] over boundary samples, with a
-    fitted geometric decay rate (per unit of product threshold)."""
-    prods = np.array([_product_lower_value(x, y) for y in boundary_samples])
+    fitted geometric decay rate (per unit of product threshold).
+
+    The products come from one _HeadScreen of the samples; a sample the
+    screen cannot decide gets _product_lower_value."""
+    prods = _HeadScreen(boundary_samples).products(x, _product_lower_value)
     pts = []
     for n in n_grid:
         pts.append((int(n), float((prods >= alpha * n).mean())))

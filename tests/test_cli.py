@@ -96,6 +96,17 @@ def test_invalid_config_exits_2(tmp_path):
     assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_tree_lab_needs_two_trials(tmp_path, capsys):
+    with open(os.path.join(ROOT, "configs", "tree_srw_f2.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(trials=1, horizon=400)
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert run(["tree-lab", "--config", path, "--out", str(out)]) == 2
+    assert "$.trials" in capsys.readouterr().err
+    assert not (out / "tree_lab_summary.json").exists()
+
+
 def test_mode_mismatch_between_command_and_config(tmp_path):
     path = write_cfg(tmp_path, outer_cfg())
     assert run(["tree-lab", "--config", path,
@@ -240,6 +251,10 @@ def test_gap_csv_layout(tmp_path):
     rows = open(os.path.join(out, "gap.csv")).read().splitlines()
     assert rows[0] == "trial,sup_gap"
     assert len(rows) == 41
+    summary = json.load(open(os.path.join(out, "gap_summary.json")))
+    # the half-horizon median gap is 0 here: an infinite ratio, written null
+    assert summary["quantiles"]["0.5"]["half"] == 0
+    assert summary["median_ratio"] is None
 
 
 def test_tree_lab_summary(tmp_path):
@@ -266,6 +281,13 @@ def test_tree_lab_outputs_do_not_depend_on_the_thread_count(tmp_path):
     for name in ("tree_lab_summary.json", "manifest.json"):
         assert open(os.path.join(one, name), "rb").read() == \
             open(os.path.join(three, name), "rb").read()
+
+    def reject(constant):
+        raise AssertionError("summary holds %s" % constant)
+
+    summary = json.loads(open(os.path.join(one, "tree_lab_summary.json")).read(),
+                         parse_constant=reject)
+    assert summary["n_boundary_samples"] == 61
 
 
 def test_distance_command_prints_frozen_asymmetry(tmp_path, capsys):

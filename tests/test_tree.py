@@ -283,3 +283,178 @@ def test_centering_check_rejects_outer_measures():
     mu = MeasureSpec([fg.from_trace(2, ["R:1:2:+"])], [1.0])
     with pytest.raises(ValueError):
         tree.centering_check(mu, [bp("per:a")], [])
+
+
+# -- the head screen against the per-sample scalar loop
+
+class LoopScreen:
+    """The per-sample loop the estimators ran before the head screen: the
+    scalar definition on every sample, in order."""
+
+    def __init__(self, samples):
+        self.samples = list(samples)
+
+    def products(self, x, fallback):
+        return np.array([fallback(x, y) for y in self.samples])
+
+
+LETTERS = (1, -1, 2, -2, 3, -3)
+
+
+def extend(rng, word, n, first_not=None):
+    """Append n random letters to a reduced word, keeping it reduced; the
+    first appended letter differs from first_not."""
+    w = [int(c) for c in word]
+    for i in range(n):
+        ban = {-w[-1]} if w else set()
+        if i == 0 and first_not is not None:
+            ban.add(first_not)
+        w.append(int(rng.choice([c for c in LETTERS if c not in ban])))
+    return w
+
+
+def periodic_after(rng, pre):
+    while True:
+        per = extend(rng, [], int(rng.integers(1, 5)))
+        try:
+            return tree.BoundaryPoint.periodic(pre, per)
+        except ValueError:
+            continue
+
+
+def branching_sample(rng, x):
+    """A sample leaving x's stream after a random number of shared letters
+    (sometimes 64 or more), truncated at a random depth or periodic."""
+    known = x.certified_depth
+    k = int(rng.integers(0, 100))
+    if known is not None:
+        k = min(k, known)
+    base = list(x.letters(k))
+    nxt = x.letter(k) if known is None or k < known else None
+    word = extend(rng, base, int(rng.integers(1, 40)), first_not=nxt)
+    if rng.random() < 0.5:
+        return periodic_after(rng, word)
+    return tree.BoundaryPoint.truncated(
+        word, int(rng.integers(0, len(word) + 1)))
+
+
+def random_x(rng):
+    if rng.random() < 0.3:
+        word = extend(rng, [], int(rng.integers(0, 90)))
+        return tree.BoundaryPoint.truncated(word)
+    return periodic_after(rng, extend(rng, [], int(rng.integers(0, 70))))
+
+
+def mixed_samples(rng, x):
+    """Random samples around x plus every case the head cannot decide."""
+    ys = [branching_sample(rng, x) for _ in range(30)]
+    ys.append(x)                                        # equal to x
+    ys.append(tree.parse_boundary(tree.format_boundary(x)))
+    for d in (0, 5, 63, 64, 80):                        # ties through depth
+        if x.certified_depth is None or d <= x.certified_depth:
+            ys.append(tree.BoundaryPoint.truncated(x.letters(d)))
+    ys.append(bp("pre:" + "ab" * 40 + " per:a"))        # (x|y) = 81 for per:ab
+    ys.append(bp("per:ab"))
+    ys.append(bp("prefix:" + "ab" * 40 + "b depth:70"))
+    ys.append(fg.parse_word("aB"))                      # a finite word
+    order = rng.permutation(len(ys))
+    return [ys[i] for i in order]
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (tree.DepthError, TypeError, ValueError) as exc:
+        return (type(exc), str(exc))
+    if tree.is_infinite(result):
+        return ("inf",)
+    return result
+
+
+def head_known(p):
+    if not isinstance(p, tree.BoundaryPoint):
+        return 0
+    return 64 if p.is_periodic else min(64, p.depth)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_head_screen_matches_the_scalar_products(seed):
+    rng = np.random.default_rng(seed)
+    xs = [random_x(rng) for _ in range(5)]
+    xs += [bp("per:ab"), bp("prefix:abab depth:4"),
+           tree.BoundaryPoint.truncated(extend(rng, [], 70), 66),
+           fg.parse_word("ab")]
+    for x in xs:
+        ys = mixed_samples(rng, x if isinstance(x, tree.BoundaryPoint)
+                           else bp("per:ab"))
+        seen = []
+
+        def fallback(x, y):
+            seen.append(outcome(tree.gromov_product, x, y))
+            return -1.0
+
+        got = tree._HeadScreen(ys).products(x, fallback)
+        screened = iter(seen)
+        merged = [next(screened) if v == -1.0 else int(v) for v in got]
+        expected = [outcome(tree.gromov_product, x, y) for y in ys]
+        assert merged == expected
+        # only rows with no letter mismatch inside both heads fall back
+        assert seen == [
+            o for o, y in zip(expected, ys)
+            if not isinstance(o, int) or o >= min(head_known(x), head_known(y))]
+
+
+def estimator_pair(monkeypatch, fn, *args):
+    """fn's outcome with the head screen, then with the per-sample loop."""
+    head = outcome(fn, *args)
+    with monkeypatch.context() as m:
+        m.setattr(tree, "_HeadScreen", LoopScreen)
+        loop = outcome(fn, *args)
+    return head, loop
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_estimators_equal_the_per_sample_loop(seed, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    mu = MeasureSpec([fg.parse_word(w) for w in ("a", "B", "ab", "Ca")],
+                     [0.4, 0.3, 0.2, 0.1])
+    for _ in range(4):
+        x = random_x(rng)
+        ys = [y for y in mixed_samples(rng, x)
+              if isinstance(y, tree.BoundaryPoint)]
+        ys += [branching_sample(rng, x) for _ in range(40)]
+        decided = [y for y in ys
+                   if isinstance(outcome(tree.gromov_product, x, y), int)]
+        for samples in (ys, decided, decided[:1]):
+            head, loop = estimator_pair(monkeypatch, tree.psi_estimate,
+                                        x, samples)
+            assert head == loop
+            head, loop = estimator_pair(monkeypatch, tree.h2_tail_estimate,
+                                        x, samples, 1.0, [1, 2, 4, 8, 70])
+            assert head == loop
+        trunc = [y for y in ys if not y.is_periodic]
+        records = [PathRecord(trial_index=i, checkpoints=(50,),
+                              kappa=(float(rng.integers(0, 50)),), sigma={},
+                              lengths=None, peak_letters=0, spot_checked=(),
+                              bnd=y, tracking=None)
+                   for i, y in enumerate(trunc)]
+        others = [random_x(rng), periodic_after(rng, [])]
+        decided = [r for r in records if all(
+            isinstance(outcome(tree.gromov_product, p, r.bnd), int)
+            for p in others)]
+        # the first set holds samples that tie with x through their depth
+        for points, recs in (([x] + others, records), (others, decided)):
+            head, loop = estimator_pair(monkeypatch, tree.centering_check,
+                                        mu, points, recs)
+            assert head == loop
+
+
+def test_centering_check_needs_two_usable_samples():
+    mu = MeasureSpec([fg.parse_word("a")], [1.0])
+    records = [
+        PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
+                   lengths=None, peak_letters=0, spot_checked=(), bnd=y,
+                   tracking=None)
+        for i, y in enumerate((bp("prefix:ab depth:2"), bp("prefix:b depth:0")))]
+    with pytest.raises(ValueError, match="at least 2 usable"):
+        tree.centering_check(mu, [bp("per:b")], records)
