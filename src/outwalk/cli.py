@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from . import config as cfgmod
 from . import freegroup as fg
+from . import invariants
 from . import rose
 from . import stats
 from . import tree as treemod
@@ -76,7 +77,7 @@ def _prepare(args, expect_mode=None):
 
 
 def _run_records(mu, wcfg, threads):
-    records = walk.run_experiment(mu, wcfg, workers=max(1, threads))
+    records = walk.run_experiment(mu, wcfg, workers=threads)
     stats.verify_sigma_domination(records)
     return records
 
@@ -286,237 +287,7 @@ def cmd_tree_lab(args):
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-def _check(checks, name, fn):
-    try:
-        fn()
-        checks.append({"name": name, "passed": True, "detail": ""})
-    except Exception as exc:
-        checks.append({"name": name, "passed": False,
-                       "detail": "%s: %s" % (type(exc).__name__, exc)})
-
-
-def _suite_algebra(checks):
-    rng = np.random.default_rng(2024)
-
-    def reduction_laws():
-        for _ in range(400):
-            w = rng.integers(-3, 4, size=int(rng.integers(0, 60)))
-            w = w[w != 0].astype(np.int8)
-            r = fg.reduce(w)
-            assert fg.is_reduced(r)
-            assert np.array_equal(fg.reduce(r), r)
-            assert len(fg.concat(r, fg.inverse(r))) == 0
-
-    def cyclic_invariance():
-        for _ in range(300):
-            g = fg.random_reduced_word(rng, 3, int(rng.integers(1, 20)))
-            h = fg.random_reduced_word(rng, 3, int(rng.integers(0, 8)))
-            conj = fg.concat(h, g, fg.inverse(h))
-            assert fg.word_key(fg.cyclic_word(conj)) == \
-                fg.word_key(fg.cyclic_word(g))
-
-    def canonical_rotation_minimal():
-        def code_key(w):
-            return tuple(fg.letter_code(int(v)) for v in w)
-        for _ in range(200):
-            core, _ = fg.cyclic_reduce(
-                fg.random_reduced_word(rng, 2, int(rng.integers(1, 14))))
-            if len(core) == 0:
-                continue
-            canon = fg.canonical_rotation(core)
-            keys = [code_key(np.roll(core, -k)) for k in range(len(core))]
-            assert code_key(canon) == min(keys)
-
-    def automorphism_round_trip():
-        for _ in range(150):
-            phi = fg.random_automorphism(rng, 3, int(rng.integers(1, 12)))
-            w = fg.random_reduced_word(rng, 3, int(rng.integers(0, 30)))
-            assert np.array_equal(phi.apply_inverse(phi.apply(w)), w)
-            assert np.array_equal(fg.compose(phi, phi.inverted()).forward[0],
-                                  fg.Automorphism.identity(3).forward[0])
-
-    def homomorphism_property():
-        for _ in range(150):
-            phi = fg.random_automorphism(rng, 2, int(rng.integers(1, 10)))
-            u = fg.random_reduced_word(rng, 2, int(rng.integers(0, 15)))
-            v = fg.random_reduced_word(rng, 2, int(rng.integers(0, 15)))
-            assert np.array_equal(phi.apply(fg.concat(u, v)),
-                                  fg.concat(phi.apply(u), phi.apply(v)))
-
-    def sigma_cocycle_identity():
-        for _ in range(2000):
-            rank = 2 if rng.random() < 0.7 else 3
-            phi = fg.random_automorphism(rng, rank, int(rng.integers(1, 8)))
-            psi = fg.random_automorphism(rng, rank, int(rng.integers(1, 8)))
-            g = fg.random_reduced_word(rng, rank, int(rng.integers(1, 10)))
-            if fg.cyclic_length(g) == 0:
-                continue
-            lhs = fg.cyclic_length(fg.compose(phi, psi).apply(g))
-            rhs = fg.cyclic_length(phi.apply(psi.apply(g)))
-            # exact integer equality; the log cocycle identity follows
-            assert lhs == rhs
-
-    _check(checks, "algebra/reduction-laws", reduction_laws)
-    _check(checks, "algebra/cyclic-conjugacy-invariance", cyclic_invariance)
-    _check(checks, "algebra/canonical-rotation-minimal", canonical_rotation_minimal)
-    _check(checks, "algebra/automorphism-round-trip", automorphism_round_trip)
-    _check(checks, "algebra/homomorphism-property", homomorphism_property)
-    _check(checks, "algebra/sigma-cocycle-identity", sigma_cocycle_identity)
-
-
-def _suite_outer(checks):
-    rng = np.random.default_rng(77)
-
-    def frozen_asymmetry():
-        t = rose.unit_rose(2)
-        u = rose.rose_point(["9/10", "1/10"])
-        from fractions import Fraction
-        assert rose.max_stretch(t, u) == Fraction(9, 5)
-        assert rose.max_stretch(u, t) == Fraction(5, 1)
-
-    def frozen_translation_lengths():
-        t = rose.unit_rose(2)
-        assert rose.translation_length(fg.parse_word("ab"), t) == 1
-        assert rose.translation_length(fg.parse_word("abA"), t) == \
-            rose.translation_length(fg.parse_word("b"), t)
-        psi = fg.from_trace(2, ["R:1:2:+"])   # a -> ab
-        marked = rose.rose_point(["1/2", "1/2"], psi)
-        assert rose.translation_length(fg.parse_word("a"), marked) == 1
-
-    def frozen_kappa():
-        assert rose.kappa(fg.Automorphism.identity(2)) == 0.0
-        phi = fg.from_trace(2, ["R:1:2:+"])
-        assert rose.kappa_stretch(phi) == 2
-
-    def sigma_dominated_by_kappa():
-        for _ in range(200):
-            phi = fg.random_automorphism(rng, 2, int(rng.integers(1, 10)))
-            g = fg.random_reduced_word(rng, 2, int(rng.integers(1, 12)))
-            if fg.cyclic_length(g) == 0:
-                continue
-            assert rose.sigma_ratio(phi, g) <= rose.kappa_stretch(phi)
-
-    def white_equality():
-        cases = [(2, 8)] * 25 + [(3, 6)] * 5
-        for rank, max_len in cases:
-            t = _random_rose(rng, rank)
-            u = _random_rose(rng, rank)
-            brute = rose.brute_force_max_stretch(t, u, max_len)
-            cand = rose.max_stretch(t, u)
-            assert brute == cand, \
-                "White equality failed: brute-force sup %s, candidate max %s" \
-                % (brute, cand)
-
-    def triangle_inequality():
-        for _ in range(50):
-            pts = [_random_rose(rng, 2) for _ in range(3)]
-            d01 = rose.lipschitz_distance(pts[0], pts[1])
-            d12 = rose.lipschitz_distance(pts[1], pts[2])
-            d02 = rose.lipschitz_distance(pts[0], pts[2])
-            assert d02 <= d01 + d12 + 1e-12
-
-    _check(checks, "outer-space/frozen-asymmetry-example", frozen_asymmetry)
-    _check(checks, "outer-space/frozen-translation-lengths",
-           frozen_translation_lengths)
-    _check(checks, "outer-space/frozen-kappa", frozen_kappa)
-    _check(checks, "outer-space/sigma-dominated-by-kappa",
-           sigma_dominated_by_kappa)
-    _check(checks, "outer-space/white-equality", white_equality)
-    _check(checks, "outer-space/triangle-inequality", triangle_inequality)
-
-
-def _random_rose(rng, rank):
-    raw = rng.integers(1, 12, size=rank)
-    lengths = [int(v) for v in raw]
-    total = sum(lengths)
-    from fractions import Fraction
-    fracs = [Fraction(v, total) for v in lengths]
-    phi = fg.random_automorphism(rng, rank, int(rng.integers(0, 6)))
-    return rose.rose_point(fracs, phi)
-
-
-def _suite_tree(checks):
-    rng = np.random.default_rng(55)
-    pts = [treemod.parse_boundary(s) for s in
-           ("per:a", "per:b", "per:ab", "pre:a per:ba", "per:aB",
-            "pre:Ba per:abAB")]
-
-    def frozen_busemann():
-        assert treemod.busemann(fg.parse_word("A"),
-                                treemod.parse_boundary("per:a")) == -1
-        assert treemod.busemann(fg.parse_word("b"),
-                                treemod.parse_boundary("per:a")) == 1
-        rep = treemod.lemma_identities_check(
-            fg.parse_word("a"), treemod.parse_boundary("per:b"))
-        assert rep.exact
-
-    def lemma_residuals():
-        for _ in range(3000):
-            g = fg.random_reduced_word(rng, 2, int(rng.integers(0, 10)))
-            xi = pts[int(rng.integers(len(pts)))]
-            rep = treemod.lemma_identities_check(g, xi)
-            assert rep.exact, (fg.format_word(g), treemod.format_boundary(xi))
-
-    def busemann_cocycle():
-        for _ in range(2000):
-            g = fg.random_reduced_word(rng, 3, int(rng.integers(0, 9)))
-            h = fg.random_reduced_word(rng, 3, int(rng.integers(0, 9)))
-            xi = pts[int(rng.integers(len(pts)))]
-            lhs = treemod.busemann(fg.concat(g, h), xi)
-            rhs = treemod.busemann(g, treemod.boundary_action(h, xi)) \
-                + treemod.busemann(h, xi)
-            assert lhs == rhs
-
-    def four_point():
-        for _ in range(2000):
-            z = [pts[int(k)] for k in rng.integers(len(pts), size=3)]
-            prods = [treemod.gromov_product(z[0], z[1]),
-                     treemod.gromov_product(z[0], z[2]),
-                     treemod.gromov_product(z[1], z[2])]
-            if any(treemod.is_infinite(p) for p in prods):
-                continue
-            assert treemod.four_point_slack(*z) >= 0
-
-    def action_associativity():
-        for _ in range(1000):
-            g = fg.random_reduced_word(rng, 2, int(rng.integers(0, 8)))
-            h = fg.random_reduced_word(rng, 2, int(rng.integers(0, 8)))
-            xi = pts[int(rng.integers(len(pts)))]
-            one = treemod.boundary_action(fg.concat(g, h), xi)
-            two = treemod.boundary_action(g, treemod.boundary_action(h, xi))
-            assert treemod.is_infinite(treemod.gromov_product(one, two))
-
-    def horofunction_product():
-        for _ in range(300):
-            x = pts[int(rng.integers(len(pts)))]
-            y = pts[int(rng.integers(len(pts)))]
-            p = treemod.gromov_product(x, y)
-            if treemod.is_infinite(p):
-                continue
-            val, _ = treemod.gromov_product_via_horofunctions(x, y)
-            assert val == p
-
-    def corollary_witness():
-        for x, y in ((pts[0], pts[1]), (pts[2], pts[4]), (pts[3], pts[5])):
-            c = treemod.gromov_product(x, y)
-            hit = False
-            for L in range(int(c) + 1):
-                g = fg.inverse(x.letters(L))
-                slack = treemod.corollary_bound_slack(g, x, y)
-                assert slack >= 0
-                hit = hit or slack == 0
-            assert hit, "no equality witness among ray prefixes"
-
-    _check(checks, "tree/frozen-busemann-examples", frozen_busemann)
-    _check(checks, "tree/lemma-identity-residuals", lemma_residuals)
-    _check(checks, "tree/busemann-cocycle", busemann_cocycle)
-    _check(checks, "tree/four-point-condition", four_point)
-    _check(checks, "tree/action-associativity", action_associativity)
-    _check(checks, "tree/horofunction-product-agreement", horofunction_product)
-    _check(checks, "tree/corollary-bound-witness", corollary_witness)
-
+# verify
 
 def cmd_verify(args):
     real = rose.candidate_set
@@ -526,13 +297,8 @@ def cmd_verify(args):
             return real(point)[:1]
         rose.candidate_set = corrupted
     try:
-        checks = []
-        if args.suite in ("algebra", "all"):
-            _suite_algebra(checks)
-        if args.suite in ("outer-space", "all"):
-            _suite_outer(checks)
-        if args.suite in ("tree", "all"):
-            _suite_tree(checks)
+        suites = invariants.SUITES if args.suite == "all" else [args.suite]
+        checks = [c for suite in suites for c in invariants.run(suite)]
     finally:
         rose.candidate_set = real
     passed = all(c["passed"] for c in checks)
@@ -544,15 +310,22 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _seed(text):
-    """A --seed value: an integer in the config schema's range [0, 2^64)."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
-    if not 0 <= seed < 2 ** 64:
-        raise argparse.ArgumentTypeError("must lie in [0, 2^64), got %d" % seed)
-    return seed
+def _int_flag(low, high, bounds):
+    """An argparse type for integers in [low, high), described by bounds."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text) \
+                from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError("%s, got %d" % (bounds, value))
+        return value
+    return parse
+
+
+_seed = _int_flag(0, 2 ** 64, "must lie in [0, 2^64)")
+_threads = _int_flag(1, math.inf, "must be at least 1")
 
 
 def _add_run_flags(p):
@@ -560,7 +333,7 @@ def _add_run_flags(p):
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=_seed, default=None,
                    help="override the config seed, in [0, 2^64)")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_threads, default=1,
                    help="worker processes for trials")
 
 
@@ -573,17 +346,14 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run exact invariant suites")
     p.add_argument("--suite", default="all",
-                   choices=["algebra", "outer-space", "tree", "all"])
+                   choices=[*invariants.SUITES, "all"])
     p.add_argument("--corrupt-candidates", action="store_true",
                    help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
-    for name, fn, expect in (
-            ("drift", cmd_drift, None),
-            ("clt", cmd_clt, None),
-            ("deviation", cmd_deviation, None),
-            ("gap", cmd_gap, None),
-            ("tree-lab", cmd_tree_lab, "tree")):
+    for name, fn in (("drift", cmd_drift), ("clt", cmd_clt),
+                     ("deviation", cmd_deviation), ("gap", cmd_gap),
+                     ("tree-lab", cmd_tree_lab)):
         p = sub.add_parser(name)
         _add_run_flags(p)
         p.set_defaults(fn=fn)

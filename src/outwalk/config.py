@@ -110,18 +110,6 @@ def resolve_checkpoints(cfg):
     return tuple(cps)
 
 
-def _build_tracked_item(cfg, text):
-    if cfg["mode"] == "outer":
-        w = fg.parse_word(text)
-        fg.check_rank(w, cfg["rank"])
-        return w
-    return treemod.parse_boundary(text)
-
-
-def build_tracked(cfg):
-    return tuple(_build_tracked_item(cfg, t) for t in cfg.get("tracked", []))
-
-
 def build_walk_config(cfg, seed_override=None):
     seed = cfg["seed"] if seed_override is None else seed_override
     kwargs = {}
@@ -132,7 +120,11 @@ def build_walk_config(cfg, seed_override=None):
     tracked = []
     for i, text in enumerate(cfg.get("tracked", [])):
         try:
-            tracked.append(_build_tracked_item(cfg, text))
+            if cfg["mode"] == "tree":
+                tracked.append(treemod.parse_boundary(text))
+            else:
+                tracked.append(fg.parse_word(text))
+                fg.check_rank(tracked[-1], cfg["rank"])
         except ValueError as exc:     # RankError, or a bad literal
             raise ConfigError("at $.tracked[%d]: %s" % (i, exc)) from exc
     try:

@@ -202,11 +202,6 @@ def letter_code(v):
     return ((abs(v) - 1) << 1) | (v < 0)
 
 
-def _codes(w):
-    w = np.asarray(w, dtype=np.int64)
-    return ((np.abs(w) - 1) << 1) | (w < 0)
-
-
 def _least_rotation(codes):
     # Booth's algorithm; returns the start index of the least rotation
     s = codes + codes

@@ -30,22 +30,6 @@ class ResourceLimitError(RuntimeError):
     """An operation would exceed its configured resource budget."""
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # exact binary value of the float; callers wanting exact decimals
-        # should pass strings like "9/10"
-        return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    raise TypeError("cannot interpret %r as an edge length" % (x,))
-
-
 @dataclass(frozen=True)
 class RosePoint:
     """A marked rose: edge lengths (exact rationals, summing to 1) plus a
@@ -68,18 +52,17 @@ class RosePoint:
         return self.marking.rank
 
 
-def rose_point(lengths, marking=None, rank=None):
+def rose_point(lengths, marking=None):
     """Build a RosePoint, coercing lengths to exact rationals.
 
-    Float inputs are taken at their exact binary value; if the exact sum
-    differs from 1 by at most 1e-12 the lengths are renormalized exactly,
-    otherwise the input is rejected.
+    Float inputs are taken at their exact binary value (pass strings such
+    as "9/10" for exact decimals); if the exact sum differs from 1 by at
+    most 1e-12 the lengths are renormalized exactly, otherwise the input is
+    rejected.
     """
-    fracs = [_as_fraction(x) for x in lengths]
-    if rank is None:
-        rank = len(fracs)
+    fracs = [Fraction(x) for x in lengths]
     if marking is None:
-        marking = Automorphism.identity(rank)
+        marking = Automorphism.identity(len(fracs))
     total = sum(fracs, Fraction(0))
     if total != 1:
         if abs(float(total) - 1.0) > 1e-12:
@@ -139,10 +122,6 @@ def max_stretch(t, u):
 def lipschitz_distance(t, u):
     """Asymmetric distance d(T,U) = log max_stretch(T,U); exact ratio, one log."""
     return math.log(max_stretch(t, u))
-
-
-def sym_distance(t, u):
-    return lipschitz_distance(t, u) + lipschitz_distance(u, t)
 
 
 def act(phi, point):

@@ -202,25 +202,18 @@ def clt_report(records, lambda_hat, observable="kappa", min_trials=MIN_CLT_TRIAL
     return CltReport(observable, n, tuple(std), var, stat, p, False)
 
 
-def variance_stabilization(records, lambda_hat, observable="kappa"):
-    """Variance estimates from the final and the mid-horizon checkpoints.
-
-    Returns (v_final, v_mid, ratio); the checkpoint nearest to half the
-    horizon is used for the mid estimate."""
-    cps, mat = observable_matrix(records, observable)
-    n = int(cps[-1])
-    mid_idx = int(np.argmin(np.abs(cps - n / 2)))
-    if mid_idx == len(cps) - 1:
-        raise ValueError("no interior checkpoint near half horizon")
-    m = int(cps[mid_idx])
-    v_final = float(((mat[:, -1] - n * lambda_hat) / math.sqrt(n)).var(ddof=1))
-    v_mid = float(((mat[:, mid_idx] - m * lambda_hat) / math.sqrt(m)).var(ddof=1))
-    ratio = math.inf if v_mid == 0 else v_final / v_mid
-    return v_final, v_mid, ratio
-
-
 # ---------------------------------------------------------------------------
 # deviation curves
+
+def geometric_rate(points, scale=1.0):
+    """exp(slope / scale) of the least-squares line through (n, log p) over
+    the points (n, p) with p > 0; 0.0 without two distinct such n."""
+    xs = np.array([n for n, p in points if p > 0], dtype=np.float64)
+    ys = np.array([math.log(p) for _, p in points if p > 0], dtype=np.float64)
+    if len(xs) < 2 or np.ptp(xs) == 0:
+        return 0.0
+    return math.exp(float(np.polyfit(xs, ys, 1)[0]) / scale)
+
 
 @dataclass(frozen=True)
 class DeviationCurve:
@@ -245,13 +238,7 @@ def deviation_curve(records, lambda_hat, epsilon, n_grid, observable="kappa"):
         col = mat[:, pos[int(n)]]
         prob = float((np.abs(col - int(n) * lambda_hat) >= epsilon * int(n)).mean())
         pts.append((int(n), prob))
-    xs = np.array([n for n, p in pts if p > 0], dtype=np.float64)
-    ys = np.array([math.log(p) for _, p in pts if p > 0], dtype=np.float64)
-    if len(xs) >= 2 and np.ptp(xs) > 0:
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        rate = math.exp(slope)
-    else:
-        rate = 0.0
+    rate = geometric_rate(pts)
     return DeviationCurve(float(epsilon), tuple(pts), rate, rate < 1.0)
 
 

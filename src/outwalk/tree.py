@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import freegroup as fg
+from . import stats
 
 
 class DepthError(ValueError):
@@ -228,13 +229,6 @@ def gromov_product(x, y):
     return _stream_prefix_with_word(fg.reduce(x), y)
 
 
-def gromov_product_via_distances(u, v):
-    """Definition-level product for finite points: (u|v) = ½(|u|+|v|-d(u,v))."""
-    u = fg.reduce(u)
-    v = fg.reduce(v)
-    return _half_int(len(u) + len(v) - tree_distance(u, v))
-
-
 def _half_int(n):
     # products and residuals in a tree are integers; keep them that way
     if n % 2:
@@ -254,12 +248,12 @@ def busemann(g, xi):
     return len(g) - 2 * _stream_prefix_with_word(fg.inverse(g), xi)
 
 
-def gromov_product_via_horofunctions(x, y, *, probe=None):
+def gromov_product_via_horofunctions(x, y):
     """(x|y)_o as -½ inf_z (h_x(z) + h_y(z)).
 
     The infimum over the whole tree is attained on the geodesic joining x
-    and y; we scan z along that geodesic (plus any extra probe points) and
-    return both the value and the minimizing z."""
+    and y; we scan z along that geodesic and return both the value and the
+    minimizing z."""
     c = gromov_product(x, y)
     if is_infinite(c):
         raise ValueError("equal boundary points have no finite product")
@@ -276,8 +270,6 @@ def gromov_product_via_horofunctions(x, y, *, probe=None):
             continue
         for k in range(c + 1, len(ext) + 1):
             candidates.append(ext[:k])
-    if probe is not None:
-        candidates.extend(probe)
     for z in candidates:
         val = horofunction_value(x, z) + horofunction_value(y, z)
         if best is None or val < best:
@@ -305,12 +297,6 @@ def boundary_action(g, xi):
         return BoundaryPoint(preperiod=new_pre, period=new_per)
     new_prefix = fg._freeze(np.concatenate((head, xi.prefix[k:])))
     return BoundaryPoint(prefix=new_prefix, depth=len(new_prefix))
-
-
-def tracking_distance(w, xi):
-    """Distance from the vertex w to the ray [o, xi) = |w| - (w|xi)."""
-    w = fg.reduce(w)
-    return len(w) - gromov_product(w, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +398,11 @@ class _HeadScreen:
 
 
 def _float_product(x, y):
-    return float(gromov_product(x, y))
+    p = gromov_product(x, y)
+    if is_infinite(p):
+        raise ValueError("boundary sample %s equals the query point, so (x|y) "
+                         "is infinite" % format_boundary(y))
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -455,7 +445,9 @@ def centering_check(mu, x_points, records, lambda_hat=None, lambda_se=None):
     """
     if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
         raise ValueError("centering_check needs a tree-mode (word) measure")
-    ys = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
+    # usable: at least one letter known (periodic points know them all)
+    ys = [r.bnd for r in records
+          if r.bnd is not None and r.bnd.certified_depth != 0]
     if len(ys) < 2:
         raise ValueError("need at least 2 usable boundary samples, got %d "
                          "(walks too short?)" % len(ys))
@@ -518,14 +510,6 @@ def h2_tail_estimate(x, boundary_samples, alpha, n_grid):
     The products come from one _HeadScreen of the samples; a sample the
     screen cannot decide gets _product_lower_value."""
     prods = _HeadScreen(boundary_samples).products(x, _product_lower_value)
-    pts = []
-    for n in n_grid:
-        pts.append((int(n), float((prods >= alpha * n).mean())))
-    xs = np.array([n for n, p in pts if p > 0], dtype=float)
-    ys = np.array([math.log(p) for _, p in pts if p > 0])
-    if len(xs) >= 2:
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        rate = math.exp(slope / alpha)
-    else:
-        rate = 0.0
+    pts = [(int(n), float((prods >= alpha * n).mean())) for n in n_grid]
+    rate = stats.geometric_rate(pts, alpha)
     return TailCurve(float(alpha), tuple(pts), rate, rate < 1.0)

@@ -107,14 +107,6 @@ class MeasureSpec:
         return max((int(np.max(np.abs(a))) for a in self.atoms if len(a)),
                    default=1)
 
-    def reflected(self):
-        """The measure of the inverse steps: same weights, atoms inverted."""
-        if self.mode == "outer":
-            inv = [a.inverted() for a in self.atoms]
-        else:
-            inv = [fg.inverse(a) for a in self.atoms]
-        return MeasureSpec(inv, self.weights)
-
     def draw_indices(self, master_seed, trial, n):
         """Atom indices for steps 1..n of the given trial; pure function."""
         key = (int(master_seed) << 64) + int(trial)

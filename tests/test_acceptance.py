@@ -20,7 +20,7 @@ import pytest
 
 from outwalk import config as cfgmod
 from outwalk import freegroup as fg
-from outwalk import rose, stats, tree
+from outwalk import invariants, rose, stats, tree
 from outwalk.walk import run_experiment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -67,52 +67,10 @@ def lazy_outer_experiment():
 def test_criterion_1_exactness_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260816)
-
-    # cocycle identity for the stretch ratios, exact in rational arithmetic
-    for rank, count in ((2, 5000), (3, 5000)):
-        for _ in range(count):
-            phi = fg.random_automorphism(rng, rank, int(rng.integers(0, 6)))
-            psi = fg.random_automorphism(rng, rank, int(rng.integers(0, 6)))
-            g = fg.random_reduced_word(rng, rank, int(rng.integers(1, 12)))
-            if fg.cyclic_length(g) == 0:
-                continue
-            lhs = rose.sigma_ratio(fg.compose(phi, psi), g)
-            rhs = rose.sigma_ratio(phi, psi.apply(g)) * rose.sigma_ratio(psi, g)
-            assert lhs == rhs
-
-    pts = [tree.parse_boundary(s) for s in
-           ("per:a", "per:b", "per:ab", "pre:a per:ba", "per:aB",
-            "pre:Ba per:abAB")]
-
-    # Busemann cocycle, exact integers
-    for _ in range(10000):
-        g = fg.random_reduced_word(rng, 2, int(rng.integers(0, 12)))
-        h = fg.random_reduced_word(rng, 2, int(rng.integers(0, 12)))
-        xi = pts[int(rng.integers(len(pts)))]
-        lhs = tree.busemann(fg.concat(g, h), xi)
-        rhs = tree.busemann(g, tree.boundary_action(h, xi)) \
-            + tree.busemann(h, xi)
-        assert lhs == rhs
-
-    # supporting identities: residuals identically zero
-    words = [fg.random_reduced_word(rng, 2, int(rng.integers(0, 24)))
-             for _ in range(500)]
-    for k in range(100000):
-        rep = tree.lemma_identities_check(words[k % 500], pts[k % len(pts)])
-        assert rep.exact
-
-    # zero-hyperbolicity four-point condition
-    checked = 0
-    k = 0
-    while checked < 100000:
-        x, y, z = (pts[int(i)] for i in rng.integers(len(pts), size=3))
-        k += 1
-        prods = (tree.gromov_product(x, y), tree.gromov_product(x, z),
-                 tree.gromov_product(y, z))
-        if any(tree.is_infinite(p) for p in prods):
-            continue
-        assert tree.four_point_slack(x, y, z) >= 0
-        checked += 1
+    invariants.sigma_cocycle_identity(rng, 5000)     # ranks 2 and 3
+    invariants.busemann_cocycle(rng, 10000)
+    invariants.lemma_identity_residuals(rng, 100000)
+    invariants.four_point_condition(rng, 100000)
 
     elapsed = time.perf_counter() - t0
     assert report(1, elapsed < 30.0,
@@ -123,17 +81,10 @@ def test_criterion_1_exactness_suite():
 def test_criterion_2_white_formula_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(414)
-
-    def random_rose(rank):
-        raw = rng.integers(1, 12, size=rank)
-        lengths = [Fraction(int(v), int(raw.sum())) for v in raw]
-        phi = fg.random_automorphism(rng, rank, int(rng.integers(0, 6)))
-        return rose.rose_point(lengths, phi)
-
     for rank, max_len, count in ((2, 12, 200), (3, 8, 50)):
         for _ in range(count):
-            t = random_rose(rank)
-            u = random_rose(rank)
+            t = invariants.random_rose(rng, rank)
+            u = invariants.random_rose(rng, rank)
             brute = rose.brute_force_max_stretch(t, u, max_len)
             cand = rose.max_stretch(t, u)
             assert isinstance(brute, Fraction) and isinstance(cand, Fraction)

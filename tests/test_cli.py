@@ -61,6 +61,32 @@ def run(args):
 
 # -- verify
 
+# the report names of `verify --suite all`, in order; a new check may only
+# be appended to its own suite
+VERIFY_NAMES = [
+    "algebra/reduction-laws",
+    "algebra/cyclic-conjugacy-invariance",
+    "algebra/canonical-rotation-minimal",
+    "algebra/automorphism-round-trip",
+    "algebra/homomorphism-property",
+    "algebra/sigma-cocycle-identity",
+    "outer-space/frozen-asymmetry-example",
+    "outer-space/frozen-translation-lengths",
+    "outer-space/frozen-kappa",
+    "outer-space/sigma-dominated-by-kappa",
+    "outer-space/white-equality",
+    "outer-space/triangle-inequality",
+    "outer-space/action-isometry",
+    "tree/frozen-busemann-examples",
+    "tree/lemma-identity-residuals",
+    "tree/busemann-cocycle",
+    "tree/four-point-condition",
+    "tree/action-associativity",
+    "tree/horofunction-product-agreement",
+    "tree/corollary-bound-witness",
+]
+
+
 def test_verify_algebra_suite_passes(capsys):
     assert run(["verify", "--suite", "algebra"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -74,8 +100,22 @@ def test_verify_fault_injection_breaks_white_equality(capsys):
     report = json.loads(capsys.readouterr().out)
     failed = [c for c in report["checks"] if not c["passed"]]
     assert any("white" in c["name"] for c in failed)
+    # a failing check is reported with its error, and the suite goes on
+    assert [c["name"] for c in report["checks"]] == \
+        [n for n in VERIFY_NAMES if n.startswith("outer-space/")]
+    white = report["checks"][4]
+    assert not white["passed"]
+    assert white["detail"].startswith("AssertionError: White equality failed")
     # the corruption must not leak into later runs
     assert run(["verify", "--suite", "outer-space"]) == 0
+
+
+def test_verify_all_suites_pass_in_report_order(capsys):
+    assert run(["verify", "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["suite"] == "all" and report["passed"] is True
+    assert [c["name"] for c in report["checks"]] == VERIFY_NAMES
+    assert all(c["passed"] and c["detail"] == "" for c in report["checks"])
 
 
 def test_verify_unknown_suite_exits_2():
@@ -122,6 +162,17 @@ def test_seed_outside_the_schema_range_exits_2(tmp_path, capsys, seed):
     assert err.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()     # refused before any trial ran
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        run(["drift", "--config", write_cfg(tmp_path, tree_cfg()),
+             "--threads", threads, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rank_1_config_exits_2(tmp_path, capsys):

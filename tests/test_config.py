@@ -157,8 +157,9 @@ def test_resolve_every_checkpoints_appends_horizon():
 def test_build_tracked_checks_rank(tmp_path):
     bad = dict(GOOD_OUTER, tracked=["abc"])
     cfg = cfgmod.load_config(write(tmp_path, bad))
-    with pytest.raises(fg.RankError):
-        cfgmod.build_tracked(cfg)
+    with pytest.raises(ConfigError, match=r"\$\.tracked\[0\]") as err:
+        cfgmod.build_walk_config(cfg)
+    assert isinstance(err.value.__cause__, fg.RankError)
 
 
 def test_build_walk_config_names_the_tracked_entry_at_fault(tmp_path):
@@ -213,5 +214,5 @@ def test_config_hash_insensitive_to_key_order_only():
 def test_boundary_tracked_strings_validated(tmp_path):
     bad = dict(GOOD_TREE, tracked=["per:aA"])
     cfg = cfgmod.load_config(write(tmp_path, bad))
-    with pytest.raises(ValueError):
-        cfgmod.build_tracked(cfg)
+    with pytest.raises(ConfigError, match=r"\$\.tracked\[0\]"):
+        cfgmod.build_walk_config(cfg)

@@ -159,21 +159,6 @@ def test_clt_requires_enough_trials():
     stats.clt_report(recs, lambda_hat=0.1, min_trials=50)
 
 
-def test_variance_stabilization_ratio_near_one_for_brownian_scaling():
-    rng = np.random.default_rng(7)
-    cps = [50, 100]
-    walks = rng.normal(size=(3000, 100)).cumsum(axis=1)
-    recs = []
-    for t in range(3000):
-        recs.append(PathRecord(
-            trial_index=t, checkpoints=tuple(cps),
-            kappa=tuple(float(walks[t][n - 1]) for n in cps), sigma={},
-            lengths={}, peak_letters=0, spot_checked=()))
-    v_final, v_mid, ratio = stats.variance_stabilization(recs, lambda_hat=0.0)
-    assert v_final == pytest.approx(1.0, rel=0.15)
-    assert ratio == pytest.approx(1.0, rel=0.2)
-
-
 # -- deviation curve
 
 def test_deviation_grid_must_be_checkpoints():
@@ -209,6 +194,16 @@ def test_deviation_rate_fit_on_exact_geometric_decay():
     assert probs == pytest.approx([1 / 2, 1 / 4, 1 / 8, 1 / 16])
     assert curve.decay_rate_fit == pytest.approx(0.5, rel=1e-6)
     assert curve.summable
+
+
+def test_geometric_rate_needs_two_distinct_positive_points():
+    assert stats.geometric_rate([(1, 0.5), (2, 0.25), (3, 0.125)]) == \
+        pytest.approx(0.5)
+    # the slope is per unit of n / scale
+    assert stats.geometric_rate([(2, 0.5), (4, 0.25)], scale=2.0) == \
+        pytest.approx(0.5 ** 0.25)
+    assert stats.geometric_rate([(1, 0.5), (2, 0.0)]) == 0.0
+    assert stats.geometric_rate([(3, 0.5), (3, 0.25)]) == 0.0
 
 
 def test_deviation_all_inside_band():

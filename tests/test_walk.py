@@ -48,15 +48,6 @@ def test_measure_mode_inference_and_rank():
     assert nu.rank == 2
 
 
-def test_reflected_measure_inverts_atoms_and_keeps_weights():
-    mu = MeasureSpec([fg.parse_word("ab"), fg.parse_word("B")], [0.25, 0.75])
-    ref = mu.reflected()
-    assert [fg.format_word(a) for a in ref.atoms] == ["BA", "b"]
-    assert ref.weights == mu.weights
-    twice = ref.reflected()
-    assert [fg.format_word(a) for a in twice.atoms] == ["ab", "B"]
-
-
 def test_draw_indices_deterministic_and_in_range():
     mu = MeasureSpec([fg.parse_word(w) for w in "aAbB"], [0.25] * 4)
     one = mu.draw_indices(1234, 0, 500)
