@@ -156,18 +156,22 @@ def concat(*words):
 
 
 def common_prefix_len(u, v):
-    u = np.asarray(u)
-    v = np.asarray(v)
-    n = min(len(u), len(v))
-    if n <= _SMALL:
-        # the first differing byte is the top nonzero byte of the xor
-        a = u[:n].astype(LETTER_DTYPE, copy=False).tobytes()
-        b = v[:n].astype(LETTER_DTYPE, copy=False).tobytes()
-        x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-        return n - (x.bit_length() + 7) // 8
-    neq = u[:n] != v[:n]
-    hit = np.flatnonzero(neq)
-    return int(hit[0]) if hit.size else n
+    """Length of the common prefix of two words, each a letter array or
+    int8 bytes."""
+    if not (isinstance(u, bytes) and isinstance(v, bytes)):
+        u = np.asarray(u)
+        v = np.asarray(v)
+        n = min(len(u), len(v))
+        if n > _SMALL:
+            hit = np.flatnonzero(u[:n] != v[:n])
+            return int(hit[0]) if hit.size else n
+        u = u[:n].astype(LETTER_DTYPE, copy=False).tobytes()
+        v = v[:n].astype(LETTER_DTYPE, copy=False).tobytes()
+    if len(u) > len(v):
+        u, v = v, u
+    # the first differing byte is the top nonzero byte of the xor
+    x = int.from_bytes(u, "big") ^ int.from_bytes(v[:len(u)], "big")
+    return len(u) - (x.bit_length() + 7) // 8
 
 
 def cyclic_reduce(w):
@@ -260,17 +264,20 @@ def exponent_sums(w, rank):
 
 
 def random_reduced_word(rng, rank, length):
-    """Uniform reduced word of exactly the given length."""
+    """Uniform reduced word of exactly the given length.
+
+    Letters are drawn by index in the order a1, a1^-1, a2, a2^-1, ...: the
+    first among all 2 rank letters, each later one among the 2 rank - 1
+    that are not the inverse of the letter before it."""
     if length == 0:
         return _EMPTY
-    letters = np.empty(length, dtype=LETTER_DTYPE)
     gens = np.array([g for i in range(1, rank + 1) for g in (i, -i)],
                     dtype=LETTER_DTYPE)
-    letters[0] = gens[rng.integers(2 * rank)]
-    for k in range(1, length):
-        choices = gens[gens != -letters[k - 1]]
-        letters[k] = choices[rng.integers(2 * rank - 1)]
-    return _freeze(letters)
+    codes = [int(rng.integers(2 * rank))]
+    for j in rng.integers(2 * rank - 1, size=length - 1).tolist():
+        # skip the code of the previous letter's inverse (its code ^ 1)
+        codes.append(j + (j >= (codes[-1] ^ 1)))
+    return _freeze(gens[codes])
 
 
 # ---------------------------------------------------------------------------

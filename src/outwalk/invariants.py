@@ -4,7 +4,8 @@ The paper's CLTs rest on a few exact identities: the stretch-factor
 cocycle and White's formula on outer space, the Busemann cocycle, the
 horofunction lemmas and the four-point condition on the tree.  A check is
 a function check(rng, count) that draws count samples from rng and raises
-AssertionError on the first violation; the frozen checks ignore both.
+AssertionError on the first violation (explicitly, not by `assert`, so
+that the checks also run under python -O); the frozen checks ignore both.
 SUITES lists the checks of each suite in report order, named suite/check
 (dashed), with the count `outwalk verify` runs; run(suite) runs them on
 one generator seeded SEEDS[suite].
@@ -32,6 +33,11 @@ def random_rose(rng, rank):
     return rose.rose_point(lengths, phi)
 
 
+def _require(ok, detail=""):
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _point(rng):
     return POINTS[int(rng.integers(len(POINTS)))]
 
@@ -40,9 +46,9 @@ def reduction_laws(rng, count):
     for _ in range(count):
         w = rng.integers(-3, 4, size=int(rng.integers(0, 60)))
         r = fg.reduce(w[w != 0].astype(np.int8))
-        assert fg.is_reduced(r)
-        assert np.array_equal(fg.reduce(r), r)
-        assert len(fg.concat(r, fg.inverse(r))) == 0
+        _require(fg.is_reduced(r))
+        _require(np.array_equal(fg.reduce(r), r))
+        _require(len(fg.concat(r, fg.inverse(r))) == 0)
 
 
 def cyclic_conjugacy_invariance(rng, count):
@@ -50,7 +56,8 @@ def cyclic_conjugacy_invariance(rng, count):
         g = fg.random_reduced_word(rng, 3, int(rng.integers(1, 20)))
         h = fg.random_reduced_word(rng, 3, int(rng.integers(0, 8)))
         conj = fg.concat(h, g, fg.inverse(h))
-        assert fg.word_key(fg.cyclic_word(conj)) == fg.word_key(fg.cyclic_word(g))
+        _require(fg.word_key(fg.cyclic_word(conj))
+                 == fg.word_key(fg.cyclic_word(g)))
 
 
 def canonical_rotation_minimal(rng, count):
@@ -61,16 +68,16 @@ def canonical_rotation_minimal(rng, count):
             fg.random_reduced_word(rng, 2, int(rng.integers(1, 14))))
         if len(core):
             keys = [code_key(np.roll(core, -k)) for k in range(len(core))]
-            assert code_key(fg.canonical_rotation(core)) == min(keys)
+            _require(code_key(fg.canonical_rotation(core)) == min(keys))
 
 
 def automorphism_round_trip(rng, count):
     for _ in range(count):
         phi = fg.random_automorphism(rng, 3, int(rng.integers(1, 12)))
         w = fg.random_reduced_word(rng, 3, int(rng.integers(0, 30)))
-        assert np.array_equal(phi.apply_inverse(phi.apply(w)), w)
-        assert np.array_equal(fg.compose(phi, phi.inverted()).forward[0],
-                              fg.Automorphism.identity(3).forward[0])
+        _require(np.array_equal(phi.apply_inverse(phi.apply(w)), w))
+        _require(np.array_equal(fg.compose(phi, phi.inverted()).forward[0],
+                                fg.Automorphism.identity(3).forward[0]))
 
 
 def homomorphism_property(rng, count):
@@ -78,8 +85,8 @@ def homomorphism_property(rng, count):
         phi = fg.random_automorphism(rng, 2, int(rng.integers(1, 10)))
         u = fg.random_reduced_word(rng, 2, int(rng.integers(0, 15)))
         v = fg.random_reduced_word(rng, 2, int(rng.integers(0, 15)))
-        assert np.array_equal(phi.apply(fg.concat(u, v)),
-                              fg.concat(phi.apply(u), phi.apply(v)))
+        _require(np.array_equal(phi.apply(fg.concat(u, v)),
+                                fg.concat(phi.apply(u), phi.apply(v))))
 
 
 def sigma_cocycle_identity(rng, count):
@@ -90,28 +97,29 @@ def sigma_cocycle_identity(rng, count):
             psi = fg.random_automorphism(rng, rank, int(rng.integers(0, 6)))
             g = fg.random_reduced_word(rng, rank, int(rng.integers(1, 12)))
             if fg.cyclic_length(g):
-                assert rose.sigma_ratio(fg.compose(phi, psi), g) == \
-                    rose.sigma_ratio(phi, psi.apply(g)) * rose.sigma_ratio(psi, g)
+                _require(rose.sigma_ratio(fg.compose(phi, psi), g)
+                         == rose.sigma_ratio(phi, psi.apply(g))
+                         * rose.sigma_ratio(psi, g))
 
 
 def frozen_asymmetry_example(rng, count):
     t, u = rose.unit_rose(2), rose.rose_point(["9/10", "1/10"])
-    assert rose.max_stretch(t, u) == Fraction(9, 5)
-    assert rose.max_stretch(u, t) == Fraction(5, 1)
+    _require(rose.max_stretch(t, u) == Fraction(9, 5))
+    _require(rose.max_stretch(u, t) == Fraction(5, 1))
 
 
 def frozen_translation_lengths(rng, count):
     t = rose.unit_rose(2)
-    assert rose.translation_length(fg.parse_word("ab"), t) == 1
-    assert rose.translation_length(fg.parse_word("abA"), t) == \
-        rose.translation_length(fg.parse_word("b"), t)
+    _require(rose.translation_length(fg.parse_word("ab"), t) == 1)
+    _require(rose.translation_length(fg.parse_word("abA"), t)
+             == rose.translation_length(fg.parse_word("b"), t))
     marked = rose.rose_point(["1/2", "1/2"], fg.from_trace(2, ["R:1:2:+"]))
-    assert rose.translation_length(fg.parse_word("a"), marked) == 1
+    _require(rose.translation_length(fg.parse_word("a"), marked) == 1)
 
 
 def frozen_kappa(rng, count):
-    assert rose.kappa(fg.Automorphism.identity(2)) == 0.0
-    assert rose.kappa_stretch(fg.from_trace(2, ["R:1:2:+"])) == 2
+    _require(rose.kappa(fg.Automorphism.identity(2)) == 0.0)
+    _require(rose.kappa_stretch(fg.from_trace(2, ["R:1:2:+"])) == 2)
 
 
 def sigma_dominated_by_kappa(rng, count):
@@ -119,7 +127,7 @@ def sigma_dominated_by_kappa(rng, count):
         phi = fg.random_automorphism(rng, 2, int(rng.integers(1, 10)))
         g = fg.random_reduced_word(rng, 2, int(rng.integers(1, 12)))
         if fg.cyclic_length(g):
-            assert rose.sigma_ratio(phi, g) <= rose.kappa_stretch(phi)
+            _require(rose.sigma_ratio(phi, g) <= rose.kappa_stretch(phi))
 
 
 def white_equality(rng, count):
@@ -129,16 +137,16 @@ def white_equality(rng, count):
             t, u = random_rose(rng, rank), random_rose(rng, rank)
             brute = rose.brute_force_max_stretch(t, u, max_len)
             cand = rose.max_stretch(t, u)
-            assert brute == cand, ("White equality failed: brute-force sup "
-                                   "%s, candidate max %s" % (brute, cand))
+            _require(brute == cand, "White equality failed: brute-force sup "
+                     "%s, candidate max %s" % (brute, cand))
 
 
 def triangle_inequality(rng, count):
     """d(t,v) <= d(t,u) + d(u,v), before the log: stretch factors multiply."""
     for _ in range(count):
         t, u, v = (random_rose(rng, 2) for _ in range(3))
-        assert rose.max_stretch(t, v) <= \
-            rose.max_stretch(t, u) * rose.max_stretch(u, v)
+        _require(rose.max_stretch(t, v)
+                 <= rose.max_stretch(t, u) * rose.max_stretch(u, v))
 
 
 def action_isometry(rng, count):
@@ -147,15 +155,15 @@ def action_isometry(rng, count):
         for _ in range(count):
             phi = fg.random_automorphism(rng, rank, int(rng.integers(0, 8)))
             t, u = random_rose(rng, rank), random_rose(rng, rank)
-            assert rose.max_stretch(rose.act(phi, t), rose.act(phi, u)) == \
-                rose.max_stretch(t, u)
+            _require(rose.max_stretch(rose.act(phi, t), rose.act(phi, u))
+                     == rose.max_stretch(t, u))
 
 
 def frozen_busemann_examples(rng, count):
     a, b = tree.parse_boundary("per:a"), tree.parse_boundary("per:b")
-    assert tree.busemann(fg.parse_word("A"), a) == -1
-    assert tree.busemann(fg.parse_word("b"), a) == 1
-    assert tree.lemma_identities_check(fg.parse_word("a"), b).exact
+    _require(tree.busemann(fg.parse_word("A"), a) == -1)
+    _require(tree.busemann(fg.parse_word("b"), a) == 1)
+    _require(tree.lemma_identities_check(fg.parse_word("a"), b).exact)
 
 
 def lemma_identity_residuals(rng, count):
@@ -163,8 +171,8 @@ def lemma_identity_residuals(rng, count):
     words = [fg.random_reduced_word(rng, 2, int(rng.integers(0, 24)))
              for _ in range(500)]
     for k in range(count):
-        assert tree.lemma_identities_check(words[k % 500],
-                                           POINTS[k % len(POINTS)]).exact
+        _require(tree.lemma_identities_check(words[k % 500],
+                                             POINTS[k % len(POINTS)]).exact)
 
 
 def busemann_cocycle(rng, count):
@@ -172,8 +180,9 @@ def busemann_cocycle(rng, count):
         g = fg.random_reduced_word(rng, 2, int(rng.integers(0, 12)))
         h = fg.random_reduced_word(rng, 2, int(rng.integers(0, 12)))
         xi = _point(rng)
-        assert tree.busemann(fg.concat(g, h), xi) == \
-            tree.busemann(g, tree.boundary_action(h, xi)) + tree.busemann(h, xi)
+        _require(tree.busemann(fg.concat(g, h), xi)
+                 == tree.busemann(g, tree.boundary_action(h, xi))
+                 + tree.busemann(h, xi))
 
 
 def four_point_condition(rng, count):
@@ -184,7 +193,7 @@ def four_point_condition(rng, count):
         prods = (tree.gromov_product(x, y), tree.gromov_product(x, z),
                  tree.gromov_product(y, z))
         if not any(tree.is_infinite(p) for p in prods):
-            assert tree.four_point_slack(x, y, z) >= 0
+            _require(tree.four_point_slack(x, y, z) >= 0)
             checked += 1
 
 
@@ -195,7 +204,7 @@ def action_associativity(rng, count):
         xi = _point(rng)
         one = tree.boundary_action(fg.concat(g, h), xi)
         two = tree.boundary_action(g, tree.boundary_action(h, xi))
-        assert tree.is_infinite(tree.gromov_product(one, two))
+        _require(tree.is_infinite(tree.gromov_product(one, two)))
 
 
 def horofunction_product_agreement(rng, count):
@@ -203,7 +212,7 @@ def horofunction_product_agreement(rng, count):
         x, y = _point(rng), _point(rng)
         p = tree.gromov_product(x, y)
         if not tree.is_infinite(p):
-            assert tree.gromov_product_via_horofunctions(x, y)[0] == p
+            _require(tree.gromov_product_via_horofunctions(x, y)[0] == p)
 
 
 def corollary_bound_witness(rng, count):
@@ -211,8 +220,8 @@ def corollary_bound_witness(rng, count):
         x, y = POINTS[i], POINTS[j]
         slacks = [tree.corollary_bound_slack(fg.inverse(x.letters(L)), x, y)
                   for L in range(int(tree.gromov_product(x, y)) + 1)]
-        assert min(slacks) >= 0
-        assert 0 in slacks, "no equality witness among ray prefixes"
+        _require(min(slacks) >= 0)
+        _require(0 in slacks, "no equality witness among ray prefixes")
 
 
 def _rows(suite, *checks):

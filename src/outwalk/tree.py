@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +54,25 @@ class BoundaryPoint:
 
     Either eventually periodic (preperiod u then period p repeated forever,
     exact) or truncated (only the first certified_depth letters are known).
+    The letters are held once, as int8 bytes: the preperiod, the period and
+    a stream prefix grown on demand (periodic), or the certified prefix
+    (truncated).  The array attributes are read-only views of those bytes.
     """
 
-    __slots__ = ("preperiod", "period", "prefix", "depth", "_expansion")
+    __slots__ = ("_pre", "_per", "_stream", "depth")
 
-    def __init__(self, *, preperiod=None, period=None, prefix=None, depth=None):
-        self.preperiod = preperiod
-        self.period = period
-        self.prefix = prefix
-        self.depth = depth
-        self._expansion = preperiod  # periodic: longest stream prefix built
+    def __init__(self, stream, period=None):
+        """Trusted constructor on reduced int8 bytes: the truncated point
+        certified through all of stream or, given a period, the periodic
+        point with preperiod stream, both seams reduced."""
+        self._pre = stream
+        self._per = period
+        self._stream = stream   # periodic: longest stream prefix built
+        self.depth = None if period is not None else len(stream)
+
+    def __reduce__(self):
+        # the bytes only: the grown stream is rebuilt on demand
+        return (BoundaryPoint, (self._pre, self._per))
 
     # -- constructors
 
@@ -78,7 +88,7 @@ class BoundaryPoint:
             raise ValueError("period must be cyclically reduced")
         if len(pre) and pre[-1] == -per[0]:
             raise ValueError("preperiod does not join the period reducedly")
-        return cls(preperiod=pre, period=per)
+        return cls(pre.tobytes(), per.tobytes())
 
     @classmethod
     def truncated(cls, prefix, certified_depth=None):
@@ -90,49 +100,67 @@ class BoundaryPoint:
         if not 0 <= certified_depth <= len(pre):
             raise ValueError("certified depth must lie in [0, len(prefix)]")
         # only the certified letters are kept; the rest are unreliable
-        return cls(prefix=fg.as_word(pre[:certified_depth]),
-                   depth=int(certified_depth))
+        return cls(pre[:certified_depth].tobytes())
 
     @property
     def is_periodic(self):
-        return self.period is not None
+        return self._per is not None
 
     @property
     def certified_depth(self):
         """Letters known for certain; None means all of them (periodic)."""
-        return None if self.is_periodic else self.depth
+        return self.depth
+
+    @property
+    def preperiod(self):
+        return None if self._per is None else _view(self._pre)
+
+    @property
+    def period(self):
+        return None if self._per is None else _view(self._per)
+
+    @property
+    def prefix(self):
+        return _view(self._stream) if self._per is None else None
+
+    def _head(self, n):
+        """Bytes holding the first n letters or more (periodic), or all the
+        certified letters (truncated)."""
+        s = self._stream
+        if n > len(s) and self._per is not None:
+            # grow geometrically so that repeated queries stay cheap
+            want = max(n, 2 * len(s))
+            s = self._pre + self._per * ((want - len(self._pre))
+                                         // len(self._per) + 1)
+            self._stream = s
+        return s
 
     def letter(self, k):
         """The k-th letter (0-based) of the stream."""
-        if self.is_periodic:
-            if k < len(self.preperiod):
-                return int(self.preperiod[k])
-            return int(self.period[(k - len(self.preperiod)) % len(self.period)])
-        if k >= self.depth:
+        if self._per is not None:
+            pre, per = self._pre, self._per
+            v = pre[k] if k < len(pre) else per[(k - len(pre)) % len(per)]
+        elif k >= self.depth:
             raise DepthError("letter %d beyond certified depth %d" % (k, self.depth))
-        return int(self.prefix[k])
+        else:
+            v = self._stream[k]
+        return (v ^ 0x80) - 0x80   # the byte as a signed letter
 
     def letters(self, n):
-        """First n letters as an array (n within certified depth)."""
-        if self.is_periodic:
-            full = self._expansion
-            if n > len(full):
-                # grow geometrically so that repeated queries stay cheap
-                want = max(n, 2 * len(full))
-                reps = (want - len(self.preperiod)) // len(self.period) + 1
-                full = np.concatenate([self.preperiod] + [self.period] * reps)
-                full.flags.writeable = False
-                self._expansion = full
-            return full[:n]
-        if n > self.depth:
+        """First n letters as a read-only array (n within certified depth)."""
+        if self._per is None and n > self.depth:
             raise DepthError("need %d letters, certified only %d" % (n, self.depth))
-        return self.prefix[:n]
+        return _view(self._head(n))[:n]
 
     def __repr__(self):
         if self.is_periodic:
             return "<Boundary %s(%s)^inf>" % (fg.format_word(self.preperiod),
                                               fg.format_word(self.period))
         return "<Boundary %s... depth %d>" % (fg.format_word(self.prefix), self.depth)
+
+
+def _view(b):
+    return np.frombuffer(b, dtype=fg.LETTER_DTYPE)
 
 
 _BD_PERIODIC = re.compile(r"^\s*(?:pre:(\S*)\s+)?per:(\S+)\s*$")
@@ -163,49 +191,53 @@ def format_boundary(xi):
 
 # ---------------------------------------------------------------------------
 # metric structure
+#
+# The calculus runs on int8 bytes: a word is reduced once into bytes (a
+# bytes argument is taken to be such a reduced word already), its inverse
+# is a byte translation reversed, and every product is a common prefix of
+# bytes.
 
-def tree_distance(u, v):
-    """d(u, v) = |u| + |v| - 2 * (common prefix length); exact."""
-    u = fg.reduce(u)
-    v = fg.reduce(v)
-    c = fg.common_prefix_len(u, v)
-    return len(u) + len(v) - 2 * c
+_NEG = bytes(-b & 0xFF for b in range(256))   # byte of v -> byte of -v
+
+
+def _word_bytes(w):
+    """The reduced word w as int8 bytes."""
+    if isinstance(w, bytes):
+        return w
+    if (isinstance(w, np.ndarray) and w.dtype == fg.LETTER_DTYPE
+            and len(w) <= fg._SMALL):
+        return array("b", fg._reduce_list(w.tolist())).tobytes()
+    return fg.reduce(w).tobytes()
+
+
+def _inverse(b):
+    return b.translate(_NEG)[::-1]
 
 
 def _stream_prefix_with_word(w, xi):
-    """Common prefix length of a finite word with a boundary stream.
+    """Common prefix length of a finite word (bytes) with a boundary stream.
 
     Raises DepthError when xi is truncated and agrees with w up to its whole
     certified depth with w still unfinished."""
-    limit = len(w)
-    if not xi.is_periodic and xi.depth < limit:
-        head = xi.prefix
-        c = fg.common_prefix_len(w[:xi.depth], head)
-        if c < xi.depth:
-            return c
+    c = fg.common_prefix_len(w, xi._head(len(w)))
+    if c == xi.depth and c < len(w):
         raise DepthError("match reaches certified depth %d of a truncated "
                          "boundary point" % xi.depth)
-    head = xi.letters(limit)
-    return fg.common_prefix_len(w, head)
+    return c
 
 
 def _stream_prefix_pair(x, y):
     """Common prefix of two boundary streams; INFINITE if equal."""
-    if x.is_periodic and y.is_periodic:
+    if x._per is not None and y._per is not None:
         # Fine and Wilf: two streams that are periodic beyond m with periods
         # p, q and agree on m + p + q letters agree everywhere.
-        bound = max(len(x.preperiod), len(y.preperiod)) \
-            + len(x.period) + len(y.period)
-        a = x.letters(bound)
-        b = y.letters(bound)
-        c = fg.common_prefix_len(a, b)
-        return INFINITE if c == bound else c
-    dx = x.certified_depth
-    dy = y.certified_depth
-    bound = min(d for d in (dx, dy) if d is not None)
-    a = x.letters(bound)
-    b = y.letters(bound)
-    c = fg.common_prefix_len(a, b)
+        bound = max(len(x._pre), len(y._pre)) + len(x._per) + len(y._per)
+        c = fg.common_prefix_len(x._head(bound), y._head(bound))
+        return INFINITE if c >= bound else c
+    # a truncated stream holds exactly its certified letters, so the
+    # comparison stops at the smaller certified depth
+    bound = min(d for d in (x.depth, y.depth) if d is not None)
+    c = fg.common_prefix_len(x._head(bound), y._head(bound))
     if c == bound:
         raise DepthError("boundary points agree through certified depth %d; "
                          "product undecidable" % bound)
@@ -218,15 +250,13 @@ def gromov_product(x, y):
     Equal boundary points give the tagged INFINITE, never a number."""
     bx = isinstance(x, BoundaryPoint)
     by = isinstance(y, BoundaryPoint)
-    if not bx and not by:
-        u = fg.reduce(x)
-        v = fg.reduce(y)
-        return fg.common_prefix_len(u, v)
     if bx and by:
         return _stream_prefix_pair(x, y)
     if bx:
-        return _stream_prefix_with_word(fg.reduce(y), x)
-    return _stream_prefix_with_word(fg.reduce(x), y)
+        return _stream_prefix_with_word(_word_bytes(y), x)
+    if by:
+        return _stream_prefix_with_word(_word_bytes(x), y)
+    return fg.common_prefix_len(_word_bytes(x), _word_bytes(y))
 
 
 def _half_int(n):
@@ -238,14 +268,14 @@ def _half_int(n):
 
 def horofunction_value(xi, z):
     """h_xi(z) = |z| - 2 (z|xi): the Busemann horofunction at xi."""
-    z = fg.reduce(z)
+    z = _word_bytes(z)
     return len(z) - 2 * gromov_product(z, xi)
 
 
 def busemann(g, xi):
     """β(g, xi) = h_xi(g^{-1} o) = |g| - 2 (g^{-1}|xi); exact integer."""
-    g = fg.reduce(g)
-    return len(g) - 2 * _stream_prefix_with_word(fg.inverse(g), xi)
+    g = _word_bytes(g)
+    return len(g) - 2 * _stream_prefix_with_word(_inverse(g), xi)
 
 
 def gromov_product_via_horofunctions(x, y):
@@ -280,23 +310,18 @@ def gromov_product_via_horofunctions(x, y):
 
 def boundary_action(g, xi):
     """g . xi: prepend g to the stream and reduce the seam exactly."""
-    g = fg.reduce(g)
+    g = _word_bytes(g)
     # cancellation depth, <= |g|; raises DepthError when undecidable
-    k = _stream_prefix_with_word(fg.inverse(g), xi)
+    k = _stream_prefix_with_word(_inverse(g), xi)
     head = g[:len(g) - k]
     # the seam is reduced by the choice of k, so the result needs no checks
-    if xi.is_periodic:
-        pre, per = xi.preperiod, xi.period
-        if k <= len(pre):
-            new_pre = fg._freeze(np.concatenate((head, pre[k:])))
-            new_per = per
-        else:
-            j = (k - len(pre)) % len(per)
-            new_per = fg._freeze(np.concatenate((per[j:], per[:j])))
-            new_pre = head
-        return BoundaryPoint(preperiod=new_pre, period=new_per)
-    new_prefix = fg._freeze(np.concatenate((head, xi.prefix[k:])))
-    return BoundaryPoint(prefix=new_prefix, depth=len(new_prefix))
+    if not xi.is_periodic:
+        return BoundaryPoint(head + xi._stream[k:])
+    pre, per = xi._pre, xi._per
+    if k <= len(pre):
+        return BoundaryPoint(head + pre[k:], per)
+    j = (k - len(pre)) % len(per)
+    return BoundaryPoint(head, per[j:] + per[:j])
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +339,12 @@ class IdentityReport:
 
 def lemma_identities_check(g, xi):
     """Residuals of the two basic horofunction identities; both must be 0
-    in a tree (delta = 0)."""
-    g = fg.reduce(g)
+    in a tree (delta = 0).  g is reduced once, and every term is computed
+    from its bytes."""
+    g = _word_bytes(g)
     kappa = len(g)  # d(g o, o) in the tree
     b_fwd = busemann(g, xi)
-    b_bwd = busemann(fg.inverse(g), xi)
+    b_bwd = busemann(_inverse(g), xi)
     gx = boundary_action(g, xi)
     p_image = _stream_prefix_with_word(g, gx)
     p_base = _stream_prefix_with_word(g, xi)
@@ -333,7 +359,7 @@ def corollary_bound_slack(g, x, y):
     c = gromov_product(x, y)
     if is_infinite(c):
         raise ValueError("x and y must be distinct boundary points")
-    g = fg.reduce(g)
+    g = _word_bytes(g)
     m = max(busemann(g, x), busemann(g, y))
     return m - (len(g) - 2 * c)
 

@@ -110,6 +110,19 @@ def test_verify_fault_injection_breaks_white_equality(capsys):
     assert run(["verify", "--suite", "outer-space"]) == 0
 
 
+def test_verify_checks_still_fail_under_python_O():
+    # -O strips assert statements; the catalogue raises its errors itself
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "outwalk.cli", "verify", "--suite",
+         "outer-space", "--corrupt-candidates"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "outer-space/frozen-asymmetry-example", "outer-space/white-equality",
+        "outer-space/triangle-inequality"]
+
+
 def test_verify_all_suites_pass_in_report_order(capsys):
     assert run(["verify", "--suite", "all"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -91,12 +91,6 @@ def test_periodic_pair_decided_within_fine_wilf_window():
     assert tree.is_infinite(tree.gromov_product(bp("per:ab"), bp("per:abab")))
 
 
-def test_tree_distance_between_words():
-    assert tree.tree_distance(fg.parse_word("a"), fg.parse_word("ab")) == 1
-    assert tree.tree_distance(fg.parse_word("a"), fg.parse_word("b")) == 2
-    assert tree.tree_distance(fg.parse_word(""), fg.parse_word("abab")) == 4
-
-
 # -- Busemann values
 
 def test_busemann_frozen_values():
@@ -297,10 +291,11 @@ class LoopScreen:
         return np.array([fallback(x, y) for y in self.samples])
 
 
-LETTERS = (1, -1, 2, -2, 3, -3)
+def letters_of_rank(rank):
+    return [g for i in range(1, rank + 1) for g in (i, -i)]
 
 
-def extend(rng, word, n, first_not=None):
+def extend(rng, word, n, first_not=None, rank=3):
     """Append n random letters to a reduced word, keeping it reduced; the
     first appended letter differs from first_not."""
     w = [int(c) for c in word]
@@ -308,7 +303,8 @@ def extend(rng, word, n, first_not=None):
         ban = {-w[-1]} if w else set()
         if i == 0 and first_not is not None:
             ban.add(first_not)
-        w.append(int(rng.choice([c for c in LETTERS if c not in ban])))
+        w.append(int(rng.choice([c for c in letters_of_rank(rank)
+                                 if c not in ban])))
     return w
 
 
@@ -457,3 +453,185 @@ def test_centering_check_needs_two_usable_samples():
         for i, y in enumerate((bp("prefix:ab depth:2"), bp("prefix:b depth:0")))]
     with pytest.raises(ValueError, match="at least 2 usable"):
         tree.centering_check(mu, [bp("per:b")], records)
+
+
+# -- the bytes calculus against the numpy calculus it replaced
+
+def ref_common_prefix(u, v):
+    n = min(len(u), len(v))
+    hit = np.flatnonzero(np.asarray(u[:n]) != np.asarray(v[:n]))
+    return int(hit[0]) if hit.size else n
+
+
+def ref_letters(xi, n):
+    if not xi.is_periodic:
+        return xi.prefix[:n]
+    reps = max(n - len(xi.preperiod), 0) // len(xi.period) + 1
+    return np.concatenate([xi.preperiod] + [xi.period] * reps)[:n]
+
+
+def ref_prefix_with_word(w, xi):
+    if not xi.is_periodic and xi.depth < len(w):
+        c = ref_common_prefix(w[:xi.depth], xi.prefix)
+        if c < xi.depth:
+            return c
+        raise tree.DepthError("match reaches certified depth %d of a "
+                              "truncated boundary point" % xi.depth)
+    return ref_common_prefix(w, ref_letters(xi, len(w)))
+
+
+def ref_prefix_pair(x, y):
+    if x.is_periodic and y.is_periodic:
+        bound = max(len(x.preperiod), len(y.preperiod)) \
+            + len(x.period) + len(y.period)
+        c = ref_common_prefix(ref_letters(x, bound), ref_letters(y, bound))
+        return tree.INFINITE if c == bound else c
+    bound = min(d for d in (x.certified_depth, y.certified_depth)
+                if d is not None)
+    c = ref_common_prefix(ref_letters(x, bound), ref_letters(y, bound))
+    if c == bound:
+        raise tree.DepthError("boundary points agree through certified depth "
+                              "%d; product undecidable" % bound)
+    return c
+
+
+def ref_gromov_product(x, y):
+    bx = isinstance(x, tree.BoundaryPoint)
+    by = isinstance(y, tree.BoundaryPoint)
+    if bx and by:
+        return ref_prefix_pair(x, y)
+    if bx:
+        return ref_prefix_with_word(fg.reduce(y), x)
+    if by:
+        return ref_prefix_with_word(fg.reduce(x), y)
+    return ref_common_prefix(fg.reduce(x), fg.reduce(y))
+
+
+def ref_busemann(g, xi):
+    g = fg.reduce(g)
+    return len(g) - 2 * ref_prefix_with_word(fg.inverse(g), xi)
+
+
+def ref_boundary_action(g, xi):
+    g = fg.reduce(g)
+    k = ref_prefix_with_word(fg.inverse(g), xi)
+    head = g[:len(g) - k]
+    if not xi.is_periodic:
+        return tree.BoundaryPoint.truncated(
+            np.concatenate((head, xi.prefix[k:])))
+    pre, per = xi.preperiod, xi.period
+    if k <= len(pre):
+        return tree.BoundaryPoint.periodic(np.concatenate((head, pre[k:])), per)
+    j = (k - len(pre)) % len(per)
+    return tree.BoundaryPoint.periodic(head, np.concatenate((per[j:], per[:j])))
+
+
+def ref_lemma_identities_check(g, xi):
+    g = fg.reduce(g)
+    b_fwd = ref_busemann(g, xi)
+    b_bwd = ref_busemann(fg.inverse(g), xi)
+    gx = ref_boundary_action(g, xi)
+    r1 = 2 * ref_prefix_with_word(g, gx) - (len(g) + b_fwd)
+    r2 = 2 * ref_prefix_with_word(g, xi) - (len(g) - b_bwd)
+    assert r1 % 2 == 0 and r2 % 2 == 0
+    return tree.IdentityReport(r1 // 2, r2 // 2)
+
+
+def calculus_points(rng, rank):
+    """Periodic, pre-periodic and truncated points of depth 0, 1, 5, 80,
+    some sharing long prefixes with each other."""
+    points = []
+    while len(points) < 6:
+        pre = extend(rng, [], int(rng.choice([0, 3, 20, 70])), rank=rank)
+        per = extend(rng, [], int(rng.integers(1, 7)), rank=rank)
+        try:
+            points.append(tree.BoundaryPoint.periodic(pre, per))
+        except ValueError:
+            continue
+    for d in (0, 1, 5, 80):
+        points.append(tree.BoundaryPoint.truncated(
+            extend(rng, [], d + int(rng.integers(0, 5)), rank=rank), d))
+        # a truncated point that follows a periodic one through its depth
+        points.append(tree.BoundaryPoint.truncated(points[d % 6].letters(d)))
+    points.append(tree.parse_boundary(tree.format_boundary(points[0])))
+    # distinct periodic points that agree on 3 letters (Fine-Wilf bound 6)
+    points += [bp("per:ab"), bp("per:abaB")]
+    return points
+
+
+def calculus_word(rng, rank, points):
+    """A word, unreduced half of the time, often along a point's stream (or
+    its inverse) and sometimes longer than 64 letters."""
+    n = int(rng.choice([0, 1, 5, 24, 90]))
+    kind = rng.integers(4)
+    if kind == 0:
+        w = extend(rng, [], n, rank=rank)
+    elif kind == 1:                 # a random letter list, unreduced
+        w = [int(c) for c in rng.integers(1, rank + 1, size=n)
+             * rng.choice([-1, 1], size=n)]
+    else:
+        xi = points[int(rng.integers(len(points)))]
+        k = n if xi.is_periodic else min(n, xi.depth)
+        w = extend(rng, xi.letters(k).tolist(), 3, rank=rank)
+        if kind == 3:
+            w = [-c for c in reversed(w)]
+    # sometimes a cancelling pair in the middle, so the word is unreduced
+    if w and rng.random() < 0.5:
+        i = int(rng.integers(len(w)))
+        w = w[:i] + [w[i], -w[i]] + w[i:]
+    return np.array(w, dtype=fg.LETTER_DTYPE)
+
+
+@pytest.mark.parametrize("rank,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_bytes_calculus_matches_the_numpy_reference(rank, seed):
+    rng = np.random.default_rng(seed)
+    points = calculus_points(rng, rank)
+    depth_errors = 0
+    for x in points:
+        for y in points:
+            got = outcome(tree.gromov_product, x, y)
+            assert got == outcome(ref_gromov_product, x, y)
+            depth_errors += isinstance(got, tuple) and got[0] is tree.DepthError
+    for _ in range(300):
+        w = calculus_word(rng, rank, points)
+        v = calculus_word(rng, rank, points)
+        xi = points[int(rng.integers(len(points)))]
+        assert outcome(tree.gromov_product, w, v) == \
+            outcome(ref_gromov_product, w, v)
+        for fn, ref in ((tree.gromov_product, ref_gromov_product),
+                        (tree.busemann, ref_busemann),
+                        (tree.lemma_identities_check,
+                         ref_lemma_identities_check)):
+            assert outcome(fn, w, xi) == outcome(ref, w, xi)
+        assert outcome(tree.gromov_product, xi, w) == \
+            outcome(ref_gromov_product, xi, w)
+        got = outcome(tree.boundary_action, w, xi)
+        want = outcome(ref_boundary_action, w, xi)
+        if isinstance(want, tree.BoundaryPoint):
+            got, want = tree.format_boundary(got), tree.format_boundary(want)
+        assert got == want
+        depth_errors += isinstance(want, tuple) and want[0] is tree.DepthError
+    assert depth_errors > 0     # undecidable cases were reached
+
+
+def test_boundary_point_pickles_its_letters_once():
+    import pickle
+    for xi in (bp("pre:Ba per:abAB"), bp("per:b"), bp("prefix:abAB depth:3"),
+               bp("prefix:a depth:0")):
+        size = len(pickle.dumps(xi))
+        n = 500 if xi.is_periodic else xi.depth
+        xi.letters(n)                           # grows a periodic stream
+        assert len(pickle.dumps(xi)) == size
+        back = pickle.loads(pickle.dumps(xi))
+        assert tree.format_boundary(back) == tree.format_boundary(xi)
+        assert back.certified_depth == xi.certified_depth
+        assert back.letters(n).tolist() == xi.letters(n).tolist()
+
+
+def test_boundary_letters_are_read_only():
+    for xi in (bp("pre:a per:ba"), bp("prefix:abab depth:4")):
+        arrays = [xi.letters(3), xi.preperiod if xi.is_periodic else xi.prefix]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 2
+    assert xi.letters(4).tolist() == [1, 2, 1, 2]

@@ -115,6 +115,8 @@ def test_common_prefix_len_matches_scan(u_raw, v_raw):
     k = fg.common_prefix_len(u, v)
     assert u[:k].tolist() == v[:k].tolist()
     assert k == min(len(u), len(v)) or int(u[k]) != int(v[k])
+    # the same words as int8 bytes, as the tree calculus passes them
+    assert fg.common_prefix_len(u.tobytes(), v.tobytes()) == k
 
 
 words_text = st.text(alphabet="abcABC", min_size=0, max_size=40)
@@ -160,6 +162,31 @@ def test_random_reduced_word_is_reduced_with_exact_length(length, rank):
     assert len(w) == length
     assert fg.is_reduced(w)
     fg.check_rank(w, rank)
+
+
+def per_letter_reduced_word(rng, rank, length):
+    """The sampler random_reduced_word replaced: one draw per letter, among
+    the letters a1, a1^-1, a2, ... other than the inverse of the last one."""
+    if length == 0:
+        return []
+    gens = [g for i in range(1, rank + 1) for g in (i, -i)]
+    word = [gens[rng.integers(2 * rank)]]
+    for _ in range(1, length):
+        choices = [g for g in gens if g != -word[-1]]
+        word.append(choices[rng.integers(2 * rank - 1)])
+    return word
+
+
+def test_random_reduced_word_matches_the_per_letter_sampler():
+    for seed in range(200):
+        for rank in (2, 3, 5):
+            for length in (0, 1, 2, 7, 30):
+                fast = np.random.default_rng(seed)
+                slow = np.random.default_rng(seed)
+                assert fg.random_reduced_word(fast, rank, length).tolist() == \
+                    per_letter_reduced_word(slow, rank, length)
+                # the generator is left in the same state
+                assert fast.integers(1 << 40) == slow.integers(1 << 40)
 
 
 def test_occurrence_counts_tally_both_signs():
