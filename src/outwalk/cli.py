@@ -131,9 +131,9 @@ def cmd_clt(args):
                             min_trials=min(stats.MIN_CLT_TRIALS, wcfg.trials))
     per_class = {}
     for lab in stats.class_labels(records):
-        key = ("loglen:" + lab) if records[0].lengths else ("sigma:" + lab)
         per_class[lab] = _clt_json(stats.clt_report(
-            records, de.lambda_hat, observable=key,
+            records, de.lambda_hat,
+            observable=stats.class_observable(records, lab),
             min_trials=min(stats.MIN_CLT_TRIALS, wcfg.trials)))
     _write_csv(os.path.join(args.out, "clt.csv"),
                ("trial", "standardized_value"),
@@ -156,6 +156,7 @@ def cmd_clt(args):
 
 def cmd_deviation(args):
     cfg, mu, wcfg = _prepare(args)
+    grid = cfgmod.deviation_grid(cfg, wcfg)
     records = _run_records(mu, wcfg, args.threads)
     de = stats.drift_estimate(records)
     section = cfg.get("deviation", {})
@@ -163,7 +164,6 @@ def cmd_deviation(args):
         epsilon = float(section["epsilon"])
     else:
         epsilon = float(section.get("epsilon_factor", 0.2)) * de.lambda_hat
-    grid = section.get("grid", list(wcfg.checkpoints))
     curve = stats.deviation_curve(records, de.lambda_hat, epsilon, grid)
     _write_csv(os.path.join(args.out, "deviation.csv"),
                ("n", "epsilon", "probability"),
@@ -185,11 +185,8 @@ def cmd_deviation(args):
 
 def cmd_gap(args):
     cfg, mu, wcfg = _prepare(args)
+    label = cfgmod.gap_class(cfg, wcfg)
     records = _run_records(mu, wcfg, args.threads)
-    labels = stats.class_labels(records)
-    if not labels:
-        raise cfgmod.ConfigError("gap command needs at least one tracked class")
-    label = cfg.get("gap", {}).get("class", labels[0])
     gr = stats.kappa_sigma_gap(records, label)
     _write_csv(os.path.join(args.out, "gap.csv"),
                ("trial", "sup_gap"),

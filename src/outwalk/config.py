@@ -136,6 +136,28 @@ def build_walk_config(cfg, seed_override=None):
         raise ConfigError("invalid walk settings: %s" % exc) from exc
 
 
+def gap_class(cfg, wcfg):
+    """The gap command's class: $.gap.class, or the first tracked class."""
+    labels = walk.tracked_labels(wcfg)
+    if not labels:
+        raise ConfigError("at $.tracked: the gap command needs at least one "
+                          "tracked class")
+    label = cfg.get("gap", {}).get("class", labels[0])
+    if label not in labels:
+        raise ConfigError("at $.gap.class: class %r was not tracked" % label)
+    return label
+
+
+def deviation_grid(cfg, wcfg):
+    """The deviation command's grid: $.deviation.grid, or every checkpoint."""
+    grid = cfg.get("deviation", {}).get("grid", list(wcfg.checkpoints))
+    for i, n in enumerate(grid):
+        if n not in wcfg.checkpoints:
+            raise ConfigError("at $.deviation.grid[%d]: grid point %d is not "
+                              "a checkpoint" % (i, n))
+    return grid
+
+
 def build_rose_points(cfg):
     """Rose points for the distance command."""
     section = cfg.get("distance")

@@ -190,11 +190,12 @@ def four_point_condition(rng, count):
     checked = 0
     while checked < count:
         x, y, z = (POINTS[int(i)] for i in rng.integers(len(POINTS), size=3))
-        prods = (tree.gromov_product(x, y), tree.gromov_product(x, z),
-                 tree.gromov_product(y, z))
-        if not any(tree.is_infinite(p) for p in prods):
-            _require(tree.four_point_slack(x, y, z) >= 0)
-            checked += 1
+        try:
+            slack = tree.four_point_slack(x, y, z)
+        except ValueError:      # an equal pair (periodic points: no DepthError)
+            continue
+        _require(slack >= 0)
+        checked += 1
 
 
 def action_associativity(rng, count):

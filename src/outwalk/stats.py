@@ -52,6 +52,12 @@ def class_labels(records):
     return tuple(records[0].sigma.keys())
 
 
+def class_observable(records, label):
+    """The observable of one tracked class: its cyclic log length when the
+    records carry lengths (outer mode), else its cocycle."""
+    return ("loglen:" if records[0].lengths else "sigma:") + label
+
+
 def verify_sigma_domination(records):
     """Hard invariant: sigma(Phi_n, g) <= kappa(Phi_n) at every checkpoint."""
     for r in records:
@@ -103,7 +109,7 @@ def _slope_stats(cps, mat):
     return est, se
 
 
-def drift_estimate(records, observable="kappa"):
+def drift_estimate(records):
     """lambda_hat = mean(value at horizon) / horizon, with a per-class table.
 
     Per-class estimates use the second-half increment of the unnormalized
@@ -114,12 +120,11 @@ def drift_estimate(records, observable="kappa"):
     if len(records) < MIN_DRIFT_TRIALS:
         raise ValueError("drift needs >= %d trials, got %d"
                          % (MIN_DRIFT_TRIALS, len(records)))
-    cps, mat = observable_matrix(records, observable)
+    cps, mat = observable_matrix(records, "kappa")
     lam, se = _end_stats(cps, mat)
     per_class = {}
     for lab in class_labels(records):
-        key = ("loglen:" + lab) if records[0].lengths else ("sigma:" + lab)
-        ccps, cmat = observable_matrix(records, key)
+        ccps, cmat = observable_matrix(records, class_observable(records, lab))
         per_class[lab] = _slope_stats(ccps, cmat)
     flagged = False
     labs = list(per_class)
@@ -223,12 +228,12 @@ class DeviationCurve:
     summable: bool
 
 
-def deviation_curve(records, lambda_hat, epsilon, n_grid, observable="kappa"):
-    """Empirical P[|v_n - n*lambda| >= epsilon*n] on a sub-grid of the
+def deviation_curve(records, lambda_hat, epsilon, n_grid):
+    """Empirical P[|kappa_n - n*lambda| >= epsilon*n] on a sub-grid of the
     checkpoints, with a log-linear decay fit."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cps, mat = observable_matrix(records, observable)
+    cps, mat = observable_matrix(records, "kappa")
     pos = {int(c): i for i, c in enumerate(cps)}
     missing = [n for n in n_grid if int(n) not in pos]
     if missing:

@@ -53,7 +53,8 @@ class BoundaryPoint:
     """A point of the tree boundary: an infinite reduced letter stream.
 
     Either eventually periodic (preperiod u then period p repeated forever,
-    exact) or truncated (only the first certified_depth letters are known).
+    exact; depth None) or truncated (only the first `depth` letters are
+    known).
     The letters are held once, as int8 bytes: the preperiod, the period and
     a stream prefix grown on demand (periodic), or the certified prefix
     (truncated).  The array attributes are read-only views of those bytes.
@@ -91,25 +92,20 @@ class BoundaryPoint:
         return cls(pre.tobytes(), per.tobytes())
 
     @classmethod
-    def truncated(cls, prefix, certified_depth=None):
+    def truncated(cls, prefix, depth=None):
         pre = fg.as_word(prefix)
         if not fg.is_reduced(pre):
             raise ValueError("prefix must be reduced")
-        if certified_depth is None:
-            certified_depth = len(pre)
-        if not 0 <= certified_depth <= len(pre):
+        if depth is None:
+            depth = len(pre)
+        if not 0 <= depth <= len(pre):
             raise ValueError("certified depth must lie in [0, len(prefix)]")
         # only the certified letters are kept; the rest are unreliable
-        return cls(pre[:certified_depth].tobytes())
+        return cls(pre[:depth].tobytes())
 
     @property
     def is_periodic(self):
         return self._per is not None
-
-    @property
-    def certified_depth(self):
-        """Letters known for certain; None means all of them (periodic)."""
-        return self.depth
 
     @property
     def preperiod(self):
@@ -473,7 +469,7 @@ def centering_check(mu, x_points, records, lambda_hat=None, lambda_se=None):
         raise ValueError("centering_check needs a tree-mode (word) measure")
     # usable: at least one letter known (periodic points know them all)
     ys = [r.bnd for r in records
-          if r.bnd is not None and r.bnd.certified_depth != 0]
+          if r.bnd is not None and r.bnd.depth != 0]
     if len(ys) < 2:
         raise ValueError("need at least 2 usable boundary samples, got %d "
                          "(walks too short?)" % len(ys))
@@ -523,8 +519,8 @@ def _product_lower_value(x, y):
     try:
         p = gromov_product(x, y)
     except DepthError:
-        dx = x.certified_depth if isinstance(x, BoundaryPoint) else None
-        dy = y.certified_depth if isinstance(y, BoundaryPoint) else None
+        dx = x.depth if isinstance(x, BoundaryPoint) else None
+        dy = y.depth if isinstance(y, BoundaryPoint) else None
         return float(min(d for d in (dx, dy) if d is not None))
     return math.inf if is_infinite(p) else float(p)
 

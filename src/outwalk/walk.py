@@ -9,7 +9,9 @@ primitive.  Tree mode walks on the free group itself and tracks the walk
 position in the Cayley tree together with Busemann values toward tracked
 boundary points.  Tree trials run in lock-step blocks: the positions of a
 block of trials are rows of one int8 stack array, and each step is a few
-numpy operations over all rows.
+numpy operations over all rows.  Outer trials run a span at a time on one
+backend set up once for the span.  A lone trial (sample_path) is a span
+of one in either mode.
 
 Reproducibility contract: increments for trial t are drawn from a Philox
 counter-based stream keyed by (master_seed, t), so every trial is an
@@ -149,7 +151,12 @@ class PathRecord:
     peak_letters: int
     spot_checked: tuple          # checkpoints verified from scratch
     bnd: object = None           # tree mode: truncated limit point
-    tracking: tuple = None       # tree mode: distance to the limit ray, or None
+
+
+def tracked_labels(config):
+    """The record label of each tracked class or point, in order."""
+    return [treemod.format_boundary(x) if isinstance(x, treemod.BoundaryPoint)
+            else fg.format_word(fg.as_word(x)) for x in config.tracked_classes]
 
 
 def _spot_selected(master_seed, trial, ckpt, rate):
@@ -182,9 +189,8 @@ def _outer_setup(mu, config):
     for w in rose.base_candidates(rank):
         slot_for(w, "cand:" + fg.format_word(w))
         cand_slots.append(labels["cand:" + fg.format_word(w)])
-    for g in config.tracked_classes:
-        w = fg.as_word(g)
-        slot_for(w, fg.format_word(w))
+    for g, label in zip(config.tracked_classes, tracked_labels(config)):
+        slot_for(fg.as_word(g), label)
     return storage, labels, cand_slots
 
 
@@ -193,13 +199,16 @@ class _WordEngine:
 
     name = "words"
 
-    def __init__(self, mu, storage, cap, trial):
+    def __init__(self, mu, storage, cap):
         self.atoms = mu.atoms
         self.storage = storage
-        self.words = list(storage)
         self.cap = cap
+
+    def reset(self, trial):
+        """Start `trial` from the start words."""
         self.trial = trial
-        self.peak = max(len(w) for w in storage)
+        self.words = list(self.storage)
+        self.peak = max(len(w) for w in self.storage)
 
     def advance(self, steps, start, stop):
         """Apply the atoms of steps start+1 .. stop."""
@@ -252,15 +261,18 @@ class _GL2ZEngine:
     # the spot check replays the word engine while its words stay this short
     REPLAY_LETTERS = 1 << 10
 
-    def __init__(self, mu, storage, cap, trial):
+    def __init__(self, mu, storage, cap):
         self.atoms = mu.atoms
         self.mats = [_abelian_matrix(phi) for phi in mu.atoms]
         self.storage = storage
         self.start = [fg.exponent_sums(w, 2) for w in storage]
-        self.vecs = list(self.start)
         self.cap = cap
+
+    def reset(self, trial):
+        """Start `trial` from the start vectors."""
         self.trial = trial
-        self.peak = max(len(w) for w in storage)
+        self.vecs = list(self.start)
+        self.peak = max(len(w) for w in self.storage)
 
     def advance(self, steps, start, stop):
         """Apply the matrices of steps start+1 .. stop."""
@@ -328,52 +340,63 @@ def outer_backend(mu, config):
     return _select_engine(mu, storage).name
 
 
-def _outer_trial(mu, config, trial, engine=None):
-    # every engine gives the same record apart from peak_letters, which
-    # counts what that engine holds: reduced words or cyclic lengths
+def _outer_trials(mu, config, lo, hi, engine=None):
+    """Trials lo .. hi-1 on one backend, set up once for all of them.
+
+    Every backend gives the same records apart from peak_letters, which
+    counts what that backend holds: reduced words or cyclic lengths."""
     storage, labels, cand_slots = _outer_setup(mu, config)
     if engine is None:
         engine = _select_engine(mu, storage)
-    engine = engine(mu, storage, config.max_word_letters, trial)
+    engine = engine(mu, storage, config.max_word_letters)
     start_lens = [len(w) for w in storage]
     tracked = [(lab, slot) for lab, slot in labels.items()
                if not lab.startswith("cand:")]
-    steps = mu.draw_indices(config.master_seed, trial, config.horizon).tolist()
 
-    kappa = []
-    sigma = {lab: [] for lab, _ in tracked}
-    lengths = {lab: [] for lab, _ in tracked}
-    spots = []
+    def record(trial):
+        engine.reset(trial)
+        steps = mu.draw_indices(config.master_seed, trial,
+                                config.horizon).tolist()
+        kappa = []
+        sigma = {lab: [] for lab, _ in tracked}
+        lengths = {lab: [] for lab, _ in tracked}
+        spots = []
+        done = 0
+        for step in config.checkpoints:
+            engine.advance(steps, done, step)
+            done = step
+            cyc = engine.cyclic_lengths()
+            top = max(Fraction(cyc[i], start_lens[i]) for i in cand_slots)
+            kappa.append(math.log(top))
+            for lab, slot in tracked:
+                r = Fraction(cyc[slot], start_lens[slot])
+                # White's formula: the candidate max dominates every class
+                if r > top:
+                    raise AssertionError(
+                        "trial %d step %d: sigma(%s) exceeded kappa"
+                        % (trial, step, lab))
+                sigma[lab].append(math.log(r))
+                lengths[lab].append(cyc[slot])
+            if _spot_selected(config.master_seed, trial, step,
+                              config.spot_check_rate) or \
+                    (trial == 0 and step == config.checkpoints[-1]):
+                engine.spot_check(steps, step)
+                spots.append(step)
+        engine.advance(steps, done, config.horizon)
+        return PathRecord(
+            trial_index=trial, checkpoints=config.checkpoints,
+            kappa=tuple(kappa),
+            sigma={k: tuple(v) for k, v in sigma.items()},
+            lengths={k: tuple(v) for k, v in lengths.items()},
+            peak_letters=engine.peak, spot_checked=tuple(spots))
 
-    done = 0
-    for step in config.checkpoints:
-        engine.advance(steps, done, step)
-        done = step
-        cyc = engine.cyclic_lengths()
-        top = max(Fraction(cyc[i], start_lens[i]) for i in cand_slots)
-        kappa.append(math.log(top))
-        for lab, slot in tracked:
-            r = Fraction(cyc[slot], start_lens[slot])
-            # White's formula: the candidate max dominates every class
-            if r > top:
-                raise AssertionError(
-                    "trial %d step %d: sigma(%s) exceeded kappa"
-                    % (trial, step, lab))
-            sigma[lab].append(math.log(r))
-            lengths[lab].append(cyc[slot])
-        if _spot_selected(config.master_seed, trial, step,
-                          config.spot_check_rate) or \
-                (trial == 0 and step == config.checkpoints[-1]):
-            engine.spot_check(steps, step)
-            spots.append(step)
-    engine.advance(steps, done, config.horizon)
-
-    return PathRecord(
-        trial_index=trial, checkpoints=config.checkpoints,
-        kappa=tuple(kappa),
-        sigma={k: tuple(v) for k, v in sigma.items()},
-        lengths={k: tuple(v) for k, v in lengths.items()},
-        peak_letters=engine.peak, spot_checked=tuple(spots))
+    records, failures = [], []
+    for trial in range(lo, hi):
+        try:
+            records.append(record(trial))
+        except Exception as exc:    # aggregated with the trial index
+            failures.append((trial, exc))
+    return records, failures
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +436,12 @@ class _TreeBlock:
     against the point's letters built once.  Each letter of a step is a
     few numpy operations over all rows.  A row that fails (word cap,
     truncated point, spot check) stops moving and fails only its own trial.
-    Checkpoint words are kept as the low-water mark since the previous
-    checkpoint plus the letters above it.
+
+    The certified limit prefix is the common prefix of the checkpoint words
+    in the trailing tenth (at least two) of the checkpoints, from checkpoint
+    `first` on.  The block copies the stacks there as the anchor; `limit`
+    is each row's common prefix with it so far, cut at every later
+    checkpoint by that word's length and its first letter off the anchor.
     """
 
     def __init__(self, mu, config, lo, hi, table):
@@ -430,8 +457,9 @@ class _TreeBlock:
         self.base = np.arange(rows, dtype=np.intp) * self.stride
         self.stack[self.base] = _NO_LETTER
         self.n = np.zeros(rows, dtype=np.intp)
-        self.low = np.zeros(rows, dtype=np.intp)
         self.peak = np.zeros(rows, dtype=np.intp)
+        count = len(config.checkpoints)
+        self.first = max(0, count - max(2, (count + 9) // 10))
         # letters[s, k, r]: letter k of the inverse atom of row r's step s+1
         self.letters = np.empty((config.horizon, table.shape[1], rows),
                                 dtype=fg.LETTER_DTYPE)
@@ -440,12 +468,12 @@ class _TreeBlock:
                 config.master_seed, lo + r, config.horizon)]
 
         self.tracked = config.tracked_classes
-        self.labels = [treemod.format_boundary(xi) for xi in self.tracked]
+        self.labels = tracked_labels(config)
         streams = np.full((len(self.tracked), self.stride), _NO_LETTER,
                           dtype=fg.LETTER_DTYPE)
         depth = []
         for row, xi in zip(streams, self.tracked):
-            d = xi.certified_depth
+            d = xi.depth
             k = self.stride if d is None else min(self.stride, d)
             row[:k] = xi.letters(k)
             depth.append(-1 if d is None else d)
@@ -460,8 +488,6 @@ class _TreeBlock:
 
         self.kappa = []
         self.sigma = []
-        self.marks = []                 # per checkpoint: low-water marks
-        self.tops = []                  # per checkpoint: letters above them
         self.spots = [[] for _ in range(rows)]
         self.failures = {}
 
@@ -469,12 +495,11 @@ class _TreeBlock:
         """Trial lo + r fails with exc; its row stops moving."""
         self.failures[r] = exc
         self.letters[:, :, r] = 0
-        self.n[r] = self.low[r] = 0
+        self.n[r] = 0
 
     def advance(self, start, stop):
         """Apply the inverse atoms of steps start+1 .. stop to every row."""
-        stack, base, n, low, peak = (self.stack, self.base, self.n,
-                                     self.low, self.peak)
+        stack, base, n, peak = self.stack, self.base, self.n, self.peak
         streams, stream_base, cp = self.streams, self.stream_base, self.cp
         tracked = len(self.tracked) > 0
         cap = self.config.max_word_letters
@@ -498,7 +523,6 @@ class _TreeBlock:
                 if tracked:
                     np.minimum(cp, n, out=cp)
                     cp += hit
-                np.minimum(low, n, out=low)
             np.maximum(peak, n, out=peak)
             if (s + 1) * atom > cap:
                 for r in np.flatnonzero(n > cap).tolist():
@@ -516,22 +540,24 @@ class _TreeBlock:
                 except treemod.DepthError as exc:
                     self.fail(int(r), exc)
 
-    def _span(self, lo, hi):
-        """Flat stack indices of positions lo[r] .. hi[r]-1 of every row."""
-        size = hi - lo
-        ends = np.cumsum(size)
-        at = np.repeat(self.base + 1 + lo - (ends - size), size)
-        at += np.arange(int(ends[-1]), dtype=np.intp)
-        return at
-
-    def checkpoint(self, step):
-        """Record the checkpoint values and spot checks after `step`."""
-        n, low = self.n, self.low
+    def checkpoint(self, k, step):
+        """Record checkpoint k's values, limit prefix and spot checks after
+        `step`."""
+        n = self.n
         self.kappa.append(n.copy())
         self.sigma.append(n - 2 * self.cp)
-        self.marks.append(low.copy())
-        self.tops.append(self.stack.take(self._span(low, n)))
-        low[:] = n
+        words = self.stack.reshape(len(n), self.stride)[:, 1:]
+        if k == self.first:
+            # one column past the longest word keeps the anchor nonempty
+            self.anchor = words[:, :int(n.max()) + 1].copy()
+            self.limit = n.copy()
+        elif k > self.first:
+            # letters above a row's length or limit never count, so the
+            # rows are compared whole
+            width = self.anchor.shape[1]
+            off = words[:, :width] != self.anchor
+            cut = np.where(off.any(axis=1), off.argmax(axis=1), width)
+            self.limit = np.minimum(self.limit, np.minimum(n, cut))
         config = self.config
         last = step == config.checkpoints[-1]
         for r in range(len(n)):
@@ -566,82 +592,27 @@ class _TreeBlock:
                     "diverged" % (trial, step, self.labels[i]))
 
     def run(self):
+        """Walk every step; (records, [(trial, exc)]) of the block."""
         done = 0
-        for step in self.config.checkpoints:
+        for k, step in enumerate(self.config.checkpoints):
             self.advance(done, step)
-            self.checkpoint(step)
+            self.checkpoint(k, step)
             done = step
         self.advance(done, self.config.horizon)
-
-    def _common_prefix(self, a, b, start, limit):
-        # first position from start on where rows of a and b differ, or limit
-        p = start.copy()
-        rows = np.flatnonzero(p < limit)
-        while rows.size:
-            at = self.base[rows] + 1 + p[rows]
-            rows = rows[a.take(at) == b.take(at)]
-            p[rows] += 1
-            rows = rows[p[rows] < limit[rows]]
-        return p
-
-    def _limit_data(self, kappa):
-        """Limit prefix and tracking distances of every row.
-
-        The certified limit prefix is the common prefix of the checkpoint
-        words in the trailing tenth (at least two) of the checkpoints; a
-        word's distance to the ray toward it is decided unless the word
-        runs along the whole prefix and beyond.  Both come from q[k], the
-        common prefix of word k with the first word of the tail.  Letters
-        below the lowest stack between two checkpoints are shared, so only
-        the letters above it are compared.  Words are rebuilt in turn from
-        the letters each checkpoint kept above its low-water mark.
-        """
-        count = len(kappa)
-        first = max(0, count - max(2, (count + 9) // 10))
-        marks = np.array(self.marks)
-        shared = np.empty_like(kappa)
-        shared[first] = kappa[first]
-        for k in range(first - 1, -1, -1):
-            shared[k] = np.minimum(shared[k + 1], marks[k + 1])
-        for k in range(first + 1, count):
-            shared[k] = np.minimum(shared[k - 1], marks[k])
-
-        def rebuild(word, k):
-            word[self._span(marks[k], kappa[k])] = self.tops[k]
-
-        anchor = np.empty_like(self.stack)
-        for k in range(first + 1):
-            rebuild(anchor, k)
-        word = self.stack               # the walk is over
-        q = np.empty_like(kappa)
-        for k in range(count):
-            rebuild(word, k)
-            q[k] = self._common_prefix(word, anchor, shared[k],
-                                       np.minimum(kappa[k], kappa[first]))
-        self.stack = self.tops = word = None
-        depth = q[first:].min(axis=0)
-        c = np.minimum(q, depth)
-        decided = ((c < depth) | (kappa <= depth)) & (depth > 0)
-        tracking = [tuple(d if ok else None for d, ok in zip(ds, oks))
-                    for ds, oks in zip((kappa - c).T.tolist(),
-                                       decided.T.tolist())]
-        # one read-only buffer of all limit prefixes, which the records view
-        rows = anchor.reshape(len(depth), self.stride)[:, 1:]
-        prefixes = rows[np.arange(rows.shape[1]) < depth[:, None]]
-        prefixes.flags.writeable = False
-        ends = np.cumsum(depth).tolist()
-        bnd = [treemod.BoundaryPoint.truncated(prefixes[e - d:e], d)
-               if d > 0 else None for e, d in zip(ends, depth.tolist())]
-        return bnd, tracking
+        return self.results()
 
     def results(self):
         """(records, [(trial, exc)]) of the block, in trial order."""
-        config = self.config
-        del self.letters
-        kappa = np.array(self.kappa)
-        bnd, tracking = self._limit_data(kappa)
+        self.letters = self.stack = None    # the walk is over
+        # one read-only buffer of all limit prefixes, which the records view
+        limit, anchor = self.limit, self.anchor
+        prefixes = anchor[np.arange(anchor.shape[1]) < limit[:, None]]
+        prefixes.flags.writeable = False
+        ends = np.cumsum(limit).tolist()
+        bnd = [treemod.BoundaryPoint.truncated(prefixes[e - d:e], d)
+               if d > 0 else None for e, d in zip(ends, limit.tolist())]
         sigma = np.array(self.sigma).transpose(2, 0, 1).tolist()
-        kappa = kappa.T.tolist()
+        kappa = np.array(self.kappa).T.tolist()
         peak = self.peak.tolist()
         records = []
         for r in range(len(kappa)):
@@ -652,12 +623,12 @@ class _TreeBlock:
                 for lab, value in zip(self.labels, row):
                     sig[lab].append(value)
             records.append(PathRecord(
-                trial_index=self.lo + r, checkpoints=config.checkpoints,
+                trial_index=self.lo + r, checkpoints=self.config.checkpoints,
                 kappa=tuple(kappa[r]),
                 sigma={k: tuple(v) for k, v in sig.items()},
                 lengths={}, peak_letters=peak[r],
                 spot_checked=tuple(self.spots[r]),
-                bnd=bnd[r], tracking=tracking[r]))
+                bnd=bnd[r]))
         failures = [(self.lo + r, self.failures[r])
                     for r in sorted(self.failures)]
         return records, failures
@@ -682,9 +653,7 @@ def _tree_trials(mu, config, lo, hi):
     size = _block_size(hi - lo, 1, _tree_rows(config, table))
     records, failures = [], []
     for a in range(lo, hi, size):
-        block = _TreeBlock(mu, config, a, min(a + size, hi), table)
-        block.run()
-        recs, fails = block.results()
+        recs, fails = _TreeBlock(mu, config, a, min(a + size, hi), table).run()
         records.extend(recs)
         failures.extend(fails)
     return records, failures
@@ -704,13 +673,11 @@ def _check_tracked(mu, config):
 
 
 def sample_path(mu, config, trial):
-    """Run one trial; a pure function of (mu, config, trial)."""
+    """One trial as a span of one; a pure function of (mu, config, trial)."""
     if not 0 <= trial < config.trials:
         raise ValueError("trial index out of range")
     _check_tracked(mu, config)
-    if mu.mode == "outer":
-        return _outer_trial(mu, config, trial)
-    records, failures = _tree_trials(mu, config, trial, trial + 1)
+    records, failures = _run_trials(mu, config, trial, trial + 1)
     if failures:
         raise failures[0][1]
     return records[0]
@@ -718,15 +685,8 @@ def sample_path(mu, config, trial):
 
 def _run_trials(mu, config, lo, hi):
     """Trials lo .. hi-1: (records, [(trial, exc)]), both in trial order."""
-    if mu.mode == "tree":
-        return _tree_trials(mu, config, lo, hi)
-    records, failures = [], []
-    for trial in range(lo, hi):
-        try:
-            records.append(sample_path(mu, config, trial))
-        except Exception as exc:    # aggregated with the trial index
-            failures.append((trial, exc))
-    return records, failures
+    trials = _tree_trials if mu.mode == "tree" else _outer_trials
+    return trials(mu, config, lo, hi)
 
 
 _POOL_STATE = {}

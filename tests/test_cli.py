@@ -221,6 +221,26 @@ def test_tracked_class_beyond_the_rank_exits_2(tmp_path, capsys):
     assert "$.tracked[1]" in capsys.readouterr().err
 
 
+def refuse_trials(monkeypatch):
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("a trial ran before the config was checked")
+    monkeypatch.setattr(cli.walk, "run_experiment", run_experiment)
+
+
+@pytest.mark.parametrize("command,over,where", [
+    ("gap", {"gap": {"class": "abab"}}, "$.gap.class"),
+    ("gap", {"tracked": []}, "$.tracked"),
+    ("deviation", {"deviation": {"grid": [10, 15, 30]}}, "$.deviation.grid[1]"),
+])
+def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
+                                                        monkeypatch, command,
+                                                        over, where):
+    refuse_trials(monkeypatch)
+    path = write_cfg(tmp_path, outer_cfg(**over))
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert where in capsys.readouterr().err
+
+
 # -- experiment failures
 
 def test_word_cap_failure_exits_1(tmp_path, capsys):

@@ -248,8 +248,7 @@ def test_centering_check_hand_arithmetic():
     y2 = tree.BoundaryPoint.truncated(fg.parse_word("ababab"), 6)
     records = [
         PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
-                   lengths=None, peak_letters=0, spot_checked=(), bnd=y,
-                   tracking=None)
+                   lengths=None, peak_letters=0, spot_checked=(), bnd=y)
         for i, y in enumerate((y1, y2))]
     rep = tree.centering_check(mu, [bp("per:b")], records)
     assert rep.lambda_hat == pytest.approx(0.5)
@@ -265,8 +264,7 @@ def test_centering_check_rejects_a_sample_equal_to_a_query_point():
     x = bp("per:b")
     records = [
         PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
-                   lengths=None, peak_letters=0, spot_checked=(), bnd=y,
-                   tracking=None)
+                   lengths=None, peak_letters=0, spot_checked=(), bnd=y)
         for i, y in enumerate((bp("prefix:aaaa depth:4"), x))]
     with pytest.raises(ValueError, match="per:b equals the query point"):
         tree.centering_check(mu, [x], records)
@@ -320,7 +318,7 @@ def periodic_after(rng, pre):
 def branching_sample(rng, x):
     """A sample leaving x's stream after a random number of shared letters
     (sometimes 64 or more), truncated at a random depth or periodic."""
-    known = x.certified_depth
+    known = x.depth
     k = int(rng.integers(0, 100))
     if known is not None:
         k = min(k, known)
@@ -346,7 +344,7 @@ def mixed_samples(rng, x):
     ys.append(x)                                        # equal to x
     ys.append(tree.parse_boundary(tree.format_boundary(x)))
     for d in (0, 5, 63, 64, 80):                        # ties through depth
-        if x.certified_depth is None or d <= x.certified_depth:
+        if x.depth is None or d <= x.depth:
             ys.append(tree.BoundaryPoint.truncated(x.letters(d)))
     ys.append(bp("pre:" + "ab" * 40 + " per:a"))        # (x|y) = 81 for per:ab
     ys.append(bp("per:ab"))
@@ -431,7 +429,7 @@ def test_estimators_equal_the_per_sample_loop(seed, monkeypatch):
         records = [PathRecord(trial_index=i, checkpoints=(50,),
                               kappa=(float(rng.integers(0, 50)),), sigma={},
                               lengths=None, peak_letters=0, spot_checked=(),
-                              bnd=y, tracking=None)
+                              bnd=y)
                    for i, y in enumerate(trunc)]
         others = [random_x(rng), periodic_after(rng, [])]
         decided = [r for r in records if all(
@@ -448,8 +446,7 @@ def test_centering_check_needs_two_usable_samples():
     mu = MeasureSpec([fg.parse_word("a")], [1.0])
     records = [
         PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
-                   lengths=None, peak_letters=0, spot_checked=(), bnd=y,
-                   tracking=None)
+                   lengths=None, peak_letters=0, spot_checked=(), bnd=y)
         for i, y in enumerate((bp("prefix:ab depth:2"), bp("prefix:b depth:0")))]
     with pytest.raises(ValueError, match="at least 2 usable"):
         tree.centering_check(mu, [bp("per:b")], records)
@@ -486,7 +483,7 @@ def ref_prefix_pair(x, y):
             + len(x.period) + len(y.period)
         c = ref_common_prefix(ref_letters(x, bound), ref_letters(y, bound))
         return tree.INFINITE if c == bound else c
-    bound = min(d for d in (x.certified_depth, y.certified_depth)
+    bound = min(d for d in (x.depth, y.depth)
                 if d is not None)
     c = ref_common_prefix(ref_letters(x, bound), ref_letters(y, bound))
     if c == bound:
@@ -624,7 +621,7 @@ def test_boundary_point_pickles_its_letters_once():
         assert len(pickle.dumps(xi)) == size
         back = pickle.loads(pickle.dumps(xi))
         assert tree.format_boundary(back) == tree.format_boundary(xi)
-        assert back.certified_depth == xi.certified_depth
+        assert back.depth == xi.depth
         assert back.letters(n).tolist() == xi.letters(n).tolist()
 
 

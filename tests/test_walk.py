@@ -106,16 +106,11 @@ def test_tree_point_mass_toward_the_tracked_ray():
     assert rec.sigma["per:a"] == (-5, -10, -15, -20)
 
 
-def test_tracking_distance_to_own_limit_ray():
-    # a deterministic walk sits on its own limit ray at every decided
-    # checkpoint; the head outruns the certified depth, so the last
-    # entry is undecided
-    cfg = WalkConfig(horizon=20, trials=1, master_seed=3,
-                     checkpoints=tuple(range(1, 21)))
-    rec = run_experiment(tree_point_mass("a"), cfg)[0]
-    decided = [v for v in rec.tracking if v is not None]
-    assert decided and all(v == 0 for v in decided)
-    assert rec.tracking[-1] is None
+def test_walk_at_the_identity_has_no_limit_point():
+    # every stack is empty at the tail checkpoints, so is the anchor
+    cfg = WalkConfig(horizon=6, trials=2, master_seed=0, checkpoints=(2, 4, 6))
+    recs = run_experiment(tree_point_mass("aA"), cfg)
+    assert [(r.kappa, r.bnd) for r in recs] == [((0, 0, 0), None)] * 2
 
 
 def test_outer_point_mass_single_positive_move():
@@ -170,7 +165,7 @@ def records_equal(a, b):
     if a.bnd is not None and not np.array_equal(
             a.bnd.letters(a.bnd.depth), b.bnd.letters(b.bnd.depth)):
         return False
-    return a.tracking == b.tracking and a.lengths == b.lengths
+    return a.lengths == b.lengths
 
 
 def test_rerun_reproduces_every_record_exactly():
@@ -294,7 +289,10 @@ def random_rank2_measure(rng, atoms=4):
 
 
 def word_engine_path(mu, cfg, trial):
-    return walk._outer_trial(mu, cfg, trial, engine=walk._WordEngine)
+    records, failures = walk._outer_trials(mu, cfg, trial, trial + 1,
+                                           engine=walk._WordEngine)
+    assert not failures
+    return records[0]
 
 
 def both_backends(mu, cfg):
@@ -370,7 +368,8 @@ def test_gl2z_spot_check_catches_a_corrupted_vector():
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
     storage, _, _ = walk._outer_setup(mu, cfg)
-    engine = walk._GL2ZEngine(mu, storage, cfg.max_word_letters, 0)
+    engine = walk._GL2ZEngine(mu, storage, cfg.max_word_letters)
+    engine.reset(0)
     steps = mu.draw_indices(cfg.master_seed, 0, cfg.horizon).tolist()
     engine.advance(steps, 0, 30)
     engine.spot_check(steps, 30)
@@ -392,27 +391,55 @@ def test_gl2z_cap_counts_exact_cyclic_length():
     assert (err.value.step, err.value.length) == (63, 65)
 
 
+def first_cap_breach(mu, cfg, trial, storage):
+    """(step, length) where a start word's cyclic image first passes the cap,
+    replayed on words; None when none does."""
+    words = list(storage)
+    steps = mu.draw_indices(cfg.master_seed, trial, cfg.horizon).tolist()
+    for step, i in enumerate(steps, 1):
+        words = [mu.atoms[i].apply(w) for w in words]
+        top = max(fg.cyclic_length(w) for w in words)
+        if top > cfg.max_word_letters:
+            return step, top
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outer_failures_are_attributed_to_their_own_trials(workers):
+    # 48 trials at seed 2: 17 stay under the cap; two workers get spans of 3
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=30, trials=48, master_seed=2,
+                     checkpoints=(10, 20, 30), max_word_letters=64,
+                     spot_check_rate=0.5,
+                     tracked_classes=(fg.parse_word("a"),
+                                      fg.parse_word("aba")))
+    storage, _, _ = walk._outer_setup(mu, cfg)
+    breach = {t: first_cap_breach(mu, cfg, t, storage)
+              for t in range(cfg.trials)}
+    failing = [t for t in range(cfg.trials) if breach[t]]
+    passing = [t for t in range(cfg.trials) if not breach[t]]
+    assert failing and passing
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg, workers=workers)
+    assert [(t, type(e), (e.step, e.length)) for t, e in err.value.failures] \
+        == [(t, WordCapExceeded, breach[t]) for t in failing]
+    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    assert [t for t, _ in failures] == failing
+    assert [r.trial_index for r in got] == passing
+    for rec in got:
+        assert walk.sample_path(mu, cfg, rec.trial_index) == rec
+
+
 # -- tree blocks against the per-letter reference
 
-def _reference_limit_data(checkpoints, snap_words):
+def _reference_limit_prefix(snap_words):
     tail = max(2, (len(snap_words) + 9) // 10)
     window = snap_words[-tail:] if len(snap_words) >= 2 else snap_words
     depth = min(len(w) for w in window)
     for w in window[1:]:
         depth = min(depth, fg.common_prefix_len(window[0][:depth], w[:depth]))
-    bnd = tree.BoundaryPoint.truncated(window[0][:depth], depth) \
+    return tree.BoundaryPoint.truncated(window[0][:depth], depth) \
         if depth > 0 else None
-    tracking = []
-    for w in snap_words:
-        if bnd is None:
-            tracking.append(None)
-            continue
-        c = fg.common_prefix_len(w[:depth], bnd.prefix)
-        if c < depth or len(w) <= depth:
-            tracking.append(len(w) - c)
-        else:
-            tracking.append(None)
-    return bnd, tuple(tracking)
 
 
 def _reference_spot_check(mu, idx, step, u, cps, tracked):
@@ -458,12 +485,11 @@ def per_letter_trial(mu, config, trial):
                     (trial == 0 and step == config.checkpoints[-1]):
                 _reference_spot_check(mu, idx, step, u, cps, tracked)
                 spots.append(step)
-    bnd, tracking = _reference_limit_data(config.checkpoints, snap_words)
     return walk.PathRecord(
         trial_index=trial, checkpoints=config.checkpoints, kappa=tuple(kappa),
         sigma={k: tuple(v) for k, v in sigma.items()}, lengths={},
-        peak_letters=peak, spot_checked=tuple(spots), bnd=bnd,
-        tracking=tracking)
+        peak_letters=peak, spot_checked=tuple(spots),
+        bnd=_reference_limit_prefix(snap_words))
 
 
 def reference_run(mu, config):
@@ -478,9 +504,9 @@ def reference_run(mu, config):
 
 def assert_same_tree_record(got, want):
     assert (got.trial_index, got.checkpoints, got.kappa, got.sigma,
-            got.lengths, got.peak_letters, got.spot_checked, got.tracking) == \
+            got.lengths, got.peak_letters, got.spot_checked) == \
         (want.trial_index, want.checkpoints, want.kappa, want.sigma,
-         want.lengths, want.peak_letters, want.spot_checked, want.tracking)
+         want.lengths, want.peak_letters, want.spot_checked)
     if want.bnd is None:
         assert got.bnd is None
     else:
@@ -564,6 +590,17 @@ def test_sample_path_is_a_block_of_one(checkpoints):
     for trial in range(cfg.trials):
         assert_same_tree_record(walk.sample_path(mu, cfg, trial),
                                 per_letter_trial(mu, cfg, trial))
+
+
+def test_limit_prefix_stops_at_a_shorter_later_word():
+    # a word that shrinks after the anchor keeps its popped letter above
+    # its top, where it still equals the anchor's
+    mu = MeasureSpec([fg.parse_word("a"), fg.parse_word("A")], [0.5, 0.5])
+    cfg = WalkConfig(horizon=10, trials=20, master_seed=1, checkpoints=(8, 10))
+    got = run_experiment(mu, cfg)
+    assert any(0 < r.kappa[1] < r.kappa[0] for r in got)
+    for rec in got:
+        assert_same_tree_record(rec, per_letter_trial(mu, cfg, rec.trial_index))
 
 
 def test_sample_path_raises_the_trial_failure():
