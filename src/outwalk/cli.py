@@ -239,10 +239,9 @@ def cmd_tree_lab(args):
         # one trial has no standard error: the summary would carry NaN
         raise cfgmod.ConfigError("%s: at $.trials: tree-lab needs at least 2 "
                                  "trials, got %d" % (args.config, wcfg.trials))
+    x_points, h2_x = cfgmod.tree_lab_points(cfg)
     records = _run_records(mu, wcfg, args.threads)
     section = cfg.get("tree_lab", {})
-    x_points = [treemod.parse_boundary(s)
-                for s in section.get("x_points", ["per:a"])]
     samples = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
     n_psi = min(len(samples), section.get("psi_samples", len(samples)))
     psi = {treemod.format_boundary(x):
@@ -260,9 +259,8 @@ def cmd_tree_lab(args):
     }
     h2 = section.get("h2")
     if h2:
-        x = treemod.parse_boundary(h2["x"])
         curve = treemod.h2_tail_estimate(
-            x, samples, h2.get("alpha", 1.0),
+            h2_x, samples, h2.get("alpha", 1.0),
             h2.get("grid", [1, 2, 3, 4, 5, 6]))
         out["h2"] = {
             "x": h2["x"],

@@ -67,31 +67,61 @@ def _cross_validate(path, cfg):
                               "and end at or before the horizon" % path)
 
 
-def parse_weight(w):
-    if isinstance(w, str):
-        value = float(Fraction(w))
-    else:
-        value = float(w)
+def _positive(x):
+    """A schema number as given, or a string "n" or "n/d" as a Fraction."""
+    try:
+        value = Fraction(x) if isinstance(x, str) else x
+    except ZeroDivisionError:
+        raise ConfigError("%r has a zero denominator" % x) from None
     if value <= 0:
-        raise ConfigError("weights must be positive")
+        raise ConfigError("%r is not positive" % x)
     return value
 
 
-def _build_atom(cfg, i):
-    atom = cfg["measure"][i]
+def _at(where, parse, *args):
+    """parse(*args), with a ConfigError naming the JSON path `where`."""
     try:
-        if cfg["mode"] == "outer":
-            return fg.from_trace(cfg["rank"], atom["trace"])
-        w = fg.parse_word(atom["word"])
-        fg.check_rank(w, cfg["rank"])
-        return w
-    except ValueError as exc:     # RankError, or a move like R:1:1:+
-        raise ConfigError("at $.measure[%d]: %s" % (i, exc)) from exc
+        return parse(*args)
+    except ValueError as exc:  # RankError, a bad literal or move, ConfigError
+        raise ConfigError("at %s: %s" % (where, exc)) from exc
+
+
+def parse_weight(w):
+    return float(_positive(w))
+
+
+def _word(text, rank):
+    w = fg.parse_word(text)
+    fg.check_rank(w, rank)
+    return w
+
+
+def _tracked_class(text, rank):
+    w = _word(text, rank)
+    if len(w) == 0:
+        raise ValueError("tracked class %r is trivial" % text)
+    return w
+
+
+def _boundary(text, rank):
+    xi = treemod.parse_boundary(text)
+    for w in (xi.preperiod, xi.period) if xi.is_periodic else (xi.prefix,):
+        fg.check_rank(w, rank)
+    return xi
+
+
+def _build_atom(cfg, atom):
+    if cfg["mode"] == "outer":
+        return fg.from_trace(cfg["rank"], atom["trace"])
+    return _word(atom["word"], cfg["rank"])
 
 
 def build_measure(cfg):
-    weights = [parse_weight(a["weight"]) for a in cfg["measure"]]
-    atoms = [_build_atom(cfg, i) for i in range(len(cfg["measure"]))]
+    measure = cfg["measure"]
+    weights = [_at("$.measure[%d].weight" % i, parse_weight, a["weight"])
+               for i, a in enumerate(measure)]
+    atoms = [_at("$.measure[%d]" % i, _build_atom, cfg, a)
+             for i, a in enumerate(measure)]
     try:
         return walk.MeasureSpec(atoms, weights)
     except ValueError as exc:
@@ -99,14 +129,10 @@ def build_measure(cfg):
 
 
 def resolve_checkpoints(cfg):
-    cps = cfg["checkpoints"]
-    horizon = cfg["horizon"]
+    """An explicit list as given, or every k-th step and the horizon."""
+    cps, horizon = cfg["checkpoints"], cfg["horizon"]
     if isinstance(cps, dict):
-        every = cps["every"]
-        out = list(range(every, horizon + 1, every))
-        if not out or out[-1] != horizon:
-            out.append(horizon)
-        return tuple(out)
+        return tuple(range(cps["every"], horizon, cps["every"])) + (horizon,)
     return tuple(cps)
 
 
@@ -117,23 +143,22 @@ def build_walk_config(cfg, seed_override=None):
         kwargs["max_word_letters"] = cfg["max_word_letters"]
     if "spot_check_rate" in cfg:
         kwargs["spot_check_rate"] = cfg["spot_check_rate"]
-    tracked = []
-    for i, text in enumerate(cfg.get("tracked", [])):
-        try:
-            if cfg["mode"] == "tree":
-                tracked.append(treemod.parse_boundary(text))
-            else:
-                tracked.append(fg.parse_word(text))
-                fg.check_rank(tracked[-1], cfg["rank"])
-        except ValueError as exc:     # RankError, or a bad literal
-            raise ConfigError("at $.tracked[%d]: %s" % (i, exc)) from exc
+    parse = _boundary if cfg["mode"] == "tree" else _tracked_class
+    tracked = [_at("$.tracked[%d]" % i, parse, text, cfg["rank"])
+               for i, text in enumerate(cfg.get("tracked", []))]
     try:
-        return walk.WalkConfig(
+        wcfg = walk.WalkConfig(
             horizon=cfg["horizon"], trials=cfg["trials"], master_seed=int(seed),
             checkpoints=resolve_checkpoints(cfg),
             tracked_classes=tuple(tracked), **kwargs)
     except ValueError as exc:
         raise ConfigError("invalid walk settings: %s" % exc) from exc
+    labels = walk.tracked_labels(wcfg)
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError("at $.tracked[%d]: %r repeats $.tracked[%d]"
+                              % (i, label, labels.index(label)))
+    return wcfg
 
 
 def gap_class(cfg, wcfg):
@@ -158,6 +183,17 @@ def deviation_grid(cfg, wcfg):
     return grid
 
 
+def tree_lab_points(cfg):
+    """The tree-lab points $.tree_lab.x_points, and $.tree_lab.h2.x or None."""
+    section = cfg.get("tree_lab", {})
+    rank = cfg["rank"]
+    x_points = [_at("$.tree_lab.x_points[%d]" % i, _boundary, text, rank)
+                for i, text in enumerate(section.get("x_points", ["per:a"]))]
+    h2 = section.get("h2")
+    return x_points, (_at("$.tree_lab.h2.x", _boundary, h2["x"], rank)
+                      if h2 else None)
+
+
 def build_rose_points(cfg):
     """Rose points for the distance command."""
     section = cfg.get("distance")
@@ -166,15 +202,13 @@ def build_rose_points(cfg):
     rank = cfg["rank"]
     pts = []
     for i, entry in enumerate(section["points"]):
-        lengths = [Fraction(x) if isinstance(x, str) else x
-                   for x in entry["lengths"]]
+        where = "$.distance.points[%d]" % i
+        lengths = [_at("%s.lengths[%d]" % (where, j), _positive, x)
+                   for j, x in enumerate(entry["lengths"])]
         if len(lengths) != rank:
             raise ConfigError("distance point needs %d lengths" % rank)
-        try:
-            marking = fg.from_trace(rank, entry.get("marking_trace", ()))
-        except ValueError as exc:     # RankError, or a move like R:1:1:+
-            raise ConfigError("at $.distance.points[%d].marking_trace: %s"
-                              % (i, exc)) from exc
+        marking = _at(where + ".marking_trace", fg.from_trace, rank,
+                      entry.get("marking_trace", ()))
         pts.append(rose.rose_point(lengths, marking))
     return pts
 

@@ -9,9 +9,11 @@ primitive.  Tree mode walks on the free group itself and tracks the walk
 position in the Cayley tree together with Busemann values toward tracked
 boundary points.  Tree trials run in lock-step blocks: the positions of a
 block of trials are rows of one int8 stack array, and each step is a few
-numpy operations over all rows.  Outer trials run a span at a time on one
-backend set up once for the span.  A lone trial (sample_path) is a span
-of one in either mode.
+numpy operations over all rows; Busemann values and the limit prefix are
+read off the stacks at checkpoints only.  Outer trials run a span at a
+time on one backend set up once for the span.  run_experiment cuts the
+spans the same way for any worker count, and a lone trial (sample_path)
+is a span of one in either mode.
 
 Reproducibility contract: increments for trial t are drawn from a Philox
 counter-based stream keyed by (master_seed, t), so every trial is an
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from numpy.random import Philox
@@ -427,21 +430,29 @@ def _tree_width(config, table):
     return min(config.horizon * atom, config.max_word_letters + atom)
 
 
+def _row_prefix(words, ref, n):
+    """Where each row of words first differs from ref (broadcast along the
+    last axis), capped at the row's length n."""
+    width = ref.shape[-1]
+    off = words[..., :width] != ref
+    return np.minimum(n, np.where(off.any(axis=-1), off.argmax(axis=-1), width))
+
+
 class _TreeBlock:
     """Tree-mode trials lo .. hi-1 advanced together, one step at a time.
 
     Row r is trial lo + r.  Its walk position g_n^{-1} is a letter stack in
-    row r of one int8 array above a floor column, with its length in n;
-    cp[i] is the common prefix of each stack with tracked point i, compared
-    against the point's letters built once.  Each letter of a step is a
-    few numpy operations over all rows.  A row that fails (word cap,
-    truncated point, spot check) stops moving and fails only its own trial.
+    row r of one int8 array above a floor column, with its length in n.
+    Each letter of a step is a few numpy operations over all rows.  A row
+    that fails (word cap, truncated point, spot check) stops moving and
+    fails only its own trial.
 
-    The certified limit prefix is the common prefix of the checkpoint words
-    in the trailing tenth (at least two) of the checkpoints, from checkpoint
-    `first` on.  The block copies the stacks there as the anchor; `limit`
-    is each row's common prefix with it so far, cut at every later
-    checkpoint by that word's length and its first letter off the anchor.
+    The stacks are read at checkpoints only, by one kernel, _row_prefix:
+    cp[i] is each row's common prefix with tracked point i's letters.  The
+    certified limit prefix is the common prefix of the checkpoint words
+    from checkpoint `first` on, the trailing tenth (at least two): the
+    stacks copied there are the anchor, and `limit`, each row's common
+    prefix with it so far, is cut again at every later checkpoint.
     """
 
     def __init__(self, mu, config, lo, hi, table):
@@ -454,6 +465,7 @@ class _TreeBlock:
         width = _tree_width(config, table)
         self.stride = width + 2         # floor, letters, one write past the top
         self.stack = np.empty(rows * self.stride, dtype=fg.LETTER_DTYPE)
+        self.words = self.stack.reshape(rows, self.stride)[:, 1:]
         self.base = np.arange(rows, dtype=np.intp) * self.stride
         self.stack[self.base] = _NO_LETTER
         self.n = np.zeros(rows, dtype=np.intp)
@@ -469,22 +481,13 @@ class _TreeBlock:
 
         self.tracked = config.tracked_classes
         self.labels = tracked_labels(config)
-        streams = np.full((len(self.tracked), self.stride), _NO_LETTER,
-                          dtype=fg.LETTER_DTYPE)
-        depth = []
-        for row, xi in zip(streams, self.tracked):
-            d = xi.depth
-            k = self.stride if d is None else min(self.stride, d)
+        self.streams = np.full((len(self.tracked), width + 1), _NO_LETTER,
+                               dtype=fg.LETTER_DTYPE)
+        for row, xi in zip(self.streams, self.tracked):
+            k = width + 1 if xi.depth is None else min(width + 1, xi.depth)
             row[:k] = xi.letters(k)
-            depth.append(-1 if d is None else d)
-        self.streams = streams.ravel()
-        # where each point's letters start in streams; None: one point at 0
-        self.stream_base = (np.arange(len(self.tracked), dtype=np.intp)
-                            * self.stride)[:, None] \
-            if len(self.tracked) > 1 else None
-        self.depth = np.array(depth, dtype=np.intp)[:, None]
-        self.truncated = bool((self.depth >= 0).any())
-        self.cp = np.zeros((len(self.tracked), rows), dtype=np.intp)
+        self.truncated = [(i, xi.depth) for i, xi in enumerate(self.tracked)
+                          if xi.depth is not None]
 
         self.kappa = []
         self.sigma = []
@@ -500,8 +503,6 @@ class _TreeBlock:
     def advance(self, start, stop):
         """Apply the inverse atoms of steps start+1 .. stop to every row."""
         stack, base, n, peak = self.stack, self.base, self.n, self.peak
-        streams, stream_base, cp = self.streams, self.stream_base, self.cp
-        tracked = len(self.tracked) > 0
         cap = self.config.max_word_letters
         atom = self.letters.shape[1]
         for s in range(start, stop):
@@ -512,52 +513,46 @@ class _TreeBlock:
                 push = (v != 0) ^ pop if self.padded or self.failures \
                     else ~pop
                 if self.truncated:
-                    self._check_depth(cp, n, push)
+                    self._check_depth(n, push)
                 pos += 1
                 stack[pos] = v          # above the top: harmless unless pushed
-                if tracked:
-                    at = n if stream_base is None else stream_base + n
-                    hit = (streams.take(at) == v) & (cp == n)
                 n += push
                 n -= pop
-                if tracked:
-                    np.minimum(cp, n, out=cp)
-                    cp += hit
             np.maximum(peak, n, out=peak)
             if (s + 1) * atom > cap:
                 for r in np.flatnonzero(n > cap).tolist():
                     self.fail(r, WordCapExceeded(self.lo + r, s + 1,
                                                  int(n[r]), cap))
 
-    def _check_depth(self, cp, n, push):
+    def _check_depth(self, n, push):
         # a push onto a stack equal to a truncated point's certified
         # prefix needs the letter after it, which is unknown
-        blind = (cp == self.depth) & (n == self.depth) & push
-        for i, r in zip(*np.nonzero(blind)):
-            if int(r) not in self.failures:
-                try:
-                    self.tracked[i].letter(int(n[r]))
-                except treemod.DepthError as exc:
-                    self.fail(int(r), exc)
+        for i, depth in self.truncated:
+            at = np.flatnonzero(push & (n == depth))
+            blind = (self.words[at, :depth] == self.streams[i, :depth]).all(1)
+            for r in at[blind].tolist():
+                if r not in self.failures:
+                    try:
+                        self.tracked[i].letter(depth)
+                    except treemod.DepthError as exc:
+                        self.fail(r, exc)
 
     def checkpoint(self, k, step):
         """Record checkpoint k's values, limit prefix and spot checks after
         `step`."""
-        n = self.n
+        n, words = self.n, self.words
+        # letters above a row's length never count, so the rows are
+        # compared whole, to one column past the longest word
+        top = int(n.max()) + 1
+        self.cp = _row_prefix(words, self.streams[:, None, :top], n)
         self.kappa.append(n.copy())
         self.sigma.append(n - 2 * self.cp)
-        words = self.stack.reshape(len(n), self.stride)[:, 1:]
         if k == self.first:
-            # one column past the longest word keeps the anchor nonempty
-            self.anchor = words[:, :int(n.max()) + 1].copy()
+            self.anchor = words[:, :top].copy()
             self.limit = n.copy()
         elif k > self.first:
-            # letters above a row's length or limit never count, so the
-            # rows are compared whole
-            width = self.anchor.shape[1]
-            off = words[:, :width] != self.anchor
-            cut = np.where(off.any(axis=1), off.argmax(axis=1), width)
-            self.limit = np.minimum(self.limit, np.minimum(n, cut))
+            self.limit = np.minimum(self.limit,
+                                    _row_prefix(words, self.anchor, n))
         config = self.config
         last = step == config.checkpoints[-1]
         for r in range(len(n)):
@@ -575,10 +570,9 @@ class _TreeBlock:
                 self.spots[r].append(step)
 
     def spot_check(self, r, step):
-        """Row r against a from-scratch reduction of its redrawn steps."""
+        """Row r and its prefixes against its redrawn steps, reduced anew."""
         trial = self.lo + r
-        start = self.base[r] + 1
-        u = self.stack[start:start + self.n[r]]
+        u = self.words[r, :self.n[r]]
         idx = self.mu.draw_indices(self.config.master_seed, trial, step)
         flat = self.table[idx].ravel()
         if not np.array_equal(fg.reduce(flat[flat != 0]), u):
@@ -588,8 +582,8 @@ class _TreeBlock:
             k = len(u) if xi.is_periodic else min(len(u), xi.depth)
             if fg.common_prefix_len(u[:k], xi.letters(k)) != self.cp[i, r]:
                 raise AssertionError(
-                    "trial %d step %d: incremental common prefix with %s "
-                    "diverged" % (trial, step, self.labels[i]))
+                    "trial %d step %d: common prefix with %s diverged from "
+                    "the point's letters" % (trial, step, self.labels[i]))
 
     def run(self):
         """Walk every step; (records, [(trial, exc)]) of the block."""
@@ -603,32 +597,25 @@ class _TreeBlock:
 
     def results(self):
         """(records, [(trial, exc)]) of the block, in trial order."""
-        self.letters = self.stack = None    # the walk is over
-        # one read-only buffer of all limit prefixes, which the records view
-        limit, anchor = self.limit, self.anchor
-        prefixes = anchor[np.arange(anchor.shape[1]) < limit[:, None]]
-        prefixes.flags.writeable = False
-        ends = np.cumsum(limit).tolist()
-        bnd = [treemod.BoundaryPoint.truncated(prefixes[e - d:e], d)
-               if d > 0 else None for e, d in zip(ends, limit.tolist())]
-        sigma = np.array(self.sigma).transpose(2, 0, 1).tolist()
+        self.letters = self.stack = self.words = None    # the walk is over
         kappa = np.array(self.kappa).T.tolist()
+        # sigma[r][i]: row r's values toward tracked point i
+        sigma = np.array(self.sigma).transpose(2, 1, 0).tolist()
+        limit = self.limit.tolist()
         peak = self.peak.tolist()
         records = []
         for r in range(len(kappa)):
             if r in self.failures:
                 continue
-            sig = {lab: [] for lab in self.labels}
-            for row in sigma[r]:
-                for lab, value in zip(self.labels, row):
-                    sig[lab].append(value)
+            # a stack prefix is reduced: the trusted constructor takes it
+            bnd = treemod.BoundaryPoint(self.anchor[r, :limit[r]].tobytes()) \
+                if limit[r] > 0 else None
             records.append(PathRecord(
                 trial_index=self.lo + r, checkpoints=self.config.checkpoints,
                 kappa=tuple(kappa[r]),
-                sigma={k: tuple(v) for k, v in sig.items()},
+                sigma={lab: tuple(v) for lab, v in zip(self.labels, sigma[r])},
                 lengths={}, peak_letters=peak[r],
-                spot_checked=tuple(self.spots[r]),
-                bnd=bnd[r]))
+                spot_checked=tuple(self.spots[r]), bnd=bnd))
         failures = [(self.lo + r, self.failures[r])
                     for r in sorted(self.failures)]
         return records, failures
@@ -648,15 +635,8 @@ def _tree_rows(config, table):
 
 
 def _tree_trials(mu, config, lo, hi):
-    """Trials lo .. hi-1, a block at a time."""
-    table = _inverse_atom_table(mu)
-    size = _block_size(hi - lo, 1, _tree_rows(config, table))
-    records, failures = [], []
-    for a in range(lo, hi, size):
-        recs, fails = _TreeBlock(mu, config, a, min(a + size, hi), table).run()
-        records.extend(recs)
-        failures.extend(fails)
-    return records, failures
+    """Trials lo .. hi-1 as one block."""
+    return _TreeBlock(mu, config, lo, hi, _inverse_atom_table(mu)).run()
 
 
 # ---------------------------------------------------------------------------
@@ -689,41 +669,29 @@ def _run_trials(mu, config, lo, hi):
     return trials(mu, config, lo, hi)
 
 
-_POOL_STATE = {}
-
-
-def _pool_init(mu, config):
-    _POOL_STATE["mu"] = mu
-    _POOL_STATE["config"] = config
-
-
-def _pool_run(span):
-    return _run_trials(_POOL_STATE["mu"], _POOL_STATE["config"], *span)
-
-
 def run_experiment(mu, config, workers=1):
     """All trials, ordered by trial index; identical for any worker count.
 
-    Tree mode hands the workers contiguous blocks of trials of near-equal
-    size, each within _BLOCK_BYTES; outer mode hands out runs of trials a
-    few at a time."""
+    Tree spans are blocks of near-equal size within _BLOCK_BYTES, outer
+    spans all trials for one worker, else a few trials each; one worker
+    runs them in process, more on a pool."""
     _check_tracked(mu, config)
     trials = config.trials
-    if workers <= 1:
-        records, failures = _run_trials(mu, config, 0, trials)
+    if mu.mode == "tree":
+        size = _block_size(trials, workers,
+                           _tree_rows(config, _inverse_atom_table(mu)))
     else:
-        if mu.mode == "tree":
-            size = _block_size(trials, workers,
-                               _tree_rows(config, _inverse_atom_table(mu)))
-        else:
-            size = max(1, trials // (8 * workers))
-        spans = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-        records, failures = [], []
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(mu, config)) as pool:
-            for recs, fails in pool.map(_pool_run, spans):
-                records.extend(recs)
-                failures.extend(fails)
+        size = trials if workers <= 1 else max(1, trials // (8 * workers))
+    los = range(0, trials, size)
+    his = [min(lo + size, trials) for lo in los]
+    run = partial(_run_trials, mu, config)
+    if workers <= 1:
+        runs = list(map(run, los, his))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(run, los, his))
+    records = [rec for recs, _ in runs for rec in recs]
+    failures = [fail for _, fails in runs for fail in fails]
     if failures:
         raise ExperimentError(failures)
     return records

@@ -231,14 +231,57 @@ def refuse_trials(monkeypatch):
     ("gap", {"gap": {"class": "abab"}}, "$.gap.class"),
     ("gap", {"tracked": []}, "$.tracked"),
     ("deviation", {"deviation": {"grid": [10, 15, 30]}}, "$.deviation.grid[1]"),
+    ("tree-lab", {"tree_lab": {"x_points": ["per:a", "per:aA"]}},
+     "$.tree_lab.x_points[1]"),
+    ("tree-lab", {"tree_lab": {"x_points": ["per:c"]}},
+     "$.tree_lab.x_points[0]"),
+    ("tree-lab", {"tree_lab": {"h2": {"x": "per:bB"}}}, "$.tree_lab.h2.x"),
 ])
 def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
                                                         monkeypatch, command,
                                                         over, where):
     refuse_trials(monkeypatch)
-    path = write_cfg(tmp_path, outer_cfg(**over))
+    cfg = tree_cfg(**over) if command == "tree-lab" else outer_cfg(**over)
+    path = write_cfg(tmp_path, cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,where", [
+    (tree_cfg(tracked=["per:a", "per:a"]), "$.tracked[1]"),
+    (outer_cfg(tracked=["a", "a"]), "$.tracked[1]"),
+    (outer_cfg(tracked=["a", "aA"]), "$.tracked[1]"),
+    (tree_cfg(tracked=["per:a", "pre:c per:a"]), "$.tracked[1]"),
+    (tree_cfg(tracked=["prefix:bc depth:2"]), "$.tracked[0]"),
+])
+def test_bad_tracked_entries_exit_2_before_any_trial(tmp_path, capsys,
+                                                     monkeypatch, cfg, where):
+    # a repeated label, a trivial class, a point beyond the rank
+    refuse_trials(monkeypatch)
+    path = write_cfg(tmp_path, cfg)
+    assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["1/0", "0"])
+def test_bad_exact_weight_exits_2(tmp_path, capsys, monkeypatch, weight):
+    refuse_trials(monkeypatch)
+    cfg = outer_cfg()
+    cfg["measure"][2]["weight"] = weight
+    path = write_cfg(tmp_path, cfg)
+    assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "$.measure[2].weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["1/0", "0/3"])
+def test_bad_exact_rose_length_exits_2(tmp_path, capsys, length):
+    with open(os.path.join(ROOT, "configs", "rose_asymmetry.json")) as fh:
+        cfg = json.load(fh)
+    cfg["distance"]["points"][1]["lengths"][1] = length
+    path = write_cfg(tmp_path, cfg)
+    assert run(["distance", "--config", path,
+                "--out", str(tmp_path / "o")]) == 2
+    assert "$.distance.points[1].lengths[1]" in capsys.readouterr().err
 
 
 # -- experiment failures

@@ -603,6 +603,59 @@ def test_limit_prefix_stops_at_a_shorter_later_word():
         assert_same_tree_record(rec, per_letter_trial(mu, cfg, rec.trial_index))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoint_prefixes_match_the_per_letter_reference_at_every_step(
+        workers, monkeypatch):
+    # a checkpoint after every step, toward a periodic, a pre-periodic and
+    # a truncated point: 12 of 16 trials pass, 4 run off the certified depth
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 3 * (60 * 3 + 60 * 3))
+    mu = random_tree_measure(np.random.default_rng(2), 2)
+    cfg = WalkConfig(horizon=60, trials=16, master_seed=2,
+                     checkpoints=tuple(range(1, 61)), spot_check_rate=0.2,
+                     tracked_classes=tuple(tree.parse_boundary(s) for s in (
+                         "per:a", "pre:Ba per:abAB", "prefix:ab depth:2")))
+    want, want_failures = reference_run(mu, cfg)
+    assert len(want) == 12
+    assert {type(e) for _, e in want_failures} == {tree.DepthError}
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg, workers=workers)
+    assert failure_key(err.value.failures) == failure_key(want_failures)
+    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    assert failure_key(failures) == failure_key(want_failures)
+    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
+
+
+def test_a_depth_event_between_checkpoints_fails_its_trial():
+    # the stack is ab at step 1 and abab at step 2, below and at the
+    # certified depth 4; step 3 pushes past it, between checkpoints 1 and 5
+    mu = tree_point_mass("BA")
+    cfg = WalkConfig(horizon=5, trials=1, master_seed=0, checkpoints=(1, 5),
+                     tracked_classes=(tree.parse_boundary("prefix:abab depth:4"),))
+    with pytest.raises(tree.DepthError) as want:
+        per_letter_trial(mu, cfg, 0)
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg)
+    [(trial, exc)] = err.value.failures
+    assert (trial, type(exc), str(exc)) == (0, tree.DepthError, str(want.value))
+    assert str(exc) == "letter 4 beyond certified depth 4"
+
+
+def test_busemann_values_ignore_letters_above_the_top():
+    # a one-letter step that pops leaves the popped letter above the top,
+    # where it still equals the tracked point's next letter
+    mu = MeasureSpec([fg.parse_word("a"), fg.parse_word("A")], [0.5, 0.5])
+    cfg = WalkConfig(horizon=10, trials=20, master_seed=1,
+                     checkpoints=tuple(range(1, 11)),
+                     tracked_classes=(tree.parse_boundary("per:a"),
+                                      tree.parse_boundary("per:A")))
+    got = run_experiment(mu, cfg)
+    assert any(b < a for r in got for a, b in zip(r.kappa, r.kappa[1:]))
+    for rec in got:
+        assert_same_tree_record(rec, per_letter_trial(mu, cfg, rec.trial_index))
+
+
 def test_sample_path_raises_the_trial_failure():
     cfg = WalkConfig(horizon=10, trials=1, master_seed=0, checkpoints=(10,),
                      tracked_classes=(tree.parse_boundary("prefix:AA depth:2"),))
@@ -617,6 +670,7 @@ def test_tree_spot_check_catches_a_corrupted_stack_entry():
                      tracked_classes=(tree.parse_boundary("per:a"),))
     block = walk._TreeBlock(mu, cfg, 0, 1, walk._inverse_atom_table(mu))
     block.advance(0, 30)
+    block.checkpoint(0, 30)
     block.spot_check(0, 30)
     assert block.n[0] > 3
     at = block.base[0] + 3
@@ -631,6 +685,7 @@ def test_tree_spot_check_catches_a_corrupted_common_prefix():
                      tracked_classes=(tree.parse_boundary("per:a"),))
     block = walk._TreeBlock(mu, cfg, 0, 1, walk._inverse_atom_table(mu))
     block.advance(0, 30)
+    block.checkpoint(0, 30)
     block.cp[0, 0] += 1
     with pytest.raises(AssertionError, match="common prefix"):
         block.spot_check(0, 30)
