@@ -241,11 +241,9 @@ def cmd_tree_lab(args):
                                  "trials, got %d" % (args.config, wcfg.trials))
     x_points, h2_x = cfgmod.tree_lab_points(cfg)
     records = _run_records(mu, wcfg, args.threads)
-    section = cfg.get("tree_lab", {})
     samples = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
-    n_psi = min(len(samples), section.get("psi_samples", len(samples)))
-    psi = {treemod.format_boundary(x):
-           treemod.psi_estimate(x, samples[:n_psi]) for x in x_points}
+    psi = {treemod.format_boundary(x): treemod.psi_estimate(x, samples)
+           for x in x_points}
     cent = treemod.centering_check(mu, x_points, records)
     out = {
         "lambda_hat": cent.lambda_hat,
@@ -257,7 +255,7 @@ def cmd_tree_lab(args):
                       for lab, (est, se) in cent.estimates.items()},
         "max_drift_discrepancy_se": cent.max_drift_discrepancy_se,
     }
-    h2 = section.get("h2")
+    h2 = cfg.get("tree_lab", {}).get("h2")
     if h2:
         curve = treemod.h2_tail_estimate(
             h2_x, samples, h2.get("alpha", 1.0),
@@ -285,17 +283,8 @@ def cmd_tree_lab(args):
 # verify
 
 def cmd_verify(args):
-    real = rose.candidate_set
-    if args.corrupt_candidates:
-        # test fixture: cripple the candidate set so White equality must fail
-        def corrupted(point):
-            return real(point)[:1]
-        rose.candidate_set = corrupted
-    try:
-        suites = invariants.SUITES if args.suite == "all" else [args.suite]
-        checks = [c for suite in suites for c in invariants.run(suite)]
-    finally:
-        rose.candidate_set = real
+    suites = invariants.SUITES if args.suite == "all" else [args.suite]
+    checks = [c for suite in suites for c in invariants.run(suite)]
     passed = all(c["passed"] for c in checks)
     report = {"suite": args.suite, "passed": passed, "checks": checks}
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -342,8 +331,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run exact invariant suites")
     p.add_argument("--suite", default="all",
                    choices=[*invariants.SUITES, "all"])
-    p.add_argument("--corrupt-candidates", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
     for name, fn in (("drift", cmd_drift), ("clt", cmd_clt),

@@ -105,8 +105,11 @@ def _tracked_class(text, rank):
 
 def _boundary(text, rank):
     xi = treemod.parse_boundary(text)
-    for w in (xi.preperiod, xi.period) if xi.is_periodic else (xi.prefix,):
-        fg.check_rank(w, rank)
+    # every word of the literal, also a truncated prefix past its depth
+    for part in text.split():
+        key, _, letters = part.partition(":")
+        if key != "depth":
+            fg.check_rank(fg.parse_word(letters), rank)
     return xi
 
 
@@ -122,10 +125,7 @@ def build_measure(cfg):
                for i, a in enumerate(measure)]
     atoms = [_at("$.measure[%d]" % i, _build_atom, cfg, a)
              for i, a in enumerate(measure)]
-    try:
-        return walk.MeasureSpec(atoms, weights)
-    except ValueError as exc:
-        raise ConfigError("invalid measure: %s" % exc) from exc
+    return _at("$.measure", walk.MeasureSpec, atoms, weights)
 
 
 def resolve_checkpoints(cfg):
@@ -153,12 +153,16 @@ def build_walk_config(cfg, seed_override=None):
             tracked_classes=tuple(tracked), **kwargs)
     except ValueError as exc:
         raise ConfigError("invalid walk settings: %s" % exc) from exc
-    labels = walk.tracked_labels(wcfg)
+    _no_repeats("$.tracked", walk.tracked_labels(wcfg))
+    return wcfg
+
+
+def _no_repeats(where, labels):
+    """Reject the first entry of the list at `where` that repeats a label."""
     for i, label in enumerate(labels):
         if label in labels[:i]:
-            raise ConfigError("at $.tracked[%d]: %r repeats $.tracked[%d]"
-                              % (i, label, labels.index(label)))
-    return wcfg
+            raise ConfigError("at %s[%d]: %r repeats %s[%d]"
+                              % (where, i, label, where, labels.index(label)))
 
 
 def gap_class(cfg, wcfg):
@@ -189,6 +193,8 @@ def tree_lab_points(cfg):
     rank = cfg["rank"]
     x_points = [_at("$.tree_lab.x_points[%d]" % i, _boundary, text, rank)
                 for i, text in enumerate(section.get("x_points", ["per:a"]))]
+    _no_repeats("$.tree_lab.x_points",
+                [treemod.format_boundary(x) for x in x_points])
     h2 = section.get("h2")
     return x_points, (_at("$.tree_lab.h2.x", _boundary, h2["x"], rank)
                       if h2 else None)
@@ -198,18 +204,17 @@ def build_rose_points(cfg):
     """Rose points for the distance command."""
     section = cfg.get("distance")
     if not section:
-        raise ConfigError("config has no distance section")
+        raise ConfigError("at $.distance: the distance command needs a "
+                          "distance section")
     rank = cfg["rank"]
     pts = []
     for i, entry in enumerate(section["points"]):
         where = "$.distance.points[%d]" % i
         lengths = [_at("%s.lengths[%d]" % (where, j), _positive, x)
                    for j, x in enumerate(entry["lengths"])]
-        if len(lengths) != rank:
-            raise ConfigError("distance point needs %d lengths" % rank)
         marking = _at(where + ".marking_trace", fg.from_trace, rank,
                       entry.get("marking_trace", ()))
-        pts.append(rose.rose_point(lengths, marking))
+        pts.append(_at(where + ".lengths", rose.rose_point, lengths, marking))
     return pts
 
 

@@ -290,15 +290,15 @@ class Automorphism:
     """An automorphism of F_N assembled from elementary moves.
 
     Instances always carry both directions (forward and inverse images of
-    the basis) plus the trace of elementary moves that built them, so
-    inversion is free and never requires a decision procedure.
+    the basis), so inversion is free and never requires a decision
+    procedure.
     """
 
-    __slots__ = ("rank", "forward", "inverse", "trace",
+    __slots__ = ("rank", "forward", "inverse",
                  "_lists", "_inv_lists", "_arrays", "_inv_arrays",
                  "_inverted")
 
-    def __init__(self, rank, forward, inverse, trace=()):
+    def __init__(self, rank, forward, inverse):
         if not 2 <= rank <= MAX_RANK:
             raise RankError("rank must lie in [2, %d]" % MAX_RANK)
         if len(forward) != rank or len(inverse) != rank:
@@ -307,21 +307,20 @@ class Automorphism:
         inverse = tuple(as_word(w) for w in inverse)
         for w in forward + inverse:
             check_rank(w, rank)
-        self._setup(rank, forward, inverse, tuple(trace))
+        self._setup(rank, forward, inverse)
 
     @classmethod
-    def _trusted(cls, rank, forward, inverse, trace):
+    def _trusted(cls, rank, forward, inverse):
         """Build from images this module produced itself: read-only reduced
         letter arrays within the rank, so only the round trip is checked."""
         self = object.__new__(cls)
-        self._setup(rank, tuple(forward), tuple(inverse), trace)
+        self._setup(rank, tuple(forward), tuple(inverse))
         return self
 
-    def _setup(self, rank, forward, inverse, trace):
+    def _setup(self, rank, forward, inverse):
         self.rank = rank
         self.forward = forward
         self.inverse = inverse
-        self.trace = trace
         # image tables are built on first use: the Python lists serve words
         # of up to _SMALL letters, the numpy gather arrays longer ones
         self._lists = None
@@ -357,30 +356,12 @@ class Automorphism:
     @classmethod
     def identity(cls, rank):
         basis = [np.array([i], dtype=LETTER_DTYPE) for i in range(1, rank + 1)]
-        return cls(rank, basis, list(basis), trace=())
-
-    def is_identity(self):
-        return all(len(w) == 1 and int(w[0]) == i + 1
-                   for i, w in enumerate(self.forward))
+        return cls(rank, basis, list(basis))
 
     def __repr__(self):
         imgs = "; ".join("%s>%s" % (format_word([i + 1]), format_word(w))
                          for i, w in enumerate(self.forward))
         return "<Automorphism %s>" % imgs
-
-    def literal(self):
-        """Display form "a>ab; b>b"."""
-        return "; ".join("%s>%s" % (format_word([i + 1]), format_word(w) or "")
-                         for i, w in enumerate(self.forward))
-
-    def __eq__(self, other):
-        return (isinstance(other, Automorphism)
-                and self.rank == other.rank
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.forward, other.forward)))
-
-    def __hash__(self):
-        return hash((self.rank,) + tuple(word_key(w) for w in self.forward))
 
     # -- application
 
@@ -449,15 +430,10 @@ class Automorphism:
     def apply_inverse(self, w):
         return self._apply_dir(w, -1)
 
-    def __call__(self, w):
-        return self.apply(w)
-
     def inverted(self):
-        """The inverse automorphism; trace stays a valid elementary trace."""
+        """The inverse automorphism."""
         if self._inverted is None:
-            inv = Automorphism._trusted(
-                self.rank, self.inverse, self.forward,
-                tuple(invert_move(t) for t in reversed(self.trace)))
+            inv = Automorphism._trusted(self.rank, self.inverse, self.forward)
             inv._inverted = self
             self._inverted = inv
         return self._inverted
@@ -508,17 +484,7 @@ def elementary(move, rank):
         _check(i, j)
         fwd[i - 1], fwd[j - 1] = basis[j - 1], basis[i - 1]
         inv[i - 1], inv[j - 1] = basis[j - 1], basis[i - 1]
-    return Automorphism(rank, fwd, inv, trace=(move,))
-
-
-def invert_move(move):
-    m = _TRACE_RE.match(move)
-    if not m:
-        raise ValueError("bad elementary move id %r" % move)
-    if m.group(1):
-        flip = {"+": "-", "-": "+"}[m.group(4)]
-        return "%s:%s:%s:%s" % (m.group(1), m.group(2), m.group(3), flip)
-    return move  # inversions and transpositions are involutions
+    return Automorphism(rank, fwd, inv)
 
 
 def compose(phi, psi):
@@ -527,7 +493,7 @@ def compose(phi, psi):
         raise RankError("cannot compose automorphisms of different rank")
     fwd = [phi.apply(w) for w in psi.forward]
     inv = [psi.apply_inverse(w) for w in phi.inverse]
-    return Automorphism._trusted(phi.rank, fwd, inv, psi.trace + phi.trace)
+    return Automorphism._trusted(phi.rank, fwd, inv)
 
 
 def from_trace(rank, moves):

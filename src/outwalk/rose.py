@@ -71,11 +71,10 @@ def rose_point(lengths, marking=None):
     return RosePoint(tuple(fracs), marking)
 
 
-def unit_rose(rank, marking=None):
-    """The basepoint o: all edges 1/N, identity marking unless given."""
-    if marking is None:
-        marking = Automorphism.identity(rank)
-    return RosePoint(tuple(Fraction(1, rank) for _ in range(rank)), marking)
+def unit_rose(rank):
+    """The basepoint o: all edges 1/N, identity marking."""
+    return RosePoint(tuple(Fraction(1, rank) for _ in range(rank)),
+                     Automorphism.identity(rank))
 
 
 @lru_cache(maxsize=None)

@@ -456,14 +456,14 @@ class CenteringReport:
     max_drift_discrepancy_se: float  # max |estimate - lambda_hat| / combined SE
 
 
-def centering_check(mu, x_points, records, lambda_hat=None, lambda_se=None):
+def centering_check(mu, x_points, records):
     """Estimate E_mu[β₀(·, x)] = E_mu[β(·,x) + ψ(g.x) - ψ(x)] at each x.
 
     Boundary samples for ψ are the limit points of the supplied tree-mode
-    walk records, which also provide the drift estimate unless one is
-    passed in.  For a centerable cocycle every estimate matches the drift.
-    The samples are stacked into one _HeadScreen, which serves all the
-    products (x|y) and (a.x|y) with the scalar gromov_product as fallback.
+    walk records, which also provide the drift estimate.  For a centerable
+    cocycle every estimate matches the drift.  The samples are stacked into
+    one _HeadScreen, which serves all the products (x|y) and (a.x|y) with
+    the scalar gromov_product as fallback.
     """
     if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
         raise ValueError("centering_check needs a tree-mode (word) measure")
@@ -475,10 +475,9 @@ def centering_check(mu, x_points, records, lambda_hat=None, lambda_se=None):
                          "(walks too short?)" % len(ys))
     screen = _HeadScreen(ys)
     horizon = int(records[0].checkpoints[-1])
-    if lambda_hat is None:
-        ends = np.array([float(r.kappa[-1]) for r in records])
-        lambda_hat = float(ends.mean()) / horizon
-        lambda_se = float(ends.std(ddof=1)) / math.sqrt(len(ends)) / horizon
+    ends = np.array([float(r.kappa[-1]) for r in records])
+    lambda_hat = float(ends.mean()) / horizon
+    lambda_se = float(ends.std(ddof=1)) / math.sqrt(len(ends)) / horizon
 
     labels = []
     results = {}

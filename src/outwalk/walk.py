@@ -105,13 +105,6 @@ class MeasureSpec:
         cum[-1] = 1.0  # guards searchsorted against float summation slack
         self._cumulative = cum
 
-    @property
-    def rank(self):
-        if self.mode == "outer":
-            return self.atoms[0].rank
-        return max((int(np.max(np.abs(a))) for a in self.atoms if len(a)),
-                   default=1)
-
     def draw_indices(self, master_seed, trial, n):
         """Atom indices for steps 1..n of the given trial; pure function."""
         key = (int(master_seed) << 64) + int(trial)
@@ -173,7 +166,7 @@ def _spot_selected(master_seed, trial, ckpt, rate):
 # outer mode
 
 def _outer_setup(mu, config):
-    rank = mu.rank
+    rank = mu.atoms[0].rank
     storage = []        # start words, cyclically reduced
     keys = {}
     labels = {}         # label -> storage slot
@@ -331,7 +324,7 @@ class _GL2ZEngine:
 
 
 def _select_engine(mu, storage):
-    if mu.rank == 2 and all(fg.is_primitive_f2(w) for w in storage):
+    if mu.atoms[0].rank == 2 and all(fg.is_primitive_f2(w) for w in storage):
         return _GL2ZEngine
     return _WordEngine
 

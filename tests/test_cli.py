@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from outwalk import cli
+from outwalk import cli, rose
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -94,9 +94,17 @@ def test_verify_algebra_suite_passes(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_verify_fault_injection_breaks_white_equality(capsys):
-    assert run(["verify", "--suite", "outer-space",
-                "--corrupt-candidates"]) == 1
+# cripple the candidate set so that White equality must fail
+CORRUPT_CANDIDATES = """
+real = rose.candidate_set
+rose.candidate_set = lambda point: real(point)[:1]
+"""
+
+
+def test_verify_fault_injection_breaks_white_equality(capsys, monkeypatch):
+    real = rose.candidate_set
+    monkeypatch.setattr(rose, "candidate_set", lambda point: real(point)[:1])
+    assert run(["verify", "--suite", "outer-space"]) == 1
     report = json.loads(capsys.readouterr().out)
     failed = [c for c in report["checks"] if not c["passed"]]
     assert any("white" in c["name"] for c in failed)
@@ -106,16 +114,14 @@ def test_verify_fault_injection_breaks_white_equality(capsys):
     white = report["checks"][4]
     assert not white["passed"]
     assert white["detail"].startswith("AssertionError: White equality failed")
-    # the corruption must not leak into later runs
-    assert run(["verify", "--suite", "outer-space"]) == 0
 
 
 def test_verify_checks_still_fail_under_python_O():
     # -O strips assert statements; the catalogue raises its errors itself
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "outwalk.cli", "verify", "--suite",
-         "outer-space", "--corrupt-candidates"],
-        capture_output=True, text=True)
+    child = ("import sys\nfrom outwalk import cli, rose\n" + CORRUPT_CANDIDATES
+             + "sys.exit(cli.main(['verify', '--suite', 'outer-space']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child],
+                          capture_output=True, text=True)
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [
@@ -236,6 +242,11 @@ def refuse_trials(monkeypatch):
     ("tree-lab", {"tree_lab": {"x_points": ["per:c"]}},
      "$.tree_lab.x_points[0]"),
     ("tree-lab", {"tree_lab": {"h2": {"x": "per:bB"}}}, "$.tree_lab.h2.x"),
+    ("tree-lab", {"tree_lab": {"x_points": ["prefix:abcd depth:1"]}},
+     "$.tree_lab.x_points[0]"),
+    ("tree-lab", {"tree_lab": {"x_points": ["per:a", "per:b", "per:a"]}},
+     "$.tree_lab.x_points[2]"),
+    ("tree-lab", {"tree_lab": {"psi_samples": 10}}, "$.tree_lab"),
 ])
 def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
                                                         monkeypatch, command,
@@ -244,7 +255,7 @@ def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
     cfg = tree_cfg(**over) if command == "tree-lab" else outer_cfg(**over)
     path = write_cfg(tmp_path, cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert where in capsys.readouterr().err
+    assert "at %s:" % where in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg,where", [
@@ -253,10 +264,12 @@ def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
     (outer_cfg(tracked=["a", "aA"]), "$.tracked[1]"),
     (tree_cfg(tracked=["per:a", "pre:c per:a"]), "$.tracked[1]"),
     (tree_cfg(tracked=["prefix:bc depth:2"]), "$.tracked[0]"),
+    (tree_cfg(tracked=["prefix:abc depth:2"]), "$.tracked[0]"),
 ])
 def test_bad_tracked_entries_exit_2_before_any_trial(tmp_path, capsys,
                                                      monkeypatch, cfg, where):
-    # a repeated label, a trivial class, a point beyond the rank
+    # a repeated label, a trivial class, a point beyond the rank (also past
+    # a truncated point's depth)
     refuse_trials(monkeypatch)
     path = write_cfg(tmp_path, cfg)
     assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -271,6 +284,35 @@ def test_bad_exact_weight_exits_2(tmp_path, capsys, monkeypatch, weight):
     path = write_cfg(tmp_path, cfg)
     assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "$.measure[2].weight" in capsys.readouterr().err
+
+
+def test_weights_off_one_exit_2_before_any_trial(tmp_path, capsys,
+                                                 monkeypatch):
+    refuse_trials(monkeypatch)
+    cfg = tree_cfg(measure=[{"word": "a", "weight": 0.5},
+                            {"word": "b", "weight": 0.4}])
+    path = write_cfg(tmp_path, cfg)
+    assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "at $.measure: weights must sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points,where", [
+    ([{"lengths": ["1/2", "1/2"]}, {"lengths": ["1/3", "1/2"]}],
+     "$.distance.points[1].lengths"),
+    ([{"lengths": ["1/2", "1/2"]}, {"lengths": ["1/3", "1/3", "1/3"]}],
+     "$.distance.points[1].lengths"),
+    (None, "$.distance"),
+])
+def test_bad_distance_sections_exit_2(tmp_path, capsys, points, where):
+    # lengths off 1, a length count off the rank, no section at all
+    cfg = outer_cfg()
+    if points is not None:
+        cfg["distance"] = {"points": points}
+    out = tmp_path / "o"
+    assert run(["distance", "--config", write_cfg(tmp_path, cfg),
+                "--out", str(out)]) == 2
+    assert "at %s:" % where in capsys.readouterr().err
+    assert not (out / "distance_summary.json").exists()
 
 
 @pytest.mark.parametrize("length", ["1/0", "0/3"])
@@ -439,11 +481,3 @@ def test_console_script_is_installed():
     for name in ("verify", "drift", "clt", "deviation", "gap",
                  "distance", "tree-lab"):
         assert name in proc.stdout
-
-
-def test_corrupt_candidates_flag_is_hidden():
-    proc = subprocess.run(
-        [sys.executable, "-m", "outwalk.cli", "verify", "--help"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "corrupt-candidates" not in proc.stdout

@@ -132,7 +132,7 @@ def test_build_measure_modes():
     assert mu.mode == "tree" and len(mu.atoms) == 4
     nu = cfgmod.build_measure(GOOD_OUTER)
     assert nu.mode == "outer"
-    assert nu.atoms[0].literal() == "a>ab; b>b"
+    assert [fg.format_word(w) for w in nu.atoms[0].forward] == ["ab", "b"]
 
 
 def test_build_measure_reports_rank_errors_as_config_errors():
@@ -192,7 +192,7 @@ def test_build_rose_points_marking_trace(tmp_path):
     pts = cfgmod.build_rose_points(loaded)
     assert len(pts) == 2
     assert pts[0].lengths == (Fraction(1, 2), Fraction(1, 2))
-    assert pts[1].marking.literal() == "a>ab; b>b"
+    assert [fg.format_word(w) for w in pts[1].marking.forward] == ["ab", "b"]
 
 
 def test_tolerances_merge_keeps_defaults(tmp_path):

@@ -42,10 +42,9 @@ def test_measure_rejects_nonpositive_weights_and_mixed_atoms():
 def test_measure_mode_inference_and_rank():
     mu = MeasureSpec([fg.parse_word("ab"), fg.parse_word("c")], [0.5, 0.5])
     assert mu.mode == "tree"
-    assert mu.rank == 3
     nu = MeasureSpec([fg.from_trace(2, ["R:1:2:+"])], [1.0])
     assert nu.mode == "outer"
-    assert nu.rank == 2
+    assert nu.atoms[0].rank == 2
 
 
 def test_draw_indices_deterministic_and_in_range():
@@ -281,11 +280,10 @@ def same_record(a, b):
 
 
 def random_rank2_measure(rng, atoms=4):
-    traces = [fg.random_automorphism(rng, 2, int(rng.integers(1, 3))).trace
-              for _ in range(atoms)]
+    autos = [fg.random_automorphism(rng, 2, int(rng.integers(1, 3)))
+             for _ in range(atoms)]
     raw = rng.integers(1, 5, size=atoms)
-    return MeasureSpec([fg.from_trace(2, t) for t in traces],
-                       [float(v) / float(raw.sum()) for v in raw])
+    return MeasureSpec(autos, [float(v) / float(raw.sum()) for v in raw])
 
 
 def word_engine_path(mu, cfg, trial):
