@@ -1,11 +1,12 @@
 """Command line entry point.
 
-Subcommands: verify (invariant suites), drift, clt, deviation, gap,
-distance, tree-lab.  Experiment commands read one JSON config, write CSV
-and JSON artifacts plus a manifest into the output directory, and are
-byte-reproducible for a fixed (config, seed, code version) whatever the
-thread count.  Exit codes: 0 success, 1 computational failure, 2 usage or
-config error.
+Subcommands: verify (invariant suites), distance, and the walk commands
+drift, clt, deviation, gap and tree-lab.  A walk command is a settings
+check from config, run before any trial, and an analysis of the records;
+one runner writes each one's CSV and JSON artifacts plus a manifest into
+the output directory, byte-reproducible for a fixed (config, seed, code
+version) whatever the thread count.  Exit codes: 0 success, 1
+computational failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from . import config as cfgmod
-from . import freegroup as fg
 from . import invariants
 from . import rose
 from . import stats
@@ -65,35 +65,15 @@ def _write_manifest(out_dir, command, cfg, seed, outputs):
     })
 
 
-def _prepare(args, expect_mode=None):
-    cfg = cfgmod.load_config(args.config)
-    if expect_mode and cfg["mode"] != expect_mode:
-        raise cfgmod.ConfigError("%s: command needs mode %r, config has %r"
-                                 % (args.config, expect_mode, cfg["mode"]))
-    mu = cfgmod.build_measure(cfg)
-    wcfg = cfgmod.build_walk_config(cfg, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    return cfg, mu, wcfg
-
-
-def _run_records(mu, wcfg, threads):
-    records = walk.run_experiment(mu, wcfg, workers=threads)
-    stats.verify_sigma_domination(records)
-    return records
-
-
 # ---------------------------------------------------------------------------
-# experiment commands
+# walk commands: each analysis takes what its settings returned as `setting`
+# and gives the CSV as (header, rows) or None, the summary and stdout lines
 
-def cmd_drift(args):
-    cfg, mu, wcfg = _prepare(args)
-    records = _run_records(mu, wcfg, args.threads)
+def _drift(cfg, mu, records, setting):
     de = stats.drift_estimate(records)
     rows = [("kappa", de.lambda_hat, de.std_error)]
     rows += [(lab, est, se) for lab, (est, se) in de.per_class.items()]
-    _write_csv(os.path.join(args.out, "drift.csv"),
-               ("class", "lambda_hat", "stderr"), rows)
-    _write_json(os.path.join(args.out, "drift_summary.json"), {
+    summary = {
         "observable": "kappa",
         "lambda_hat": de.lambda_hat,
         "std_error": de.std_error,
@@ -104,94 +84,61 @@ def cmd_drift(args):
         "flagged_over_3_se": de.flagged,
         "max_class_spread": de.max_class_spread,
         "tolerances": cfgmod.tolerances(cfg),
-    })
-    _write_manifest(args.out, "drift", cfg, wcfg.master_seed,
-                    ["drift.csv", "drift_summary.json"])
-    print("drift: lambda_hat=%.6f +- %.6f over %d trials (horizon %d)"
-          % (de.lambda_hat, de.std_error, de.trials, de.horizon))
-    return 0
+    }
+    return (("class", "lambda_hat", "stderr"), rows), summary, [
+        "drift: lambda_hat=%.6f +- %.6f over %d trials (horizon %d)"
+        % (de.lambda_hat, de.std_error, de.trials, de.horizon)]
 
 
 def _clt_json(rep):
-    return {
-        "observable": rep.observable,
-        "horizon": rep.horizon,
-        "variance_hat": rep.variance_hat,
-        "ks_statistic": rep.ks_statistic,
-        "ks_p_value": rep.ks_p_value,
-        "degenerate": rep.degenerate,
-    }
+    return {key: getattr(rep, key) for key in (
+        "observable", "horizon", "variance_hat", "ks_statistic", "ks_p_value",
+        "degenerate")}
 
 
-def cmd_clt(args):
-    cfg, mu, wcfg = _prepare(args)
-    records = _run_records(mu, wcfg, args.threads)
+def _clt(cfg, mu, records, setting):
     de = stats.drift_estimate(records)
-    main = stats.clt_report(records, de.lambda_hat,
-                            min_trials=min(stats.MIN_CLT_TRIALS, wcfg.trials))
-    per_class = {}
-    for lab in stats.class_labels(records):
-        per_class[lab] = _clt_json(stats.clt_report(
-            records, de.lambda_hat,
-            observable=stats.class_observable(records, lab),
-            min_trials=min(stats.MIN_CLT_TRIALS, wcfg.trials)))
-    _write_csv(os.path.join(args.out, "clt.csv"),
-               ("trial", "standardized_value"),
-               [(i, v) for i, v in enumerate(main.standardized_samples)])
-    _write_json(os.path.join(args.out, "clt_summary.json"), {
+    main = stats.clt_report(records, de.lambda_hat)
+    per_class = {lab: _clt_json(stats.clt_report(
+        records, de.lambda_hat, stats.class_observable(records, lab)))
+        for lab in stats.class_labels(records)}
+    summary = {
         "lambda_hat": de.lambda_hat,
         "main": _clt_json(main),
         "per_class": per_class,
         "tolerances": cfgmod.tolerances(cfg),
-    })
-    _write_manifest(args.out, "clt", cfg, wcfg.master_seed,
-                    ["clt.csv", "clt_summary.json"])
+    }
     if main.degenerate:
-        print("clt: degenerate distribution (constant standardized values)")
+        line = "clt: degenerate distribution (constant standardized values)"
     else:
-        print("clt: variance_hat=%.4f ks_stat=%.4f ks_p=%.4f"
-              % (main.variance_hat, main.ks_statistic, main.ks_p_value))
-    return 0
+        line = ("clt: variance_hat=%.4f ks_stat=%.4f ks_p=%.4f"
+                % (main.variance_hat, main.ks_statistic, main.ks_p_value))
+    return (("trial", "standardized_value"),
+            enumerate(main.standardized_samples)), summary, [line]
 
 
-def cmd_deviation(args):
-    cfg, mu, wcfg = _prepare(args)
-    grid = cfgmod.deviation_grid(cfg, wcfg)
-    records = _run_records(mu, wcfg, args.threads)
+def _deviation(cfg, mu, records, grid):
     de = stats.drift_estimate(records)
-    section = cfg.get("deviation", {})
-    if "epsilon" in section:
-        epsilon = float(section["epsilon"])
-    else:
-        epsilon = float(section.get("epsilon_factor", 0.2)) * de.lambda_hat
+    epsilon = (float(cfg.get("deviation", {}).get("epsilon_factor", 0.2))
+               * de.lambda_hat)
     curve = stats.deviation_curve(records, de.lambda_hat, epsilon, grid)
-    _write_csv(os.path.join(args.out, "deviation.csv"),
-               ("n", "epsilon", "probability"),
-               [(n, epsilon, p) for n, p in curve.points])
-    _write_json(os.path.join(args.out, "deviation_summary.json"), {
+    summary = {
         "lambda_hat": de.lambda_hat,
         "epsilon": curve.epsilon,
         "points": [{"n": n, "probability": p} for n, p in curve.points],
         "decay_rate_fit": curve.decay_rate_fit,
         "summable": curve.summable,
         "tolerances": cfgmod.tolerances(cfg),
-    })
-    _write_manifest(args.out, "deviation", cfg, wcfg.master_seed,
-                    ["deviation.csv", "deviation_summary.json"])
-    print("deviation: epsilon=%.5f final probability=%.4f rate=%.4f"
-          % (epsilon, curve.points[-1][1], curve.decay_rate_fit))
-    return 0
+    }
+    return (("n", "epsilon", "probability"),
+            [(n, epsilon, p) for n, p in curve.points]), summary, [
+        "deviation: epsilon=%.5f final probability=%.4f rate=%.4f"
+        % (epsilon, curve.points[-1][1], curve.decay_rate_fit)]
 
 
-def cmd_gap(args):
-    cfg, mu, wcfg = _prepare(args)
-    label = cfgmod.gap_class(cfg, wcfg)
-    records = _run_records(mu, wcfg, args.threads)
+def _gap(cfg, mu, records, label):
     gr = stats.kappa_sigma_gap(records, label)
-    _write_csv(os.path.join(args.out, "gap.csv"),
-               ("trial", "sup_gap"),
-               [(r.trial_index, g) for r, g in zip(records, gr.sup_gaps)])
-    _write_json(os.path.join(args.out, "gap_summary.json"), {
+    summary = {
         "class": label,
         "horizon": gr.horizon,
         "half_horizon": gr.half_horizon,
@@ -201,14 +148,81 @@ def cmd_gap(args):
         "median_ratio": (gr.median_ratio if math.isfinite(gr.median_ratio)
                          else None),
         "tolerances": cfgmod.tolerances(cfg),
-    })
-    _write_manifest(args.out, "gap", cfg, wcfg.master_seed,
-                    ["gap.csv", "gap_summary.json"])
-    print("gap(%s): median sup-gap %.4f at H=%d vs %.4f at H=%d"
-          % (label, gr.quantiles[0.5][0], gr.horizon,
-             gr.quantiles[0.5][1], gr.half_horizon))
+    }
+    return (("trial", "sup_gap"),
+            [(r.trial_index, g) for r, g in zip(records, gr.sup_gaps)]), \
+        summary, ["gap(%s): median sup-gap %.4f at H=%d vs %.4f at H=%d"
+                  % (label, gr.quantiles[0.5][0], gr.horizon,
+                     gr.quantiles[0.5][1], gr.half_horizon)]
+
+
+def _tree_lab(cfg, mu, records, points):
+    x_points, h2 = points
+    samples = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
+    psi = {treemod.format_boundary(x): treemod.psi_estimate(x, samples)
+           for x in x_points}
+    cent = treemod.centering_check(mu, x_points, records)
+    summary = {
+        "lambda_hat": cent.lambda_hat,
+        "lambda_se": cent.lambda_se,
+        "n_boundary_samples": len(samples),
+        "psi": {lab: {"value": e.value, "std_error": e.std_error}
+                for lab, e in psi.items()},
+        "centering": {lab: {"estimate": est, "std_error": se}
+                      for lab, (est, se) in cent.estimates.items()},
+        "max_drift_discrepancy_se": cent.max_drift_discrepancy_se,
+    }
+    lines = ["tree-lab: lambda_hat=%.4f, max centering discrepancy %.2f "
+             "combined SEs over %d boundary points"
+             % (cent.lambda_hat, cent.max_drift_discrepancy_se, len(x_points))]
+    if h2:
+        curve = treemod.h2_tail_estimate(h2["point"], samples, h2["alpha"],
+                                         h2["grid"])
+        summary["h2"] = {
+            "x": h2["x"],
+            "alpha": curve.alpha,
+            "points": [{"n": n, "probability": p} for n, p in curve.points],
+            "decay_rate": curve.decay_rate,
+            "summable": curve.summable,
+        }
+        lines.append("tree-lab: H2 tail rate %.4f (summable: %s)"
+                     % (curve.decay_rate, curve.summable))
+    return None, summary, lines
+
+
+_WALK_COMMANDS = {
+    "drift": (cfgmod.drift_trials, _drift),
+    "clt": (cfgmod.drift_trials, _clt),
+    "deviation": (cfgmod.deviation_grid, _deviation),
+    "gap": (cfgmod.gap_class, _gap),
+    "tree-lab": (cfgmod.tree_lab_points, _tree_lab),
+}
+
+
+def cmd_walk(args):
+    settings, analyse = _WALK_COMMANDS[args.command]
+    cfg = cfgmod.load_config(args.config)
+    mu = cfgmod.build_measure(cfg)
+    wcfg = cfgmod.build_walk_config(cfg, args.seed)
+    setting = settings(cfg, wcfg)
+    os.makedirs(args.out, exist_ok=True)
+    # looked up at call time, so that a patched run_experiment is the one run
+    records = walk.run_experiment(mu, wcfg, workers=args.threads)
+    stats.verify_sigma_domination(records)
+    csv, summary, lines = analyse(cfg, mu, records, setting)
+    stem = args.command.replace("-", "_")
+    outputs = [stem + "_summary.json"]
+    if csv:
+        outputs.insert(0, stem + ".csv")
+        _write_csv(os.path.join(args.out, outputs[0]), *csv)
+    _write_json(os.path.join(args.out, outputs[-1]), summary)
+    _write_manifest(args.out, args.command, cfg, wcfg.master_seed, outputs)
+    print("\n".join(lines))
     return 0
 
+
+# ---------------------------------------------------------------------------
+# distance and verify
 
 def cmd_distance(args):
     cfg = cfgmod.load_config(args.config)
@@ -232,55 +246,6 @@ def cmd_distance(args):
                         for j, c in enumerate(row) if i != j))
     return 0
 
-
-def cmd_tree_lab(args):
-    cfg, mu, wcfg = _prepare(args, expect_mode="tree")
-    if wcfg.trials < 2:
-        # one trial has no standard error: the summary would carry NaN
-        raise cfgmod.ConfigError("%s: at $.trials: tree-lab needs at least 2 "
-                                 "trials, got %d" % (args.config, wcfg.trials))
-    x_points, h2_x = cfgmod.tree_lab_points(cfg)
-    records = _run_records(mu, wcfg, args.threads)
-    samples = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
-    psi = {treemod.format_boundary(x): treemod.psi_estimate(x, samples)
-           for x in x_points}
-    cent = treemod.centering_check(mu, x_points, records)
-    out = {
-        "lambda_hat": cent.lambda_hat,
-        "lambda_se": cent.lambda_se,
-        "n_boundary_samples": len(samples),
-        "psi": {lab: {"value": e.value, "std_error": e.std_error}
-                for lab, e in psi.items()},
-        "centering": {lab: {"estimate": est, "std_error": se}
-                      for lab, (est, se) in cent.estimates.items()},
-        "max_drift_discrepancy_se": cent.max_drift_discrepancy_se,
-    }
-    h2 = cfg.get("tree_lab", {}).get("h2")
-    if h2:
-        curve = treemod.h2_tail_estimate(
-            h2_x, samples, h2.get("alpha", 1.0),
-            h2.get("grid", [1, 2, 3, 4, 5, 6]))
-        out["h2"] = {
-            "x": h2["x"],
-            "alpha": curve.alpha,
-            "points": [{"n": n, "probability": p} for n, p in curve.points],
-            "decay_rate": curve.decay_rate,
-            "summable": curve.summable,
-        }
-    _write_json(os.path.join(args.out, "tree_lab_summary.json"), out)
-    _write_manifest(args.out, "tree-lab", cfg, wcfg.master_seed,
-                    ["tree_lab_summary.json"])
-    print("tree-lab: lambda_hat=%.4f, max centering discrepancy %.2f "
-          "combined SEs over %d boundary points"
-          % (cent.lambda_hat, cent.max_drift_discrepancy_se, len(x_points)))
-    if h2:
-        print("tree-lab: H2 tail rate %.4f (summable: %s)"
-              % (out["h2"]["decay_rate"], out["h2"]["summable"]))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
 
 def cmd_verify(args):
     suites = invariants.SUITES if args.suite == "all" else [args.suite]
@@ -312,15 +277,6 @@ _seed = _int_flag(0, 2 ** 64, "must lie in [0, 2^64)")
 _threads = _int_flag(1, math.inf, "must be at least 1")
 
 
-def _add_run_flags(p):
-    p.add_argument("--config", required=True, help="experiment config (JSON)")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="override the config seed, in [0, 2^64)")
-    p.add_argument("--threads", type=_threads, default=1,
-                   help="worker processes for trials")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="outwalk",
@@ -333,12 +289,16 @@ def build_parser():
                    choices=[*invariants.SUITES, "all"])
     p.set_defaults(fn=cmd_verify)
 
-    for name, fn in (("drift", cmd_drift), ("clt", cmd_clt),
-                     ("deviation", cmd_deviation), ("gap", cmd_gap),
-                     ("tree-lab", cmd_tree_lab)):
+    for name in _WALK_COMMANDS:
         p = sub.add_parser(name)
-        _add_run_flags(p)
-        p.set_defaults(fn=fn)
+        p.add_argument("--config", required=True,
+                       help="experiment config (JSON)")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="override the config seed, in [0, 2^64)")
+        p.add_argument("--threads", type=_threads, default=1,
+                       help="worker processes for trials")
+        p.set_defaults(fn=cmd_walk)
 
     p = sub.add_parser("distance", help="pairwise rose distances")
     p.add_argument("--config", required=True)
@@ -358,8 +318,7 @@ def main(argv=None):
     except walk.ExperimentError as exc:
         print("experiment failed: %s" % exc, file=sys.stderr)
         return 1
-    except (AssertionError, ValueError, rose.ResourceLimitError,
-            treemod.DepthError, fg.RankError) as exc:
+    except (AssertionError, ValueError, rose.ResourceLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:

@@ -16,6 +16,7 @@ import jsonschema
 
 from . import freegroup as fg
 from . import rose
+from . import stats
 from . import tree as treemod
 from . import walk
 
@@ -91,9 +92,11 @@ def parse_weight(w):
 
 
 def _word(text, rank):
-    w = fg.parse_word(text)
-    fg.check_rank(w, rank)
-    return w
+    """The reduced word of a literal, every letter of which lies within the
+    rank, also one that cancels."""
+    # lower-case letters never cancel, so this checks each letter as written
+    fg.check_rank(fg.parse_word(text.lower()), rank)
+    return fg.parse_word(text)
 
 
 def _tracked_class(text, rank):
@@ -109,7 +112,7 @@ def _boundary(text, rank):
     for part in text.split():
         key, _, letters = part.partition(":")
         if key != "depth":
-            fg.check_rank(fg.parse_word(letters), rank)
+            _word(letters, rank)
     return xi
 
 
@@ -165,6 +168,20 @@ def _no_repeats(where, labels):
                               % (where, i, label, where, labels.index(label)))
 
 
+# The settings of the walk commands: each checks what its command needs of
+# the config before any trial runs, and returns what its analysis reads.
+
+def _enough_trials(wcfg, what, need):
+    if wcfg.trials < need:
+        raise ConfigError("at $.trials: %s needs at least %d trials, got %d"
+                          % (what, need, wcfg.trials))
+
+
+def drift_trials(cfg, wcfg):
+    """The drift and clt commands' only need: enough trials for a drift."""
+    _enough_trials(wcfg, "the drift estimate", stats.MIN_DRIFT_TRIALS)
+
+
 def gap_class(cfg, wcfg):
     """The gap command's class: $.gap.class, or the first tracked class."""
     labels = walk.tracked_labels(wcfg)
@@ -179,6 +196,7 @@ def gap_class(cfg, wcfg):
 
 def deviation_grid(cfg, wcfg):
     """The deviation command's grid: $.deviation.grid, or every checkpoint."""
+    drift_trials(cfg, wcfg)
     grid = cfg.get("deviation", {}).get("grid", list(wcfg.checkpoints))
     for i, n in enumerate(grid):
         if n not in wcfg.checkpoints:
@@ -187,8 +205,14 @@ def deviation_grid(cfg, wcfg):
     return grid
 
 
-def tree_lab_points(cfg):
-    """The tree-lab points $.tree_lab.x_points, and $.tree_lab.h2.x or None."""
+def tree_lab_points(cfg, wcfg):
+    """The tree-lab points $.tree_lab.x_points, and $.tree_lab.h2 with its
+    point and its defaults filled in, or None."""
+    if cfg["mode"] != "tree":
+        raise ConfigError("at $.mode: tree-lab needs mode 'tree', config has "
+                          "%r" % cfg["mode"])
+    # one trial has no standard error: the summary would carry NaN
+    _enough_trials(wcfg, "tree-lab", 2)
     section = cfg.get("tree_lab", {})
     rank = cfg["rank"]
     x_points = [_at("$.tree_lab.x_points[%d]" % i, _boundary, text, rank)
@@ -196,8 +220,10 @@ def tree_lab_points(cfg):
     _no_repeats("$.tree_lab.x_points",
                 [treemod.format_boundary(x) for x in x_points])
     h2 = section.get("h2")
-    return x_points, (_at("$.tree_lab.h2.x", _boundary, h2["x"], rank)
-                      if h2 else None)
+    if h2:
+        h2 = {"alpha": 1.0, "grid": [1, 2, 3, 4, 5, 6], **h2,
+              "point": _at("$.tree_lab.h2.x", _boundary, h2["x"], rank)}
+    return x_points, h2
 
 
 def build_rose_points(cfg):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_DRIFT_TRIALS = 30
-MIN_CLT_TRIALS = 500
 KS_SERIES_TERMS = 100
 
 
@@ -189,12 +188,12 @@ class CltReport:
     degenerate: bool
 
 
-def clt_report(records, lambda_hat, observable="kappa", min_trials=MIN_CLT_TRIALS):
+def clt_report(records, lambda_hat, observable="kappa"):
     """Standardize end-of-horizon values as (v - n*lambda)/sqrt(n), estimate
     the CLT variance by their sample variance, and KS-test normality."""
-    if len(records) < min_trials:
+    if len(records) < MIN_DRIFT_TRIALS:
         raise ValueError("CLT report needs >= %d trials, got %d"
-                         % (min_trials, len(records)))
+                         % (MIN_DRIFT_TRIALS, len(records)))
     cps, mat = observable_matrix(records, observable)
     n = int(cps[-1])
     std = (mat[:, -1] - n * lambda_hat) / math.sqrt(n)

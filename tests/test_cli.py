@@ -166,10 +166,28 @@ def test_tree_lab_needs_two_trials(tmp_path, capsys):
     assert not (out / "tree_lab_summary.json").exists()
 
 
-def test_mode_mismatch_between_command_and_config(tmp_path):
+def test_mode_mismatch_between_command_and_config(tmp_path, capsys,
+                                                  monkeypatch):
+    refuse_trials(monkeypatch)
     path = write_cfg(tmp_path, outer_cfg())
     assert run(["tree-lab", "--config", path,
                 "--out", str(tmp_path / "o")]) == 2
+    assert "at $.mode:" in capsys.readouterr().err
+
+
+def test_drift_on_the_one_trial_rose_config_exits_2(tmp_path, capsys,
+                                                    monkeypatch):
+    refuse_trials(monkeypatch)
+    path = os.path.join(ROOT, "configs", "rose_asymmetry.json")
+    assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "at $.trials:" in capsys.readouterr().err
+
+
+def test_gap_runs_with_two_trials(tmp_path):
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, outer_cfg(trials=2))
+    assert run(["gap", "--config", path, "--out", str(out)]) == 0
+    assert len((out / "gap.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
@@ -247,6 +265,16 @@ def refuse_trials(monkeypatch):
     ("tree-lab", {"tree_lab": {"x_points": ["per:a", "per:b", "per:a"]}},
      "$.tree_lab.x_points[2]"),
     ("tree-lab", {"tree_lab": {"psi_samples": 10}}, "$.tree_lab"),
+    ("tree-lab", {"tree_lab": {"x_points": ["per:acC"]}},
+     "$.tree_lab.x_points[0]"),
+    ("tree-lab", {"tree_lab": {"h2": {"x": "pre:cC per:b"}}},
+     "$.tree_lab.h2.x"),
+    ("tree-lab", {"trials": 1}, "$.trials"),
+    ("drift", {"trials": 29}, "$.trials"),
+    ("clt", {"trials": 29}, "$.trials"),
+    ("deviation", {"trials": 29}, "$.trials"),
+    # epsilon is epsilon_factor times the estimated drift, set one way only
+    ("deviation", {"deviation": {"epsilon": 0.1}}, "$.deviation"),
 ])
 def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
                                                         monkeypatch, command,
@@ -265,11 +293,18 @@ def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
     (tree_cfg(tracked=["per:a", "pre:c per:a"]), "$.tracked[1]"),
     (tree_cfg(tracked=["prefix:bc depth:2"]), "$.tracked[0]"),
     (tree_cfg(tracked=["prefix:abc depth:2"]), "$.tracked[0]"),
+    (outer_cfg(tracked=["acC"]), "$.tracked[0]"),
+    (tree_cfg(tracked=["per:acC"]), "$.tracked[0]"),
+    (tree_cfg(tracked=["pre:cC per:a"]), "$.tracked[0]"),
+    (tree_cfg(tracked=["prefix:acCb depth:2"]), "$.tracked[0]"),
+    (tree_cfg(measure=[{"word": "acC", "weight": 0.5},
+                       {"word": "A", "weight": 0.5}]), "$.measure[0]"),
 ])
 def test_bad_tracked_entries_exit_2_before_any_trial(tmp_path, capsys,
                                                      monkeypatch, cfg, where):
     # a repeated label, a trivial class, a point beyond the rank (also past
-    # a truncated point's depth)
+    # a truncated point's depth, or in letters that cancel, as in a measure
+    # word)
     refuse_trials(monkeypatch)
     path = write_cfg(tmp_path, cfg)
     assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -329,11 +364,12 @@ def test_bad_exact_rose_length_exits_2(tmp_path, capsys, length):
 # -- experiment failures
 
 def test_word_cap_failure_exits_1(tmp_path, capsys):
+    # gap, as drift refuses 2 trials before the walk
     cfg = outer_cfg(measure=[{"trace": ["R:1:2:+"], "weight": 1.0}],
                     horizon=100, trials=2, checkpoints=[100],
                     max_word_letters=64)
     path = write_cfg(tmp_path, cfg)
-    assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert run(["gap", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "trial" in capsys.readouterr().err
 
 
@@ -359,6 +395,24 @@ def test_drift_outputs_and_manifest(tmp_path):
     assert "outwalk" in manifest["versions"]
     assert "numpy" in manifest["versions"]
     assert not any("time" in k.lower() for k in manifest)
+
+
+@pytest.mark.parametrize("command", ["drift", "clt", "deviation", "gap",
+                                     "tree-lab"])
+def test_walk_command_manifest_lists_the_files_written(tmp_path, capsys,
+                                                       command):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, tree_cfg())
+    assert run([command, "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command and manifest["seed"] == 11
+    written = sorted(os.listdir(out))
+    written.remove("manifest.json")
+    assert manifest["outputs"] == written
+    stem = command.replace("-", "_")
+    assert written == ([stem + "_summary.json"] if command == "tree-lab"
+                       else [stem + ".csv", stem + "_summary.json"])
+    assert capsys.readouterr().out.startswith(command)
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -153,10 +153,12 @@ def test_clt_degenerate_on_constant_samples():
 
 
 def test_clt_requires_enough_trials():
-    recs = make_records(100, [10], lambda t, n: 0.1 * n)
+    # the minimum of drift_estimate, which every clt run calls first
     with pytest.raises(ValueError):
-        stats.clt_report(recs, lambda_hat=0.1)
-    stats.clt_report(recs, lambda_hat=0.1, min_trials=50)
+        stats.clt_report(make_records(29, [10], lambda t, n: 0.1 * n), 0.1)
+    recs = make_records(stats.MIN_DRIFT_TRIALS, [10], lambda t, n: 0.1 * n)
+    assert len(stats.clt_report(recs, lambda_hat=0.1).standardized_samples) \
+        == 30
 
 
 # -- deviation curve
