@@ -191,6 +191,10 @@ def gap_class(cfg, wcfg):
     label = cfg.get("gap", {}).get("class", labels[0])
     if label not in labels:
         raise ConfigError("at $.gap.class: class %r was not tracked" % label)
+    half = wcfg.checkpoints[-1] // 2
+    if wcfg.checkpoints[0] > half:
+        raise ConfigError("at $.checkpoints: the gap command compares the "
+                          "last checkpoint with one at or below %d" % half)
     return label
 
 
@@ -198,6 +202,10 @@ def deviation_grid(cfg, wcfg):
     """The deviation command's grid: $.deviation.grid, or every checkpoint."""
     drift_trials(cfg, wcfg)
     grid = cfg.get("deviation", {}).get("grid", list(wcfg.checkpoints))
+    if len(grid) < 2:
+        raise ConfigError("at $.checkpoints: the deviation decay fit needs at "
+                          "least 2 checkpoints")
+    _no_repeats("$.deviation.grid", grid)
     for i, n in enumerate(grid):
         if n not in wcfg.checkpoints:
             raise ConfigError("at $.deviation.grid[%d]: grid point %d is not "
@@ -223,6 +231,7 @@ def tree_lab_points(cfg, wcfg):
     if h2:
         h2 = {"alpha": 1.0, "grid": [1, 2, 3, 4, 5, 6], **h2,
               "point": _at("$.tree_lab.h2.x", _boundary, h2["x"], rank)}
+        _no_repeats("$.tree_lab.h2.grid", h2["grid"])
     return x_points, h2
 
 

@@ -174,6 +174,14 @@ def common_prefix_len(u, v):
     return len(u) - (x.bit_length() + 7) // 8
 
 
+def row_prefix(rows, ref, n):
+    """common_prefix_len of each row with ref (broadcast along the last
+    axis) over their common width, at least 1, capped at the row's n."""
+    width = min(rows.shape[-1], ref.shape[-1])
+    off = rows[..., :width] != ref[..., :width]
+    return np.minimum(n, np.where(off.any(axis=-1), off.argmax(axis=-1), width))
+
+
 def cyclic_reduce(w):
     """Split reduced w as (cyclic part, conjugator): w = s * c * s^-1."""
     w = np.asarray(w, dtype=LETTER_DTYPE)

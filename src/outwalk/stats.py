@@ -82,7 +82,7 @@ class DriftEstimate:
     max_class_spread: float      # (max - min) / |mean| over class estimates
 
 
-def _end_stats(cps, mat):
+def end_stats(cps, mat):
     n = int(cps[-1])
     ends = mat[:, -1]
     est = float(ends.mean()) / n
@@ -96,7 +96,7 @@ def _slope_stats(cps, mat):
     # class with the walk); dividing the endpoint by n leaves a bias of
     # order 1/n, while the increment cancels the constant entirely.
     if len(cps) < 2:
-        return _end_stats(cps, mat)
+        return end_stats(cps, mat)
     mid = int(np.argmin(np.abs(cps - cps[-1] / 2.0)))
     if mid == len(cps) - 1:
         mid = len(cps) - 2
@@ -120,7 +120,7 @@ def drift_estimate(records):
         raise ValueError("drift needs >= %d trials, got %d"
                          % (MIN_DRIFT_TRIALS, len(records)))
     cps, mat = observable_matrix(records, "kappa")
-    lam, se = _end_stats(cps, mat)
+    lam, se = end_stats(cps, mat)
     per_class = {}
     for lab in class_labels(records):
         ccps, cmat = observable_matrix(records, class_observable(records, lab))

@@ -391,7 +391,7 @@ class _HeadScreen:
     """Gromov products of one point against many boundary samples at once.
 
     The first _HEAD known letters of every sample are stacked once as int8
-    rows padded with 0.  For a query x, one comparison with x's head finds
+    rows padded with 0.  For a query x, fg.row_prefix with x's head finds
     each row's first mismatch; a mismatch of two known letters is the
     product.  A row without one (a product of _HEAD or more, equal points,
     a certified depth reached, a finite word) gets fallback(x, y), which
@@ -411,10 +411,10 @@ class _HeadScreen:
         head = _known_head(x)
         xrow = np.zeros(_HEAD, dtype=fg.LETTER_DTYPE)
         xrow[:len(head)] = head
-        neq = self.rows != xrow
-        first = np.where(neq.any(axis=1), neq.argmax(axis=1), _HEAD)
+        known = np.minimum(self.known, len(head))
+        first = fg.row_prefix(self.rows, xrow, known)
         out = first.astype(np.float64)
-        for i in np.flatnonzero(first >= np.minimum(self.known, len(head))):
+        for i in np.flatnonzero(first == known):
             out[i] = fallback(x, self.samples[i])
         return out
 
@@ -474,18 +474,14 @@ def centering_check(mu, x_points, records):
         raise ValueError("need at least 2 usable boundary samples, got %d "
                          "(walks too short?)" % len(ys))
     screen = _HeadScreen(ys)
-    horizon = int(records[0].checkpoints[-1])
-    ends = np.array([float(r.kappa[-1]) for r in records])
-    lambda_hat = float(ends.mean()) / horizon
-    lambda_se = float(ends.std(ddof=1)) / math.sqrt(len(ends)) / horizon
+    lambda_hat, lambda_se = stats.end_stats(
+        *stats.observable_matrix(records, "kappa"))
 
-    labels = []
     results = {}
     max_drift_disc = 0.0
     means = []
     for x in x_points:
         label = format_boundary(x)
-        labels.append(label)
         const = 0.0
         per_sample = np.zeros(len(ys))
         for atom, weight in zip(mu.atoms, mu.weights):

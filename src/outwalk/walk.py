@@ -10,10 +10,11 @@ position in the Cayley tree together with Busemann values toward tracked
 boundary points.  Tree trials run in lock-step blocks: the positions of a
 block of trials are rows of one int8 stack array, and each step is a few
 numpy operations over all rows; Busemann values and the limit prefix are
-read off the stacks at checkpoints only.  Outer trials run a span at a
-time on one backend set up once for the span.  run_experiment cuts the
-spans the same way for any worker count, and a lone trial (sample_path)
-is a span of one in either mode.
+read off the stacks at checkpoints only, so a truncated tracked point
+fails a trial only where a value it records is undecidable.  Outer trials
+run a span at a time on one backend set up once for the span.
+run_experiment cuts the spans the same way for any worker count, and a
+lone trial (sample_path) is a span of one in either mode.
 
 Reproducibility contract: increments for trial t are drawn from a Philox
 counter-based stream keyed by (master_seed, t), so every trial is an
@@ -423,29 +424,23 @@ def _tree_width(config, table):
     return min(config.horizon * atom, config.max_word_letters + atom)
 
 
-def _row_prefix(words, ref, n):
-    """Where each row of words first differs from ref (broadcast along the
-    last axis), capped at the row's length n."""
-    width = ref.shape[-1]
-    off = words[..., :width] != ref
-    return np.minimum(n, np.where(off.any(axis=-1), off.argmax(axis=-1), width))
-
-
 class _TreeBlock:
     """Tree-mode trials lo .. hi-1 advanced together, one step at a time.
 
     Row r is trial lo + r.  Its walk position g_n^{-1} is a letter stack in
     row r of one int8 array above a floor column, with its length in n.
-    Each letter of a step is a few numpy operations over all rows.  A row
-    that fails (word cap, truncated point, spot check) stops moving and
-    fails only its own trial.
+    Each letter of a step is a few numpy operations over all rows, and
+    nothing about the tracked points.  A row that fails (word cap,
+    truncated point, spot check) stops moving and fails only its own trial.
 
-    The stacks are read at checkpoints only, by one kernel, _row_prefix:
-    cp[i] is each row's common prefix with tracked point i's letters.  The
-    certified limit prefix is the common prefix of the checkpoint words
-    from checkpoint `first` on, the trailing tenth (at least two): the
-    stacks copied there are the anchor, and `limit`, each row's common
-    prefix with it so far, is cut again at every later checkpoint.
+    The stacks are read at checkpoints only, by one kernel, fg.row_prefix:
+    cp[i] is each row's common prefix with tracked point i's letters.  A
+    row that holds all of a truncated point's certified letters and more
+    has an undecidable value there and fails.  The certified limit prefix
+    is the common prefix of the checkpoint words from checkpoint `first`
+    on, the trailing tenth (at least two): the stacks copied there are the
+    anchor, and `limit`, each row's common prefix with it so far, is cut
+    again at every later checkpoint.
     """
 
     def __init__(self, mu, config, lo, hi, table):
@@ -505,8 +500,6 @@ class _TreeBlock:
                 # every letter moves its row unless some are the no-op 0
                 push = (v != 0) ^ pop if self.padded or self.failures \
                     else ~pop
-                if self.truncated:
-                    self._check_depth(n, push)
                 pos += 1
                 stack[pos] = v          # above the top: harmless unless pushed
                 n += push
@@ -517,19 +510,6 @@ class _TreeBlock:
                     self.fail(r, WordCapExceeded(self.lo + r, s + 1,
                                                  int(n[r]), cap))
 
-    def _check_depth(self, n, push):
-        # a push onto a stack equal to a truncated point's certified
-        # prefix needs the letter after it, which is unknown
-        for i, depth in self.truncated:
-            at = np.flatnonzero(push & (n == depth))
-            blind = (self.words[at, :depth] == self.streams[i, :depth]).all(1)
-            for r in at[blind].tolist():
-                if r not in self.failures:
-                    try:
-                        self.tracked[i].letter(depth)
-                    except treemod.DepthError as exc:
-                        self.fail(r, exc)
-
     def checkpoint(self, k, step):
         """Record checkpoint k's values, limit prefix and spot checks after
         `step`."""
@@ -537,7 +517,14 @@ class _TreeBlock:
         # letters above a row's length never count, so the rows are
         # compared whole, to one column past the longest word
         top = int(n.max()) + 1
-        self.cp = _row_prefix(words, self.streams[:, None, :top], n)
+        self.cp = fg.row_prefix(words, self.streams[:, None, :top], n)
+        for i, depth in self.truncated:     # the letter past depth is unknown
+            blind = (self.cp[i] == depth) & (n > depth)
+            for r in np.flatnonzero(blind).tolist():
+                try:
+                    self.tracked[i].letter(depth)
+                except treemod.DepthError as exc:
+                    self.fail(r, exc)
         self.kappa.append(n.copy())
         self.sigma.append(n - 2 * self.cp)
         if k == self.first:
@@ -545,7 +532,7 @@ class _TreeBlock:
             self.limit = n.copy()
         elif k > self.first:
             self.limit = np.minimum(self.limit,
-                                    _row_prefix(words, self.anchor, n))
+                                    fg.row_prefix(words, self.anchor, n))
         config = self.config
         last = step == config.checkpoints[-1]
         for r in range(len(n)):

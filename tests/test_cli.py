@@ -275,6 +275,15 @@ def refuse_trials(monkeypatch):
     ("deviation", {"trials": 29}, "$.trials"),
     # epsilon is epsilon_factor times the estimated drift, set one way only
     ("deviation", {"deviation": {"epsilon": 0.1}}, "$.deviation"),
+    # no checkpoint at or below half the last one for the gap to compare
+    ("gap", {"checkpoints": [20, 30]}, "$.checkpoints"),
+    # a decay fit needs two distinct grid points
+    ("deviation", {"deviation": {"grid": [30]}}, "$.deviation.grid"),
+    ("deviation", {"deviation": {"grid": [20, 30, 20]}},
+     "$.deviation.grid[2]"),
+    ("deviation", {"checkpoints": [30]}, "$.checkpoints"),
+    ("tree-lab", {"tree_lab": {"h2": {"x": "per:b", "grid": [3, 3]}}},
+     "$.tree_lab.h2.grid[1]"),
 ])
 def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
                                                         monkeypatch, command,
@@ -364,9 +373,10 @@ def test_bad_exact_rose_length_exits_2(tmp_path, capsys, length):
 # -- experiment failures
 
 def test_word_cap_failure_exits_1(tmp_path, capsys):
-    # gap, as drift refuses 2 trials before the walk
+    # gap, as drift refuses 2 trials before the walk; gap compares the
+    # last checkpoint with one at or below half of it
     cfg = outer_cfg(measure=[{"trace": ["R:1:2:+"], "weight": 1.0}],
-                    horizon=100, trials=2, checkpoints=[100],
+                    horizon=100, trials=2, checkpoints=[50, 100],
                     max_word_letters=64)
     path = write_cfg(tmp_path, cfg)
     assert run(["gap", "--config", path, "--out", str(tmp_path / "o")]) == 1

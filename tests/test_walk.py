@@ -440,13 +440,22 @@ def _reference_limit_prefix(snap_words):
         if depth > 0 else None
 
 
-def _reference_spot_check(mu, idx, step, u, cps, tracked):
+def _reference_prefixes(u, tracked):
+    """Each point's common prefix with u from scratch; DepthError where a
+    truncated point's certified letters leave it undecided."""
+    cps = []
+    for xi in tracked:
+        k = len(u) if xi.is_periodic else min(len(u), xi.depth)
+        cps.append(fg.common_prefix_len(np.array(u[:k], dtype=np.int8),
+                                        xi.letters(k)))
+        if cps[-1] == k < len(u):
+            xi.letter(k)                            # DepthError
+    return cps
+
+
+def _reference_spot_check(mu, idx, step, u):
     flat = [int(v) for k in range(step) for v in fg.inverse(mu.atoms[idx[k]])]
     assert fg.reduce(flat).tolist() == u
-    for i, xi in enumerate(tracked):
-        k = len(u) if xi.is_periodic else min(len(u), xi.depth)
-        assert fg.common_prefix_len(np.array(u[:k], dtype=np.int8),
-                                    xi.letters(k)) == cps[i]
 
 
 def per_letter_trial(mu, config, trial):
@@ -456,24 +465,19 @@ def per_letter_trial(mu, config, trial):
     idx = mu.draw_indices(config.master_seed, trial, config.horizon)
     cap = config.max_word_letters
     u = []                          # walk position g_n^{-1}
-    cps = [0] * len(tracked)        # common prefix of u with each point
     kappa, snap_words, spots, peak = [], [], [], 0
     sigma = {tree.format_boundary(xi): [] for xi in tracked}
     for step in range(1, config.horizon + 1):
         for v in inv_atoms[idx[step - 1]]:
             if u and u[-1] == -v:
                 u.pop()
-                cps = [min(c, len(u)) for c in cps]
             else:
-                n = len(u)
-                for i, xi in enumerate(tracked):
-                    if cps[i] == n and xi.letter(n) == v:   # DepthError
-                        cps[i] += 1
                 u.append(v)
         if len(u) > cap:
             raise WordCapExceeded(trial, step, len(u), cap)
         peak = max(peak, len(u))
         if step in config.checkpoints:
+            cps = _reference_prefixes(u, tracked)
             kappa.append(len(u))
             for i, xi in enumerate(tracked):
                 sigma[tree.format_boundary(xi)].append(len(u) - 2 * cps[i])
@@ -481,7 +485,7 @@ def per_letter_trial(mu, config, trial):
             if walk._spot_selected(config.master_seed, trial, step,
                                    config.spot_check_rate) or \
                     (trial == 0 and step == config.checkpoints[-1]):
-                _reference_spot_check(mu, idx, step, u, cps, tracked)
+                _reference_spot_check(mu, idx, step, u)
                 spots.append(step)
     return walk.PathRecord(
         trial_index=trial, checkpoints=config.checkpoints, kappa=tuple(kappa),
@@ -557,7 +561,7 @@ def test_tree_blocks_match_the_per_letter_reference(rank, seed, workers,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tree_failures_are_attributed_to_their_own_trials(workers):
-    # 40 trials at seed 5: 12 pass the cap, 10 run off the certified depth
+    # 40 trials at seed 5: 12 pass the cap, 8 run off the certified depth
     mu = MeasureSpec([fg.parse_word(w) for w in
                       ("BA", "Ab", "bbA", "a", "B", "aB", "A", "b")], [1 / 8] * 8)
     cfg = WalkConfig(horizon=40, trials=40, master_seed=5,
@@ -638,6 +642,23 @@ def test_a_depth_event_between_checkpoints_fails_its_trial():
     [(trial, exc)] = err.value.failures
     assert (trial, type(exc), str(exc)) == (0, tree.DepthError, str(want.value))
     assert str(exc) == "letter 4 beyond certified depth 4"
+
+
+def test_a_truncated_point_fails_only_undecidable_checkpoint_values():
+    # trials 9 and 11 pass the certified letter A between checkpoints but
+    # end the walk back within it, so the one value they record is decided
+    mu = MeasureSpec([fg.parse_word("a"), fg.parse_word("A")], [0.5, 0.5])
+    cfg = WalkConfig(horizon=10, trials=20, master_seed=1, checkpoints=(10,),
+                     tracked_classes=(tree.parse_boundary("prefix:A depth:1"),))
+    want, want_failures = reference_run(mu, cfg)
+    assert [t for t, _ in want_failures] == [3, 6, 19]
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg)
+    assert failure_key(err.value.failures) == failure_key(want_failures)
+    got, _ = walk._run_trials(mu, cfg, 0, cfg.trials)
+    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
 
 
 def test_busemann_values_ignore_letters_above_the_top():

@@ -119,6 +119,29 @@ def test_common_prefix_len_matches_scan(u_raw, v_raw):
     assert fg.common_prefix_len(u.tobytes(), v.tobytes()) == k
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_row_prefix_matches_common_prefix_len(seed):
+    # two letters, so rows share long prefixes with the reference; the caps
+    # are ragged, with zeros, and the reference is narrower than the rows,
+    # as wide, or wider
+    rng = np.random.default_rng(seed)
+    letters = np.array([1, -2], dtype=np.int8)
+    rows = rng.choice(letters, size=(60, 12))
+    n = rng.integers(0, 13, size=60)
+    n[:6] = 0
+    for width in (1, 7, 12, 20):
+        ref = rng.choice(letters, size=width)
+        rows[6:12, :width] = ref[:12]       # equal to the end of either
+        want = [fg.common_prefix_len(row[:k], ref) for row, k in zip(rows, n)]
+        assert fg.row_prefix(rows, ref, n).tolist() == want
+    # stacked references, each broadcast against every row
+    refs = rng.choice(letters, size=(3, 1, 15))
+    refs[:, 0, :12] = rows[:3]
+    assert fg.row_prefix(rows, refs, n).tolist() == [
+        [fg.common_prefix_len(row[:k], ref[0]) for row, k in zip(rows, n)]
+        for ref in refs]
+
+
 words_text = st.text(alphabet="abcABC", min_size=0, max_size=40)
 
 
