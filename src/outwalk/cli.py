@@ -117,6 +117,11 @@ def _clt(cfg, mu, records, setting):
             enumerate(main.standardized_samples)), summary, [line]
 
 
+def _fit(value, fmt):
+    """A tail fit's rate or summability as printed: n/a without a fit."""
+    return "n/a" if value is None else fmt % value
+
+
 def _deviation(cfg, mu, records, grid):
     de = stats.drift_estimate(records)
     epsilon = (float(cfg.get("deviation", {}).get("epsilon_factor", 0.2))
@@ -124,16 +129,16 @@ def _deviation(cfg, mu, records, grid):
     curve = stats.deviation_curve(records, de.lambda_hat, epsilon, grid)
     summary = {
         "lambda_hat": de.lambda_hat,
-        "epsilon": curve.epsilon,
+        "epsilon": curve.threshold,
         "points": [{"n": n, "probability": p} for n, p in curve.points],
-        "decay_rate_fit": curve.decay_rate_fit,
+        "decay_rate_fit": curve.rate,
         "summable": curve.summable,
         "tolerances": cfgmod.tolerances(cfg),
     }
     return (("n", "epsilon", "probability"),
             [(n, epsilon, p) for n, p in curve.points]), summary, [
-        "deviation: epsilon=%.5f final probability=%.4f rate=%.4f"
-        % (epsilon, curve.points[-1][1], curve.decay_rate_fit)]
+        "deviation: epsilon=%.5f final probability=%.4f rate=%s"
+        % (epsilon, curve.points[-1][1], _fit(curve.rate, "%.4f"))]
 
 
 def _gap(cfg, mu, records, label):
@@ -158,35 +163,31 @@ def _gap(cfg, mu, records, label):
 
 def _tree_lab(cfg, mu, records, points):
     x_points, h2 = points
-    samples = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
-    psi = {treemod.format_boundary(x): treemod.psi_estimate(x, samples)
-           for x in x_points}
-    cent = treemod.centering_check(mu, x_points, records)
+    rep = treemod.centering_check(mu, x_points, records, h2)
     summary = {
-        "lambda_hat": cent.lambda_hat,
-        "lambda_se": cent.lambda_se,
-        "n_boundary_samples": len(samples),
-        "psi": {lab: {"value": e.value, "std_error": e.std_error}
-                for lab, e in psi.items()},
+        "lambda_hat": rep.lambda_hat,
+        "lambda_se": rep.lambda_se,
+        "n_boundary_samples": rep.n_samples,
+        "psi": {lab: {"value": value, "std_error": se}
+                for lab, (value, se) in rep.psi.items()},
         "centering": {lab: {"estimate": est, "std_error": se}
-                      for lab, (est, se) in cent.estimates.items()},
-        "max_drift_discrepancy_se": cent.max_drift_discrepancy_se,
+                      for lab, (est, se) in rep.estimates.items()},
+        "max_drift_discrepancy_se": rep.max_drift_discrepancy_se,
     }
     lines = ["tree-lab: lambda_hat=%.4f, max centering discrepancy %.2f "
              "combined SEs over %d boundary points"
-             % (cent.lambda_hat, cent.max_drift_discrepancy_se, len(x_points))]
-    if h2:
-        curve = treemod.h2_tail_estimate(h2["point"], samples, h2["alpha"],
-                                         h2["grid"])
+             % (rep.lambda_hat, rep.max_drift_discrepancy_se, len(x_points))]
+    curve = rep.h2
+    if curve is not None:
         summary["h2"] = {
             "x": h2["x"],
-            "alpha": curve.alpha,
+            "alpha": curve.threshold,
             "points": [{"n": n, "probability": p} for n, p in curve.points],
-            "decay_rate": curve.decay_rate,
+            "decay_rate": curve.rate,
             "summable": curve.summable,
         }
-        lines.append("tree-lab: H2 tail rate %.4f (summable: %s)"
-                     % (curve.decay_rate, curve.summable))
+        lines.append("tree-lab: H2 tail rate %s (summable: %s)"
+                     % (_fit(curve.rate, "%.4f"), _fit(curve.summable, "%s")))
     return None, summary, lines
 
 

@@ -211,20 +211,31 @@ def clt_report(records, lambda_hat, observable="kappa"):
 
 def geometric_rate(points, scale=1.0):
     """exp(slope / scale) of the least-squares line through (n, log p) over
-    the points (n, p) with p > 0; 0.0 without two distinct such n."""
+    the points (n, p) with p > 0.  With no such point the tail is empty on
+    the whole grid, and the rate is 0.0; with such points at only one n
+    there is no slope to fit, and the rate is None."""
     xs = np.array([n for n, p in points if p > 0], dtype=np.float64)
     ys = np.array([math.log(p) for _, p in points if p > 0], dtype=np.float64)
-    if len(xs) < 2 or np.ptp(xs) == 0:
+    if len(xs) == 0:
         return 0.0
+    if np.ptp(xs) == 0:
+        return None
     return math.exp(float(np.polyfit(xs, ys, 1)[0]) / scale)
 
 
 @dataclass(frozen=True)
-class DeviationCurve:
-    epsilon: float
+class TailCurve:
+    threshold: float             # the band or product threshold per unit n
     points: tuple                # ((n, empirical probability), ...)
-    decay_rate_fit: float        # fitted per-step geometric rate
-    summable: bool
+    rate: object                 # fitted geometric rate, None without a fit
+    summable: object             # rate < 1, None without a fit
+
+
+def tail_curve(threshold, points, scale=1.0):
+    """The tail points with their geometric_rate fit at the given scale."""
+    rate = geometric_rate(points, scale)
+    return TailCurve(float(threshold), tuple(points), rate,
+                     None if rate is None else rate < 1.0)
 
 
 def deviation_curve(records, lambda_hat, epsilon, n_grid):
@@ -237,13 +248,9 @@ def deviation_curve(records, lambda_hat, epsilon, n_grid):
     missing = [n for n in n_grid if int(n) not in pos]
     if missing:
         raise ValueError("grid points %r are not checkpoints" % missing)
-    pts = []
-    for n in n_grid:
-        col = mat[:, pos[int(n)]]
-        prob = float((np.abs(col - int(n) * lambda_hat) >= epsilon * int(n)).mean())
-        pts.append((int(n), prob))
-    rate = geometric_rate(pts)
-    return DeviationCurve(float(epsilon), tuple(pts), rate, rate < 1.0)
+    return tail_curve(epsilon, [(n, float(
+        (np.abs(mat[:, pos[n]] - n * lambda_hat) >= epsilon * n).mean()))
+        for n in map(int, n_grid)])
 
 
 # ---------------------------------------------------------------------------

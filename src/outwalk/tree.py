@@ -427,87 +427,6 @@ def _float_product(x, y):
     return float(p)
 
 
-@dataclass(frozen=True)
-class PsiEstimate:
-    value: float
-    std_error: float
-    n_samples: int
-
-
-def psi_estimate(x, boundary_samples):
-    """Monte Carlo ψ(x) = -2 E[(x|y)] over boundary samples y.
-
-    The products come from one head screen of all samples (_HeadScreen);
-    a sample the screen cannot decide gets the scalar gromov_product, so an
-    equal or undecidable pair fails exactly as that function does."""
-    if not boundary_samples:
-        raise ValueError("need at least one boundary sample")
-    vals = _HeadScreen(boundary_samples).products(x, _float_product)
-    se = 2.0 * vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-    return PsiEstimate(-2.0 * float(vals.mean()), se, len(vals))
-
-
-@dataclass(frozen=True)
-class CenteringReport:
-    lambda_hat: float
-    lambda_se: float
-    estimates: dict          # label -> (estimate, std_error)
-    max_pair_discrepancy: float
-    max_drift_discrepancy_se: float  # max |estimate - lambda_hat| / combined SE
-
-
-def centering_check(mu, x_points, records):
-    """Estimate E_mu[β₀(·, x)] = E_mu[β(·,x) + ψ(g.x) - ψ(x)] at each x.
-
-    Boundary samples for ψ are the limit points of the supplied tree-mode
-    walk records, which also provide the drift estimate.  For a centerable
-    cocycle every estimate matches the drift.  The samples are stacked into
-    one _HeadScreen, which serves all the products (x|y) and (a.x|y) with
-    the scalar gromov_product as fallback.
-    """
-    if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
-        raise ValueError("centering_check needs a tree-mode (word) measure")
-    # usable: at least one letter known (periodic points know them all)
-    ys = [r.bnd for r in records
-          if r.bnd is not None and r.bnd.depth != 0]
-    if len(ys) < 2:
-        raise ValueError("need at least 2 usable boundary samples, got %d "
-                         "(walks too short?)" % len(ys))
-    screen = _HeadScreen(ys)
-    lambda_hat, lambda_se = stats.end_stats(
-        *stats.observable_matrix(records, "kappa"))
-
-    results = {}
-    max_drift_disc = 0.0
-    means = []
-    for x in x_points:
-        label = format_boundary(x)
-        const = 0.0
-        per_sample = np.zeros(len(ys))
-        for atom, weight in zip(mu.atoms, mu.weights):
-            const += weight * busemann(atom, x)
-            sx = boundary_action(atom, x)
-            per_sample += weight * (-2.0) * screen.products(sx, _float_product)
-        per_sample += 2.0 * screen.products(x, _float_product)
-        est = const + float(per_sample.mean())
-        se = float(per_sample.std(ddof=1)) / math.sqrt(len(ys))
-        results[label] = (est, se)
-        means.append(est)
-        comb = math.sqrt(se ** 2 + lambda_se ** 2)
-        if comb > 0:
-            max_drift_disc = max(max_drift_disc, abs(est - lambda_hat) / comb)
-    spread = max(means) - min(means) if means else 0.0
-    return CenteringReport(lambda_hat, lambda_se, results, spread, max_drift_disc)
-
-
-@dataclass(frozen=True)
-class TailCurve:
-    alpha: float
-    points: tuple            # ((n, empirical probability), ...)
-    decay_rate: float        # fitted geometric rate per unit threshold
-    summable: bool
-
-
 def _product_lower_value(x, y):
     # tail counting needs a number; an equal or undecidable pair still
     # certifies "at least this deep", which is what a tail query consumes
@@ -520,13 +439,66 @@ def _product_lower_value(x, y):
     return math.inf if is_infinite(p) else float(p)
 
 
-def h2_tail_estimate(x, boundary_samples, alpha, n_grid):
-    """Empirical tail P[(x|y) >= alpha * n] over boundary samples, with a
-    fitted geometric decay rate (per unit of product threshold).
+@dataclass(frozen=True)
+class CenteringReport:
+    lambda_hat: float
+    lambda_se: float
+    n_samples: int           # usable boundary samples
+    psi: dict                # label -> (estimate, std_error)
+    estimates: dict          # label -> (estimate, std_error)
+    max_drift_discrepancy_se: float  # max |estimate - lambda_hat| / combined SE
+    h2: object               # stats.TailCurve, or None without an h2 section
 
-    The products come from one _HeadScreen of the samples; a sample the
-    screen cannot decide gets _product_lower_value."""
-    prods = _HeadScreen(boundary_samples).products(x, _product_lower_value)
-    pts = [(int(n), float((prods >= alpha * n).mean())) for n in n_grid]
-    rate = stats.geometric_rate(pts, alpha)
-    return TailCurve(float(alpha), tuple(pts), rate, rate < 1.0)
+
+def centering_check(mu, x_points, records, h2=None):
+    """Estimate ψ(x) = -2 E[(x|y)] and E_mu[β₀(·, x)] = E_mu[β(·,x) + ψ(g.x)
+    - ψ(x)] at each x, and with an h2 section (point, alpha, grid) the tail
+    P[(x|y) >= alpha * n] at its point with a fitted geometric rate.
+
+    The samples y are the limit points of the tree-mode walk records, which
+    also give the drift; for a centerable cocycle every centering estimate
+    matches it.  One _HeadScreen of the samples serves every product, and
+    (x|y) is taken once for both ψ(x) and the centering term.  A sample the
+    screen cannot decide gets the scalar gromov_product, so an equal or
+    undecidable pair fails as that function does; the tail gets
+    _product_lower_value instead."""
+    if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
+        raise ValueError("centering_check needs a tree-mode (word) measure")
+    # usable: at least one letter known (periodic points know them all)
+    ys = [r.bnd for r in records if r.bnd is not None and r.bnd.depth != 0]
+    if len(ys) < 2:
+        raise ValueError("need at least 2 usable boundary samples, got %d "
+                         "(walks too short?)" % len(ys))
+    screen = _HeadScreen(ys)
+    lambda_hat, lambda_se = stats.end_stats(
+        *stats.observable_matrix(records, "kappa"))
+    psi = {}
+    results = {}
+    max_drift_disc = 0.0
+    for x in x_points:
+        label = format_boundary(x)
+        own = screen.products(x, _float_product)
+        psi[label] = (-2.0 * float(own.mean()),
+                      2.0 * own.std(ddof=1) / math.sqrt(len(ys)))
+        const = 0.0
+        per_sample = np.zeros(len(ys))
+        for atom, weight in zip(mu.atoms, mu.weights):
+            const += weight * busemann(atom, x)
+            sx = boundary_action(atom, x)
+            per_sample += weight * (-2.0) * screen.products(sx, _float_product)
+        per_sample += 2.0 * own
+        est = const + float(per_sample.mean())
+        se = float(per_sample.std(ddof=1)) / math.sqrt(len(ys))
+        results[label] = (est, se)
+        comb = math.sqrt(se ** 2 + lambda_se ** 2)
+        if comb > 0:
+            max_drift_disc = max(max_drift_disc, abs(est - lambda_hat) / comb)
+    tail = None
+    if h2:
+        prods = screen.products(h2["point"], _product_lower_value)
+        alpha = h2["alpha"]
+        tail = stats.tail_curve(
+            alpha, [(int(n), float((prods >= alpha * n).mean()))
+                    for n in h2["grid"]], alpha)
+    return CenteringReport(lambda_hat, lambda_se, len(ys), psi, results,
+                           max_drift_disc, tail)

@@ -210,13 +210,15 @@ def test_criterion_7_centering_check(tree_experiment):
 
 def test_criterion_8_h2_tail(tree_experiment):
     mu, records, _ = tree_experiment
-    samples = [r.bnd for r in records if r.bnd is not None and r.bnd.depth > 0]
-    curve = tree.h2_tail_estimate(tree.parse_boundary("per:b"), samples,
-                                  alpha=1.0, n_grid=list(range(1, 7)))
-    ok = curve.decay_rate < 0.9
+    rep = tree.centering_check(mu, [], records, {
+        "point": tree.parse_boundary("per:b"), "alpha": 1.0,
+        "grid": list(range(1, 7))})
+    rate = rep.h2.rate
+    ok = rate is not None and rate < 0.9
     assert report(
         8, ok, "Gromov product tail vs b-ray decays geometrically at rate "
-        "%.3f < 0.9 (%d samples)" % (curve.decay_rate, len(samples)))
+        "%s < 0.9 (%d samples)"
+        % ("n/a" if rate is None else "%.3f" % rate, rep.n_samples))
 
 
 def test_criterion_9_worker_determinism(tmp_path):

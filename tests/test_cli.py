@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from outwalk import cli, rose
+from outwalk import cli, rose, tree
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -499,6 +499,38 @@ def test_tree_lab_summary(tmp_path):
     assert set(summary["centering"]) == {"per:a", "per:b"}
     assert summary["lambda_hat"] > 0
     assert summary["n_boundary_samples"] == 60
+
+
+def test_tree_lab_builds_one_head_screen(tmp_path, monkeypatch):
+    # ψ, the centering terms and the H2 tail all read one stack of samples
+    with open(os.path.join(ROOT, "configs", "tree_srw_f2.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(trials=40, horizon=200)
+    built = []
+
+    class CountingScreen(tree._HeadScreen):
+        def __init__(self, samples):
+            built.append(len(samples))
+            super().__init__(samples)
+
+    monkeypatch.setattr(tree, "_HeadScreen", CountingScreen)
+    path = write_cfg(tmp_path, cfg)
+    assert run(["tree-lab", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert built == [40]
+
+
+def test_tree_lab_h2_with_one_positive_grid_point_has_no_fit(tmp_path, capsys):
+    # no limit point shares 100 letters with b^inf at horizon 200
+    cfg = tree_cfg(tree_lab={"x_points": ["per:a"],
+                             "h2": {"x": "per:b", "grid": [1, 100]}})
+    out = str(tmp_path / "o")
+    assert run(["tree-lab", "--config", write_cfg(tmp_path, cfg),
+                "--out", out]) == 0
+    h2 = json.load(open(os.path.join(out, "tree_lab_summary.json")))["h2"]
+    assert h2["points"][0]["probability"] > 0
+    assert h2["points"][1]["probability"] == 0
+    assert h2["decay_rate"] is None and h2["summable"] is None
+    assert "H2 tail rate n/a (summable: n/a)" in capsys.readouterr().out
 
 
 def test_tree_lab_outputs_do_not_depend_on_the_thread_count(tmp_path):

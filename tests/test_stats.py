@@ -194,7 +194,7 @@ def test_deviation_rate_fit_on_exact_geometric_decay():
     curve = stats.deviation_curve(recs, 0.0, 0.5, cps)
     probs = [p for _, p in curve.points]
     assert probs == pytest.approx([1 / 2, 1 / 4, 1 / 8, 1 / 16])
-    assert curve.decay_rate_fit == pytest.approx(0.5, rel=1e-6)
+    assert curve.rate == pytest.approx(0.5, rel=1e-6)
     assert curve.summable
 
 
@@ -204,14 +204,28 @@ def test_geometric_rate_needs_two_distinct_positive_points():
     # the slope is per unit of n / scale
     assert stats.geometric_rate([(2, 0.5), (4, 0.25)], scale=2.0) == \
         pytest.approx(0.5 ** 0.25)
-    assert stats.geometric_rate([(1, 0.5), (2, 0.0)]) == 0.0
-    assert stats.geometric_rate([(3, 0.5), (3, 0.25)]) == 0.0
+    # positive points at only one n: no fit
+    assert stats.geometric_rate([(1, 0.5), (2, 0.0)]) is None
+    assert stats.geometric_rate([(3, 0.5), (3, 0.25)]) is None
+    # no positive point: the tail is empty on the grid
+    assert stats.geometric_rate([(1, 0.0), (2, 0.0)]) == 0.0
+
+
+def test_deviation_one_positive_grid_point_has_no_fit():
+    # the fast half exceeds the band at n = 10 and is back on the drift at 20
+    recs = make_records(40, [10, 20],
+                        lambda t, n: 2.0 if t % 2 and n == 10 else 0.1 * n)
+    curve = stats.deviation_curve(recs, 0.1, 0.05, [10, 20])
+    assert [p for _, p in curve.points] == [0.5, 0.0]
+    assert curve.rate is None
+    assert curve.summable is None
 
 
 def test_deviation_all_inside_band():
     recs = make_records(40, [10, 20], lambda t, n: 0.1 * n)
     curve = stats.deviation_curve(recs, 0.1, 0.05, [10, 20])
     assert [p for _, p in curve.points] == [0.0, 0.0]
+    assert curve.rate == 0.0
     assert curve.summable
 
 

@@ -202,78 +202,96 @@ def test_product_via_horofunctions_agrees_with_streaming():
         assert len(witness) <= val + 2
 
 
-# -- estimators on boundary samples
+# -- estimators on boundary samples: ψ, centering and the H2 tail
+
+POINT_MASS_A = MeasureSpec([fg.parse_word("a")], [1.0])
+
+
+def records_of(samples, kappas=None):
+    """Tree-mode records at one checkpoint, one per boundary sample."""
+    kappas = kappas or [5.0] * len(samples)
+    return [PathRecord(trial_index=i, checkpoints=(10,), kappa=(k,), sigma={},
+                       lengths=None, peak_letters=0, spot_checked=(), bnd=y)
+            for i, (y, k) in enumerate(zip(samples, kappas))]
+
+
+def h2_section(x, grid):
+    return {"point": x, "alpha": 1.0, "grid": grid}
+
 
 def test_psi_estimate_hand_arithmetic():
     x = bp("per:b")
     samples = [bp("per:a"), bp("pre:b per:a")]   # products 0 and 1
-    est = tree.psi_estimate(x, samples)
-    assert est.value == -1.0
-    assert est.std_error == pytest.approx(1.0)
+    rep = tree.centering_check(POINT_MASS_A, [x], records_of(samples))
+    value, se = rep.psi["per:b"]
+    assert value == -1.0
+    assert se == pytest.approx(1.0)
+    assert rep.n_samples == 2
 
 
 def test_psi_estimate_needs_samples():
-    with pytest.raises(ValueError):
-        tree.psi_estimate(bp("per:a"), [])
+    with pytest.raises(ValueError, match="at least 2 usable boundary "
+                                         "samples, got 0"):
+        tree.centering_check(POINT_MASS_A, [bp("per:a")], [])
 
 
 def test_psi_estimate_rejects_a_sample_equal_to_the_query_point():
     x = bp("per:ab")
     with pytest.raises(ValueError, match="pre:ab per:ab equals the query"):
-        tree.psi_estimate(x, [bp("per:a"), bp("pre:ab per:ab")])
+        tree.centering_check(POINT_MASS_A, [x], records_of(
+            [bp("per:a"), bp("pre:ab per:ab")]))
 
 
 def test_h2_tail_estimate_geometric_hand_case():
     x = bp("per:b")
     samples = ([bp("per:a")] * 4 + [bp("pre:b per:a")] * 2
                + [bp("pre:bb per:a")] + [bp("pre:bbb per:a")])
-    curve = tree.h2_tail_estimate(x, samples, alpha=1.0, n_grid=[1, 2, 3])
+    curve = tree.centering_check(POINT_MASS_A, [], records_of(samples),
+                                 h2_section(x, [1, 2, 3])).h2
     assert [p for _, p in curve.points] == [0.5, 0.25, 0.125]
-    assert curve.decay_rate == pytest.approx(0.5)
+    assert curve.rate == pytest.approx(0.5)
     assert curve.summable
 
 
 def test_h2_tail_estimate_handles_infinite_products():
     x = bp("per:b")
-    curve = tree.h2_tail_estimate(x, [bp("per:b"), bp("per:a")],
-                                  alpha=1.0, n_grid=[1, 2])
+    curve = tree.centering_check(POINT_MASS_A, [], records_of(
+        [bp("per:b"), bp("per:a")]), h2_section(x, [1, 2])).h2
     assert [p for _, p in curve.points] == [0.5, 0.5]
 
 
 def test_centering_check_hand_arithmetic():
     # point mass on the letter a;  beta(a, b^inf) = 1;  the correction terms
     # use the two truncated sample rays below
-    mu = MeasureSpec([fg.parse_word("a")], [1.0])
     y1 = tree.BoundaryPoint.truncated(fg.parse_word("aaaa"), 4)
     y2 = tree.BoundaryPoint.truncated(fg.parse_word("ababab"), 6)
-    records = [
-        PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
-                   lengths=None, peak_letters=0, spot_checked=(), bnd=y)
-        for i, y in enumerate((y1, y2))]
-    rep = tree.centering_check(mu, [bp("per:b")], records)
+    rep = tree.centering_check(POINT_MASS_A, [bp("per:b")], records_of([y1, y2]))
     assert rep.lambda_hat == pytest.approx(0.5)
     est, se = rep.estimates["per:b"]
     assert est == pytest.approx(-2.0)
     assert se == pytest.approx(1.0)
     assert rep.max_drift_discrepancy_se == pytest.approx(2.5)
+    assert rep.h2 is None
 
 
 def test_centering_check_rejects_a_sample_equal_to_a_query_point():
     # the truncated samples never equal a point; the periodic one is x
-    mu = MeasureSpec([fg.parse_word("a")], [1.0])
     x = bp("per:b")
-    records = [
-        PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
-                   lengths=None, peak_letters=0, spot_checked=(), bnd=y)
-        for i, y in enumerate((bp("prefix:aaaa depth:4"), x))]
     with pytest.raises(ValueError, match="per:b equals the query point"):
-        tree.centering_check(mu, [x], records)
+        tree.centering_check(POINT_MASS_A, [x], records_of(
+            [bp("prefix:aaaa depth:4"), x]))
 
 
 def test_centering_check_rejects_outer_measures():
     mu = MeasureSpec([fg.from_trace(2, ["R:1:2:+"])], [1.0])
     with pytest.raises(ValueError):
         tree.centering_check(mu, [bp("per:a")], [])
+
+
+def test_centering_check_needs_two_usable_samples():
+    records = records_of([bp("prefix:ab depth:2"), bp("prefix:b depth:0")])
+    with pytest.raises(ValueError, match="at least 2 usable"):
+        tree.centering_check(POINT_MASS_A, [bp("per:b")], records)
 
 
 # -- the head screen against the per-sample scalar loop
@@ -409,47 +427,37 @@ def estimator_pair(monkeypatch, fn, *args):
 @pytest.mark.parametrize("seed", range(8))
 def test_estimators_equal_the_per_sample_loop(seed, monkeypatch):
     rng = np.random.default_rng(100 + seed)
+    kappa_rng = np.random.default_rng(200 + seed)
     mu = MeasureSpec([fg.parse_word(w) for w in ("a", "B", "ab", "Ca")],
                      [0.4, 0.3, 0.2, 0.1])
+    reports = 0
     for _ in range(4):
         x = random_x(rng)
         ys = [y for y in mixed_samples(rng, x)
               if isinstance(y, tree.BoundaryPoint)]
         ys += [branching_sample(rng, x) for _ in range(40)]
-        decided = [y for y in ys
-                   if isinstance(outcome(tree.gromov_product, x, y), int)]
-        for samples in (ys, decided, decided[:1]):
-            head, loop = estimator_pair(monkeypatch, tree.psi_estimate,
-                                        x, samples)
-            assert head == loop
-            head, loop = estimator_pair(monkeypatch, tree.h2_tail_estimate,
-                                        x, samples, 1.0, [1, 2, 4, 8, 70])
-            assert head == loop
-        trunc = [y for y in ys if not y.is_periodic]
-        records = [PathRecord(trial_index=i, checkpoints=(50,),
-                              kappa=(float(rng.integers(0, 50)),), sigma={},
-                              lengths=None, peak_letters=0, spot_checked=(),
-                              bnd=y)
-                   for i, y in enumerate(trunc)]
-        others = [random_x(rng), periodic_after(rng, [])]
-        decided = [r for r in records if all(
-            isinstance(outcome(tree.gromov_product, p, r.bnd), int)
-            for p in others)]
-        # the first set holds samples that tie with x through their depth
-        for points, recs in (([x] + others, records), (others, decided)):
+        kappas = [float(k) for k in kappa_rng.integers(0, 50, size=len(ys))]
+        points = [x, random_x(rng), periodic_after(rng, [])]
+        probes = list(points)
+        for p in points:
+            probes += [img for img in (outcome(tree.boundary_action, a, p)
+                                       for a in mu.atoms)
+                       if isinstance(img, tree.BoundaryPoint)]
+        decided = [y for y in ys if all(
+            isinstance(outcome(tree.gromov_product, p, y), int)
+            for p in probes)]
+        h2 = h2_section(x, [1, 2, 4, 8, 70])
+        # ys holds samples equal to x and samples that tie with it through
+        # their depth: the tail takes them, ψ and the centering fail on them
+        for xs, samples in (([], ys), (points, ys), (points, decided),
+                            (points[:1], decided[:2]),
+                            (points[:1], decided[:1])):
             head, loop = estimator_pair(monkeypatch, tree.centering_check,
-                                        mu, points, recs)
+                                        mu, xs, records_of(samples, kappas),
+                                        h2)
             assert head == loop
-
-
-def test_centering_check_needs_two_usable_samples():
-    mu = MeasureSpec([fg.parse_word("a")], [1.0])
-    records = [
-        PathRecord(trial_index=i, checkpoints=(10,), kappa=(5.0,), sigma={},
-                   lengths=None, peak_letters=0, spot_checked=(), bnd=y)
-        for i, y in enumerate((bp("prefix:ab depth:2"), bp("prefix:b depth:0")))]
-    with pytest.raises(ValueError, match="at least 2 usable"):
-        tree.centering_check(mu, [bp("per:b")], records)
+            reports += isinstance(head, tree.CenteringReport)
+    assert reports >= 8
 
 
 # -- the bytes calculus against the numpy calculus it replaced
