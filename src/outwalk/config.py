@@ -111,6 +111,8 @@ def _boundary(text, rank):
     # every word of the literal, also a truncated prefix past its depth
     for part in text.split():
         key, _, letters = part.partition(":")
+        if key == "prefix" and not letters:
+            raise ValueError("boundary literal %r has no letters" % text)
         if key != "depth":
             _word(letters, rank)
     return xi

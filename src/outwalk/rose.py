@@ -162,13 +162,17 @@ def sigma_ratio(phi, g):
 #
 # The conjugates of a cyclically reduced word are its rotations, so each
 # class is named by its least rotation under the letter order a < A < b <
-# B < ..., a necklace.  Necklaces are generated directly, one letter at a
-# time, as packed integers (Ruskey-Savage-Wang, J. Algorithms 13, 1992).
-# Images of a whole block of classes are freely reduced together by
-# freegroup's cancel pass, rows kept apart by a separator letter, and then
-# cyclically reduced by peeling inverse letters off both ends of every row.
+# B < ..., a necklace.  Necklaces are the cyclically reduced words kept
+# from the tree of prenecklaces (prefixes of necklaces), which is grown
+# one letter at a time as packed integers (Ruskey-Savage-Wang, J.
+# Algorithms 13, 1992).  The oracle walks the same tree.  Each node holds
+# the reduced image of its word as one row of an int8 stack; a child's row
+# is its parent's row followed by the image of the appended letter, and
+# as both pieces are reduced, letters cancel only at the seam between
+# them.  A necklace's row is then cyclically reduced by peeling inverse
+# letters off both of its ends.
 
-_SEPARATOR = 64     # a letter value that never cancels: no letter is -64
+_STACK_BYTES = 1 << 22   # largest image stack built for one chunk of nodes
 
 
 def _enumeration_count(rank, max_len):
@@ -185,13 +189,12 @@ def _unpack(vals, length, bits):
     return (((codes >> 1) + 1) * (1 - 2 * (codes & 1))).astype(np.int8)
 
 
-@lru_cache(maxsize=8)
-def _necklace_blocks(rank, max_len):
-    """Cyclically reduced conjugacy-class representatives, grouped by length.
+def _prenecklace_levels(rank, max_len):
+    """Yield (vals, parent, code, keep) for prenecklace lengths 1..max_len.
 
-    Returns a tuple of 2-D int8 arrays, one per word length 1..max_len; each
-    row is the least rotation of one class under the letter order a < A <
-    b < B < ..., and rows ascend in that order.
+    vals packs the reduced prenecklaces of one length, ascending; parent
+    indexes each word's prefix one length shorter, code is its last
+    letter's code, and keep marks the words that are necklaces.
     """
     if _enumeration_count(rank, max_len) > ENUMERATION_BOUND:
         raise ResourceLimitError(
@@ -212,7 +215,7 @@ def _necklace_blocks(rank, max_len):
     # p divides n.  Extending a sorted array row by row keeps it sorted.
     vals = codes
     lyn = np.ones(2 * rank, dtype=np.int64)
-    blocks = [_unpack(vals, 1, bits)]
+    yield vals, np.zeros(2 * rank, dtype=np.int64), codes, lyn == 1
     for n in range(2, max_len + 1):
         ref = (vals >> ((lyn - 1) * bits)) & mask
         ok = (codes >= ref[:, None]) & (codes != ((vals & mask) ^ 1)[:, None])
@@ -220,50 +223,119 @@ def _necklace_blocks(rank, max_len):
         vals = (vals[rows] << bits) | c
         lyn = np.where(c > ref[rows], n, lyn[rows])
         first = vals >> ((n - 1) * bits)
-        keep = (n % lyn == 0) & (first != (c ^ 1))
-        blocks.append(_unpack(vals[keep], n, bits))
-    return tuple(blocks)
+        yield vals, rows, c, (n % lyn == 0) & (first != (c ^ 1))
 
 
-def _batch_weighted_cyclic(theta_inv, block, weights_num):
-    """For each row w of block: weighted cyclic length of theta_inv(w).
+@lru_cache(maxsize=8)
+def _necklace_blocks(rank, max_len):
+    """Cyclically reduced conjugacy-class representatives, grouped by length.
 
-    weights_num: integer numerators of the edge lengths over a common
-    denominator.  Exact: returns an int64 vector of weighted cyclic lengths
-    (times the common denominator).
+    Returns a tuple of 2-D int8 arrays, one per word length 1..max_len; each
+    row is the least rotation of one class under the letter order a < A <
+    b < B < ..., and rows ascend in that order.
     """
-    flat_img, starts, lens = theta_inv._image_arrays(+1)
-    # one separator after each row's image, so one reduction serves them all:
-    # code 2N is a one-letter image holding the separator
-    sep = len(lens)
-    flat_img = np.append(flat_img, np.int8(_SEPARATOR))
-    starts = np.append(starts, len(flat_img) - 1)
-    lens = np.append(lens, 1)
-    codes = ((np.abs(block).astype(np.intp) - 1) << 1) | (block < 0)
-    codes = np.pad(codes, ((0, 0), (0, 1)), constant_values=sep).ravel()
-    lens_pp = lens[codes]
-    ends = np.cumsum(lens_pp)
-    # ragged gather: letter k of the image of code c sits at starts[c] + k
-    pos = np.arange(int(ends[-1]), dtype=np.int64)
-    pos += np.repeat(starts[codes] - (ends - lens_pp), lens_pp)
-    letters = flat_img[pos]
-    changed = True
-    while changed:
-        letters, changed = fg._cancel_pass(letters)
+    bits = (2 * rank - 1).bit_length()
+    return tuple(_unpack(vals[keep], n, bits) for n, (vals, _, _, keep)
+                 in enumerate(_prenecklace_levels(rank, max_len), start=1))
 
-    stop = np.flatnonzero(letters == _SEPARATOR)       # one per row, in order
-    begin = np.concatenate(([0], stop[:-1] + 1))
-    wtab = np.zeros(_SEPARATOR + 1, dtype=np.int64)
-    wtab[1:len(weights_num) + 1] = weights_num
-    cum = np.concatenate(([0], np.cumsum(wtab[np.abs(letters)])))
-    # a reduced row is s c s^-1 with c cyclically reduced: peel s and s^-1
-    lo, hi = begin.copy(), stop - 1
-    rows = np.flatnonzero(hi > lo)
-    while rows.size:
-        rows = rows[letters[lo[rows]] == -letters[hi[rows]]]
-        lo[rows] += 1
-        hi[rows] -= 1
-    return cum[stop] - cum[begin] - 2 * (cum[lo] - cum[begin])
+
+@lru_cache(maxsize=8)
+def _prenecklace_tree(rank, max_len):
+    """(parent, code, keep) of _prenecklace_levels, one triple per length."""
+    return tuple(level[1:] for level in _prenecklace_levels(rank, max_len))
+
+
+def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
+    """Weighted lengths of every necklace of _necklace_blocks(rank, max_len).
+
+    num_t, num_u: integer edge weights.  Yields (n, nodes, t, u) chunk by
+    chunk: the necklaces' length n, their indices among the prenecklaces
+    of that length, and as int64 vectors the weighted length of each
+    necklace and the weighted cyclic length of its image under theta_inv.
+    """
+    tree = _prenecklace_tree(rank, max_len)
+    flat, starts, lens = theta_inv._image_arrays(+1)
+    k_max = int(lens.max())
+    width = max_len * k_max      # the longest image a word can have
+    # imgs[c, :lens[c]] is the image of letter code c, zero-padded to twice
+    # the longest image so that k_max letters read from any cancelled
+    # offset stay in its row; pre_u[c, i] weighs its first i letters in U,
+    # and letter_t weighs the letter itself in T
+    imgs = np.zeros((2 * rank, 2 * k_max), dtype=np.int8)
+    for c in range(2 * rank):
+        imgs[c, :lens[c]] = flat[starts[c]:starts[c] + lens[c]]
+    w_u = np.array([0, *num_u], dtype=np.int64)
+    pre_u = np.zeros((2 * rank, 2 * k_max + 1), dtype=np.int64)
+    np.cumsum(w_u[np.abs(imgs)], axis=1, out=pre_u[:, 1:])
+    img_flat, neg_flat, pre_flat = imgs.ravel(), -imgs.ravel(), pre_u.ravel()
+    whole_u = pre_u[:, -1]
+    letter_t = np.repeat(np.asarray(num_t, dtype=np.int64), 2)
+
+    # a chunk: the rows of prenecklaces lo..hi-1 of length n, the empty
+    # word at n = 0, with their row lengths and weighted lengths
+    zero = np.zeros(1, dtype=np.int64)
+    pending = [(0, 0, 1, np.zeros((1, width), dtype=np.int8), zero, zero,
+                zero)]
+    while pending:
+        n, lo, hi, stack, m, u, t = pending.pop()
+        parent, code, keep = tree[n]
+        first, last = np.searchsorted(parent, (lo, hi))
+        if (last - first) * width > _STACK_BYTES and hi - lo > 1:
+            mid = (hi - lo) // 2
+            pending.append((n, lo + mid, hi, stack[mid:], m[mid:], u[mid:],
+                            t[mid:]))
+            pending.append((n, lo, lo + mid, stack[:mid], m[:mid], u[:mid],
+                            t[:mid]))
+            continue
+        # the longest words have no children: only their necklaces count
+        nodes = np.arange(first, last)
+        if n + 1 == max_len:
+            nodes = nodes[keep[first:last]]
+        p = parent[nodes] - lo
+        c = code[nodes]
+        mp, k = m[p], lens[c]
+        child = stack.take(p, axis=0)
+        flat_child = child.reshape(-1)
+        # seam: the image of c cancels against the reversed, inverted tail
+        # of the parent's row up to their first mismatch
+        last_letter = np.arange(0, len(p) * width, width) + mp - 1
+        src = c * (2 * k_max)
+        lim = np.minimum(mp, k)
+        j = np.zeros(len(p), dtype=np.int64)
+        live = np.flatnonzero((flat_child[last_letter] == neg_flat[src])
+                              & (lim > 0))
+        while live.size:
+            j[live] += 1
+            live = live[j[live] < lim[live]]
+            jl = j[live]
+            live = live[flat_child[last_letter[live] - jl]
+                        == neg_flat[src[live] + jl]]
+        # the rest of the image overwrites the cancelled tail; the padding
+        # lands past the new row's end
+        end = last_letter + 1 - j
+        src += j
+        for col in range(k_max):
+            flat_child[end + col] = img_flat[src + col]
+        m_child = mp + k - 2 * j
+        u_child = u[p] + whole_u[c] - 2 * pre_flat[c * pre_u.shape[1] + j]
+        t_child = t[p] + letter_t[c]
+
+        # a reduced row is s x s^-1 with x cyclically reduced: peel s, s^-1
+        rows = np.flatnonzero(keep[nodes])
+        u_core = u_child[rows]
+        head = rows * width
+        tail = head + m_child[rows] - 1
+        live = np.flatnonzero(flat_child[head] == -flat_child[tail])
+        while live.size:
+            u_core[live] -= 2 * w_u[np.abs(flat_child[head[live]])]
+            head[live] += 1
+            tail[live] -= 1
+            live = live[tail[live] > head[live]]
+            live = live[flat_child[head[live]] == -flat_child[tail[live]]]
+        yield n + 1, nodes[rows], t_child[rows], u_core
+        if n + 1 < max_len:
+            pending.append((n + 1, first, last, child, m_child, u_child,
+                            t_child))
 
 
 def brute_force_max_stretch(t, u, max_len):
@@ -271,25 +343,27 @@ def brute_force_max_stretch(t, u, max_len):
     length ≤ max_len, by full enumeration (no candidate shortcut)."""
     if t.rank != u.rank:
         raise RankError("points live in different ranks")
-    blocks = _necklace_blocks(t.rank, max_len)
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1, got %d" % max_len)
     # translate to T having identity marking (the action is by isometries)
     theta = fg.compose(t.marking.inverted(), u.marking)
-    theta_inv = theta.inverted()
 
     den_t = math.lcm(*(l.denominator for l in t.lengths))
-    num_t = np.array([int(l * den_t) for l in t.lengths], dtype=np.int64)
+    num_t = [int(l * den_t) for l in t.lengths]
     den_u = math.lcm(*(l.denominator for l in u.lengths))
-    num_u = np.array([int(l * den_u) for l in u.lengths], dtype=np.int64)
+    num_u = [int(l * den_u) for l in u.lengths]
 
-    best = None
-    for block in blocks:
-        t_len = num_t[np.abs(block).astype(np.intp) - 1].sum(axis=1)  # times den_t
-        u_len = _batch_weighted_cyclic(theta_inv, block, num_u)      # times den_u
-        ratios = (u_len.astype(np.float64) * den_t) / (t_len.astype(np.float64) * den_u)
-        top = float(ratios.max())
-        near = np.flatnonzero(ratios >= top * (1.0 - 1e-9))
-        for i in near:
-            r = Fraction(int(u_len[i]) * den_t, int(t_len[i]) * den_u)
-            if best is None or r > best:
-                best = r
-    return best
+    # of the classes of one weighted T-length, only the longest in U can
+    # hold the maximum: keep that one per T-length, then compare exactly
+    best = {}
+    for _, _, t_len, u_len in _necklace_lengths(
+            t.rank, max_len, theta.inverted(), num_t, num_u):
+        order = np.argsort(t_len)
+        t_len = t_len[order]
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                t_len[1:] != t_len[:-1])))
+        top = np.maximum.reduceat(u_len[order], starts)
+        for t_key, u_top in zip(t_len[starts].tolist(), top.tolist()):
+            best[t_key] = max(best.get(t_key, 0), u_top)
+    return max(Fraction(u_len * den_t, t_len * den_u)
+               for t_len, u_len in best.items())

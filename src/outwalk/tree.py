@@ -160,11 +160,14 @@ def _view(b):
 
 
 _BD_PERIODIC = re.compile(r"^\s*(?:pre:(\S*)\s+)?per:(\S+)\s*$")
-_BD_TRUNC = re.compile(r"^\s*prefix:(\S+)(?:\s+depth:(\d+))?\s*$")
+_BD_TRUNC = re.compile(r"^\s*prefix:(\S*)(?:\s+depth:(\d+))?\s*$")
 
 
 def parse_boundary(text):
-    """Parse "per:ab", "pre:a per:ba", or "prefix:abab depth:4"."""
+    """Parse "per:ab", "pre:a per:ba", or "prefix:abab depth:4".
+
+    The prefix may be empty ("prefix: depth:0"), as format_boundary writes
+    a truncated point of depth 0."""
     m = _BD_PERIODIC.match(text)
     if m:
         pre = fg.parse_word(m.group(1) or "")

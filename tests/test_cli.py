@@ -308,12 +308,13 @@ def test_command_sections_are_checked_before_any_trial(tmp_path, capsys,
     (tree_cfg(tracked=["prefix:acCb depth:2"]), "$.tracked[0]"),
     (tree_cfg(measure=[{"word": "acC", "weight": 0.5},
                        {"word": "A", "weight": 0.5}]), "$.measure[0]"),
+    (tree_cfg(tracked=["per:a", "prefix: depth:0"]), "$.tracked[1]"),
 ])
 def test_bad_tracked_entries_exit_2_before_any_trial(tmp_path, capsys,
                                                      monkeypatch, cfg, where):
     # a repeated label, a trivial class, a point beyond the rank (also past
     # a truncated point's depth, or in letters that cancel, as in a measure
-    # word)
+    # word), a boundary literal with no letters
     refuse_trials(monkeypatch)
     path = write_cfg(tmp_path, cfg)
     assert run(["drift", "--config", path, "--out", str(tmp_path / "o")]) == 2

@@ -155,6 +155,8 @@ def test_enumeration_refuses_unreasonable_sizes():
     u = rose.rose_point(["1/2", "1/4", "1/4"])
     with pytest.raises(rose.ResourceLimitError):
         rose.brute_force_max_stretch(t, u, 30)
+    with pytest.raises(ValueError):
+        rose.brute_force_max_stretch(t, u, 0)     # no class to take a sup of
 
 
 def _burnside_class_count(rank, length):
@@ -230,23 +232,101 @@ def test_packing_refuses_words_wider_than_63_bits(monkeypatch):
         rose._necklace_blocks(16, 13)      # five bits per letter
 
 
-def test_batch_weighted_cyclic_matches_the_word_engine():
+# the oracle's former block kernel, kept as the reference for the tree:
+# the images of a whole block are gathered into one array, rows kept apart
+# by a separator letter, freely reduced by freegroup's cancel pass, then
+# cyclically reduced by peeling inverse letters off both ends of every row
+_SEPARATOR = 64     # a letter value that never cancels: no letter is -64
+
+
+def _batch_weighted_cyclic(theta_inv, block, weights_num):
+    """For each row w of block: weighted cyclic length of theta_inv(w)."""
+    flat_img, starts, lens = theta_inv._image_arrays(+1)
+    # code 2N is a one-letter image holding the separator
+    sep = len(lens)
+    flat_img = np.append(flat_img, np.int8(_SEPARATOR))
+    starts = np.append(starts, len(flat_img) - 1)
+    lens = np.append(lens, 1)
+    codes = ((np.abs(block).astype(np.intp) - 1) << 1) | (block < 0)
+    codes = np.pad(codes, ((0, 0), (0, 1)), constant_values=sep).ravel()
+    lens_pp = lens[codes]
+    ends = np.cumsum(lens_pp)
+    # ragged gather: letter k of the image of code c sits at starts[c] + k
+    pos = np.arange(int(ends[-1]), dtype=np.int64)
+    pos += np.repeat(starts[codes] - (ends - lens_pp), lens_pp)
+    letters = flat_img[pos]
+    changed = True
+    while changed:
+        letters, changed = fg._cancel_pass(letters)
+
+    stop = np.flatnonzero(letters == _SEPARATOR)       # one per row, in order
+    begin = np.concatenate(([0], stop[:-1] + 1))
+    wtab = np.zeros(_SEPARATOR + 1, dtype=np.int64)
+    wtab[1:len(weights_num) + 1] = weights_num
+    cum = np.concatenate(([0], np.cumsum(wtab[np.abs(letters)])))
+    # a reduced row is s c s^-1 with c cyclically reduced: peel s and s^-1
+    lo, hi = begin.copy(), stop - 1
+    rows = np.flatnonzero(hi > lo)
+    while rows.size:
+        rows = rows[letters[lo[rows]] == -letters[hi[rows]]]
+        lo[rows] += 1
+        hi[rows] -= 1
+    return cum[stop] - cum[begin] - 2 * (cum[lo] - cum[begin])
+
+
+def _tree_lengths(rank, max_len, theta_inv, num_t, num_u):
+    """The tree kernel's T- and U-lengths: a (2, count) array per block."""
+    tree = rose._prenecklace_tree(rank, max_len)
+    got = [np.full((2, np.count_nonzero(keep)), -1, dtype=np.int64)
+           for _, _, keep in tree]
+    for n, nodes, t, u in rose._necklace_lengths(rank, max_len, theta_inv,
+                                                 num_t, num_u):
+        necklaces = np.flatnonzero(tree[n - 1][2])
+        at = np.searchsorted(necklaces, nodes)
+        assert (necklaces[at] == nodes).all()
+        assert (got[n - 1][:, at] == -1).all()      # each necklace once
+        got[n - 1][:, at] = t, u
+    return got
+
+
+@pytest.mark.parametrize("stack_bytes", [rose._STACK_BYTES, 1],
+                         ids=["default-budget", "one-parent-chunks"])
+def test_tree_kernel_matches_the_block_kernel_and_the_word_engine(
+        monkeypatch, stack_bytes):
+    # a budget of one byte splits every chunk down to a single parent
+    monkeypatch.setattr(rose, "_STACK_BYTES", stack_bytes)
     rng = np.random.default_rng(77)
-    for rank in (2, 3):
-        weights = np.arange(1, rank + 1, dtype=np.int64) * 3 + 1
-        for _ in range(6):
+    for rank, max_len in ((2, 8), (3, 5)):
+        blocks = rose._necklace_blocks(rank, max_len)
+        for _ in range(3):
             theta = fg.random_automorphism(rng, rank, int(rng.integers(8, 15)))
-            L = int(rng.integers(2, 5)) * 2
-            signs = rng.choice([-1, 1], size=(40, L))
-            rows = signs * rng.integers(1, rank + 1, size=(40, L))
-            # w w^-1 rows: their images cancel completely
-            half = rows[:8, :L // 2]
-            rows[:8, L // 2:] = -half[:, ::-1]
-            block = rows.astype(np.int8)
-            got = rose._batch_weighted_cyclic(theta, block, weights)
-            want = []
-            for row in block:
-                core, _ = fg.cyclic_reduce(theta.apply(row))
-                want.append(int(sum(weights[abs(int(v)) - 1] for v in core)))
-            assert got.tolist() == want
-            assert want[:8] == [0] * 8
+            num_t = rng.integers(1, 12, size=rank)
+            num_u = rng.integers(1, 12, size=rank)
+            got = _tree_lengths(rank, max_len, theta, num_t, num_u)
+            for block, (t, u) in zip(blocks, got):
+                assert t.tolist() == \
+                    num_t[np.abs(block).astype(np.intp) - 1].sum(axis=1).tolist()
+                assert u.tolist() == \
+                    _batch_weighted_cyclic(theta, block, num_u).tolist()
+                want = []
+                for row in block:
+                    core, _ = fg.cyclic_reduce(theta.apply(row))
+                    want.append(int(sum(num_u[abs(int(v)) - 1] for v in core)))
+                assert u.tolist() == want
+
+
+def test_every_class_ties_between_a_point_and_itself():
+    rng = np.random.default_rng(12)
+    for rank, max_len in ((2, 8), (3, 5)):
+        for point in (rose.unit_rose(rank), invariants.random_rose(rng, rank)):
+            assert rose.brute_force_max_stretch(point, point, max_len) == 1
+
+
+def test_supremum_reached_at_several_t_lengths_of_one_word_length():
+    # a (T-length 1/3) and b (T-length 2/3) both stretch by 3/2, and so do
+    # aa, ab, bb and many longer classes of each word length
+    t = rose.rose_point(["1/3", "2/3"])
+    u = rose.rose_point(["1/2", "1/2"], fg.from_trace(2, ["L:2:1:-"]))
+    for max_len in (1, 2, 6):
+        assert rose.brute_force_max_stretch(t, u, max_len) == Fraction(3, 2)
+    assert rose.max_stretch(t, u) == Fraction(3, 2)

@@ -46,6 +46,23 @@ def test_parse_clips_prefix_to_certified_depth():
     assert tree.format_boundary(xi) == "prefix:a depth:1"
 
 
+def test_every_boundary_point_round_trips_through_its_literal():
+    rng = np.random.default_rng(31)
+    points = [bp("per:ab"), bp("per:B"), bp("pre:a per:ba"),
+              bp("pre:Ba per:abAB")]
+    for depth in (0, 1, 5, 80):
+        word = fg.random_reduced_word(rng, 3, 80)
+        points.append(tree.BoundaryPoint.truncated(word, depth))
+    for xi in points:
+        text = tree.format_boundary(xi)
+        back = bp(text)
+        assert tree.format_boundary(back) == text
+        assert (back.is_periodic, back.depth) == (xi.is_periodic, xi.depth)
+        n = 40 if xi.is_periodic else xi.depth
+        assert back.letters(n).tolist() == xi.letters(n).tolist()
+    assert tree.format_boundary(points[4]) == "prefix: depth:0"
+
+
 def test_periodic_point_must_be_cyclically_reduced():
     with pytest.raises(ValueError):
         bp("per:abA")     # infinite word ab Aab A... would cancel
