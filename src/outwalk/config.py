@@ -12,8 +12,6 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-import jsonschema
-
 from . import freegroup as fg
 from . import rose
 from . import stats
@@ -42,6 +40,7 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError("%s: line %d column %d: %s"
                           % (path, exc.lineno, exc.colno, exc.msg)) from exc
+    import jsonschema   # slow to import: only commands that load a config pay
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:

@@ -12,7 +12,13 @@ block of trials are rows of one int8 stack array, and each step is a few
 numpy operations over all rows; Busemann values and the limit prefix are
 read off the stacks at checkpoints only, so a truncated tracked point
 fails a trial only where a value it records is undecidable.  Outer trials
-run a span at a time on one backend set up once for the span.
+on abelianized vectors run in lock-step blocks as well: the rows' step
+matrices are multiplied in int64, in segments short enough that no product
+overflows, and each segment's product moves a row's exact vectors once;
+the word cap is checked by a bound, and a row is replayed step by step
+only where the bound passes the cap.  Outer trials on reduced words run
+one at a time.  Either outer backend reads kappa and sigma from exact
+integer lengths, with one division and one log per value.
 run_experiment cuts the spans the same way for any worker count, and a
 lone trial (sample_path) is a span of one in either mode.
 
@@ -26,9 +32,10 @@ count, block size or execution order, and a failing trial fails alone.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -40,6 +47,9 @@ from . import tree as treemod
 
 DEFAULT_WORD_CAP = 2 ** 24
 SPOT_CHECK_RATE = 0.01
+# bytes of per-trial state (stacks or vectors, and steps) per block of trials
+# advanced together
+_BLOCK_BYTES = 1 << 19
 
 
 class WordCapExceeded(RuntimeError):
@@ -135,11 +145,28 @@ class WalkConfig:
         if list(cps) != sorted(set(cps)) or cps[0] < 1 or cps[-1] > self.horizon:
             raise ValueError("checkpoints must be strictly increasing in [1, horizon]")
         object.__setattr__(self, "checkpoints", cps)
+        cap = self.max_word_letters
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            raise ValueError("max_word_letters must be an int >= 1, got %r"
+                             % (cap,))
+        rate = self.spot_check_rate
+        if not isinstance(rate, numbers.Real) or not 0 <= rate <= 1:
+            raise ValueError("spot_check_rate must be a real in [0, 1], "
+                             "got %r" % (rate,))
         object.__setattr__(self, "tracked_classes", tuple(self.tracked_classes))
 
 
 @dataclass(frozen=True)
 class PathRecord:
+    """One trial's values at its checkpoints.
+
+    peak_letters is the most letters the trial held: the longest position
+    stack in tree mode, the longest reduced image word on the outer word
+    engine.  On the GL(2,Z) backend it is the longest cyclic length |p|+|q|
+    at a segment end (each checkpoint, the horizon, and the cuts that
+    _segment_steps puts between them), not at every step.
+    """
+
     trial_index: int
     checkpoints: tuple
     kappa: tuple                 # displacement at each checkpoint
@@ -163,38 +190,88 @@ def _spot_selected(master_seed, trial, ckpt, rate):
     return (h * 0x9E3779B1) % (1 << 32) < int(rate * (1 << 32))
 
 
+def _spot_due(config, trial, step):
+    """Whether the trial is spot-checked at checkpoint `step`: the selected
+    pairs, and trial 0 at the last checkpoint."""
+    return _spot_selected(config.master_seed, trial, step,
+                          config.spot_check_rate) or \
+        (trial == 0 and step == config.checkpoints[-1])
+
+
 # ---------------------------------------------------------------------------
 # outer mode
 
-def _outer_setup(mu, config):
-    rank = mu.atoms[0].rank
-    storage = []        # start words, cyclically reduced
-    keys = {}
-    labels = {}         # label -> storage slot
+class _Classes:
+    """The classes an outer walk follows, and the reader of their lengths.
 
-    def slot_for(word, label):
-        core, _ = fg.cyclic_reduce(fg.reduce(word))
-        if len(core) == 0:
-            raise ValueError("tracked class %r is trivial" % label)
-        k = fg.word_key(fg.canonical_rotation(core))
-        if k not in keys:
-            keys[k] = len(storage)
-            storage.append(core)
-        labels[label] = keys[k]
+    The rose candidates and the tracked classes are held once each, as
+    cyclically reduced start words.  At a checkpoint, kappa is the top
+    candidate ratio of cyclic length to start length and sigma each tracked
+    class's ratio.  Both are compared in integers, over one common
+    denominator of the candidates' start lengths, and each becomes a float
+    by one division of ints, which is correctly rounded: the logs equal
+    those of the exact ratios.
+    """
 
-    cand_slots = []
-    for w in rose.base_candidates(rank):
-        slot_for(w, "cand:" + fg.format_word(w))
-        cand_slots.append(labels["cand:" + fg.format_word(w)])
-    for g, label in zip(config.tracked_classes, tracked_labels(config)):
-        slot_for(fg.as_word(g), label)
-    return storage, labels, cand_slots
+    def __init__(self, mu, config):
+        self.storage = []       # start words, cyclically reduced
+        keys = {}
+        labels = {}             # label -> storage slot
+
+        def slot_for(word, label):
+            core, _ = fg.cyclic_reduce(fg.reduce(word))
+            if len(core) == 0:
+                raise ValueError("tracked class %r is trivial" % label)
+            k = fg.word_key(fg.canonical_rotation(core))
+            if k not in keys:
+                keys[k] = len(self.storage)
+                self.storage.append(core)
+            labels[label] = keys[k]
+
+        cands = []
+        for w in rose.base_candidates(mu.atoms[0].rank):
+            slot_for(w, "cand:" + fg.format_word(w))
+            cands.append(labels["cand:" + fg.format_word(w)])
+        for g, label in zip(config.tracked_classes, tracked_labels(config)):
+            slot_for(fg.as_word(g), label)
+        self.tracked = [(lab, slot) for lab, slot in labels.items()
+                        if not lab.startswith("cand:")]
+        self.slots = [slot for _, slot in self.tracked]
+        self.start_lens = [len(w) for w in self.storage]
+        self.den = math.lcm(*(self.start_lens[i] for i in cands))
+        self.scale = [(i, self.den // self.start_lens[i]) for i in cands]
+        # a primitive class of F2 is fixed by its abelianization
+        self.gl2z = mu.atoms[0].rank == 2 and \
+            all(fg.is_primitive_f2(w) for w in self.storage)
+
+    def read(self, trial, step, lens):
+        """kappa and the tracked classes' sigmas from one row of cyclic
+        lengths."""
+        top = max(lens[i] * m for i, m in self.scale)
+        sigma = []
+        for lab, slot in self.tracked:
+            # White's formula: the candidate max dominates every class
+            if lens[slot] * self.den > top * self.start_lens[slot]:
+                raise AssertionError("trial %d step %d: sigma(%s) exceeded "
+                                     "kappa" % (trial, step, lab))
+            sigma.append(math.log(lens[slot] / self.start_lens[slot]))
+        return math.log(top / self.den), sigma
+
+
+def _outer_record(trial, config, classes, kappa, sigma, lengths, spots,
+                  peak):
+    """A trial's record; sigma and lengths hold one list per checkpoint, of
+    one value per tracked class."""
+    labels = [lab for lab, _ in classes.tracked]
+    return PathRecord(
+        trial_index=trial, checkpoints=config.checkpoints, kappa=tuple(kappa),
+        sigma=dict(zip(labels, zip(*sigma))),
+        lengths=dict(zip(labels, zip(*lengths))),
+        peak_letters=peak, spot_checked=tuple(spots))
 
 
 class _WordEngine:
     """Outer-mode backend: the exact reduced image word of each start word."""
-
-    name = "words"
 
     def __init__(self, mu, storage, cap):
         self.atoms = mu.atoms
@@ -237,155 +314,30 @@ class _WordEngine:
                     % (self.trial, step, fg.format_word(w0)))
 
 
-def _abelian_matrix(phi):
-    # (a, b, c, d) with [[a, b], [c, d]] acting on column vectors (p, q)
-    (a, c), (b, d) = (fg.exponent_sums(w, 2) for w in phi.forward)
-    return a, b, c, d
-
-
-class _GL2ZEngine:
-    """Outer-mode backend for rank 2 when every start class is primitive.
-
-    A primitive class of F2 is fixed by its abelianization (p, q)
-    (Osborne-Zieschang), and its cyclic word uses each letter with one sign
-    only (Cohen-Metzler-Zimmermann), so its cyclic length is |p| + |q|.
-    Automorphisms keep classes primitive, so a step multiplies each vector
-    by the step's 2x2 integer matrix: O(1) exact int work per class,
-    however long the words it stands for.
-    """
-
-    name = "gl2z"
-    # the spot check replays the word engine while its words stay this short
-    REPLAY_LETTERS = 1 << 10
-
-    def __init__(self, mu, storage, cap):
-        self.atoms = mu.atoms
-        self.mats = [_abelian_matrix(phi) for phi in mu.atoms]
-        self.storage = storage
-        self.start = [fg.exponent_sums(w, 2) for w in storage]
-        self.cap = cap
-
-    def reset(self, trial):
-        """Start `trial` from the start vectors."""
-        self.trial = trial
-        self.vecs = list(self.start)
-        self.peak = max(len(w) for w in self.storage)
-
-    def advance(self, steps, start, stop):
-        """Apply the matrices of steps start+1 .. stop."""
-        mats, vecs, cap, peak = self.mats, self.vecs, self.cap, self.peak
-        for step in range(start + 1, stop + 1):
-            a, b, c, d = mats[steps[step - 1]]
-            top = 0
-            for i, (p, q) in enumerate(vecs):
-                p, q = a * p + b * q, c * p + d * q
-                vecs[i] = (p, q)
-                n = abs(p) + abs(q)
-                if n > top:
-                    top = n
-            if top > cap:
-                raise WordCapExceeded(self.trial, step, top, cap)
-            if top > peak:
-                peak = top
-        self.peak = peak
-
-    def cyclic_lengths(self):
-        return [abs(p) + abs(q) for p, q in self.vecs]
-
-    def spot_check(self, steps, step):
-        # the product of the step matrices from scratch must give the
-        # maintained vectors, and a word-engine replay of the same steps
-        # must give the same cyclic lengths for as long as its words stay
-        # within REPLAY_LETTERS
-        a, b, c, d = 1, 0, 0, 1
-        words = self.storage
-        for k in range(step):
-            e, f, g, h = self.mats[steps[k]]
-            a, b, c, d = (e * a + f * c, e * b + f * d,
-                          g * a + h * c, g * b + h * d)
-            if words is None:
-                continue
-            words = [self.atoms[steps[k]].apply(w) for w in words]
-            if max(len(w) for w in words) > self.REPLAY_LETTERS:
-                words = None
-                continue
-            for w, w0, (p, q) in zip(words, self.storage, self.start):
-                if fg.cyclic_length(w) != \
-                        abs(a * p + b * q) + abs(c * p + d * q):
-                    raise AssertionError(
-                        "trial %d step %d: |p|+|q| of the image of %r "
-                        "differs from its cyclic word length"
-                        % (self.trial, k + 1, fg.format_word(w0)))
-        for w0, (p, q), v in zip(self.storage, self.start, self.vecs):
-            if (a * p + b * q, c * p + d * q) != v:
-                raise AssertionError(
-                    "trial %d step %d: incremental vector of %r diverged "
-                    "from the product of the step matrices"
-                    % (self.trial, step, fg.format_word(w0)))
-
-
-def _select_engine(mu, storage):
-    if mu.atoms[0].rank == 2 and all(fg.is_primitive_f2(w) for w in storage):
-        return _GL2ZEngine
-    return _WordEngine
-
-
-def outer_backend(mu, config):
-    """Name of the backend an outer walk uses: "gl2z" when the rank is 2 and
-    every rose candidate and tracked class is primitive, else "words"."""
-    storage, _, _ = _outer_setup(mu, config)
-    return _select_engine(mu, storage).name
-
-
-def _outer_trials(mu, config, lo, hi, engine=None):
-    """Trials lo .. hi-1 on one backend, set up once for all of them.
-
-    Every backend gives the same records apart from peak_letters, which
-    counts what that backend holds: reduced words or cyclic lengths."""
-    storage, labels, cand_slots = _outer_setup(mu, config)
-    if engine is None:
-        engine = _select_engine(mu, storage)
-    engine = engine(mu, storage, config.max_word_letters)
-    start_lens = [len(w) for w in storage]
-    tracked = [(lab, slot) for lab, slot in labels.items()
-               if not lab.startswith("cand:")]
+def _word_trials(mu, config, lo, hi, classes):
+    """Trials lo .. hi-1 on exact reduced words, one trial at a time."""
+    engine = _WordEngine(mu, classes.storage, config.max_word_letters)
 
     def record(trial):
         engine.reset(trial)
         steps = mu.draw_indices(config.master_seed, trial,
                                 config.horizon).tolist()
-        kappa = []
-        sigma = {lab: [] for lab, _ in tracked}
-        lengths = {lab: [] for lab, _ in tracked}
-        spots = []
+        kappa, sigma, lengths, spots = [], [], [], []
         done = 0
         for step in config.checkpoints:
             engine.advance(steps, done, step)
             done = step
             cyc = engine.cyclic_lengths()
-            top = max(Fraction(cyc[i], start_lens[i]) for i in cand_slots)
-            kappa.append(math.log(top))
-            for lab, slot in tracked:
-                r = Fraction(cyc[slot], start_lens[slot])
-                # White's formula: the candidate max dominates every class
-                if r > top:
-                    raise AssertionError(
-                        "trial %d step %d: sigma(%s) exceeded kappa"
-                        % (trial, step, lab))
-                sigma[lab].append(math.log(r))
-                lengths[lab].append(cyc[slot])
-            if _spot_selected(config.master_seed, trial, step,
-                              config.spot_check_rate) or \
-                    (trial == 0 and step == config.checkpoints[-1]):
+            k, s = classes.read(trial, step, cyc)
+            kappa.append(k)
+            sigma.append(s)
+            lengths.append([cyc[i] for i in classes.slots])
+            if _spot_due(config, trial, step):
                 engine.spot_check(steps, step)
                 spots.append(step)
         engine.advance(steps, done, config.horizon)
-        return PathRecord(
-            trial_index=trial, checkpoints=config.checkpoints,
-            kappa=tuple(kappa),
-            sigma={k: tuple(v) for k, v in sigma.items()},
-            lengths={k: tuple(v) for k, v in lengths.items()},
-            peak_letters=engine.peak, spot_checked=tuple(spots))
+        return _outer_record(trial, config, classes, kappa, sigma, lengths,
+                             spots, engine.peak)
 
     records, failures = [], []
     for trial in range(lo, hi):
@@ -396,14 +348,241 @@ def _outer_trials(mu, config, lo, hi, engine=None):
     return records, failures
 
 
+def _abelian_matrix(phi):
+    # (a, b, c, d) with [[a, b], [c, d]] acting on column vectors (p, q)
+    (a, c), (b, d) = (fg.exponent_sums(w, 2) for w in phi.forward)
+    return a, b, c, d
+
+
+def _segment_steps(mats, horizon):
+    """Most steps whose product of step matrices int64 holds exactly.
+
+    Every partial sum in a product of k step matrices is at most r^k, r the
+    largest absolute column sum of any step matrix: that sum is the l1
+    operator norm, which is submultiplicative.  An atom's column sum is at
+    most the letters of its images, so r < 2^63 and a segment has at least
+    one step."""
+    r = max(max(abs(a) + abs(c), abs(b) + abs(d)) for a, b, c, d in mats)
+    if r == 1:      # signed permutations: products never grow
+        return horizon
+    steps = 1
+    while steps < horizon and r ** (steps + 1) < 2 ** 63:
+        steps += 1
+    return steps
+
+
+class _GL2ZBlock:
+    """Rank-2 outer trials lo .. hi-1 advanced together, a segment at a time.
+
+    Used when every class is primitive.  A primitive class of F2 is fixed by
+    its abelianization (p, q) (Osborne-Zieschang), and its cyclic word uses
+    each letter with one sign only (Cohen-Metzler-Zimmermann), so its
+    cyclic length is |p| + |q|.  Automorphisms keep classes primitive, so a
+    step multiplies each vector by the step's 2x2 integer matrix.
+
+    Row r is trial lo + r; its vectors are Python ints in row r of two
+    object arrays, p and q, one column per class.  Between checkpoints the
+    rows' step matrices are multiplied in int64, in segments of at most
+    `seg` steps (_segment_steps), and each segment's product moves the
+    vectors once.  The cap is checked by bound: every prefix product Q of a
+    segment has |Q v|_1 <= ||Q||_1 |v|_1, so only a row whose largest prefix
+    norm times its longest vector passes the cap is replayed step by step,
+    and it fails at the step and length a per-step walk gives.  A row that
+    fails (cap, domination, spot check) has its vectors zeroed: it stops
+    growing and fails only its own trial.
+    """
+
+    # the spot check replays the word engine while its words stay this short
+    REPLAY_LETTERS = 1 << 10
+
+    def __init__(self, mu, config, lo, hi, classes):
+        self.mu = mu
+        self.config = config
+        self.lo = lo
+        self.classes = classes
+        self.atom_mats = [_abelian_matrix(phi) for phi in mu.atoms]
+        self.mats = np.array(self.atom_mats, dtype=np.int64).T.copy()
+        self.seg = _segment_steps(self.atom_mats, config.horizon)
+        rows = hi - lo
+        # steps[s, r]: row r's atom at step s+1, one contiguous row per step
+        self.steps = np.empty((config.horizon, rows), dtype=_step_dtype(mu))
+        for r in range(rows):
+            self.steps[:, r] = mu.draw_indices(config.master_seed, lo + r,
+                                               config.horizon)
+        self.start_vecs = [fg.exponent_sums(w, 2) for w in classes.storage]
+        p, q = zip(*self.start_vecs)
+        self.p = np.array([p] * rows, dtype=object)
+        self.q = np.array([q] * rows, dtype=object)
+        self.top = np.full(rows, max(classes.start_lens), dtype=object)
+        self.peak = self.top.copy()
+        # kappa[k, r], sigma[k, r, i], lengths[k][r, i]: checkpoint k's
+        # values of row r and tracked class i
+        count = len(config.checkpoints)
+        self.kappa = np.zeros((count, rows))
+        self.sigma = np.zeros((count, rows, len(classes.tracked)))
+        self.lengths = []
+        self.spots = [[] for _ in range(rows)]
+        self.failures = {}
+
+    def fail(self, r, exc):
+        """Trial lo + r fails with exc; its row stops growing."""
+        self.failures[r] = exc
+        self.p[r] = self.q[r] = 0
+
+    def advance(self, start, stop):
+        """Apply the matrices of steps start+1 .. stop to every row."""
+        for s in range(start, stop, self.seg):
+            self.segment(s, min(s + self.seg, stop))
+
+    def segment(self, start, stop):
+        """Steps start+1 .. stop as one product per row, within the cap."""
+        prod = np.zeros((4, self.p.shape[0]), dtype=np.int64)
+        prod[0] = prod[3] = 1
+        norm = np.ones(self.p.shape[0], dtype=np.int64)
+        for s in range(start, stop):
+            e, f, g, h = self.mats[:, self.steps[s]]
+            prod = np.concatenate((e * prod[:2] + f * prod[2:],
+                                   g * prod[:2] + h * prod[2:]))
+            col = np.abs(prod)
+            col = col[:2] + col[2:]
+            np.maximum(norm, np.maximum(col[0], col[1]), out=norm)
+        cap = self.config.max_word_letters
+        over = norm > cap // np.maximum(self.top, 1)
+        a, b, c, d = prod.astype(object)[:, :, None]
+        p, q = self.p, self.q
+        self.p, self.q = a * p + b * q, c * p + d * q
+        for r in np.flatnonzero(over).tolist():
+            if r not in self.failures:
+                self.replay(r, start, stop, p[r].tolist(), q[r].tolist())
+        self.lens = abs(self.p) + abs(self.q)
+        self.top = self.lens.max(axis=1)
+        np.maximum(self.peak, self.top, out=self.peak)
+
+    def replay(self, r, start, stop, p, q):
+        """Row r's steps start+1 .. stop one at a time from vectors p, q;
+        the row fails at the first step where a class passes the cap."""
+        cap = self.config.max_word_letters
+        for s in range(start, stop):
+            a, b, c, d = self.atom_mats[self.steps[s, r]]
+            p, q = ([a * x + b * y for x, y in zip(p, q)],
+                    [c * x + d * y for x, y in zip(p, q)])
+            top = max(abs(x) + abs(y) for x, y in zip(p, q))
+            if top > cap:
+                self.fail(r, WordCapExceeded(self.lo + r, s + 1, top, cap))
+                return
+
+    def checkpoint(self, k, step):
+        """Read checkpoint k's kappa, sigma and lengths of every row after
+        `step`, and run the row's spot check where one is due."""
+        self.lengths.append(self.lens[:, self.classes.slots])
+        for r, lens in enumerate(self.lens.tolist()):
+            trial = self.lo + r
+            if r in self.failures:
+                continue
+            try:
+                self.kappa[k, r], self.sigma[k, r] = \
+                    self.classes.read(trial, step, lens)
+                if _spot_due(self.config, trial, step):
+                    self.spot_check(r, step)
+                    self.spots[r].append(step)
+            except AssertionError as exc:
+                self.fail(r, exc)
+
+    def spot_check(self, r, step):
+        """Row r against the product of its redrawn step matrices from
+        scratch and, while its words stay within REPLAY_LETTERS, against the
+        cyclic lengths of a word-engine replay of the same steps."""
+        trial = self.lo + r
+        storage = self.classes.storage
+        steps = self.mu.draw_indices(self.config.master_seed, trial,
+                                     step).tolist()
+        a, b, c, d = 1, 0, 0, 1
+        words = storage
+        for k in range(step):
+            e, f, g, h = self.atom_mats[steps[k]]
+            a, b, c, d = (e * a + f * c, e * b + f * d,
+                          g * a + h * c, g * b + h * d)
+            if words is None:
+                continue
+            words = [self.mu.atoms[steps[k]].apply(w) for w in words]
+            if max(len(w) for w in words) > self.REPLAY_LETTERS:
+                words = None
+                continue
+            for w, w0, (p, q) in zip(words, storage, self.start_vecs):
+                if fg.cyclic_length(w) != \
+                        abs(a * p + b * q) + abs(c * p + d * q):
+                    raise AssertionError(
+                        "trial %d step %d: |p|+|q| of the image of %r "
+                        "differs from its cyclic word length"
+                        % (trial, k + 1, fg.format_word(w0)))
+        for i, (w0, (p, q)) in enumerate(zip(storage, self.start_vecs)):
+            if (a * p + b * q, c * p + d * q) != (self.p[r, i], self.q[r, i]):
+                raise AssertionError(
+                    "trial %d step %d: incremental vector of %r diverged "
+                    "from the product of the step matrices"
+                    % (trial, step, fg.format_word(w0)))
+
+    def run(self):
+        """Walk every step; (records, [(trial, exc)]) of the block."""
+        done = 0
+        for k, step in enumerate(self.config.checkpoints):
+            self.advance(done, step)
+            self.checkpoint(k, step)
+            done = step
+        self.advance(done, self.config.horizon)
+        lengths = np.array(self.lengths)
+        peak = self.peak.tolist()
+        records = [_outer_record(self.lo + r, self.config, self.classes,
+                                 self.kappa[:, r].tolist(),
+                                 self.sigma[:, r].tolist(),
+                                 lengths[:, r].tolist(), self.spots[r],
+                                 peak[r])
+                   for r in range(len(peak)) if r not in self.failures]
+        failures = [(self.lo + r, self.failures[r])
+                    for r in sorted(self.failures)]
+        return records, failures
+
+
+def outer_backend(mu, config):
+    """Name of the backend an outer walk uses: "gl2z" (lock-step blocks of
+    abelianized vectors) when the rank is 2 and every rose candidate and
+    tracked class is primitive, else "words" (exact reduced words, one trial
+    at a time)."""
+    return "gl2z" if _Classes(mu, config).gl2z else "words"
+
+
+def _step_dtype(mu):
+    return np.min_scalar_type(len(mu.atoms) - 1)
+
+
+def _outer_rows(mu, config, classes):
+    """Trials per block: as many as _BLOCK_BYTES of steps and vectors hold,
+    a vector entry counted as a pointer to an int as large as the cap."""
+    entry = 8 + sys.getsizeof(config.max_word_letters)
+    row_bytes = config.horizon * _step_dtype(mu).itemsize + \
+        2 * len(classes.storage) * entry
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _outer_trials(mu, config, lo, hi):
+    """Trials lo .. hi-1 on one backend, set up once for all of them: one
+    GL(2,Z) block, or the word engine trial by trial.
+
+    Both backends give the same records apart from peak_letters: the longest
+    reduced word on the word engine, the longest cyclic length at a segment
+    end on GL(2,Z)."""
+    classes = _Classes(mu, config)
+    if classes.gl2z:
+        return _GL2ZBlock(mu, config, lo, hi, classes).run()
+    return _word_trials(mu, config, lo, hi, classes)
+
+
 # ---------------------------------------------------------------------------
 # tree mode
 
 # never the inverse of a letter: the floor under every stack, and the
 # stream value past a truncated point's certified letters
 _NO_LETTER = 127
-# stack and increment bytes per block of trials advanced together
-_BLOCK_BYTES = 1 << 19
 
 
 def _inverse_atom_table(mu):
@@ -533,14 +712,9 @@ class _TreeBlock:
         elif k > self.first:
             self.limit = np.minimum(self.limit,
                                     fg.row_prefix(words, self.anchor, n))
-        config = self.config
-        last = step == config.checkpoints[-1]
         for r in range(len(n)):
             trial = self.lo + r
-            if r in self.failures or not (
-                    _spot_selected(config.master_seed, trial, step,
-                                   config.spot_check_rate)
-                    or (trial == 0 and last)):
+            if r in self.failures or not _spot_due(self.config, trial, step):
                 continue
             try:
                 self.spot_check(r, step)
@@ -652,14 +826,17 @@ def _run_trials(mu, config, lo, hi):
 def run_experiment(mu, config, workers=1):
     """All trials, ordered by trial index; identical for any worker count.
 
-    Tree spans are blocks of near-equal size within _BLOCK_BYTES, outer
-    spans all trials for one worker, else a few trials each; one worker
-    runs them in process, more on a pool."""
+    Tree and GL(2,Z) spans are blocks of near-equal size within
+    _BLOCK_BYTES; word-engine spans are all trials for one worker, else a
+    few trials each, as their costs vary widely.  One worker runs the spans
+    in process, more on a pool."""
     _check_tracked(mu, config)
     trials = config.trials
     if mu.mode == "tree":
         size = _block_size(trials, workers,
                            _tree_rows(config, _inverse_atom_table(mu)))
+    elif (classes := _Classes(mu, config)).gl2z:
+        size = _block_size(trials, workers, _outer_rows(mu, config, classes))
     else:
         size = trials if workers <= 1 else max(1, trials // (8 * workers))
     los = range(0, trials, size)

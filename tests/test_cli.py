@@ -459,6 +459,24 @@ def test_worker_override_keeps_csv_bytes(tmp_path):
         open(os.path.join(eight, "gap.csv"), "rb").read()
 
 
+@pytest.mark.parametrize("command", ["drift", "clt", "deviation", "gap"])
+def test_outer_outputs_do_not_depend_on_the_thread_count(tmp_path, command):
+    # two workers split the trials into GL(2,Z) blocks one worker runs whole
+    with open(os.path.join(ROOT, "configs", "outf2_clt.json")) as fh:
+        cfg = json.load(fh)
+    cfg["trials"] = 201
+    path = write_cfg(tmp_path, cfg)
+    outs = [str(tmp_path / "t1"), str(tmp_path / "t2")]
+    for out, threads in zip(outs, ("1", "2")):
+        assert run([command, "--config", path, "--out", out,
+                    "--threads", threads]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert "manifest.json" in names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert open(os.path.join(outs[0], name), "rb").read() == \
+            open(os.path.join(outs[1], name), "rb").read(), name
+
+
 def test_clt_csv_layout(tmp_path):
     path = write_cfg(tmp_path, tree_cfg(trials=40))
     out = str(tmp_path / "o")

@@ -1,6 +1,8 @@
 """Config loading: schema validation, cross checks, and builders."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -216,3 +218,12 @@ def test_boundary_tracked_strings_validated(tmp_path):
     cfg = cfgmod.load_config(write(tmp_path, bad))
     with pytest.raises(ConfigError, match=r"\$\.tracked\[0\]"):
         cfgmod.build_walk_config(cfg)
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # only load_config validates against the schema
+    child = "import sys, outwalk.cli\nprint('jsonschema' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,6 +3,7 @@ and the from-scratch spot checks."""
 
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,29 @@ def test_walk_config_validates_checkpoints():
         WalkConfig(horizon=0, trials=1, master_seed=0, checkpoints=(1,))
     cfg = WalkConfig(horizon=10, trials=2, master_seed=0, checkpoints=[2, 10])
     assert cfg.checkpoints == (2, 10)
+
+
+@pytest.mark.parametrize("cap", [0, -5, True, 2.0, 1e9, "64", None])
+def test_walk_config_refuses_a_cap_that_is_not_a_positive_int(cap):
+    with pytest.raises(ValueError, match="max_word_letters"):
+        WalkConfig(horizon=10, trials=1, master_seed=0, checkpoints=(10,),
+                   max_word_letters=cap)
+
+
+@pytest.mark.parametrize("rate", [-0.01, 1.5, float("nan"), "0.1", None,
+                                  1j])
+def test_walk_config_refuses_a_spot_check_rate_outside_0_1(rate):
+    with pytest.raises(ValueError, match="spot_check_rate"):
+        WalkConfig(horizon=10, trials=1, master_seed=0, checkpoints=(10,),
+                   spot_check_rate=rate)
+
+
+def test_walk_config_takes_the_edges_of_its_ranges():
+    for cap, rate in ((1, 0), (10 ** 100, 1.0), (64, 0.5)):
+        cfg = WalkConfig(horizon=10, trials=1, master_seed=0,
+                         checkpoints=(10,), max_word_letters=cap,
+                         spot_check_rate=rate)
+        assert (cfg.max_word_letters, cfg.spot_check_rate) == (cap, rate)
 
 
 # -- exact point-mass paths
@@ -287,8 +311,8 @@ def random_rank2_measure(rng, atoms=4):
 
 
 def word_engine_path(mu, cfg, trial):
-    records, failures = walk._outer_trials(mu, cfg, trial, trial + 1,
-                                           engine=walk._WordEngine)
+    records, failures = walk._word_trials(mu, cfg, trial, trial + 1,
+                                          walk._Classes(mu, cfg))
     assert not failures
     return records[0]
 
@@ -365,16 +389,12 @@ def test_rank3_walks_use_the_word_engine():
 def test_gl2z_spot_check_catches_a_corrupted_vector():
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
-    storage, _, _ = walk._outer_setup(mu, cfg)
-    engine = walk._GL2ZEngine(mu, storage, cfg.max_word_letters)
-    engine.reset(0)
-    steps = mu.draw_indices(cfg.master_seed, 0, cfg.horizon).tolist()
-    engine.advance(steps, 0, 30)
-    engine.spot_check(steps, 30)
-    p, q = engine.vecs[0]
-    engine.vecs[0] = (p + 1, q)
-    with pytest.raises(AssertionError):
-        engine.spot_check(steps, 30)
+    block = walk._GL2ZBlock(mu, cfg, 0, 1, walk._Classes(mu, cfg))
+    block.advance(0, 30)
+    block.spot_check(0, 30)
+    block.p[0, 0] += 1
+    with pytest.raises(AssertionError, match="incremental vector"):
+        block.spot_check(0, 30)
 
 
 def test_gl2z_cap_counts_exact_cyclic_length():
@@ -411,7 +431,7 @@ def test_outer_failures_are_attributed_to_their_own_trials(workers):
                      spot_check_rate=0.5,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word("aba")))
-    storage, _, _ = walk._outer_setup(mu, cfg)
+    storage = walk._Classes(mu, cfg).storage
     breach = {t: first_cap_breach(mu, cfg, t, storage)
               for t in range(cfg.trials)}
     failing = [t for t in range(cfg.trials) if breach[t]]
@@ -426,6 +446,146 @@ def test_outer_failures_are_attributed_to_their_own_trials(workers):
     assert [r.trial_index for r in got] == passing
     for rec in got:
         assert walk.sample_path(mu, cfg, rec.trial_index) == rec
+
+
+# -- GL(2,Z) blocks against the per-step reference
+
+def segment_ends(config, seg):
+    """The steps where a GL(2,Z) block applies a segment product."""
+    bounds = (0,) + config.checkpoints + (config.horizon,)
+    return {min(s + seg, hi) for lo, hi in zip(bounds, bounds[1:])
+            for s in range(lo, hi, seg)}
+
+
+def per_step_gl2z_trial(mu, config, trial):
+    """One GL(2,Z) trial a step at a time in Python ints, read in Fractions."""
+    classes = walk._Classes(mu, config)
+    mats = [walk._abelian_matrix(phi) for phi in mu.atoms]
+    ends = segment_ends(config, walk._segment_steps(mats, config.horizon))
+    start = classes.start_lens
+    cands = [i for i, _ in classes.scale]
+    vecs = [fg.exponent_sums(w, 2) for w in classes.storage]
+    steps = mu.draw_indices(config.master_seed, trial, config.horizon)
+    cap = config.max_word_letters
+    peak = max(start)
+    kappa, spots = [], []
+    sigma = {lab: [] for lab, _ in classes.tracked}
+    lengths = {lab: [] for lab, _ in classes.tracked}
+    for step in range(1, config.horizon + 1):
+        a, b, c, d = mats[steps[step - 1]]
+        vecs = [(a * p + b * q, c * p + d * q) for p, q in vecs]
+        cyc = [abs(p) + abs(q) for p, q in vecs]
+        if max(cyc) > cap:
+            raise WordCapExceeded(trial, step, max(cyc), cap)
+        if step in ends:
+            peak = max(peak, max(cyc))
+        if step not in config.checkpoints:
+            continue
+        top = max(Fraction(cyc[i], start[i]) for i in cands)
+        kappa.append(math.log(top))
+        for lab, slot in classes.tracked:
+            r = Fraction(cyc[slot], start[slot])
+            if r > top:
+                raise AssertionError("trial %d step %d: sigma(%s) exceeded "
+                                     "kappa" % (trial, step, lab))
+            sigma[lab].append(math.log(r))
+            lengths[lab].append(cyc[slot])
+        if walk._spot_selected(config.master_seed, trial, step,
+                               config.spot_check_rate) or \
+                (trial == 0 and step == config.checkpoints[-1]):
+            spots.append(step)
+    return walk.PathRecord(
+        trial_index=trial, checkpoints=config.checkpoints, kappa=tuple(kappa),
+        sigma={k: tuple(v) for k, v in sigma.items()},
+        lengths={k: tuple(v) for k, v in lengths.items()},
+        peak_letters=peak, spot_checked=tuple(spots))
+
+
+def per_step_gl2z_run(mu, config):
+    records, failures = [], []
+    for trial in range(config.trials):
+        try:
+            records.append(per_step_gl2z_trial(mu, config, trial))
+        except WordCapExceeded as exc:
+            failures.append((trial, exc))
+    return records, failures
+
+
+def assert_same_outer_records(got, want):
+    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    for g, w in zip(got, want):
+        assert (g.trial_index, g.checkpoints, g.kappa, g.sigma, g.lengths,
+                g.peak_letters, g.spot_checked, g.bnd) == \
+            (w.trial_index, w.checkpoints, w.kappa, w.sigma, w.lengths,
+             w.peak_letters, w.spot_checked, w.bnd)
+        # the results are written as JSON: plain ints, not numpy scalars
+        assert all(type(v) is int for v in
+                   [g.peak_letters, *(v for n in g.lengths.values()
+                                      for v in n)])
+
+
+def lazy_nielsen_measure():
+    # mostly the identity, as in configs/outf2_gap.json
+    traces = ([], ["R:1:2:+"], ["R:1:2:-"], ["R:2:1:+"], ["R:2:1:-"])
+    return MeasureSpec([fg.from_trace(2, t) for t in traces],
+                       [0.6, 0.1, 0.1, 0.1, 0.1])
+
+
+OUTER_TRACKED = tuple(fg.parse_word(w) for w in ("a", "b", "ab", "aB", "aba"))
+
+
+@pytest.mark.parametrize("measure", ["nielsen", "lazy", "random"])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_gl2z_blocks_match_the_per_step_reference(measure, rows, workers,
+                                                  monkeypatch):
+    # 150 steps between checkpoints 10 and 160: more than one segment, so
+    # segments are cut inside an interval; blocks of `rows` trials, so
+    # block edges split every worker's trial range
+    mu = {"nielsen": nielsen_measure, "lazy": lazy_nielsen_measure,
+          "random": lambda: random_rank2_measure(
+              np.random.default_rng(5))}[measure]()
+    cfg = WalkConfig(horizon=180, trials=7, master_seed=13,
+                     checkpoints=(5, 10, 160), spot_check_rate=0.3,
+                     max_word_letters=10 ** 100,
+                     tracked_classes=OUTER_TRACKED)
+    classes = walk._Classes(mu, cfg)
+    assert classes.gl2z
+    seg = walk._segment_steps([walk._abelian_matrix(phi) for phi in mu.atoms],
+                              cfg.horizon)
+    assert seg < 150
+    monkeypatch.setattr(walk, "_outer_rows", lambda *args: rows)
+    want, failures = per_step_gl2z_run(mu, cfg)
+    assert not failures
+    assert_same_outer_records(run_experiment(mu, cfg, workers=workers), want)
+
+
+def test_gl2z_rows_hold_vectors_beyond_int64():
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=400, trials=4, master_seed=3,
+                     checkpoints=(100, 400), max_word_letters=10 ** 100,
+                     tracked_classes=OUTER_TRACKED)
+    want, failures = per_step_gl2z_run(mu, cfg)
+    assert not failures
+    assert max(r.peak_letters for r in want) > 2 ** 64
+    assert_same_outer_records(run_experiment(mu, cfg), want)
+
+
+@pytest.mark.parametrize("cap", [64, 5000])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gl2z_cap_failures_match_the_per_step_reference(cap, workers):
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=90, trials=40, master_seed=7,
+                     checkpoints=(4, 8, 60, 90), max_word_letters=cap,
+                     spot_check_rate=0.2, tracked_classes=OUTER_TRACKED)
+    want, want_failures = per_step_gl2z_run(mu, cfg)
+    assert want and want_failures
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg, workers=workers)
+    assert failure_key(err.value.failures) == failure_key(want_failures)
+    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    assert failure_key(failures) == failure_key(want_failures)
+    assert_same_outer_records(got, want)
 
 
 # -- tree blocks against the per-letter reference
