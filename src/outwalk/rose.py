@@ -118,11 +118,6 @@ def max_stretch(t, u):
     return best
 
 
-def lipschitz_distance(t, u):
-    """Asymmetric distance d(T,U) = log max_stretch(T,U); exact ratio, one log."""
-    return math.log(max_stretch(t, u))
-
-
 def act(phi, point):
     """Group action Phi.T := T.Phi^{-1} (marking precomposed with Phi^{-1})."""
     return RosePoint(point.lengths, fg.compose(phi, point.marking))

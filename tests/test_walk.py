@@ -311,8 +311,7 @@ def random_rank2_measure(rng, atoms=4):
 
 
 def word_engine_path(mu, cfg, trial):
-    records, failures = walk._word_trials(mu, cfg, trial, trial + 1,
-                                          walk._Classes(mu, cfg))
+    records, failures = walk._WordBlock(mu, cfg, trial, trial + 1).run()
     assert not failures
     return records[0]
 
@@ -379,22 +378,60 @@ def test_non_primitive_tracked_class_uses_the_word_engine():
                            word_engine_path(mu, cfg, trial))
 
 
+def rank3_measure():
+    return MeasureSpec([fg.from_trace(3, ["R:1:2:+"]),
+                        fg.from_trace(3, ["L:3:1:-"])], [0.5, 0.5])
+
+
 def test_rank3_walks_use_the_word_engine():
-    mu = MeasureSpec([fg.from_trace(3, ["R:1:2:+"]),
-                      fg.from_trace(3, ["L:3:1:-"])], [0.5, 0.5])
+    mu = rank3_measure()
     cfg = WalkConfig(horizon=6, trials=1, master_seed=0, checkpoints=(6,))
     assert walk.outer_backend(mu, cfg) == "words"
+
+
+def test_a_word_block_holds_one_trial_at_the_default_cap():
+    # a row counts every start word at the cap's letters: at the default
+    # cap one row passes the block budget, so a block is a single trial
+    cfg = WalkConfig(horizon=6, trials=4, master_seed=0, checkpoints=(6,))
+    assert cfg.max_word_letters == walk.DEFAULT_WORD_CAP
+    assert walk._WordBlock.row_bytes(rank3_measure(), cfg) > \
+        walk._BLOCK_BYTES
+
+
+def test_word_engine_program_faults_propagate(monkeypatch):
+    # only cap, domination and spot-check failures are a trial's own; any
+    # other exception is a fault of the program and is raised once
+    def broken(self, w):
+        raise TypeError("broken apply")
+
+    cfg = WalkConfig(horizon=6, trials=5, master_seed=0, checkpoints=(3, 6))
+    monkeypatch.setattr(fg.Automorphism, "apply", broken)
+    with pytest.raises(TypeError, match="broken apply"):
+        run_experiment(rank3_measure(), cfg)
 
 
 def test_gl2z_spot_check_catches_a_corrupted_vector():
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
-    block = walk._GL2ZBlock(mu, cfg, 0, 1, walk._Classes(mu, cfg))
+    block = walk._GL2ZBlock(mu, cfg, 0, 1)
     block.advance(0, 30)
     block.spot_check(0, 30)
     block.p[0, 0] += 1
     with pytest.raises(AssertionError, match="incremental vector"):
         block.spot_check(0, 30)
+
+
+def test_word_spot_check_catches_a_corrupted_word():
+    mu = rank3_measure()
+    cfg = WalkConfig(horizon=12, trials=1, master_seed=1, checkpoints=(12,))
+    block = walk._WordBlock(mu, cfg, 0, 1)
+    block.advance(0, 12)
+    block.spot_check(0, 12)
+    word = block.words[0][0].copy()
+    word[0] = -word[0]
+    block.words[0][0] = word
+    with pytest.raises(AssertionError, match="incremental image"):
+        block.spot_check(0, 12)
 
 
 def test_gl2z_cap_counts_exact_cyclic_length():
@@ -409,30 +446,39 @@ def test_gl2z_cap_counts_exact_cyclic_length():
     assert (err.value.step, err.value.length) == (63, 65)
 
 
-def first_cap_breach(mu, cfg, trial, storage):
-    """(step, length) where a start word's cyclic image first passes the cap,
-    replayed on words; None when none does."""
+def first_cap_breach(mu, cfg, trial, storage, backend):
+    """(step, length) where a start word's image first passes the cap,
+    replayed on words; None when none does.  GL(2,Z) blocks count cyclic
+    lengths and name the longest; the word engine counts reduced letters
+    and names the first word over the cap."""
     words = list(storage)
     steps = mu.draw_indices(cfg.master_seed, trial, cfg.horizon).tolist()
     for step, i in enumerate(steps, 1):
         words = [mu.atoms[i].apply(w) for w in words]
-        top = max(fg.cyclic_length(w) for w in words)
-        if top > cfg.max_word_letters:
-            return step, top
+        lens = [fg.cyclic_length(w) if backend == "gl2z" else len(w)
+                for w in words]
+        over = [n for n in lens if n > cfg.max_word_letters]
+        if over:
+            return step, max(over) if backend == "gl2z" else over[0]
     return None
 
 
+@pytest.mark.parametrize("backend,tracked", [("gl2z", "aba"),
+                                             ("words", "abAB")])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_outer_failures_are_attributed_to_their_own_trials(workers):
-    # 48 trials at seed 2: 17 stay under the cap; two workers get spans of 3
+def test_outer_failures_are_attributed_to_their_own_trials(workers, backend,
+                                                           tracked):
+    # 48 trials at seed 2, some under the cap and some over it; two workers
+    # get two blocks of 24
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=48, master_seed=2,
                      checkpoints=(10, 20, 30), max_word_letters=64,
                      spot_check_rate=0.5,
                      tracked_classes=(fg.parse_word("a"),
-                                      fg.parse_word("aba")))
+                                      fg.parse_word(tracked)))
+    assert walk.outer_backend(mu, cfg) == backend
     storage = walk._Classes(mu, cfg).storage
-    breach = {t: first_cap_breach(mu, cfg, t, storage)
+    breach = {t: first_cap_breach(mu, cfg, t, storage, backend)
               for t in range(cfg.trials)}
     failing = [t for t in range(cfg.trials) if breach[t]]
     passing = [t for t in range(cfg.trials) if not breach[t]]
@@ -554,7 +600,8 @@ def test_gl2z_blocks_match_the_per_step_reference(measure, rows, workers,
     seg = walk._segment_steps([walk._abelian_matrix(phi) for phi in mu.atoms],
                               cfg.horizon)
     assert seg < 150
-    monkeypatch.setattr(walk, "_outer_rows", lambda *args: rows)
+    monkeypatch.setattr(walk, "_BLOCK_BYTES",
+                        rows * walk._GL2ZBlock.row_bytes(mu, cfg))
     want, failures = per_step_gl2z_run(mu, cfg)
     assert not failures
     assert_same_outer_records(run_experiment(mu, cfg, workers=workers), want)
@@ -847,9 +894,9 @@ def test_tree_spot_check_catches_a_corrupted_stack_entry():
     mu = srw_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,),
                      tracked_classes=(tree.parse_boundary("per:a"),))
-    block = walk._TreeBlock(mu, cfg, 0, 1, walk._inverse_atom_table(mu))
+    block = walk._TreeBlock(mu, cfg, 0, 1)
     block.advance(0, 30)
-    block.checkpoint(0, 30)
+    block.read(0, 30)
     block.spot_check(0, 30)
     assert block.n[0] > 3
     at = block.base[0] + 3
@@ -862,9 +909,9 @@ def test_tree_spot_check_catches_a_corrupted_common_prefix():
     mu = srw_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,),
                      tracked_classes=(tree.parse_boundary("per:a"),))
-    block = walk._TreeBlock(mu, cfg, 0, 1, walk._inverse_atom_table(mu))
+    block = walk._TreeBlock(mu, cfg, 0, 1)
     block.advance(0, 30)
-    block.checkpoint(0, 30)
+    block.read(0, 30)
     block.cp[0, 0] += 1
     with pytest.raises(AssertionError, match="common prefix"):
         block.spot_check(0, 30)
