@@ -222,26 +222,13 @@ def _prenecklace_levels(rank, max_len):
 
 
 @lru_cache(maxsize=8)
-def _necklace_blocks(rank, max_len):
-    """Cyclically reduced conjugacy-class representatives, grouped by length.
-
-    Returns a tuple of 2-D int8 arrays, one per word length 1..max_len; each
-    row is the least rotation of one class under the letter order a < A <
-    b < B < ..., and rows ascend in that order.
-    """
-    bits = (2 * rank - 1).bit_length()
-    return tuple(_unpack(vals[keep], n, bits) for n, (vals, _, _, keep)
-                 in enumerate(_prenecklace_levels(rank, max_len), start=1))
-
-
-@lru_cache(maxsize=8)
 def _prenecklace_tree(rank, max_len):
     """(parent, code, keep) of _prenecklace_levels, one triple per length."""
     return tuple(level[1:] for level in _prenecklace_levels(rank, max_len))
 
 
 def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
-    """Weighted lengths of every necklace of _necklace_blocks(rank, max_len).
+    """Weighted lengths of every necklace of length 1..max_len.
 
     num_t, num_u: integer edge weights.  Yields (n, nodes, t, u) chunk by
     chunk: the necklaces' length n, their indices among the prenecklaces

@@ -9,7 +9,8 @@ walk position in the Cayley tree.
 
 Every walk runs in blocks of trials under one protocol, _Block: advance
 all rows to a checkpoint, read them there, spot-check the rows that are
-due from scratch, and fail a row alone.  Three backends supply the rows:
+due from scratch (an outer row against one replay of its start words,
+_OuterBlock.replay), and fail a row alone.  Three backends supply the rows:
 _TreeBlock (position stacks, each step a few numpy operations over all
 rows), _GL2ZBlock (rank 2 with every class primitive: abelianized vectors
 moved by int64 products of step matrices) and _WordBlock (exact reduced
@@ -265,11 +266,10 @@ class _Classes:
                 keys[k] = len(self.storage)
                 self.storage.append(core)
             labels[label] = keys[k]
+            return keys[k]
 
-        cands = []
-        for w in rose.base_candidates(mu.atoms[0].rank):
-            slot_for(w, "cand:" + fg.format_word(w))
-            cands.append(labels["cand:" + fg.format_word(w)])
+        cands = [slot_for(w, "cand:" + fg.format_word(w))
+                 for w in rose.base_candidates(mu.atoms[0].rank)]
         for g, label in zip(config.tracked_classes, tracked_labels(config)):
             slot_for(fg.as_word(g), label)
         self.tracked = [(lab, slot) for lab, slot in labels.items()
@@ -302,11 +302,14 @@ def _step_dtype(mu):
 
 class _OuterBlock(_Block):
     """Outer trials: each row's values are read from the cyclic lengths of
-    its classes' images, which a backend gives by cyclic_lengths()."""
+    its classes' images (a backend's cyclic_lengths()), checked by replay()."""
 
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
         self.classes = _Classes(mu, config)
+        # moves[i]: atom i moves a basis letter; the others fix every word
+        self.moves = [any(w.tolist() != [x] for x, w in
+                          enumerate(phi.forward, 1)) for phi in mu.atoms]
         # steps[s, r]: row r's atom at step s+1, one contiguous row per step
         self.steps = np.empty((config.horizon, self.rows),
                               dtype=_step_dtype(mu))
@@ -315,8 +318,7 @@ class _OuterBlock(_Block):
                                                config.horizon)
         # kappa[k, r], sigma[k, r, i], lengths[k, r, i]: checkpoint k's
         # values of row r and tracked class i
-        shape = (len(config.checkpoints), self.rows,
-                 len(self.classes.tracked))
+        shape = (len(config.checkpoints), self.rows, len(self.classes.tracked))
         self.kappa = np.zeros(shape[:2])
         self.sigma = np.zeros(shape)
         self.lengths = np.zeros(shape, dtype=object)
@@ -332,6 +334,21 @@ class _OuterBlock(_Block):
                     self.classes.read(self.lo + r, step, lens)
             except AssertionError as exc:
                 self.fail(r, exc)
+
+    def replay(self, r, step, limit=math.inf):
+        """(0, None, start words), then (k, i, words) after each of row r's
+        redrawn steps k <= step whose atom i moves: the start words redone
+        from scratch, [] from the first word over `limit` letters on."""
+        words = self.classes.storage
+        yield 0, None, words
+        for k, i in enumerate(self.mu.draw_indices(
+                self.config.master_seed, self.lo + r, step).tolist(), 1):
+            if self.moves[i]:
+                if words:
+                    words = [self.mu.atoms[i].apply(w) for w in words]
+                    if max(len(w) for w in words) > limit:
+                        words = []
+                yield k, i, words
 
     def record(self, r):
         labels = [lab for lab, _ in self.classes.tracked]
@@ -355,9 +372,8 @@ class _WordBlock(_OuterBlock):
 
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
-        storage = self.classes.storage
-        self.words = [list(storage) for _ in range(self.rows)]
-        self.peak = [max(len(w) for w in storage)] * self.rows
+        self.words = [list(self.classes.storage) for _ in range(self.rows)]
+        self.peak = [max(self.classes.start_lens)] * self.rows
 
     def fail(self, r, exc):
         """Trial lo + r fails with exc; its words are dropped."""
@@ -385,17 +401,14 @@ class _WordBlock(_OuterBlock):
         return [[fg.cyclic_length(w) for w in words] for words in self.words]
 
     def spot_check(self, r, step):
-        """Row r against Phi_step recomposed from its steps and reapplied
-        from scratch."""
-        steps = self.steps[:step, r].tolist()
-        phi = self.mu.atoms[steps[0]]
-        for i in steps[1:]:
-            phi = fg.compose(self.mu.atoms[i], phi)
-        for w0, w in zip(self.classes.storage, self.words[r]):
-            if not np.array_equal(phi.apply(w0), w):
+        """Row r against its start words replayed from scratch."""
+        for _, _, words in self.replay(r, step):
+            pass
+        for w0, w1, w in zip(self.classes.storage, words, self.words[r]):
+            if not np.array_equal(w1, w):
                 raise AssertionError(
                     "trial %d step %d: incremental image of %r diverged from "
-                    "recomposed automorphism"
+                    "its from-scratch replay"
                     % (self.lo + r, step, fg.format_word(w0)))
 
 
@@ -441,7 +454,7 @@ class _GL2ZBlock(_OuterBlock):
     at the step and length a per-step walk gives.
     """
 
-    # the spot check replays the word engine while its words stay this short
+    # the spot check compares cyclic lengths while its words stay this short
     REPLAY_LETTERS = 1 << 10
 
     @classmethod
@@ -494,12 +507,12 @@ class _GL2ZBlock(_OuterBlock):
         self.p, self.q = a * p + b * q, c * p + d * q
         for r in np.flatnonzero(over).tolist():
             if r not in self.failures:
-                self.replay(r, start, stop, p[r].tolist(), q[r].tolist())
+                self.step_by_step(r, start, stop, p[r].tolist(), q[r].tolist())
         self.lens = abs(self.p) + abs(self.q)
         self.top = self.lens.max(axis=1)
         np.maximum(self.peak, self.top, out=self.peak)
 
-    def replay(self, r, start, stop, p, q):
+    def step_by_step(self, r, start, stop, p, q):
         """Row r's steps start+1 .. stop one at a time from vectors p, q;
         the row fails at the first step where a class passes the cap."""
         cap = self.config.max_word_letters
@@ -516,38 +529,29 @@ class _GL2ZBlock(_OuterBlock):
         return self.lens.tolist()
 
     def spot_check(self, r, step):
-        """Row r against the product of its redrawn step matrices from
-        scratch and, while its words stay within REPLAY_LETTERS, against the
-        cyclic lengths of a word-engine replay of the same steps."""
-        trial = self.lo + r
+        """Row r against the product of its redrawn step matrices and, from
+        step 0 while the replayed words stay within REPLAY_LETTERS letters,
+        against their cyclic lengths."""
         storage = self.classes.storage
-        steps = self.mu.draw_indices(self.config.master_seed, trial,
-                                     step).tolist()
         a, b, c, d = 1, 0, 0, 1
-        words = storage
-        for k in range(step):
-            e, f, g, h = self.atom_mats[steps[k]]
-            a, b, c, d = (e * a + f * c, e * b + f * d,
-                          g * a + h * c, g * b + h * d)
-            if words is None:
-                continue
-            words = [self.mu.atoms[steps[k]].apply(w) for w in words]
-            if max(len(w) for w in words) > self.REPLAY_LETTERS:
-                words = None
-                continue
+        for k, i, words in self.replay(r, step, self.REPLAY_LETTERS):
+            if k:
+                e, f, g, h = self.atom_mats[i]
+                a, b, c, d = (e * a + f * c, e * b + f * d,
+                              g * a + h * c, g * b + h * d)
             for w, w0, (p, q) in zip(words, storage, self.start_vecs):
                 if fg.cyclic_length(w) != \
                         abs(a * p + b * q) + abs(c * p + d * q):
                     raise AssertionError(
                         "trial %d step %d: |p|+|q| of the image of %r "
                         "differs from its cyclic word length"
-                        % (trial, k + 1, fg.format_word(w0)))
+                        % (self.lo + r, k, fg.format_word(w0)))
         for i, (w0, (p, q)) in enumerate(zip(storage, self.start_vecs)):
             if (a * p + b * q, c * p + d * q) != (self.p[r, i], self.q[r, i]):
                 raise AssertionError(
                     "trial %d step %d: incremental vector of %r diverged "
                     "from the product of the step matrices"
-                    % (trial, step, fg.format_word(w0)))
+                    % (self.lo + r, step, fg.format_word(w0)))
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +727,14 @@ class _TreeBlock(_Block):
 def _block_class(mu, config):
     """Tree blocks in tree mode; in outer mode GL(2,Z) blocks when the rank
     is 2 and every rose candidate and tracked class is primitive, else word
-    blocks."""
-    if mu.mode == "tree":
+    blocks.  Tree mode tracks boundary points, outer mode classes."""
+    tree_mode = mu.mode == "tree"
+    for x in config.tracked_classes:
+        if isinstance(x, treemod.BoundaryPoint) != tree_mode:
+            raise ValueError("tree mode tracks boundary points" if tree_mode
+                             else "outer mode tracks words, not boundary "
+                                  "points")
+    if tree_mode:
         return _TreeBlock
     return _GL2ZBlock if _Classes(mu, config).gl2z else _WordBlock
 
@@ -741,30 +751,20 @@ def _block_size(trials, parts, rows):
     return -(-trials // runs)
 
 
-def _check_tracked(mu, config):
-    # tree mode tracks boundary points, outer mode conjugacy classes
-    tree_mode = mu.mode == "tree"
-    for x in config.tracked_classes:
-        if isinstance(x, treemod.BoundaryPoint) != tree_mode:
-            raise ValueError("tree mode tracks boundary points" if tree_mode
-                             else "outer mode tracks words, not boundary "
-                                  "points")
-
-
 def sample_path(mu, config, trial):
     """One trial as a block of one; a pure function of (mu, config, trial)."""
     if not 0 <= trial < config.trials:
         raise ValueError("trial index out of range")
-    _check_tracked(mu, config)
-    records, failures = _run_trials(mu, config, trial, trial + 1)
+    records, failures = _run_trials(_block_class(mu, config), mu, config,
+                                    trial, trial + 1)
     if failures:
         raise failures[0][1]
     return records[0]
 
 
-def _run_trials(mu, config, lo, hi):
-    """Trials lo .. hi-1 as one block: (records, [(trial, exc)])."""
-    return _block_class(mu, config)(mu, config, lo, hi).run()
+def _run_trials(cls, mu, config, lo, hi):
+    """Trials lo .. hi-1 as one block of cls: (records, [(trial, exc)])."""
+    return cls(mu, config, lo, hi).run()
 
 
 def run_experiment(mu, config, workers=1):
@@ -774,13 +774,13 @@ def run_experiment(mu, config, workers=1):
     _BLOCK_BYTES by its backend's row_bytes (at least one row), about a
     multiple of `workers` of them.  One worker runs the blocks in process,
     more on a pool."""
-    _check_tracked(mu, config)
     trials = config.trials
-    rows = _BLOCK_BYTES // _block_class(mu, config).row_bytes(mu, config)
+    cls = _block_class(mu, config)
+    rows = _BLOCK_BYTES // cls.row_bytes(mu, config)
     size = _block_size(trials, workers, max(1, rows))
     los = range(0, trials, size)
     his = [min(lo + size, trials) for lo in los]
-    run = partial(_run_trials, mu, config)
+    run = partial(_run_trials, cls, mu, config)
     if workers <= 1:
         runs = list(map(run, los, his))
     else:

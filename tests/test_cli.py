@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from outwalk import cli, rose, tree
+from outwalk import cli, config, rose, tree, walk
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -459,12 +459,24 @@ def test_worker_override_keeps_csv_bytes(tmp_path):
         open(os.path.join(eight, "gap.csv"), "rb").read()
 
 
-@pytest.mark.parametrize("command", ["drift", "clt", "deviation", "gap"])
-def test_outer_outputs_do_not_depend_on_the_thread_count(tmp_path, command):
-    # two workers split the trials into GL(2,Z) blocks one worker runs whole
+@pytest.mark.parametrize("command,backend", [
+    pytest.param(command, backend,
+                 id=command if backend == "gl2z" else command + "-words")
+    for backend in ("gl2z", "words")
+    for command in ("drift", "clt", "deviation", "gap")])
+def test_outer_outputs_do_not_depend_on_the_thread_count(tmp_path, command,
+                                                         backend):
+    # two workers split the trials into GL(2,Z) blocks one worker runs
+    # whole; a word block is one trial at the default cap, which the
+    # non-primitive class abAB puts the walk on
     with open(os.path.join(ROOT, "configs", "outf2_clt.json")) as fh:
         cfg = json.load(fh)
-    cfg["trials"] = 201
+    if backend == "gl2z":
+        cfg["trials"] = 201
+    else:
+        cfg.update(trials=32, horizon=24, tracked=["a", "abAB", "aba"])
+    assert walk.outer_backend(config.build_measure(cfg),
+                              config.build_walk_config(cfg)) == backend
     path = write_cfg(tmp_path, cfg)
     outs = [str(tmp_path / "t1"), str(tmp_path / "t2")]
     for out, threads in zip(outs, ("1", "2")):

@@ -173,9 +173,18 @@ def _burnside_class_count(rank, length):
     return total // length
 
 
+def necklace_blocks(rank, max_len):
+    """One int8 array per length 1..max_len of the necklaces the oracle's
+    prenecklace tree keeps, each row a class's least rotation under a < A <
+    b < B < ..., rows ascending."""
+    bits = (2 * rank - 1).bit_length()
+    return [rose._unpack(vals[keep], n, bits) for n, (vals, _, _, keep)
+            in enumerate(rose._prenecklace_levels(rank, max_len), start=1)]
+
+
 def test_necklace_block_sizes_match_the_burnside_count():
     for rank, max_len in ((2, 14), (3, 8)):
-        sizes = [len(b) for b in rose._necklace_blocks(rank, max_len)]
+        sizes = [len(b) for b in necklace_blocks(rank, max_len)]
         assert sizes == [_burnside_class_count(rank, L)
                          for L in range(1, max_len + 1)]
     assert [_burnside_class_count(2, L) for L in (12, 13, 14)] == \
@@ -185,7 +194,7 @@ def test_necklace_block_sizes_match_the_burnside_count():
 def test_length_14_classes_are_not_wrapped_around():
     # a^13 b is its own least rotation; a packing that overflows 63 bits
     # turns it into a word that was never enumerated
-    block = rose._necklace_blocks(2, 14)[13]
+    block = necklace_blocks(2, 14)[13]
     for text in ("a" * 13 + "b", "a" * 14):
         assert (block == fg.parse_word(text)).all(axis=1).any(), text
 
@@ -209,7 +218,7 @@ def _reference_blocks(rank, max_len):
 
 def test_necklace_blocks_match_a_pure_python_enumeration():
     for rank, max_len in ((2, 8), (3, 5), (4, 4)):
-        blocks = rose._necklace_blocks(rank, max_len)
+        blocks = necklace_blocks(rank, max_len)
         assert len(blocks) == max_len
         for L, (block, ref) in enumerate(
                 zip(blocks, _reference_blocks(rank, max_len)), start=1):
@@ -227,9 +236,9 @@ def test_packing_refuses_words_wider_than_63_bits(monkeypatch):
     monkeypatch.setattr(rose, "ENUMERATION_BOUND", 10 ** 30)
     monkeypatch.setattr(rose, "_unpack", started)
     with pytest.raises(rose.ResourceLimitError):
-        rose._necklace_blocks(2, 32)
+        necklace_blocks(2, 32)
     with pytest.raises(rose.ResourceLimitError):
-        rose._necklace_blocks(16, 13)      # five bits per letter
+        necklace_blocks(16, 13)      # five bits per letter
 
 
 # the oracle's former block kernel, kept as the reference for the tree:
@@ -297,7 +306,7 @@ def test_tree_kernel_matches_the_block_kernel_and_the_word_engine(
     monkeypatch.setattr(rose, "_STACK_BYTES", stack_bytes)
     rng = np.random.default_rng(77)
     for rank, max_len in ((2, 8), (3, 5)):
-        blocks = rose._necklace_blocks(rank, max_len)
+        blocks = necklace_blocks(rank, max_len)
         for _ in range(3):
             theta = fg.random_automorphism(rng, rank, int(rng.integers(8, 15)))
             num_t = rng.integers(1, 12, size=rank)

@@ -295,6 +295,11 @@ def test_peak_letters_reported():
 
 # -- the GL(2,Z) backend against the word engine
 
+def one_block(mu, cfg):
+    """Every trial as one block of the backend the walk chooses."""
+    return walk._run_trials(walk._block_class(mu, cfg), mu, cfg, 0, cfg.trials)
+
+
 def same_record(a, b):
     # peak_letters counts what each backend holds: reduced words against
     # cyclic lengths, so it is the one field allowed to differ
@@ -434,6 +439,94 @@ def test_word_spot_check_catches_a_corrupted_word():
         block.spot_check(0, 12)
 
 
+def lazy_measure(rank, traces, lazy=0.6):
+    # the identity at weight `lazy`, as in outf2_gap (0.9 there), and the
+    # other atoms uniform
+    atoms = [fg.Automorphism.identity(rank)] + \
+        [fg.from_trace(rank, t) for t in traces]
+    return MeasureSpec(atoms, [lazy] + [(1 - lazy) / len(traces)] * len(traces))
+
+
+def lazy_nielsen_measure():
+    return lazy_measure(2, (["R:1:2:+"], ["R:1:2:-"], ["R:2:1:+"],
+                            ["R:2:1:-"]))
+
+
+def recomposed_images(mu, cfg, trial, step, storage):
+    """The start words under Phi_step, recomposed from the trial's redrawn
+    atoms and applied once."""
+    phi = fg.Automorphism.identity(mu.atoms[0].rank)
+    for i in mu.draw_indices(cfg.master_seed, trial, step).tolist():
+        phi = fg.compose(mu.atoms[i], phi)
+    return [phi.apply(w) for w in storage]
+
+
+@pytest.mark.parametrize("mu,idle,tracked,backend", [
+    (rank3_measure(), (), ("a", "abc", "aB"), "words"),
+    (lazy_measure(3, (["R:1:2:+"], ["L:3:1:-"], ["R:2:3:-"])), (0,),
+     ("a", "abc"), "words"),
+    (lazy_nielsen_measure(), (0,), ("a", "abAB"), "words"),
+    (lazy_nielsen_measure(), (0,), ("a", "aba"), "gl2z"),
+], ids=["rank3", "lazy-rank3", "lazy-rank2-words", "lazy-rank2-gl2z"])
+def test_the_replay_matches_the_recomposed_automorphism(mu, idle, tracked,
+                                                        backend):
+    # every checkpoint of every trial: after step 0 the replay moves at
+    # exactly the steps of atoms other than the identity, and ends on the
+    # recomposed images
+    cfg = WalkConfig(horizon=16, trials=6, master_seed=1,
+                     checkpoints=(1, 2, 5, 16),
+                     tracked_classes=tuple(fg.parse_word(w) for w in tracked))
+    assert walk.outer_backend(mu, cfg) == backend
+    block = walk._block_class(mu, cfg)(mu, cfg, 0, cfg.trials)
+    storage = block.classes.storage
+    firsts = []
+    for r in range(cfg.trials):
+        steps = mu.draw_indices(cfg.master_seed, r, cfg.horizon).tolist()
+        firsts.append(steps[0] in idle)
+        for step in cfg.checkpoints:
+            moved = []
+            for k, _, words in block.replay(r, step):
+                moved.append(k)
+            assert moved == [0] + [k for k, i in enumerate(steps[:step], 1)
+                                   if i not in idle]
+            want = recomposed_images(mu, cfg, r, step, storage)
+            assert [w.tolist() for w in words] == [w.tolist() for w in want]
+    # lazy measures: some trials start on the identity and some do not
+    assert any(firsts) == bool(idle) and not all(firsts)
+
+
+def test_gl2z_spot_check_catches_a_wrong_step_matrix():
+    # the walk keeps its int64 matrices; the check's product of the atom
+    # matrices then disagrees with the replayed words' cyclic lengths
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
+    block = walk._GL2ZBlock(mu, cfg, 0, 1)
+    block.advance(0, 30)
+    block.spot_check(0, 30)
+    a, b, c, d = block.atom_mats[0]
+    block.atom_mats[0] = (a + 1, b, c, d)
+    with pytest.raises(AssertionError,
+                       match="differs from its cyclic word length"):
+        block.spot_check(0, 30)
+
+
+@pytest.mark.parametrize("trial", [0, 1], ids=["moving-first",
+                                               "identity-first"])
+def test_gl2z_spot_check_compares_the_start_vectors_at_step_0(trial):
+    mu = lazy_nielsen_measure()
+    cfg = WalkConfig(horizon=12, trials=2, master_seed=1, checkpoints=(12,))
+    assert [mu.draw_indices(1, t, 1)[0] == 0 for t in (0, 1)] == \
+        [False, True]
+    block = walk._GL2ZBlock(mu, cfg, 0, 2)
+    block.advance(0, 12)
+    block.spot_check(trial, 12)
+    assert block.start_vecs[0] == (1, 0)            # the class of a
+    block.start_vecs[0] = (2, 0)
+    with pytest.raises(AssertionError,
+                       match=r"trial %d step 0: \|p\|\+\|q\|" % trial):
+        block.spot_check(trial, 12)
+
+
 def test_gl2z_cap_counts_exact_cyclic_length():
     # (a>ab)^n sends a to a b^n: the cap of 64 letters is first passed at
     # step 63, by the class ab -> a b^(n+1)
@@ -487,7 +580,7 @@ def test_outer_failures_are_attributed_to_their_own_trials(workers, backend,
         run_experiment(mu, cfg, workers=workers)
     assert [(t, type(e), (e.step, e.length)) for t, e in err.value.failures] \
         == [(t, WordCapExceeded, breach[t]) for t in failing]
-    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    got, failures = one_block(mu, cfg)
     assert [t for t, _ in failures] == failing
     assert [r.trial_index for r in got] == passing
     for rec in got:
@@ -630,7 +723,7 @@ def test_gl2z_cap_failures_match_the_per_step_reference(cap, workers):
     with pytest.raises(ExperimentError) as err:
         run_experiment(mu, cfg, workers=workers)
     assert failure_key(err.value.failures) == failure_key(want_failures)
-    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    got, failures = one_block(mu, cfg)
     assert failure_key(failures) == failure_key(want_failures)
     assert_same_outer_records(got, want)
 
@@ -783,7 +876,7 @@ def test_tree_failures_are_attributed_to_their_own_trials(workers):
     with pytest.raises(ExperimentError) as err:
         run_experiment(mu, cfg, workers=workers)
     assert failure_key(err.value.failures) == failure_key(want_failures)
-    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    got, failures = one_block(mu, cfg)
     assert failure_key(failures) == failure_key(want_failures)
     assert [r.trial_index for r in got] == [r.trial_index for r in want]
     for g, w in zip(got, want):
@@ -829,7 +922,7 @@ def test_checkpoint_prefixes_match_the_per_letter_reference_at_every_step(
     with pytest.raises(ExperimentError) as err:
         run_experiment(mu, cfg, workers=workers)
     assert failure_key(err.value.failures) == failure_key(want_failures)
-    got, failures = walk._run_trials(mu, cfg, 0, cfg.trials)
+    got, failures = one_block(mu, cfg)
     assert failure_key(failures) == failure_key(want_failures)
     assert [r.trial_index for r in got] == [r.trial_index for r in want]
     for g, w in zip(got, want):
@@ -862,7 +955,7 @@ def test_a_truncated_point_fails_only_undecidable_checkpoint_values():
     with pytest.raises(ExperimentError) as err:
         run_experiment(mu, cfg)
     assert failure_key(err.value.failures) == failure_key(want_failures)
-    got, _ = walk._run_trials(mu, cfg, 0, cfg.trials)
+    got, _ = one_block(mu, cfg)
     assert [r.trial_index for r in got] == [r.trial_index for r in want]
     for g, w in zip(got, want):
         assert_same_tree_record(g, w)
