@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,8 +45,9 @@ from . import tree as treemod
 DEFAULT_WORD_CAP = 2 ** 24
 SPOT_CHECK_RATE = 0.01
 # bytes of per-trial state (stacks, vectors or words, and steps) per block of
-# trials advanced together
-_BLOCK_BYTES = 1 << 19
+# trials advanced together: about one core's L2 cache, which holds each
+# worker's share of tree_srw_f2 as one block at two workers
+_BLOCK_BYTES = 1 << 21
 
 
 class WordCapExceeded(RuntimeError):
@@ -179,11 +181,17 @@ def tracked_labels(config):
             else fg.format_word(fg.as_word(x)) for x in config.tracked_classes]
 
 
-def _spot_selected(master_seed, trial, ckpt, rate):
-    # deterministic, worker-independent selection of ~rate of all pairs
-    h = (trial * 1000003 + ckpt) * 2654435761 + (master_seed & 0xFFFFFFFF)
-    h ^= h >> 16
-    return (h * 0x9E3779B1) % (1 << 32) < int(rate * (1 << 32))
+def _spot_mask(master_seed, lo, rows, ckpt, rate):
+    """Which of trials lo .. lo+rows-1 are due a spot check at checkpoint
+    ckpt: a deterministic, worker-independent hash selects about `rate` of
+    all pairs.  Its result depends on the low 48 bits of the hash only, so
+    uint64 arithmetic, which wraps mod 2^64, is exact."""
+    u64 = np.uint64
+    trial = np.arange(rows, dtype=u64) + u64(lo % (1 << 64))
+    h = (trial * u64(1000003) + u64(ckpt)) * u64(2654435761) + \
+        u64(master_seed & 0xFFFFFFFF)
+    h ^= h >> u64(16)
+    return (h * u64(0x9E3779B1)) & u64(0xFFFFFFFF) < int(rate * (1 << 32))
 
 
 class _Block:
@@ -216,11 +224,11 @@ class _Block:
             self.advance(done, step)
             self.read(k, step)
             # the selected pairs, and trial 0 at the last checkpoint
-            for r, trial in enumerate(range(self.lo, self.lo + self.rows)):
-                if r in self.failures or not (_spot_selected(
-                        config.master_seed, trial, step,
-                        config.spot_check_rate) or
-                        (trial == 0 and step == config.checkpoints[-1])):
+            due = _spot_mask(config.master_seed, self.lo, self.rows, step,
+                             config.spot_check_rate)
+            due[0] |= self.lo == 0 and step == config.checkpoints[-1]
+            for r in np.flatnonzero(due).tolist():
+                if r in self.failures:
                     continue
                 try:
                     self.spot_check(r, step)
@@ -583,10 +591,15 @@ def _tree_width(config, table):
 class _TreeBlock(_Block):
     """Tree-mode trials advanced one step at a time.
 
-    Row r's walk position g_n^{-1} is a letter stack in row r of one int8
-    array above a floor column, with its length in n.  Each letter of a
-    step is a few numpy operations over all rows, and nothing about the
-    tracked points.
+    Row r's walk position g_n^{-1} is a letter stack in row r of one flat
+    int8 array above a floor column; top[r] is the index of its top letter
+    (its floor when empty), and its length is top[r] - base[r], taken only
+    where a length is read: at checkpoints, the cap check and the record.
+    Each letter of a step is six numpy calls over all rows (take, compare,
+    add, scatter, two subtracts), a seventh when some atom is padded or some
+    row has failed, and nothing about the tracked points.  At the default
+    budget a worker's share of tree_srw_f2 is one block, so a step pays its
+    calls once per worker.
 
     The stacks are read at checkpoints only, by one kernel, fg.row_prefix:
     cp[i] is each row's common prefix with tracked point i's letters.  A
@@ -615,8 +628,8 @@ class _TreeBlock(_Block):
         self.words = self.stack.reshape(rows, self.stride)[:, 1:]
         self.base = np.arange(rows, dtype=np.intp) * self.stride
         self.stack[self.base] = _NO_LETTER
-        self.n = np.zeros(rows, dtype=np.intp)
-        self.peak = np.zeros(rows, dtype=np.intp)
+        self.top = self.base.copy()
+        self.peak = self.base.copy()
         count = len(config.checkpoints)
         self.first = max(0, count - max(2, (count + 9) // 10))
         # letters[s, k, r]: letter k of the inverse atom of row r's step s+1
@@ -645,36 +658,45 @@ class _TreeBlock(_Block):
         """Trial lo + r fails with exc; its row stops moving."""
         super().fail(r, exc)
         self.letters[:, :, r] = 0
-        self.n[r] = 0
+        self.top[r] = self.base[r]
 
     def advance(self, start, stop):
-        stack, base, n, peak = self.stack, self.base, self.n, self.peak
+        """Steps start+1 .. stop.  Each letter v pops the rows whose top is
+        its inverse and pushes it on the others: v is written above every
+        top, which moves up one and, where it popped, down two."""
+        stack, top, peak = self.stack, self.top, self.peak
         cap = self.config.max_word_letters
         atom = self.letters.shape[1]
-        for s in range(start, stop):
-            for v in self.letters[s]:
-                pos = base + n
-                pop = stack.take(pos) == -v
-                # every letter moves its row unless some are the no-op 0
-                push = (v != 0) ^ pop if self.padded or self.failures \
-                    else ~pop
-                pos += 1
-                stack[pos] = v          # above the top: harmless unless pushed
-                n += push
-                n -= pop
-            np.maximum(peak, n, out=peak)
-            if (s + 1) * atom > cap:
-                for r in np.flatnonzero(n > cap).tolist():
-                    self.fail(r, WordCapExceeded(self.lo + r, s + 1,
-                                                 int(n[r]), cap))
+        letters = self.letters[start:stop]
+        inverse = -letters
+        # the no-op letter 0 pads short atoms and stops failed rows
+        idle = letters == 0 if self.padded or self.failures else None
+        for s, (vs, ws) in enumerate(zip(letters, inverse), start + 1):
+            for k, (v, w) in enumerate(zip(vs, ws)):
+                pop = stack.take(top) == w
+                top += 1
+                stack[top] = v
+                top -= pop
+                top -= pop
+                if idle is not None:
+                    top -= idle[s - start - 1, k]
+            np.maximum(peak, top, out=peak)
+            if s * atom > cap:
+                n = top - self.base
+                over = np.flatnonzero(n > cap).tolist()
+                for r in over:
+                    self.fail(r, WordCapExceeded(self.lo + r, s, int(n[r]),
+                                                 cap))
+                if over:        # their letters are now 0: they idle from here
+                    idle = letters == 0
 
     def read(self, k, step):
         """Checkpoint k's values and limit prefix."""
-        n, words = self.n, self.words
+        n, words = self.top - self.base, self.words
         # letters above a row's length never count, so the rows are
         # compared whole, to one column past the longest word
-        top = int(n.max()) + 1
-        self.cp = fg.row_prefix(words, self.streams[:, None, :top], n)
+        cols = int(n.max()) + 1
+        self.cp = fg.row_prefix(words, self.streams[:, None, :cols], n)
         for i, depth in self.truncated:     # the letter past depth is unknown
             blind = (self.cp[i] == depth) & (n > depth)
             for r in np.flatnonzero(blind).tolist():
@@ -685,7 +707,7 @@ class _TreeBlock(_Block):
         self.kappa[k] = n
         self.sigma[k] = n - 2 * self.cp
         if k == self.first:
-            self.anchor = words[:, :top].copy()
+            self.anchor = words[:, :cols].copy()
             self.limit = n.copy()
         elif k > self.first:
             self.limit = np.minimum(self.limit,
@@ -694,7 +716,7 @@ class _TreeBlock(_Block):
     def spot_check(self, r, step):
         """Row r and its prefixes against its redrawn steps, reduced anew."""
         trial = self.lo + r
-        u = self.words[r, :self.n[r]]
+        u = self.words[r, :self.top[r] - self.base[r]]
         idx = self.mu.draw_indices(self.config.master_seed, trial, step)
         flat = self.table[idx].ravel()
         if not np.array_equal(fg.reduce(flat[flat != 0]), u):
@@ -717,7 +739,7 @@ class _TreeBlock(_Block):
             kappa=tuple(self.kappa[:, r].tolist()),
             sigma=dict(zip(self.labels, map(tuple,
                                             self.sigma[:, :, r].T.tolist()))),
-            lengths={}, peak_letters=int(self.peak[r]),
+            lengths={}, peak_letters=int(self.peak[r] - self.base[r]),
             spot_checked=tuple(self.spots[r]), bnd=bnd)
 
 
@@ -767,25 +789,36 @@ def _run_trials(cls, mu, config, lo, hi):
     return cls(mu, config, lo, hi).run()
 
 
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(mu, config, workers=1):
     """All trials, ordered by trial index; identical for any worker count.
 
     The trials are cut into blocks of near-equal size, each holding at most
     _BLOCK_BYTES by its backend's row_bytes (at least one row), about a
-    multiple of `workers` of them.  One worker runs the blocks in process,
-    more on a pool."""
+    multiple of `workers` of them, `workers` capped at the CPUs this process
+    may use.  The blocks run in process, or on a pool of one worker per
+    block up to that cap."""
     trials = config.trials
     cls = _block_class(mu, config)
     rows = _BLOCK_BYTES // cls.row_bytes(mu, config)
-    size = _block_size(trials, workers, max(1, rows))
+    parts = min(workers, _cpus())
+    size = _block_size(trials, parts, max(1, rows))
     los = range(0, trials, size)
     his = [min(lo + size, trials) for lo in los]
     run = partial(_run_trials, cls, mu, config)
-    if workers <= 1:
+    pool = min(parts, len(los))
+    if pool <= 1:
         runs = list(map(run, los, his))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run, los, his))
+        with ProcessPoolExecutor(max_workers=pool) as executor:
+            runs = list(executor.map(run, los, his))
     records = [rec for recs, _ in runs for rec in recs]
     failures = [fail for _, fails in runs for fail in fails]
     if failures:

@@ -2,6 +2,7 @@
 and the from-scratch spot checks."""
 
 import math
+import os
 import pickle
 from fractions import Fraction
 
@@ -10,8 +11,11 @@ import pytest
 
 from outwalk import freegroup as fg
 from outwalk import tree, walk
+from outwalk.config import build_measure, build_walk_config, load_config
 from outwalk.walk import (ExperimentError, MeasureSpec, WalkConfig,
                           WordCapExceeded, run_experiment)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tree_point_mass(word):
@@ -220,6 +224,40 @@ def test_outer_worker_count_does_not_change_results():
     assert all(records_equal(x, y) for x, y in zip(inline, pooled))
 
 
+@pytest.mark.parametrize("cpus,trials,pool", [(3, 12, 3), (3, 2, 2),
+                                               (1, 12, None)])
+def test_the_pool_is_capped_by_the_cpus_and_the_blocks(cpus, trials, pool,
+                                                       monkeypatch):
+    # a stand-in pool records its size and maps in process, so no worker
+    # process starts however many workers are asked for
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    assert 1 <= walk._cpus() <= os.cpu_count()
+    cfg = WalkConfig(horizon=50, trials=trials, master_seed=4,
+                     checkpoints=(25, 50),
+                     tracked_classes=(tree.parse_boundary("per:b"),))
+    want = run_experiment(srw_measure(), cfg)
+    monkeypatch.setattr(walk, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(walk, "_cpus", lambda: cpus)
+    got = run_experiment(srw_measure(), cfg, workers=10 ** 6)
+    assert sizes == ([] if pool is None else [pool])
+    assert len(got) == trials
+    assert all(records_equal(x, y) for x, y in zip(want, got))
+
+
 # -- spot checks
 
 def test_forced_spot_check_on_first_trial_last_checkpoint():
@@ -243,13 +281,58 @@ def test_full_rate_spot_checks_every_checkpoint_both_modes():
         assert rec.spot_checked == (8, 16, 24)
 
 
+def spot_selected(master_seed, trial, ckpt, rate):
+    """The scalar spot-selection hash, in unbounded ints: the reference for
+    walk._spot_mask."""
+    h = (trial * 1000003 + ckpt) * 2654435761 + (master_seed & 0xFFFFFFFF)
+    h ^= h >> 16
+    return (h * 0x9E3779B1) % (1 << 32) < int(rate * (1 << 32))
+
+
 def test_spot_selection_is_worker_independent_hash():
     hits = [(t, c) for t in range(200) for c in (10, 20)
-            if walk._spot_selected(7, t, c, 0.05)]
-    again = [(t, c) for t in range(200) for c in (10, 20)
-             if walk._spot_selected(7, t, c, 0.05)]
-    assert hits == again
+            if spot_selected(7, t, c, 0.05)]
+    # any cut of the trials into blocks selects the same pairs
+    for cut in (200, 7, 1):
+        again = [(lo + r, c) for lo in range(0, 200, cut) for c in (10, 20)
+                 for r in np.flatnonzero(walk._spot_mask(
+                     7, lo, min(cut, 200 - lo), c, 0.05)).tolist()]
+        assert sorted(again) == sorted(hits)
     assert 0 < len(hits) < 80
+
+
+@pytest.mark.parametrize("rate", [0, 0.01, 0.3, 1])
+@pytest.mark.parametrize("seed", [7, 2 ** 32 + 7, 2 ** 64 - 1])
+@pytest.mark.parametrize("lo", [0, 2 ** 32 - 1000, 2 ** 40 - 1000])
+def test_spot_mask_matches_the_scalar_hash(lo, seed, rate):
+    # offsets and seeds past 32 bits wrap the uint64 hash; only its low 48
+    # bits decide, so the mask stays exact
+    for ckpt in (1, 100, 2000, 10 ** 6):
+        mask = walk._spot_mask(seed, lo, 2000, ckpt, rate)
+        expect = [spot_selected(seed, lo + r, ckpt, rate)
+                  for r in range(2000)]
+        assert mask.tolist() == expect
+        assert mask.any() == (rate > 0) and mask.all() == (rate == 1)
+
+
+@pytest.mark.parametrize("lo", [0, 2 ** 32 - 2, 2 ** 40 - 2])
+@pytest.mark.parametrize("seed", [3, 2 ** 32 + 3])
+@pytest.mark.parametrize("rate", [0, 0.01, 0.3, 1])
+def test_a_block_spot_checks_the_selected_and_the_forced_pairs(lo, seed,
+                                                               rate):
+    cfg = WalkConfig(horizon=40, trials=1, master_seed=seed,
+                     checkpoints=(10, 20, 30, 40), spot_check_rate=rate,
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    records, failures = walk._TreeBlock(srw_measure(), cfg, lo, lo + 5).run()
+    assert failures == []
+    for rec in records:
+        t = rec.trial_index
+        assert rec.spot_checked == tuple(
+            c for c in cfg.checkpoints if spot_selected(seed, t, c, rate)
+            or (t == 0 and c == 40))
+    # the forced pair: trial 0 at the last checkpoint, whatever the rate
+    if lo == 0:
+        assert 40 in records[0].spot_checked
 
 
 # -- resource caps
@@ -401,6 +484,19 @@ def test_a_word_block_holds_one_trial_at_the_default_cap():
     assert cfg.max_word_letters == walk.DEFAULT_WORD_CAP
     assert walk._WordBlock.row_bytes(rank3_measure(), cfg) > \
         walk._BLOCK_BYTES
+    assert walk._block_size(cfg.trials, 2, 1) == 1
+
+
+def test_the_block_budget_gives_each_of_two_workers_one_tree_block():
+    # tree_srw_f2 as shipped: 2000 stack and 2000 step bytes a row, so two
+    # workers get one block of 500 trials each
+    cfg = load_config(os.path.join(ROOT, "configs", "tree_srw_f2.json"))
+    mu, wcfg = build_measure(cfg), build_walk_config(cfg)
+    assert walk._block_class(mu, wcfg) is walk._TreeBlock
+    row = walk._TreeBlock.row_bytes(mu, wcfg)
+    assert row == 4000
+    size = walk._block_size(wcfg.trials, 2, walk._BLOCK_BYTES // row)
+    assert (size, -(-wcfg.trials // size)) == (500, 2)
 
 
 def test_word_engine_program_faults_propagate(monkeypatch):
@@ -629,8 +725,8 @@ def per_step_gl2z_trial(mu, config, trial):
                                      "kappa" % (trial, step, lab))
             sigma[lab].append(math.log(r))
             lengths[lab].append(cyc[slot])
-        if walk._spot_selected(config.master_seed, trial, step,
-                               config.spot_check_rate) or \
+        if spot_selected(config.master_seed, trial, step,
+                         config.spot_check_rate) or \
                 (trial == 0 and step == config.checkpoints[-1]):
             spots.append(step)
     return walk.PathRecord(
@@ -782,8 +878,8 @@ def per_letter_trial(mu, config, trial):
             for i, xi in enumerate(tracked):
                 sigma[tree.format_boundary(xi)].append(len(u) - 2 * cps[i])
             snap_words.append(np.array(u, dtype=fg.LETTER_DTYPE))
-            if walk._spot_selected(config.master_seed, trial, step,
-                                   config.spot_check_rate) or \
+            if spot_selected(config.master_seed, trial, step,
+                             config.spot_check_rate) or \
                     (trial == 0 and step == config.checkpoints[-1]):
                 _reference_spot_check(mu, idx, step, u)
                 spots.append(step)
@@ -876,6 +972,23 @@ def test_tree_failures_are_attributed_to_their_own_trials(workers):
     with pytest.raises(ExperimentError) as err:
         run_experiment(mu, cfg, workers=workers)
     assert failure_key(err.value.failures) == failure_key(want_failures)
+    got, failures = one_block(mu, cfg)
+    assert failure_key(failures) == failure_key(want_failures)
+    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
+
+
+def test_tree_cap_failures_stop_their_rows_in_an_unpadded_block():
+    # one-letter atoms, so no letter is the no-op 0 until a row passes the
+    # cap mid-advance; that row must stop there, not pass the cap again or
+    # write past its stack into the next row's
+    mu = MeasureSpec([fg.parse_word("a"), fg.parse_word("A")], [0.5, 0.5])
+    cfg = WalkConfig(horizon=60, trials=30, master_seed=6,
+                     checkpoints=(20, 60), max_word_letters=8,
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    want, want_failures = reference_run(mu, cfg)
+    assert want and want_failures
     got, failures = one_block(mu, cfg)
     assert failure_key(failures) == failure_key(want_failures)
     assert [r.trial_index for r in got] == [r.trial_index for r in want]
@@ -991,7 +1104,7 @@ def test_tree_spot_check_catches_a_corrupted_stack_entry():
     block.advance(0, 30)
     block.read(0, 30)
     block.spot_check(0, 30)
-    assert block.n[0] > 3
+    assert block.top[0] - block.base[0] > 3
     at = block.base[0] + 3
     block.stack[at] = block.stack[at] % 2 + 1     # another letter, a or b
     with pytest.raises(AssertionError, match="position stack diverged"):
