@@ -7,6 +7,11 @@ and "A".."P" for their inverses, e.g. "abA" is a * b * a^-1.
 
 Every function that returns a word returns it freely reduced and marked
 read-only; words are values, never mutated in place.
+
+Many words can sit in one separated array, each followed by SEPARATOR
+(join).  SEPARATOR is never a letter's inverse, so reduce never cancels
+across it and reduces each word on its own; apply_segments and
+cyclic_lengths act on every word of such an array at once.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ _EMPTY.flags.writeable = False
 
 # below this size the plain-Python paths beat numpy call overhead
 _SMALL = 64
+
+# ends each word of a separated array: no letter's inverse, nor its own
+SEPARATOR = 127
+_SEPARATOR = np.array([SEPARATOR], dtype=LETTER_DTYPE)
 
 
 class RankError(ValueError):
@@ -120,7 +129,8 @@ def _cancel_pass(w):
 
 
 def reduce(letters):
-    """Freely reduce a letter sequence."""
+    """Freely reduce a letter sequence; on a separated int8 array, each of
+    its words."""
     if isinstance(letters, np.ndarray) and letters.dtype == LETTER_DTYPE:
         w = letters
     else:
@@ -153,6 +163,28 @@ def concat(*words):
     if not parts:
         return _EMPTY
     return reduce(np.concatenate(parts))
+
+
+def join(words):
+    """Words end to end, each followed by SEPARATOR."""
+    parts = []
+    for w in words:
+        parts += [np.asarray(w, dtype=LETTER_DTYPE), _SEPARATOR]
+    return np.concatenate(parts) if parts else _EMPTY
+
+
+def segment_lengths(w):
+    """The length of each word of separated w."""
+    ends = np.flatnonzero(w == SEPARATOR)
+    lens = ends.copy()
+    lens[1:] -= ends[:-1] + 1
+    return lens
+
+
+def split(w):
+    """The words of separated w."""
+    ends = np.flatnonzero(w == SEPARATOR).tolist()
+    return [w[a + 1:b] for a, b in zip([-1] + ends, ends)]
 
 
 def common_prefix_len(u, v):
@@ -207,6 +239,20 @@ def cyclic_length(w):
     """Length of the cyclic reduction; conjugation-invariant."""
     core, _ = cyclic_reduce(w)
     return len(core)
+
+
+def cyclic_lengths(w, lens):
+    """cyclic_length of each word of separated, reduced w; lens are their
+    lengths."""
+    size = lens + 1
+    starts = np.cumsum(size) - size
+    pos = np.arange(len(w))
+    # each letter's mirror in its word (a separator's is the letter before
+    # its word); peeling stops at the first letter that is not before its
+    # mirror or not its inverse, at the separator at the latest
+    mirror = np.repeat(2 * starts + lens - 1, size) - pos
+    stop = np.flatnonzero((pos >= mirror) | (w != -w[mirror]))
+    return lens - 2 * (stop[np.searchsorted(stop, starts)] - starts)
 
 
 def letter_code(v):
@@ -420,16 +466,8 @@ class Automorphism:
             return _freeze(np.array(_reduce_list(out), dtype=LETTER_DTYPE))
         if int(np.abs(w).max()) > self.rank:
             raise RankError("word uses letters beyond rank %d" % self.rank)
-        flat, starts, lens = self._image_arrays(direction)
         codes = ((np.abs(w).astype(np.intp) - 1) << 1) | (w < 0)
-        lens_pp = lens[codes]
-        total = int(lens_pp.sum())
-        ends = np.cumsum(lens_pp)
-        # ragged gather: out[k] = flat[starts[code of its source letter] + offset]
-        pos = np.arange(total, dtype=np.int64)
-        pos -= np.repeat(ends - lens_pp, lens_pp)
-        pos += np.repeat(starts[codes], lens_pp)
-        return reduce(flat[pos])
+        return reduce(_gather(self._image_arrays(direction), codes))
 
     def apply(self, w):
         """Image of the word under the automorphism (reduced)."""
@@ -445,6 +483,50 @@ class Automorphism:
             inv._inverted = self
             self._inverted = inv
         return self._inverted
+
+
+def _gather(images, codes):
+    """Ragged gather: the images of codes end to end, from images = (flat,
+    starts, lens), image c being flat[starts[c]:starts[c] + lens[c]]."""
+    flat, starts, lens = images
+    lens_pp = lens[codes]
+    ends = np.cumsum(lens_pp)
+    # out[k] = flat[starts[code of its source letter] + offset]: k less
+    # the output start of that letter's image
+    pos = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    pos += np.repeat(starts[codes] - ends + lens_pp, lens_pp)
+    return flat[pos]
+
+
+# the codes of one automorphism in an image table: a letter's letter_code,
+# and the separator last
+_TABLE_WIDTH = 2 * MAX_RANK + 1
+_CODES = np.zeros(256, dtype=np.intp)       # by the letter's byte
+for _v in range(1, MAX_RANK + 1):
+    _CODES[_v], _CODES[256 - _v] = letter_code(_v), letter_code(-_v)
+_CODES[SEPARATOR] = _TABLE_WIDTH - 1
+
+
+def image_table(autos):
+    """The images of every letter under each automorphism, for
+    apply_segments; the separator's image is itself."""
+    lens = np.zeros((len(autos), _TABLE_WIDTH), dtype=np.int64)
+    flats = []
+    for row, phi in zip(lens, autos):
+        flat, _, row[:2 * phi.rank] = phi._image_arrays(+1)
+        flats += [flat, _SEPARATOR]
+        row[-1] = 1
+    lens = lens.ravel()
+    return np.concatenate(flats), np.cumsum(lens) - lens, lens
+
+
+def apply_segments(table, w, lens, atoms):
+    """Each word s of separated w, of lens[s] letters, under automorphism
+    atoms[s] of table = image_table(autos); reduced and separated."""
+    codes = np.repeat(np.asarray(atoms, dtype=np.intp) * _TABLE_WIDTH,
+                      lens + 1)
+    codes += _CODES[w.view(np.uint8)]
+    return reduce(_gather(table, codes))
 
 
 @lru_cache(maxsize=None)

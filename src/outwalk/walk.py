@@ -9,12 +9,15 @@ walk position in the Cayley tree.
 
 Every walk runs in blocks of trials under one protocol, _Block: advance
 all rows to a checkpoint, read them there, spot-check the rows that are
-due from scratch (an outer row against one replay of its start words,
-_OuterBlock.replay), and fail a row alone.  Three backends supply the rows:
-_TreeBlock (position stacks, each step a few numpy operations over all
-rows), _GL2ZBlock (rank 2 with every class primitive: abelianized vectors
-moved by int64 products of step matrices) and _WordBlock (exact reduced
-image words, a row at a time).  Each sizes a row by row_bytes, so
+due from scratch, and fail a row alone.  The due pairs of every
+checkpoint are known before the first step: an outer block replays all
+its due rows' start words in one lock-step _Replay, and a tree block
+reduces a checkpoint's due rows' redrawn letters in one call.  Three
+backends supply the rows: _TreeBlock (position stacks, each step a few
+numpy operations over all rows), _GL2ZBlock (rank 2 with every class
+primitive: abelianized vectors moved by int64 products of step matrices)
+and _WordBlock (exact reduced image words, a row at a time).  Each sizes
+a row by row_bytes, so
 run_experiment cuts blocks the same way for any worker count, and a lone
 trial (sample_path) is a block of one.
 
@@ -198,10 +201,13 @@ class _Block:
     """Trials lo .. hi-1 advanced together; row r is trial lo + r.
 
     A backend supplies advance(start, stop), applying steps start+1 .. stop
-    to every row; read(k, step), checkpoint k's values; spot_check(r, step),
-    raising AssertionError where row r disagrees with its steps redone from
-    scratch; record(r); and the classmethod row_bytes(mu, config).  It
-    extends fail to stop a failed row.
+    to every row; read(k, step), checkpoint k's values; spot_check(k, step,
+    rows), mapping each of `rows` that disagrees with its steps redone from
+    scratch to an AssertionError; record(r); and the classmethod
+    row_bytes(mu, config).  It extends fail to stop a failed row, and plan
+    to prepare its spot checks: plan(due) is called before the first
+    advance when any pair is due, due[k, r] true where row r is checked at
+    checkpoint k unless it has failed by then.
     """
 
     def __init__(self, mu, config, lo, hi):
@@ -216,26 +222,32 @@ class _Block:
         """Trial lo + r fails with exc."""
         self.failures[r] = exc
 
+    def plan(self, due):
+        """Prepare the spot checks of due[k, r]."""
+
     def run(self):
         """Walk every step; (records, [(trial, exc)]), both in trial order."""
         config = self.config
+        # the selected pairs, and trial 0 at the last checkpoint
+        due = np.array([_spot_mask(config.master_seed, self.lo, self.rows,
+                                   step, config.spot_check_rate)
+                        for step in config.checkpoints])
+        due[-1, 0] |= self.lo == 0
+        if due.any():
+            self.plan(due)
         done = 0
         for k, step in enumerate(config.checkpoints):
             self.advance(done, step)
             self.read(k, step)
-            # the selected pairs, and trial 0 at the last checkpoint
-            due = _spot_mask(config.master_seed, self.lo, self.rows, step,
-                             config.spot_check_rate)
-            due[0] |= self.lo == 0 and step == config.checkpoints[-1]
-            for r in np.flatnonzero(due).tolist():
-                if r in self.failures:
-                    continue
-                try:
-                    self.spot_check(r, step)
-                except AssertionError as exc:
-                    self.fail(r, exc)
-                else:
-                    self.spots[r].append(step)
+            rows = [r for r in np.flatnonzero(due[k]).tolist()
+                    if r not in self.failures]
+            if rows:
+                bad = self.spot_check(k, step, rows)
+                for r in rows:
+                    if r in bad:
+                        self.fail(r, bad[r])
+                    else:
+                        self.spots[r].append(step)
             done = step
         self.advance(done, config.horizon)
         records = [self.record(r) for r in range(self.rows)
@@ -310,14 +322,12 @@ def _step_dtype(mu):
 
 class _OuterBlock(_Block):
     """Outer trials: each row's values are read from the cyclic lengths of
-    its classes' images (a backend's cyclic_lengths()), checked by replay()."""
+    its classes' images (a backend's cyclic_lengths()), and its spot checks
+    from one lock-step _Replay of the block's due rows (plan)."""
 
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
         self.classes = _Classes(mu, config)
-        # moves[i]: atom i moves a basis letter; the others fix every word
-        self.moves = [any(w.tolist() != [x] for x, w in
-                          enumerate(phi.forward, 1)) for phi in mu.atoms]
         # steps[s, r]: row r's atom at step s+1, one contiguous row per step
         self.steps = np.empty((config.horizon, self.rows),
                               dtype=_step_dtype(mu))
@@ -342,21 +352,6 @@ class _OuterBlock(_Block):
                     self.classes.read(self.lo + r, step, lens)
             except AssertionError as exc:
                 self.fail(r, exc)
-
-    def replay(self, r, step, limit=math.inf):
-        """(0, None, start words), then (k, i, words) after each of row r's
-        redrawn steps k <= step whose atom i moves: the start words redone
-        from scratch, [] from the first word over `limit` letters on."""
-        words = self.classes.storage
-        yield 0, None, words
-        for k, i in enumerate(self.mu.draw_indices(
-                self.config.master_seed, self.lo + r, step).tolist(), 1):
-            if self.moves[i]:
-                if words:
-                    words = [self.mu.atoms[i].apply(w) for w in words]
-                    if max(len(w) for w in words) > limit:
-                        words = []
-                yield k, i, words
 
     def record(self, r):
         labels = [lab for lab, _ in self.classes.tracked]
@@ -408,16 +403,23 @@ class _WordBlock(_OuterBlock):
     def cyclic_lengths(self):
         return [[fg.cyclic_length(w) for w in words] for words in self.words]
 
-    def spot_check(self, r, step):
-        """Row r against its start words replayed from scratch."""
-        for _, _, words in self.replay(r, step):
-            pass
-        for w0, w1, w in zip(self.classes.storage, words, self.words[r]):
-            if not np.array_equal(w1, w):
-                raise AssertionError(
-                    "trial %d step %d: incremental image of %r diverged from "
-                    "its from-scratch replay"
-                    % (self.lo + r, step, fg.format_word(w0)))
+    def plan(self, due):
+        self.replay = _Replay(self, due)
+
+    def spot_check(self, k, step, rows):
+        """Each row against its start words replayed from scratch."""
+        self.replay.advance(k, self.failures)
+        bad = {}
+        for r in rows:
+            for w0, w1, w in zip(self.classes.storage, self.replay.words(r),
+                                 self.words[r]):
+                if not np.array_equal(w1, w):
+                    bad[r] = AssertionError(
+                        "trial %d step %d: incremental image of %r diverged "
+                        "from its from-scratch replay"
+                        % (self.lo + r, step, fg.format_word(w0)))
+                    break
+        return bad
 
 
 def _abelian_matrix(phi):
@@ -536,30 +538,166 @@ class _GL2ZBlock(_OuterBlock):
     def cyclic_lengths(self):
         return self.lens.tolist()
 
-    def spot_check(self, r, step):
-        """Row r against the product of its redrawn step matrices and, from
-        step 0 while the replayed words stay within REPLAY_LETTERS letters,
-        against their cyclic lengths."""
+    def plan(self, due):
+        self.replay = _Replay(self, due, self.REPLAY_LETTERS, self.atom_mats,
+                              self.start_vecs)
+
+    def spot_check(self, k, step, rows):
+        """Each row against the product of its redrawn step matrices, after
+        the replay's first mismatch of |p|+|q| with its words' cyclic
+        lengths, if any."""
+        replay = self.replay
+        replay.advance(k, self.failures)
         storage = self.classes.storage
-        a, b, c, d = 1, 0, 0, 1
-        for k, i, words in self.replay(r, step, self.REPLAY_LETTERS):
-            if k:
-                e, f, g, h = self.atom_mats[i]
-                a, b, c, d = (e * a + f * c, e * b + f * d,
-                              g * a + h * c, g * b + h * d)
-            for w, w0, (p, q) in zip(words, storage, self.start_vecs):
-                if fg.cyclic_length(w) != \
-                        abs(a * p + b * q) + abs(c * p + d * q):
-                    raise AssertionError(
-                        "trial %d step %d: |p|+|q| of the image of %r "
-                        "differs from its cyclic word length"
-                        % (self.lo + r, k, fg.format_word(w0)))
-        for i, (w0, (p, q)) in enumerate(zip(storage, self.start_vecs)):
-            if (a * p + b * q, c * p + d * q) != (self.p[r, i], self.q[r, i]):
-                raise AssertionError(
-                    "trial %d step %d: incremental vector of %r diverged "
-                    "from the product of the step matrices"
-                    % (self.lo + r, step, fg.format_word(w0)))
+        bad = {}
+        for r in rows:
+            if r in replay.mismatch:        # at a step up to this one
+                at, i = replay.mismatch[r]
+                bad[r] = AssertionError(
+                    "trial %d step %d: |p|+|q| of the image of %r differs "
+                    "from its cyclic word length"
+                    % (self.lo + r, at, fg.format_word(storage[i])))
+                continue
+            a, b, c, d = replay.product(r)
+            for i, (w0, (p, q)) in enumerate(zip(storage, self.start_vecs)):
+                if (a * p + b * q, c * p + d * q) != (self.p[r, i],
+                                                      self.q[r, i]):
+                    bad[r] = AssertionError(
+                        "trial %d step %d: incremental vector of %r diverged "
+                        "from the product of the step matrices"
+                        % (self.lo + r, step, fg.format_word(w0)))
+                    break
+        return bad
+
+
+class _Replay:
+    """The due rows of an outer block redone from scratch, in lock-step.
+
+    A row due a spot check is held until its last due checkpoint or its
+    failure.  Its steps are redrawn from Philox once, up to that
+    checkpoint, and only its moving steps are kept: an atom whose images
+    are the basis fixes every word and matrix.  The held rows' start words
+    sit in one separated array (fg.join), a row's classes in storage order,
+    and advancing to a checkpoint applies the m-th moving step of every
+    held row at once, one fg.apply_segments call per m, a row without an
+    m-th taking the identity.  Words never cancel across rows, so a row
+    fails alone.
+
+    With a letter limit (GL(2,Z) blocks), each held row also multiplies its
+    step matrices (mats) in Python ints and compares |p|+|q| of each start
+    vector (vecs) with its word's cyclic length, at step 0 and after each
+    moving step.  It keeps its first mismatch, (step, class), and stops
+    carrying its words after a mismatch or once one passes the limit.
+    """
+
+    def __init__(self, block, due, limit=None, mats=None, vecs=None):
+        mu, config = block.mu, block.config
+        self.width = len(block.classes.storage)     # words a row
+        self.limit = limit
+        identity = fg.Automorphism.identity(mu.atoms[0].rank)
+        self.table = fg.image_table(mu.atoms + (identity,))
+        moves = np.array([any(w.tolist() != [x] for x, w in
+                              enumerate(phi.forward, 1)) for phi in mu.atoms])
+        cps = np.array(config.checkpoints)
+        self.held = np.flatnonzero(due.any(axis=0))
+        rows = len(self.held)
+        # last[h]: held row h's last due checkpoint
+        self.last = len(cps) - 1 - due[::-1, self.held].argmax(axis=0)
+        drawn = [mu.draw_indices(config.master_seed, block.lo + r, cps[k])
+                 for r, k in zip(self.held.tolist(), self.last.tolist())]
+        at = [np.flatnonzero(moves[idx]) for idx in drawn]
+        n = max(map(len, at), default=0)
+        # atoms[m, h], steps[m, h]: held row h's m-th moving atom and its
+        # step; past its last, the identity (appended to the atoms)
+        self.atoms = np.full((n + 1, rows), len(mu.atoms), dtype=np.intp)
+        self.steps = np.zeros((n + 1, rows), dtype=np.intp)
+        # counts[k, h]: held row h's moving steps up to checkpoint k
+        self.counts = np.zeros((len(cps), rows), dtype=np.intp)
+        for h, (idx, s) in enumerate(zip(drawn, at)):
+            self.atoms[:len(s), h] = idx[s]
+            self.steps[:len(s), h] = s + 1
+            self.counts[:, h] = np.searchsorted(s + 1, cps, side="right")
+        self.done = np.zeros(rows, dtype=np.intp)  # moving steps applied
+        self.flat = fg.join(block.classes.storage * rows)
+        self.lens = fg.segment_lengths(self.flat)
+        self.carried = np.ones(rows, dtype=bool)   # the rows in flat
+        self.mismatch = {}                          # row -> (step, class)
+        if limit is not None:
+            # 2x2 matrices of Python ints, the identity last
+            self.mats = np.array(list(mats) + [(1, 0, 0, 1)],
+                                 dtype=object).reshape(-1, 2, 2)
+            self.prod = self.mats[[-1] * rows]
+            self.vecs = np.array(vecs, dtype=object).T  # start (p, q) columns
+            self.compare(np.ones(rows, dtype=bool), np.zeros(rows, dtype=int))
+
+    def advance(self, k, failures):
+        """Every held row through its moving steps up to checkpoint k; the
+        rows failed or with no due checkpoint from k on are dropped first."""
+        self.drop((self.last >= k) & np.array(
+            [r not in failures for r in self.held.tolist()], dtype=bool))
+        counts = self.counts[k]
+        moves = counts - self.done
+        cols = np.arange(len(self.held))
+        for j in range(int(moves.max(initial=0))):
+            live = j < moves
+            m = np.where(live, self.done + j, len(self.atoms) - 1)
+            atoms = self.atoms[m, cols]
+            if self.limit is not None:
+                self.prod = self.mats[atoms] @ self.prod
+            if not self.carried.any():
+                continue
+            self.flat = fg.apply_segments(
+                self.table, self.flat, self.lens,
+                np.repeat(atoms[self.carried], self.width))
+            self.lens = fg.segment_lengths(self.flat)
+            if self.limit is not None:
+                self.drop_words(self.lens.reshape(-1, self.width).max(axis=1)
+                                > self.limit)
+                if self.carried.any():
+                    self.compare(live, self.steps[m, cols])
+        self.done = counts
+
+    def compare(self, live, steps):
+        """Each carried live row's |p|+|q| against its cyclic lengths, at
+        held row h's step steps[h]; a mismatch drops the row's words."""
+        cyc = fg.cyclic_lengths(self.flat, self.lens).reshape(-1, self.width)
+        vec = np.abs(self.prod[self.carried] @ self.vecs).sum(axis=1)
+        off = (vec != cyc) & live[self.carried, None]
+        bad = off.any(axis=1)
+        if bad.any():
+            rows = np.flatnonzero(self.carried)[bad].tolist()
+            for h, i in zip(rows, off[bad].argmax(axis=1).tolist()):
+                self.mismatch[int(self.held[h])] = (int(steps[h]), i)
+            self.drop_words(bad)
+
+    def drop_words(self, off):
+        """Stop carrying the words of the carried rows where off holds."""
+        if off.any():
+            seg = np.repeat(~off, self.width)
+            self.flat = self.flat[np.repeat(seg, self.lens + 1)]
+            self.lens = self.lens[seg]
+            self.carried[np.flatnonzero(self.carried)[off]] = False
+
+    def drop(self, keep):
+        """Stop holding the rows where keep fails."""
+        if keep.all():
+            return
+        self.drop_words(~keep[self.carried])
+        self.held, self.last = self.held[keep], self.last[keep]
+        self.done, self.carried = self.done[keep], self.carried[keep]
+        self.atoms, self.steps, self.counts = \
+            self.atoms[:, keep], self.steps[:, keep], self.counts[:, keep]
+        if self.limit is not None:
+            self.prod = self.prod[keep]
+
+    def words(self, r):
+        """Row r's replayed words, while they are carried."""
+        h = np.count_nonzero(self.carried[:np.searchsorted(self.held, r)])
+        return fg.split(self.flat)[h * self.width:(h + 1) * self.width]
+
+    def product(self, r):
+        """Row r's product of its step matrices, as (a, b, c, d)."""
+        return self.prod[np.searchsorted(self.held, r)].ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -713,21 +851,33 @@ class _TreeBlock(_Block):
             self.limit = np.minimum(self.limit,
                                     fg.row_prefix(words, self.anchor, n))
 
-    def spot_check(self, r, step):
-        """Row r and its prefixes against its redrawn steps, reduced anew."""
-        trial = self.lo + r
-        u = self.words[r, :self.top[r] - self.base[r]]
-        idx = self.mu.draw_indices(self.config.master_seed, trial, step)
-        flat = self.table[idx].ravel()
-        if not np.array_equal(fg.reduce(flat[flat != 0]), u):
-            raise AssertionError("trial %d step %d: position stack diverged "
-                                 "from from-scratch reduction" % (trial, step))
-        for i, xi in enumerate(self.tracked):
-            k = len(u) if xi.is_periodic else min(len(u), xi.depth)
-            if fg.common_prefix_len(u[:k], xi.letters(k)) != self.cp[i, r]:
-                raise AssertionError(
-                    "trial %d step %d: common prefix with %s diverged from "
-                    "the point's letters" % (trial, step, self.labels[i]))
+    def spot_check(self, k, step, rows):
+        """Each row and its prefixes against its redrawn steps, the rows'
+        letters reduced anew in one call."""
+        drawn = []
+        for r in rows:
+            idx = self.mu.draw_indices(self.config.master_seed, self.lo + r,
+                                       step)
+            flat = self.table[idx].ravel()
+            drawn.append(flat[flat != 0])
+        bad = {}
+        for r, w in zip(rows, fg.split(fg.reduce(fg.join(drawn)))):
+            trial = self.lo + r
+            u = self.words[r, :self.top[r] - self.base[r]]
+            if not np.array_equal(w, u):
+                bad[r] = AssertionError("trial %d step %d: position stack "
+                                        "diverged from from-scratch "
+                                        "reduction" % (trial, step))
+                continue
+            for i, xi in enumerate(self.tracked):
+                n = len(u) if xi.is_periodic else min(len(u), xi.depth)
+                if fg.common_prefix_len(u[:n], xi.letters(n)) != self.cp[i, r]:
+                    bad[r] = AssertionError(
+                        "trial %d step %d: common prefix with %s diverged "
+                        "from the point's letters" % (trial, step,
+                                                      self.labels[i]))
+                    break
+        return bad
 
     def record(self, r):
         limit = int(self.limit[r])

@@ -132,3 +132,24 @@ def test_images_grow_exponentially_under_iterated_positive_moves():
     small = fg.from_trace(2, ["R:1:2:+", "R:2:1:+"] * 5)
     probe = small.apply(fg.parse_word("a"))
     assert np.array_equal(small.inverted().apply(probe), fg.parse_word("a"))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_apply_segments_matches_apply(rank):
+    # one ragged gather of many words, each under its own automorphism,
+    # against Automorphism.apply one word at a time, on words below and
+    # above the 64 letters where apply leaves its list path
+    rng = np.random.default_rng(rank)
+    autos = [fg.random_automorphism(rng, rank, int(n)) for n in (3, 5, 8)]
+    autos += [fg.from_trace(rank, ["R:1:2:+", "L:2:1:-"] * 3),
+              fg.Automorphism.identity(rank)]
+    assert max(len(w) for phi in autos for w in phi.forward) > 2
+    table = fg.image_table(autos)
+    lengths = [0, 1, 5, 63, 64, 65, 200, 1000]
+    words = [fg.random_reduced_word(rng, rank, n) for n in lengths * 2]
+    atoms = rng.integers(0, len(autos), size=len(words))
+    joined = fg.join(words)
+    got = fg.apply_segments(table, joined, fg.segment_lengths(joined), atoms)
+    assert [w.tolist() for w in fg.split(got)] == \
+        [autos[i].apply(w).tolist() for i, w in zip(atoms.tolist(), words)]
+    assert len(joined) > 64

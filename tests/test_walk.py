@@ -511,28 +511,50 @@ def test_word_engine_program_faults_propagate(monkeypatch):
         run_experiment(rank3_measure(), cfg)
 
 
+def run_with_fault(block, step, fault):
+    """Run block with fault(block) applied as its walk reaches step, before
+    that checkpoint's spot checks."""
+    advance = block.advance
+
+    def faulty(start, stop):
+        advance(start, stop)
+        if start < step <= stop:
+            fault(block)
+
+    block.advance = faulty
+    return block.run()
+
+
 def test_gl2z_spot_check_catches_a_corrupted_vector():
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
-    block = walk._GL2ZBlock(mu, cfg, 0, 1)
-    block.advance(0, 30)
-    block.spot_check(0, 30)
-    block.p[0, 0] += 1
-    with pytest.raises(AssertionError, match="incremental vector"):
-        block.spot_check(0, 30)
+    records, failures = walk._GL2ZBlock(mu, cfg, 0, 1).run()
+    assert not failures and records[0].spot_checked == (30,)
+
+    def corrupt(block):
+        block.p[0, 0] += 1
+
+    _, [(trial, exc)] = run_with_fault(walk._GL2ZBlock(mu, cfg, 0, 1), 30,
+                                       corrupt)
+    assert trial == 0 and isinstance(exc, AssertionError)
+    assert "incremental vector" in str(exc)
 
 
 def test_word_spot_check_catches_a_corrupted_word():
     mu = rank3_measure()
     cfg = WalkConfig(horizon=12, trials=1, master_seed=1, checkpoints=(12,))
-    block = walk._WordBlock(mu, cfg, 0, 1)
-    block.advance(0, 12)
-    block.spot_check(0, 12)
-    word = block.words[0][0].copy()
-    word[0] = -word[0]
-    block.words[0][0] = word
-    with pytest.raises(AssertionError, match="incremental image"):
-        block.spot_check(0, 12)
+    records, failures = walk._WordBlock(mu, cfg, 0, 1).run()
+    assert not failures and records[0].spot_checked == (12,)
+
+    def corrupt(block):
+        word = block.words[0][0].copy()
+        word[0] = -word[0]
+        block.words[0][0] = word
+
+    _, [(trial, exc)] = run_with_fault(walk._WordBlock(mu, cfg, 0, 1), 12,
+                                       corrupt)
+    assert trial == 0 and isinstance(exc, AssertionError)
+    assert "incremental image" in str(exc)
 
 
 def lazy_measure(rank, traces, lazy=0.6):
@@ -566,27 +588,31 @@ def recomposed_images(mu, cfg, trial, step, storage):
 ], ids=["rank3", "lazy-rank3", "lazy-rank2-words", "lazy-rank2-gl2z"])
 def test_the_replay_matches_the_recomposed_automorphism(mu, idle, tracked,
                                                         backend):
-    # every checkpoint of every trial: after step 0 the replay moves at
-    # exactly the steps of atoms other than the identity, and ends on the
-    # recomposed images
+    # every checkpoint of every trial: the replay moves at exactly the
+    # steps of atoms other than the identity, and ends on the recomposed
+    # images
     cfg = WalkConfig(horizon=16, trials=6, master_seed=1,
                      checkpoints=(1, 2, 5, 16),
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
     assert walk.outer_backend(mu, cfg) == backend
     block = walk._block_class(mu, cfg)(mu, cfg, 0, cfg.trials)
+    block.plan(np.ones((len(cfg.checkpoints), cfg.trials), dtype=bool))
+    replay = block.replay
     storage = block.classes.storage
     firsts = []
     for r in range(cfg.trials):
-        steps = mu.draw_indices(cfg.master_seed, r, cfg.horizon).tolist()
-        firsts.append(steps[0] in idle)
-        for step in cfg.checkpoints:
-            moved = []
-            for k, _, words in block.replay(r, step):
-                moved.append(k)
-            assert moved == [0] + [k for k, i in enumerate(steps[:step], 1)
-                                   if i not in idle]
+        firsts.append(mu.draw_indices(cfg.master_seed, r, 1)[0] in idle)
+    for k, step in enumerate(cfg.checkpoints):
+        replay.advance(k, {})
+        for r in range(cfg.trials):
+            steps = mu.draw_indices(cfg.master_seed, r, step).tolist()
+            moved = replay.steps[:replay.counts[k, r], r].tolist()
+            assert moved == [k for k, i in enumerate(steps, 1)
+                             if i not in idle]
             want = recomposed_images(mu, cfg, r, step, storage)
-            assert [w.tolist() for w in words] == [w.tolist() for w in want]
+            assert [w.tolist() for w in replay.words(r)] == \
+                [w.tolist() for w in want]
+    assert not replay.mismatch
     # lazy measures: some trials start on the identity and some do not
     assert any(firsts) == bool(idle) and not all(firsts)
 
@@ -596,31 +622,231 @@ def test_gl2z_spot_check_catches_a_wrong_step_matrix():
     # matrices then disagrees with the replayed words' cyclic lengths
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
+    records, failures = walk._GL2ZBlock(mu, cfg, 0, 1).run()
+    assert not failures and records[0].spot_checked == (30,)
     block = walk._GL2ZBlock(mu, cfg, 0, 1)
-    block.advance(0, 30)
-    block.spot_check(0, 30)
     a, b, c, d = block.atom_mats[0]
     block.atom_mats[0] = (a + 1, b, c, d)
-    with pytest.raises(AssertionError,
-                       match="differs from its cyclic word length"):
-        block.spot_check(0, 30)
+    _, [(trial, exc)] = block.run()
+    assert trial == 0 and isinstance(exc, AssertionError)
+    assert "differs from its cyclic word length" in str(exc)
 
 
 @pytest.mark.parametrize("trial", [0, 1], ids=["moving-first",
                                                "identity-first"])
 def test_gl2z_spot_check_compares_the_start_vectors_at_step_0(trial):
     mu = lazy_nielsen_measure()
-    cfg = WalkConfig(horizon=12, trials=2, master_seed=1, checkpoints=(12,))
+    cfg = WalkConfig(horizon=12, trials=2, master_seed=1, checkpoints=(12,),
+                     spot_check_rate=1.0)
     assert [mu.draw_indices(1, t, 1)[0] == 0 for t in (0, 1)] == \
         [False, True]
-    block = walk._GL2ZBlock(mu, cfg, 0, 2)
-    block.advance(0, 12)
-    block.spot_check(trial, 12)
+    records, failures = walk._GL2ZBlock(mu, cfg, trial, trial + 1).run()
+    assert not failures and records[0].spot_checked == (12,)
+    block = walk._GL2ZBlock(mu, cfg, trial, trial + 1)
     assert block.start_vecs[0] == (1, 0)            # the class of a
     block.start_vecs[0] = (2, 0)
-    with pytest.raises(AssertionError,
-                       match=r"trial %d step 0: \|p\|\+\|q\|" % trial):
-        block.spot_check(trial, 12)
+    _, [(got, exc)] = block.run()
+    assert got == trial and isinstance(exc, AssertionError)
+    assert str(exc).startswith("trial %d step 0: |p|+|q|" % trial)
+
+
+# -- outer spot checks against the per-row reference
+
+def per_row_replay(block, r, step, limit=math.inf):
+    """(0, None, start words), then (k, i, words) after each of row r's
+    redrawn steps k <= step whose atom i moves: the start words redone from
+    scratch, [] from the first word over `limit` letters on."""
+    mu = block.mu
+    moves = [any(w.tolist() != [x] for x, w in enumerate(phi.forward, 1))
+             for phi in mu.atoms]
+    words = block.classes.storage
+    yield 0, None, words
+    for k, i in enumerate(mu.draw_indices(
+            block.config.master_seed, block.lo + r, step).tolist(), 1):
+        if moves[i]:
+            if words:
+                words = [mu.atoms[i].apply(w) for w in words]
+                if max(len(w) for w in words) > limit:
+                    words = []
+            yield k, i, words
+
+
+def per_row_spot_check(block, r, step):
+    """Row r of an outer block against its own replay, alone."""
+    storage = block.classes.storage
+    if isinstance(block, walk._WordBlock):
+        for _, _, words in per_row_replay(block, r, step):
+            pass
+        for w0, w1, w in zip(storage, words, block.words[r]):
+            if not np.array_equal(w1, w):
+                raise AssertionError(
+                    "trial %d step %d: incremental image of %r diverged from "
+                    "its from-scratch replay"
+                    % (block.lo + r, step, fg.format_word(w0)))
+        return
+    a, b, c, d = 1, 0, 0, 1
+    for k, i, words in per_row_replay(block, r, step, block.REPLAY_LETTERS):
+        if k:
+            e, f, g, h = block.atom_mats[i]
+            a, b, c, d = (e * a + f * c, e * b + f * d,
+                          g * a + h * c, g * b + h * d)
+        for w, w0, (p, q) in zip(words, storage, block.start_vecs):
+            if fg.cyclic_length(w) != abs(a * p + b * q) + abs(c * p + d * q):
+                raise AssertionError(
+                    "trial %d step %d: |p|+|q| of the image of %r "
+                    "differs from its cyclic word length"
+                    % (block.lo + r, k, fg.format_word(w0)))
+    for i, (w0, (p, q)) in enumerate(zip(storage, block.start_vecs)):
+        if (a * p + b * q, c * p + d * q) != (block.p[r, i], block.q[r, i]):
+            raise AssertionError(
+                "trial %d step %d: incremental vector of %r diverged "
+                "from the product of the step matrices"
+                % (block.lo + r, step, fg.format_word(w0)))
+
+
+def per_row_block_run(block):
+    """block.run() with each due pair checked alone by per_row_spot_check."""
+    cfg = block.config
+    done = 0
+    for k, step in enumerate(cfg.checkpoints):
+        block.advance(done, step)
+        block.read(k, step)
+        for r in range(block.rows):
+            t = block.lo + r
+            due = spot_selected(cfg.master_seed, t, step,
+                                cfg.spot_check_rate) or \
+                (t == 0 and step == cfg.checkpoints[-1])
+            if not due or r in block.failures:
+                continue
+            try:
+                per_row_spot_check(block, r, step)
+            except AssertionError as exc:
+                block.fail(r, exc)
+            else:
+                block.spots[r].append(step)
+        done = step
+    block.advance(done, cfg.horizon)
+    records = [block.record(r) for r in range(block.rows)
+               if r not in block.failures]
+    return records, [(block.lo + r, block.failures[r])
+                     for r in sorted(block.failures)]
+
+
+def rank3_lazy_measure():
+    return lazy_measure(3, (["R:1:2:+"], ["L:3:1:-"], ["R:2:3:-"]))
+
+
+OUTER_CASES = {
+    "gl2z": (nielsen_measure, ("a", "b", "ab", "aB", "aba")),
+    "gl2z-lazy": (lambda: lazy_measure(2, (["R:1:2:+"], ["R:1:2:-"],
+                                           ["R:2:1:+"], ["R:2:1:-"])),
+                  ("a", "b", "ab", "aB", "aba")),
+    "words": (rank3_measure, ("a", "abc", "aB")),
+    "words-lazy": (rank3_lazy_measure, ("a", "abc", "aB")),
+}
+
+
+def gl2z_fault(monkeypatch, mu):
+    # the walk and the replay's product both negate q at atom 1: that step
+    # keeps |p|+|q|, but later steps can part it from the replayed words
+    # (pool workers unpickle their own atoms: the matrix names the atom)
+    right = walk._abelian_matrix
+    target = right(mu.atoms[1])
+
+    def wrong(phi):
+        a, b, c, d = right(phi)
+        return (a, b, -c, -d) if (a, b, c, d) == target else (a, b, c, d)
+
+    monkeypatch.setattr(walk, "_abelian_matrix", wrong)
+
+
+def words_fault(monkeypatch, mu):
+    # the walk flips the first letter of the first word of odd trials
+    # once it reaches step 20
+    advance = walk._WordBlock.advance
+
+    def flipped(self, start, stop):
+        advance(self, start, stop)
+        if start < 20 <= stop:
+            for r, words in enumerate(self.words):
+                if (self.lo + r) % 2 and words:
+                    word = words[0].copy()
+                    word[0] = -word[0]
+                    words[0] = word
+
+    monkeypatch.setattr(walk._WordBlock, "advance", flipped)
+
+
+@pytest.mark.parametrize("case", list(OUTER_CASES))
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outer_spot_checks_match_the_per_row_reference(case, fault, workers,
+                                                       monkeypatch):
+    # blocks of 4 rows, so at two workers the blocks run on the pool
+    measure, tracked = OUTER_CASES[case]
+    mu = measure()
+    cfg = WalkConfig(horizon=40, trials=12, master_seed=5,
+                     checkpoints=(5, 10, 20, 30, 40), spot_check_rate=0.4,
+                     max_word_letters=10 ** 5,
+                     tracked_classes=tuple(fg.parse_word(w) for w in tracked))
+    cls = walk._block_class(mu, cfg)
+    assert walk.outer_backend(mu, cfg) == case.split("-")[0]
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 4 * cls.row_bytes(mu, cfg))
+    if fault:
+        (gl2z_fault if cls is walk._GL2ZBlock else words_fault)(monkeypatch,
+                                                                mu)
+    want, want_failures = per_row_block_run(cls(mu, cfg, 0, cfg.trials))
+    assert want and bool(want_failures) == fault
+    assert all(isinstance(e, AssertionError) for _, e in want_failures)
+    if not fault:
+        assert sum(len(r.spot_checked) for r in want) > cfg.trials
+    if want_failures:
+        with pytest.raises(ExperimentError) as err:
+            run_experiment(mu, cfg, workers=workers)
+        assert failure_key(err.value.failures) == failure_key(want_failures)
+        got, failures = one_block(mu, cfg)
+        assert failure_key(failures) == failure_key(want_failures)
+    else:
+        got = run_experiment(mu, cfg, workers=workers)
+    assert_same_outer_records(got, want)
+
+
+@pytest.mark.parametrize("backend,tracked", [("gl2z", "aba"),
+                                             ("words", "abAB")])
+def test_a_corrupted_row_of_the_lock_step_fails_alone(backend, tracked,
+                                                      monkeypatch):
+    # every row is due at every checkpoint; one held row's third word, ab,
+    # becomes aB in the shared array before the first advance
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=30, trials=8, master_seed=3,
+                     checkpoints=(10, 20, 30), spot_check_rate=1.0,
+                     max_word_letters=10 ** 5,
+                     tracked_classes=(fg.parse_word("a"),
+                                      fg.parse_word(tracked)))
+    assert walk.outer_backend(mu, cfg) == backend
+    clean, failures = one_block(mu, cfg)
+    assert not failures
+    storage = walk._Classes(mu, cfg).storage
+    assert fg.format_word(storage[2]) == "ab"
+    victim = 5
+    init = walk._Replay.__init__
+
+    def corrupted(self, block, due, *args):
+        init(self, block, due, *args)
+        width = self.width
+        start = int((self.lens[:victim * width + 2] + 1).sum())
+        flat = self.flat.copy()
+        flat[start + 1] = -flat[start + 1]
+        self.flat = flat
+
+    monkeypatch.setattr(walk._Replay, "__init__", corrupted)
+    got, failures = one_block(mu, cfg)
+    [(trial, exc)] = failures
+    assert trial == victim and isinstance(exc, AssertionError)
+    assert str(exc).startswith("trial 5 step ")
+    assert ("differs from its cyclic word length" if backend == "gl2z"
+            else "incremental image of 'ab'") in str(exc)
+    assert_same_outer_records(got, [r for r in clean if r.trial_index != 5])
 
 
 def test_gl2z_cap_counts_exact_cyclic_length():
@@ -1103,12 +1329,13 @@ def test_tree_spot_check_catches_a_corrupted_stack_entry():
     block = walk._TreeBlock(mu, cfg, 0, 1)
     block.advance(0, 30)
     block.read(0, 30)
-    block.spot_check(0, 30)
+    assert block.spot_check(0, 30, [0]) == {}
     assert block.top[0] - block.base[0] > 3
     at = block.base[0] + 3
     block.stack[at] = block.stack[at] % 2 + 1     # another letter, a or b
-    with pytest.raises(AssertionError, match="position stack diverged"):
-        block.spot_check(0, 30)
+    exc = block.spot_check(0, 30, [0])[0]
+    assert isinstance(exc, AssertionError)
+    assert "position stack diverged" in str(exc)
 
 
 def test_tree_spot_check_catches_a_corrupted_common_prefix():
@@ -1118,9 +1345,10 @@ def test_tree_spot_check_catches_a_corrupted_common_prefix():
     block = walk._TreeBlock(mu, cfg, 0, 1)
     block.advance(0, 30)
     block.read(0, 30)
+    assert block.spot_check(0, 30, [0]) == {}
     block.cp[0, 0] += 1
-    with pytest.raises(AssertionError, match="common prefix"):
-        block.spot_check(0, 30)
+    exc = block.spot_check(0, 30, [0])[0]
+    assert isinstance(exc, AssertionError) and "common prefix" in str(exc)
 
 
 def test_tracked_kinds_are_checked_before_any_trial_runs():

@@ -69,6 +69,52 @@ def test_long_words_use_the_vectorized_path():
     assert fg.reduce(raw).tolist() == naive_reduce(raw)
 
 
+# -- separated arrays: many words in one, each followed by the separator
+
+@given(st.lists(letters_f3, max_size=6))
+def test_reduce_reduces_each_separated_word_alone(raws):
+    joined = fg.join(raws)
+    assert fg.segment_lengths(joined).tolist() == [len(r) for r in raws]
+    assert [w.tolist() for w in fg.split(fg.reduce(joined))] == \
+        [fg.reduce(r).tolist() for r in raws]
+
+
+@pytest.mark.parametrize("copies", [1, 20], ids=["list-path", "cancel-passes"])
+def test_reduce_never_cancels_across_a_separator(copies):
+    # nested cancellations that take several passes, words that reduce to
+    # nothing next to each other, and pairs that would cancel only across a
+    # separator, which must be kept
+    texts = ["abcCBA", "aaBbAA", "ab", "Ba", "", "bB", "A", "aBcCbA", "c",
+             "Cab"] * copies
+    raws = [[ord(ch) - 96 if ch.islower() else 64 - ord(ch) for ch in t]
+            for t in texts]
+    joined = fg.join(raws)
+    assert (len(joined) > 64) == (copies > 1)
+    got = fg.split(fg.reduce(joined))
+    assert [w.tolist() for w in got] == [fg.reduce(r).tolist() for r in raws]
+    assert [fg.format_word(w) for w in got[:10]] == \
+        ["", "", "ab", "Ba", "", "", "A", "", "c", "Cab"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cyclic_lengths_match_cyclic_length(seed):
+    # reduced words with long conjugators, single letters and empty words,
+    # in one separated array below and above 64 letters
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(12):
+        core = fg.random_reduced_word(rng, 3, int(rng.integers(0, 40)))
+        s = fg.random_reduced_word(rng, 3, int(rng.integers(0, 30)))
+        words.append(fg.concat(s, core, fg.inverse(s)))
+    words += [fg.parse_word("a"), fg.parse_word(""), fg.parse_word("abA")]
+    for chosen in (words[-3:], words):
+        joined = fg.join(chosen)
+        lens = fg.segment_lengths(joined)
+        assert fg.cyclic_lengths(joined, lens).tolist() == \
+            [fg.cyclic_length(w) for w in chosen]
+    assert len(fg.join(words)) > 64
+
+
 @given(letters_f3)
 def test_cyclic_reduce_conjugacy_relation(raw):
     w = fg.reduce(raw)
