@@ -26,6 +26,9 @@ counter-based stream keyed by (master_seed, t), so every trial is an
 independent pure function of (measure, config, trial index), whichever
 block it runs in.  Records are therefore identical whatever the worker
 count, block size or execution order, and a failing trial fails alone.
+Blocks and spot checks alike turn the draws into atoms through one
+function, MeasureSpec.draw_indices, in integers, a chunk of trials at a
+time.
 """
 
 from __future__ import annotations
@@ -87,9 +90,17 @@ class MeasureSpec:
     Atoms are Automorphisms (outer mode) or reduced words (tree mode);
     weights are positive and sum to 1 within 1e-12.  Whether the generated
     subgroup is nonelementary is the caller's responsibility.
+
+    A step takes the top 53 bits m of a 64-bit Philox draw and the first
+    atom whose cumulative weight exceeds u = m / 2^53, the last cumulative
+    weight taken as 1.  u and every cumulative weight times 2^53 are exact
+    floats, so cum_i <= u exactly when ceil(cum_i 2^53) <= m: the atom
+    index is the count of the integer thresholds ceil(cum_i 2^53), one per
+    atom but the last, that are at most m.  A weight too small to move a
+    cumulative sum gives two equal thresholds, and a point mass has none.
     """
 
-    __slots__ = ("atoms", "weights", "mode", "_cumulative")
+    __slots__ = ("atoms", "weights", "mode", "_thresholds")
 
     def __init__(self, atoms, weights):
         atoms = list(atoms)
@@ -113,16 +124,29 @@ class MeasureSpec:
             self.mode = "tree"
             self.atoms = tuple(words)
         self.weights = tuple(weights)
-        cum = np.cumsum(np.asarray(self.weights, dtype=np.float64))
-        cum[-1] = 1.0  # guards searchsorted against float summation slack
-        self._cumulative = cum
+        cum = np.cumsum(np.asarray(self.weights[:-1], dtype=np.float64))
+        self._thresholds = np.ceil(cum * 2.0 ** 53).astype(np.uint64)
 
-    def draw_indices(self, master_seed, trial, n):
-        """Atom indices for steps 1..n of the given trial; pure function."""
-        key = (int(master_seed) << 64) + int(trial)
-        raw = Philox(key=key).random_raw(n)
-        u = (raw >> np.uint64(11)) * 2.0 ** -53
-        return np.searchsorted(self._cumulative, u, side="right")
+    def draw_indices(self, master_seed, trials, n):
+        """Atom indices of steps 1..n of each of `trials`, a chunk of trials
+        at a time: yields (j, idx), idx[i, s] the atom of step s+1 of trial
+        trials[j + i].  Each row is a pure function of (master_seed, trial,
+        n): trial t draws from Philox keyed by (master_seed, t).  A chunk's
+        draws take at most _BLOCK_BYTES / 8 bytes (at least one trial's)."""
+        trials = [int(t) for t in trials]
+        seed = master_seed << 64
+        chunk = max(1, _BLOCK_BYTES // (64 * n))
+        buf = np.empty((min(chunk, len(trials)), n), dtype=np.uint64)
+        for j in range(0, len(trials), chunk):
+            # m[i, s]: the top 53 bits of draw s of trial trials[j + i]
+            m = buf[:len(trials[j:j + chunk])]
+            for row, t in zip(m, trials[j:j + chunk]):
+                np.right_shift(Philox(key=seed + t).random_raw(n),
+                               np.uint64(11), out=row)
+            idx = np.zeros(m.shape, dtype=_step_dtype(self))
+            for bound in self._thresholds:
+                idx += m >= bound
+            yield j, idx
 
 
 @dataclass(frozen=True)
@@ -146,6 +170,11 @@ class WalkConfig:
         if list(cps) != sorted(set(cps)) or cps[0] < 1 or cps[-1] > self.horizon:
             raise ValueError("checkpoints must be strictly increasing in [1, horizon]")
         object.__setattr__(self, "checkpoints", cps)
+        seed = self.master_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or \
+                not 0 <= seed < 1 << 64:
+            raise ValueError("master_seed must be an int in [0, 2^64), got %r"
+                             % (seed,))
         cap = self.max_word_letters
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise ValueError("max_word_letters must be an int >= 1, got %r"
@@ -331,9 +360,9 @@ class _OuterBlock(_Block):
         # steps[s, r]: row r's atom at step s+1, one contiguous row per step
         self.steps = np.empty((config.horizon, self.rows),
                               dtype=_step_dtype(mu))
-        for r in range(self.rows):
-            self.steps[:, r] = mu.draw_indices(config.master_seed, lo + r,
-                                               config.horizon)
+        for j, idx in mu.draw_indices(config.master_seed, range(lo, hi),
+                                      config.horizon):
+            self.steps[:, j:j + len(idx)] = idx.T
         # kappa[k, r], sigma[k, r, i], lengths[k, r, i]: checkpoint k's
         # values of row r and tracked class i
         shape = (len(config.checkpoints), self.rows, len(self.classes.tracked))
@@ -603,8 +632,15 @@ class _Replay:
         rows = len(self.held)
         # last[h]: held row h's last due checkpoint
         self.last = len(cps) - 1 - due[::-1, self.held].argmax(axis=0)
-        drawn = [mu.draw_indices(config.master_seed, block.lo + r, cps[k])
-                 for r, k in zip(self.held.tolist(), self.last.tolist())]
+        # each held row's steps up to its last due checkpoint, drawn a
+        # checkpoint at a time
+        drawn = [None] * rows
+        for k in set(self.last.tolist()):
+            hs = np.flatnonzero(self.last == k)
+            for j, idx in mu.draw_indices(config.master_seed,
+                                          block.lo + self.held[hs], cps[k]):
+                for h, row in zip(hs[j:].tolist(), idx):
+                    drawn[h] = row
         at = [np.flatnonzero(moves[idx]) for idx in drawn]
         n = max(map(len, at), default=0)
         # atoms[m, h], steps[m, h]: held row h's m-th moving atom and its
@@ -747,6 +783,11 @@ class _TreeBlock(_Block):
     on, the trailing tenth (at least two): the stacks copied there are the
     anchor, and `limit`, each row's common prefix with it so far, is cut
     again at every later checkpoint.
+
+    The steps are drawn once, at construction, a chunk of trials at a time
+    (MeasureSpec.draw_indices), into letters.  A spot check redraws its
+    rows from Philox the same way and never reads letters, so it stays
+    independent of the copy it checks.
     """
 
     @classmethod
@@ -773,9 +814,11 @@ class _TreeBlock(_Block):
         # letters[s, k, r]: letter k of the inverse atom of row r's step s+1
         self.letters = np.empty((config.horizon, table.shape[1], rows),
                                 dtype=fg.LETTER_DTYPE)
-        for r in range(rows):
-            self.letters[:, :, r] = table[mu.draw_indices(
-                config.master_seed, lo + r, config.horizon)]
+        for j, idx in mu.draw_indices(config.master_seed, range(lo, hi),
+                                      config.horizon):
+            idx = idx.T.copy()      # step-major, as letters
+            for k, column in enumerate(table.T):
+                self.letters[:, k, j:j + idx.shape[1]] = column.take(idx)
 
         self.tracked = config.tracked_classes
         self.labels = tracked_labels(config)
@@ -855,11 +898,10 @@ class _TreeBlock(_Block):
         """Each row and its prefixes against its redrawn steps, the rows'
         letters reduced anew in one call."""
         drawn = []
-        for r in rows:
-            idx = self.mu.draw_indices(self.config.master_seed, self.lo + r,
-                                       step)
-            flat = self.table[idx].ravel()
-            drawn.append(flat[flat != 0])
+        for _, idx in self.mu.draw_indices(self.config.master_seed,
+                                           [self.lo + r for r in rows], step):
+            for flat in self.table[idx].reshape(len(idx), -1):
+                drawn.append(flat[flat != 0])
         bad = {}
         for r, w in zip(rows, fg.split(fg.reduce(fg.join(drawn)))):
             trial = self.lo + r

@@ -4,10 +4,13 @@ and the from-scratch spot checks."""
 import math
 import os
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from numpy.random import Philox
 
 from outwalk import freegroup as fg
 from outwalk import tree, walk
@@ -52,12 +55,45 @@ def test_measure_mode_inference_and_rank():
     assert nu.atoms[0].rank == 2
 
 
+# -- step draws against the float search
+
+def float_indices(mu, raw):
+    """Atom indices of raw 64-bit draws by the float search: u = m / 2^53
+    from the top 53 bits m of each, and the first atom whose cumulative
+    weight exceeds u."""
+    cum = np.cumsum(np.asarray(mu.weights, dtype=np.float64))
+    cum[-1] = 1.0  # guards searchsorted against float summation slack
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    return np.searchsorted(cum, u, side="right")
+
+
+def float_draw(mu, master_seed, trial, n):
+    """Atom indices of steps 1..n of a trial by the float search."""
+    return float_indices(
+        mu, Philox(key=(master_seed << 64) + trial).random_raw(n))
+
+
+def drawn(mu, master_seed, trials, n):
+    """Every row mu.draw_indices yields, in order, as one array."""
+    rows = []
+    for j, idx in mu.draw_indices(master_seed, trials, n):
+        assert j == len(rows) and idx.dtype == walk._step_dtype(mu)
+        assert idx.shape[1] == n
+        rows.extend(idx)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
+def assert_draws_match_the_float_search(mu, master_seed, trials, n):
+    got = drawn(mu, master_seed, trials, n)
+    want = [float_draw(mu, master_seed, t, n) for t in trials]
+    assert np.array_equal(got, np.array(want).reshape(len(trials), n))
+
+
 def test_draw_indices_deterministic_and_in_range():
     mu = MeasureSpec([fg.parse_word(w) for w in "aAbB"], [0.25] * 4)
-    one = mu.draw_indices(1234, 0, 500)
-    two = mu.draw_indices(1234, 0, 500)
+    one, other = drawn(mu, 1234, [0, 1], 500)
+    two, = drawn(mu, 1234, [0], 500)
     assert np.array_equal(one, two)
-    other = mu.draw_indices(1234, 1, 500)
     assert not np.array_equal(one, other)
     assert one.min() >= 0 and one.max() <= 3
     # every atom appears at plausible frequency
@@ -67,8 +103,102 @@ def test_draw_indices_deterministic_and_in_range():
 
 def test_draw_indices_skewed_weights():
     mu = MeasureSpec([fg.parse_word("a"), fg.parse_word("b")], [0.99, 0.01])
-    idx = mu.draw_indices(5, 0, 2000)
+    idx, = drawn(mu, 5, [0], 2000)
     assert np.bincount(idx, minlength=2)[1] < 80
+
+
+def test_draw_indices_cut_long_rows_into_chunks_of_a_few_trials():
+    # 20000 steps a trial: a chunk holds one trial, so rows are yielded one
+    # at a time, at their own offsets
+    mu = srw_measure()
+    chunks = [(j, idx.shape)
+              for j, idx in mu.draw_indices(3, [7, 2, 9], 20000)]
+    assert chunks == [(0, (1, 20000)), (1, (1, 20000)), (2, (1, 20000))]
+    assert_draws_match_the_float_search(mu, 3, range(40), 5000)
+    assert_draws_match_the_float_search(mu, 3, [], 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1,
+                max_size=70),
+       st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 40))
+def test_integer_draws_equal_the_float_search(weights, seed, trial):
+    total = math.fsum(weights)
+    assume(total > 0)
+    weights = [w / total for w in weights]
+    assume(all(w > 0 for w in weights))
+    mu = MeasureSpec([fg.parse_word("a")] * len(weights), weights)
+    assert_draws_match_the_float_search(mu, seed, [trial, trial + 1], 300)
+
+
+@pytest.mark.parametrize("name", ["outf2_clt", "outf2_deviation", "outf2_gap",
+                                  "point_mass_tree", "rose_asymmetry",
+                                  "tree_srw_f2"])
+def test_integer_draws_equal_the_float_search_on_the_shipped_measures(name):
+    cfg = load_config(os.path.join(ROOT, "configs", name + ".json"))
+    mu = build_measure(cfg)
+    assert_draws_match_the_float_search(mu, cfg["seed"], range(12),
+                                        cfg["horizon"])
+
+
+@pytest.mark.parametrize("weights", [
+    [0.99, 0.01], [0.01, 0.99], [1 - 1e-12, 1e-12], [1e-12, 1 - 1e-12],
+    [0.1, 0.2, 0.7],           # 0.1 + 0.2 rounds up to 0.30000000000000004
+    [0.7, 0.2, 0.1], [1 / 3] * 3, [0.1] * 10,
+], ids=["0.99", "0.01", "1-1e-12", "1e-12", "0.1-0.2-0.7", "0.7-0.2-0.1",
+        "thirds", "tenths"])
+def test_integer_draws_equal_the_float_search_on_awkward_weights(weights):
+    mu = MeasureSpec([fg.parse_word("a")] * len(weights), weights)
+    assert_draws_match_the_float_search(mu, 11, range(30), 2000)
+
+
+def test_a_weight_below_float_resolution_gives_two_equal_thresholds():
+    # 0.5 + 1e-17 rounds to 0.5: the middle atom is never drawn
+    mu = MeasureSpec([fg.parse_word(w) for w in "abc"], [0.5, 1e-17, 0.5])
+    assert mu._thresholds.tolist() == [2 ** 52, 2 ** 52]
+    idx = drawn(mu, 2, range(10), 1000)
+    assert set(np.unique(idx).tolist()) == {0, 2}
+    assert_draws_match_the_float_search(mu, 2, range(10), 1000)
+
+
+def test_a_point_mass_has_no_thresholds():
+    mu = tree_point_mass("ab")
+    assert mu._thresholds.size == 0
+    assert drawn(mu, 9, range(5), 100).tolist() == [[0] * 100] * 5
+    assert_draws_match_the_float_search(mu, 9, range(5), 100)
+
+
+def test_a_draw_on_a_threshold_counts_it(monkeypatch):
+    # raw draws whose top 53 bits sit just below and on each threshold, with
+    # the low 11 bits all 0 or all 1
+    mu = MeasureSpec([fg.parse_word("a")] * 4, [0.1, 0.2, 0.3, 0.4])
+    ms = [0, 1, 2 ** 53 - 1]
+    for t in mu._thresholds.tolist():
+        ms += [t - 1, t, t + 1]
+    raw = np.array([m << 11 | low for m in ms for low in (0, 0x7FF)],
+                   dtype=np.uint64)
+
+    class Fixed:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, n):
+            return raw[:n].copy()
+
+    monkeypatch.setattr(walk, "Philox", Fixed)
+    got, = drawn(mu, 0, [0], len(raw))
+    assert got.tolist() == float_indices(mu, raw).tolist()
+    # m = threshold - 1 is below atom i + 1, m = threshold on it
+    at = got[6::6].tolist(), got[8::6].tolist()
+    assert at == ([0, 1, 2], [1, 2, 3])
+
+
+def test_a_measure_of_300_atoms_draws_indices_past_255():
+    mu = MeasureSpec([fg.parse_word("a")] * 300, [1 / 300] * 300)
+    assert walk._step_dtype(mu) == np.uint16
+    idx = drawn(mu, 4, range(3), 2000)
+    assert idx.max() > 255
+    assert_draws_match_the_float_search(mu, 4, range(3), 2000)
 
 
 # -- config validation
@@ -99,6 +229,20 @@ def test_walk_config_refuses_a_spot_check_rate_outside_0_1(rate):
     with pytest.raises(ValueError, match="spot_check_rate"):
         WalkConfig(horizon=10, trials=1, master_seed=0, checkpoints=(10,),
                    spot_check_rate=rate)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, True, 7.0, "7", None])
+def test_walk_config_refuses_a_master_seed_outside_0_2_64(seed):
+    with pytest.raises(ValueError, match=r"master_seed .*got %s" %
+                       re.escape(repr(seed))):
+        WalkConfig(horizon=10, trials=1, master_seed=seed, checkpoints=(10,))
+
+
+def test_walk_config_takes_the_largest_master_seed():
+    cfg = WalkConfig(horizon=10, trials=2, master_seed=2 ** 64 - 1,
+                     checkpoints=(10,), spot_check_rate=1.0)
+    for mu in (srw_measure(), nielsen_measure()):
+        assert [r.spot_checked for r in run_experiment(mu, cfg)] == [(10,)] * 2
 
 
 def test_walk_config_takes_the_edges_of_its_ranges():
@@ -574,7 +718,7 @@ def recomposed_images(mu, cfg, trial, step, storage):
     """The start words under Phi_step, recomposed from the trial's redrawn
     atoms and applied once."""
     phi = fg.Automorphism.identity(mu.atoms[0].rank)
-    for i in mu.draw_indices(cfg.master_seed, trial, step).tolist():
+    for i in float_draw(mu, cfg.master_seed, trial, step).tolist():
         phi = fg.compose(mu.atoms[i], phi)
     return [phi.apply(w) for w in storage]
 
@@ -601,11 +745,11 @@ def test_the_replay_matches_the_recomposed_automorphism(mu, idle, tracked,
     storage = block.classes.storage
     firsts = []
     for r in range(cfg.trials):
-        firsts.append(mu.draw_indices(cfg.master_seed, r, 1)[0] in idle)
+        firsts.append(float_draw(mu, cfg.master_seed, r, 1)[0] in idle)
     for k, step in enumerate(cfg.checkpoints):
         replay.advance(k, {})
         for r in range(cfg.trials):
-            steps = mu.draw_indices(cfg.master_seed, r, step).tolist()
+            steps = float_draw(mu, cfg.master_seed, r, step).tolist()
             moved = replay.steps[:replay.counts[k, r], r].tolist()
             assert moved == [k for k, i in enumerate(steps, 1)
                              if i not in idle]
@@ -638,7 +782,7 @@ def test_gl2z_spot_check_compares_the_start_vectors_at_step_0(trial):
     mu = lazy_nielsen_measure()
     cfg = WalkConfig(horizon=12, trials=2, master_seed=1, checkpoints=(12,),
                      spot_check_rate=1.0)
-    assert [mu.draw_indices(1, t, 1)[0] == 0 for t in (0, 1)] == \
+    assert [float_draw(mu, 1, t, 1)[0] == 0 for t in (0, 1)] == \
         [False, True]
     records, failures = walk._GL2ZBlock(mu, cfg, trial, trial + 1).run()
     assert not failures and records[0].spot_checked == (12,)
@@ -661,8 +805,8 @@ def per_row_replay(block, r, step, limit=math.inf):
              for phi in mu.atoms]
     words = block.classes.storage
     yield 0, None, words
-    for k, i in enumerate(mu.draw_indices(
-            block.config.master_seed, block.lo + r, step).tolist(), 1):
+    for k, i in enumerate(float_draw(
+            mu, block.config.master_seed, block.lo + r, step).tolist(), 1):
         if moves[i]:
             if words:
                 words = [mu.atoms[i].apply(w) for w in words]
@@ -867,7 +1011,7 @@ def first_cap_breach(mu, cfg, trial, storage, backend):
     lengths and name the longest; the word engine counts reduced letters
     and names the first word over the cap."""
     words = list(storage)
-    steps = mu.draw_indices(cfg.master_seed, trial, cfg.horizon).tolist()
+    steps = float_draw(mu, cfg.master_seed, trial, cfg.horizon).tolist()
     for step, i in enumerate(steps, 1):
         words = [mu.atoms[i].apply(w) for w in words]
         lens = [fg.cyclic_length(w) if backend == "gl2z" else len(w)
@@ -926,7 +1070,7 @@ def per_step_gl2z_trial(mu, config, trial):
     start = classes.start_lens
     cands = [i for i, _ in classes.scale]
     vecs = [fg.exponent_sums(w, 2) for w in classes.storage]
-    steps = mu.draw_indices(config.master_seed, trial, config.horizon)
+    steps = float_draw(mu, config.master_seed, trial, config.horizon)
     cap = config.max_word_letters
     peak = max(start)
     kappa, spots = [], []
@@ -1084,7 +1228,7 @@ def per_letter_trial(mu, config, trial):
     """One tree trial pushed a letter at a time onto a Python list."""
     inv_atoms = [[int(v) for v in fg.inverse(a)] for a in mu.atoms]
     tracked = list(config.tracked_classes)
-    idx = mu.draw_indices(config.master_seed, trial, config.horizon)
+    idx = float_draw(mu, config.master_seed, trial, config.horizon)
     cap = config.max_word_letters
     u = []                          # walk position g_n^{-1}
     kappa, snap_words, spots, peak = [], [], [], 0
@@ -1349,6 +1493,69 @@ def test_tree_spot_check_catches_a_corrupted_common_prefix():
     block.cp[0, 0] += 1
     exc = block.spot_check(0, 30, [0])[0]
     assert isinstance(exc, AssertionError) and "common prefix" in str(exc)
+
+
+def test_a_corrupted_row_of_tree_letters_fails_alone():
+    # the spot check redraws its rows from Philox, not from the block's
+    # letters: row 5's step 7 turned into its inverse fails trial 5 at its
+    # first due checkpoint after step 7, and no other trial
+    mu = srw_measure()
+    cfg = WalkConfig(horizon=40, trials=8, master_seed=4,
+                     checkpoints=(5, 20, 40), spot_check_rate=1.0,
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    clean, failures = one_block(mu, cfg)
+    assert not failures
+    block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
+    block.letters[6, 0, 5] = -block.letters[6, 0, 5]
+    got, [(trial, exc)] = block.run()
+    assert trial == 5 and isinstance(exc, AssertionError)
+    assert str(exc) == "trial 5 step 20: position stack diverged from " \
+        "from-scratch reduction"
+    want = [r for r in clean if r.trial_index != 5]
+    assert len(got) == len(want)
+    assert all(records_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("backend,tracked", [("gl2z", "aba"),
+                                             ("words", "abAB")])
+def test_a_corrupted_row_of_outer_steps_fails_alone(backend, tracked):
+    # row 5's step 7 turned into another atom: the replay, redrawn from
+    # Philox, fails trial 5 at checkpoint 20, and no other trial
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=30, trials=8, master_seed=3,
+                     checkpoints=(5, 20, 30), spot_check_rate=1.0,
+                     max_word_letters=10 ** 5,
+                     tracked_classes=(fg.parse_word("a"),
+                                      fg.parse_word(tracked)))
+    assert walk.outer_backend(mu, cfg) == backend
+    clean, failures = one_block(mu, cfg)
+    assert not failures
+    block = walk._block_class(mu, cfg)(mu, cfg, 0, cfg.trials)
+    block.steps[6, 5] = (block.steps[6, 5] + 1) % len(mu.atoms)
+    got, [(trial, exc)] = block.run()
+    assert trial == 5 and isinstance(exc, AssertionError)
+    assert str(exc).startswith("trial 5 step 20: incremental ")
+    assert_same_outer_records(got, [r for r in clean if r.trial_index != 5])
+
+
+def test_a_failed_tree_row_idles():
+    # fail() zeroes the row's letters: it stays empty while the others
+    # walk on as in a block without the failure
+    mu = srw_measure()
+    cfg = WalkConfig(horizon=30, trials=4, master_seed=1, checkpoints=(30,))
+    block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
+    clean = walk._TreeBlock(mu, cfg, 0, cfg.trials)
+    block.advance(0, 10)
+    clean.advance(0, 10)
+    block.fail(2, AssertionError("stopped"))
+    assert not block.letters[:, :, 2].any()
+    block.advance(10, 30)
+    clean.advance(10, 30)
+    assert block.top[2] == block.base[2]
+    for r in (0, 1, 3):
+        n = clean.top[r] - clean.base[r]
+        assert n > 0 and block.top[r] - block.base[r] == n
+        assert np.array_equal(block.words[r, :n], clean.words[r, :n])
 
 
 def test_tracked_kinds_are_checked_before_any_trial_runs():
