@@ -192,9 +192,9 @@ class PathRecord:
 
     peak_letters is the most letters the trial held: the longest position
     stack in tree mode, the longest reduced image word on the outer word
-    engine.  On the GL(2,Z) backend it is the longest cyclic length |p|+|q|
-    at a segment end (each checkpoint, the horizon, and the cuts that
-    _segment_steps puts between them), not at every step.
+    engine.  The GL(2,Z) backend holds no words: there it is the longest
+    cyclic length |p|+|q| at the start, a checkpoint or the horizon, not at
+    every step.
     """
 
     trial_index: int
@@ -457,15 +457,20 @@ def _abelian_matrix(phi):
     return a, b, c, d
 
 
-def _segment_steps(mats, horizon):
-    """Most steps whose product of step matrices int64 holds exactly.
+def _column_sum(mats):
+    """The largest absolute column sum r of any step matrix: the l1 operator
+    norm, which is submultiplicative, so a product of k step matrices has
+    norm at most r^k and moves a vector v to one of l1 norm at most
+    r^k |v|_1.  An atom's column sum is at most the letters of its images,
+    so r < 2^63."""
+    return max(max(abs(a) + abs(c), abs(b) + abs(d)) for a, b, c, d in mats)
 
-    Every partial sum in a product of k step matrices is at most r^k, r the
-    largest absolute column sum of any step matrix: that sum is the l1
-    operator norm, which is submultiplicative.  An atom's column sum is at
-    most the letters of its images, so r < 2^63 and a segment has at least
-    one step."""
-    r = max(max(abs(a) + abs(c), abs(b) + abs(d)) for a, b, c, d in mats)
+
+def _segment_steps(mats, horizon):
+    """Most steps whose product of step matrices int64 holds exactly: every
+    partial sum in a product of k step matrices is at most r^k
+    (_column_sum), and a segment has at least one step."""
+    r = _column_sum(mats)
     if r == 1:      # signed permutations: products never grow
         return horizon
     steps = 1
@@ -487,10 +492,8 @@ class _GL2ZBlock(_OuterBlock):
     one column per class.  Between checkpoints the rows' step matrices are
     multiplied in int64, in segments of at most `seg` steps
     (_segment_steps), and each segment's product moves the vectors once.
-    The cap is checked by bound: every prefix product Q of a segment has
-    |Q v|_1 <= ||Q||_1 |v|_1, so only a row whose largest prefix norm times
-    its longest vector passes the cap is replayed step by step, and it fails
-    at the step and length a per-step walk gives.
+    No words are held, so the letter cap does not apply: a row's peak is
+    its largest |p|+|q| at the start, a checkpoint or the horizon.
     """
 
     # the spot check compares cyclic lengths while its words stay this short
@@ -499,10 +502,14 @@ class _GL2ZBlock(_OuterBlock):
     @classmethod
     def row_bytes(cls, mu, config):
         """Steps, and the vectors, a vector entry counted as a pointer to an
-        int as large as the cap."""
-        entry = 8 + sys.getsizeof(config.max_word_letters)
+        int as large as r^horizon (_column_sum) times the longest start
+        class, a bound on every |p|+|q| of the walk."""
+        classes = _Classes(mu, config)
+        r = _column_sum([_abelian_matrix(phi) for phi in mu.atoms])
+        entry = 8 + sys.getsizeof(r ** config.horizon *
+                                  max(classes.start_lens))
         return config.horizon * _step_dtype(mu).itemsize + \
-            2 * len(_Classes(mu, config).storage) * entry
+            2 * len(classes.storage) * entry
 
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
@@ -514,9 +521,8 @@ class _GL2ZBlock(_OuterBlock):
         p, q = zip(*self.start_vecs)
         self.p = np.array([p] * self.rows, dtype=object)
         self.q = np.array([q] * self.rows, dtype=object)
-        self.top = np.full(self.rows, max(self.classes.start_lens),
-                           dtype=object)
-        self.peak = self.top.copy()
+        self.peak = np.full(self.rows, max(self.classes.start_lens),
+                            dtype=object)
 
     def fail(self, r, exc):
         """Trial lo + r fails with exc; its row stops growing."""
@@ -524,45 +530,23 @@ class _GL2ZBlock(_OuterBlock):
         self.p[r] = self.q[r] = 0
 
     def advance(self, start, stop):
+        """Steps start+1 .. stop a segment at a time, then each row's
+        cyclic lengths and peak."""
         for s in range(start, stop, self.seg):
             self.segment(s, min(s + self.seg, stop))
+        self.lens = abs(self.p) + abs(self.q)
+        np.maximum(self.peak, self.lens.max(axis=1), out=self.peak)
 
     def segment(self, start, stop):
-        """Steps start+1 .. stop as one product per row, within the cap."""
-        prod = np.zeros((4, self.p.shape[0]), dtype=np.int64)
+        """Steps start+1 .. stop as one product per row."""
+        prod = np.zeros((4, self.rows), dtype=np.int64)
         prod[0] = prod[3] = 1
-        norm = np.ones(self.p.shape[0], dtype=np.int64)
         for s in range(start, stop):
             e, f, g, h = self.mats[:, self.steps[s]]
             prod = np.concatenate((e * prod[:2] + f * prod[2:],
                                    g * prod[:2] + h * prod[2:]))
-            col = np.abs(prod)
-            col = col[:2] + col[2:]
-            np.maximum(norm, np.maximum(col[0], col[1]), out=norm)
-        cap = self.config.max_word_letters
-        over = norm > cap // np.maximum(self.top, 1)
         a, b, c, d = prod.astype(object)[:, :, None]
-        p, q = self.p, self.q
-        self.p, self.q = a * p + b * q, c * p + d * q
-        for r in np.flatnonzero(over).tolist():
-            if r not in self.failures:
-                self.step_by_step(r, start, stop, p[r].tolist(), q[r].tolist())
-        self.lens = abs(self.p) + abs(self.q)
-        self.top = self.lens.max(axis=1)
-        np.maximum(self.peak, self.top, out=self.peak)
-
-    def step_by_step(self, r, start, stop, p, q):
-        """Row r's steps start+1 .. stop one at a time from vectors p, q;
-        the row fails at the first step where a class passes the cap."""
-        cap = self.config.max_word_letters
-        for s in range(start, stop):
-            a, b, c, d = self.atom_mats[self.steps[s, r]]
-            p, q = ([a * x + b * y for x, y in zip(p, q)],
-                    [c * x + d * y for x, y in zip(p, q)])
-            top = max(abs(x) + abs(y) for x, y in zip(p, q))
-            if top > cap:
-                self.fail(r, WordCapExceeded(self.lo + r, s + 1, top, cap))
-                return
+        self.p, self.q = a * self.p + b * self.q, c * self.p + d * self.q
 
     def cyclic_lengths(self):
         return self.lens.tolist()

@@ -375,10 +375,13 @@ def test_bad_exact_rose_length_exits_2(tmp_path, capsys, length):
 
 def test_word_cap_failure_exits_1(tmp_path, capsys):
     # gap, as drift refuses 2 trials before the walk; gap compares the
-    # last checkpoint with one at or below half of it
+    # last checkpoint with one at or below half of it; the non-primitive
+    # class abAB puts the walk on the word engine, the backend the cap binds
     cfg = outer_cfg(measure=[{"trace": ["R:1:2:+"], "weight": 1.0}],
                     horizon=100, trials=2, checkpoints=[50, 100],
-                    max_word_letters=64)
+                    tracked=["a", "abAB"], max_word_letters=64)
+    assert walk.outer_backend(config.build_measure(cfg),
+                              config.build_walk_config(cfg)) == "words"
     path = write_cfg(tmp_path, cfg)
     assert run(["gap", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "trial" in capsys.readouterr().err

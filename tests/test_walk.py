@@ -481,11 +481,21 @@ def test_a_block_spot_checks_the_selected_and_the_forced_pairs(lo, seed,
 
 # -- resource caps
 
+def word_engine_point_mass(trials):
+    """(a>ab)^n at the cap of 64 letters, tracking the non-primitive class
+    abAB, which puts the walk on the word engine."""
+    mu = outer_point_mass(["R:1:2:+"])
+    cfg = WalkConfig(horizon=100, trials=trials, master_seed=0,
+                     checkpoints=(100,), max_word_letters=64,
+                     tracked_classes=(fg.parse_word("abAB"),))
+    assert walk.outer_backend(mu, cfg) == "words"
+    return mu, cfg
+
+
 def test_word_cap_exceeded_names_trial_and_step():
-    cfg = WalkConfig(horizon=100, trials=1, master_seed=0,
-                     checkpoints=(100,), max_word_letters=64)
+    mu, cfg = word_engine_point_mass(1)
     with pytest.raises(ExperimentError) as err:
-        run_experiment(outer_point_mass(["R:1:2:+"]), cfg)
+        run_experiment(mu, cfg)
     msg = str(err.value)
     assert "trial 0" in msg and "step" in msg
 
@@ -498,10 +508,9 @@ def test_word_cap_exception_survives_pickling():
 
 
 def test_cap_failures_surface_through_the_worker_pool():
-    cfg = WalkConfig(horizon=100, trials=4, master_seed=0,
-                     checkpoints=(100,), max_word_letters=64)
+    mu, cfg = word_engine_point_mass(4)
     with pytest.raises(ExperimentError) as err:
-        run_experiment(outer_point_mass(["R:1:2:+"]), cfg, workers=2)
+        run_experiment(mu, cfg, workers=2)
     assert "trial" in str(err.value)
 
 
@@ -994,36 +1003,33 @@ def test_a_corrupted_row_of_the_lock_step_fails_alone(backend, tracked,
 
 
 def test_gl2z_cap_counts_exact_cyclic_length():
-    # (a>ab)^n sends a to a b^n: the cap of 64 letters is first passed at
-    # step 63, by the class ab -> a b^(n+1)
+    # (a>ab)^n sends the class ab to a b^(n+1), whose cyclic length passes
+    # the cap of 64 letters at step 63; a GL(2,Z) block holds no words, so
+    # the cap does not stop it, and the walk reaches the horizon with the
+    # exact cyclic length 102
     cfg = WalkConfig(horizon=100, trials=1, master_seed=0,
                      checkpoints=(100,), max_word_letters=64)
     mu = outer_point_mass(["R:1:2:+"])
     assert walk.outer_backend(mu, cfg) == "gl2z"
-    with pytest.raises(WordCapExceeded) as err:
-        walk.sample_path(mu, cfg, 0)
-    assert (err.value.step, err.value.length) == (63, 65)
+    rec = walk.sample_path(mu, cfg, 0)
+    assert rec.peak_letters == 102
+    assert_same_outer_records([rec], [per_step_gl2z_trial(mu, cfg, 0)])
 
 
-def first_cap_breach(mu, cfg, trial, storage, backend):
-    """(step, length) where a start word's image first passes the cap,
-    replayed on words; None when none does.  GL(2,Z) blocks count cyclic
-    lengths and name the longest; the word engine counts reduced letters
-    and names the first word over the cap."""
+def first_cap_breach(mu, cfg, trial, storage):
+    """(step, length) of the first image word over the cap, replayed on
+    words; None when none passes it."""
     words = list(storage)
     steps = float_draw(mu, cfg.master_seed, trial, cfg.horizon).tolist()
     for step, i in enumerate(steps, 1):
         words = [mu.atoms[i].apply(w) for w in words]
-        lens = [fg.cyclic_length(w) if backend == "gl2z" else len(w)
-                for w in words]
-        over = [n for n in lens if n > cfg.max_word_letters]
+        over = [len(w) for w in words if len(w) > cfg.max_word_letters]
         if over:
-            return step, max(over) if backend == "gl2z" else over[0]
+            return step, over[0]
     return None
 
 
-@pytest.mark.parametrize("backend,tracked", [("gl2z", "aba"),
-                                             ("words", "abAB")])
+@pytest.mark.parametrize("backend,tracked", [("words", "abAB")])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_outer_failures_are_attributed_to_their_own_trials(workers, backend,
                                                            tracked):
@@ -1037,7 +1043,7 @@ def test_outer_failures_are_attributed_to_their_own_trials(workers, backend,
                                       fg.parse_word(tracked)))
     assert walk.outer_backend(mu, cfg) == backend
     storage = walk._Classes(mu, cfg).storage
-    breach = {t: first_cap_breach(mu, cfg, t, storage, backend)
+    breach = {t: first_cap_breach(mu, cfg, t, storage)
               for t in range(cfg.trials)}
     failing = [t for t in range(cfg.trials) if breach[t]]
     passing = [t for t in range(cfg.trials) if not breach[t]]
@@ -1055,23 +1061,14 @@ def test_outer_failures_are_attributed_to_their_own_trials(workers, backend,
 
 # -- GL(2,Z) blocks against the per-step reference
 
-def segment_ends(config, seg):
-    """The steps where a GL(2,Z) block applies a segment product."""
-    bounds = (0,) + config.checkpoints + (config.horizon,)
-    return {min(s + seg, hi) for lo, hi in zip(bounds, bounds[1:])
-            for s in range(lo, hi, seg)}
-
-
 def per_step_gl2z_trial(mu, config, trial):
     """One GL(2,Z) trial a step at a time in Python ints, read in Fractions."""
     classes = walk._Classes(mu, config)
     mats = [walk._abelian_matrix(phi) for phi in mu.atoms]
-    ends = segment_ends(config, walk._segment_steps(mats, config.horizon))
     start = classes.start_lens
     cands = [i for i, _ in classes.scale]
     vecs = [fg.exponent_sums(w, 2) for w in classes.storage]
     steps = float_draw(mu, config.master_seed, trial, config.horizon)
-    cap = config.max_word_letters
     peak = max(start)
     kappa, spots = [], []
     sigma = {lab: [] for lab, _ in classes.tracked}
@@ -1080,9 +1077,7 @@ def per_step_gl2z_trial(mu, config, trial):
         a, b, c, d = mats[steps[step - 1]]
         vecs = [(a * p + b * q, c * p + d * q) for p, q in vecs]
         cyc = [abs(p) + abs(q) for p, q in vecs]
-        if max(cyc) > cap:
-            raise WordCapExceeded(trial, step, max(cyc), cap)
-        if step in ends:
+        if step in config.checkpoints or step == config.horizon:
             peak = max(peak, max(cyc))
         if step not in config.checkpoints:
             continue
@@ -1107,13 +1102,7 @@ def per_step_gl2z_trial(mu, config, trial):
 
 
 def per_step_gl2z_run(mu, config):
-    records, failures = [], []
-    for trial in range(config.trials):
-        try:
-            records.append(per_step_gl2z_trial(mu, config, trial))
-        except WordCapExceeded as exc:
-            failures.append((trial, exc))
-    return records, failures
+    return [per_step_gl2z_trial(mu, config, t) for t in range(config.trials)]
 
 
 def assert_same_outer_records(got, want):
@@ -1161,18 +1150,16 @@ def test_gl2z_blocks_match_the_per_step_reference(measure, rows, workers,
     assert seg < 150
     monkeypatch.setattr(walk, "_BLOCK_BYTES",
                         rows * walk._GL2ZBlock.row_bytes(mu, cfg))
-    want, failures = per_step_gl2z_run(mu, cfg)
-    assert not failures
+    want = per_step_gl2z_run(mu, cfg)
     assert_same_outer_records(run_experiment(mu, cfg, workers=workers), want)
 
 
 def test_gl2z_rows_hold_vectors_beyond_int64():
+    # at the default cap: GL(2,Z) blocks hold no words
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=400, trials=4, master_seed=3,
-                     checkpoints=(100, 400), max_word_letters=10 ** 100,
-                     tracked_classes=OUTER_TRACKED)
-    want, failures = per_step_gl2z_run(mu, cfg)
-    assert not failures
+                     checkpoints=(100, 400), tracked_classes=OUTER_TRACKED)
+    want = per_step_gl2z_run(mu, cfg)
     assert max(r.peak_letters for r in want) > 2 ** 64
     assert_same_outer_records(run_experiment(mu, cfg), want)
 
@@ -1180,18 +1167,55 @@ def test_gl2z_rows_hold_vectors_beyond_int64():
 @pytest.mark.parametrize("cap", [64, 5000])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gl2z_cap_failures_match_the_per_step_reference(cap, workers):
+    # the cap bounds held words and a GL(2,Z) block holds none: trials
+    # whose |p|+|q| passes the cap run to the horizon, as in the reference
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=90, trials=40, master_seed=7,
                      checkpoints=(4, 8, 60, 90), max_word_letters=cap,
                      spot_check_rate=0.2, tracked_classes=OUTER_TRACKED)
-    want, want_failures = per_step_gl2z_run(mu, cfg)
-    assert want and want_failures
-    with pytest.raises(ExperimentError) as err:
-        run_experiment(mu, cfg, workers=workers)
-    assert failure_key(err.value.failures) == failure_key(want_failures)
+    want = per_step_gl2z_run(mu, cfg)
+    assert max(r.peak_letters for r in want) > cap
+    assert_same_outer_records(run_experiment(mu, cfg, workers=workers), want)
     got, failures = one_block(mu, cfg)
-    assert failure_key(failures) == failure_key(want_failures)
+    assert not failures
     assert_same_outer_records(got, want)
+
+
+def shipped_walk(name, **over):
+    cfg = load_config(os.path.join(ROOT, "configs", name + ".json"))
+    cfg.update(over)
+    return build_measure(cfg), build_walk_config(cfg)
+
+
+@pytest.mark.parametrize("seed,trial", [(3, 324), (5, 1090), (10, 1682),
+                                        (11, 1002), (17, 1901)])
+def test_outf2_clt_trials_past_the_default_cap_finish(seed, trial):
+    # at these master seeds one trial's |p|+|q| passes 2^24 at step 58-60,
+    # which once aborted the whole run; the record keeps the largest at a
+    # checkpoint, which may be below the cap again
+    mu, cfg = shipped_walk("outf2_clt", seed=seed)
+    assert cfg.max_word_letters == walk.DEFAULT_WORD_CAP
+    assert walk.outer_backend(mu, cfg) == "gl2z"
+    mats = [walk._abelian_matrix(phi) for phi in mu.atoms]
+    vecs = [fg.exponent_sums(w, 2) for w in walk._Classes(mu, cfg).storage]
+    top = 0
+    for i in float_draw(mu, cfg.master_seed, trial, cfg.horizon).tolist():
+        a, b, c, d = mats[i]
+        vecs = [(a * p + b * q, c * p + d * q) for p, q in vecs]
+        top = max(top, *(abs(p) + abs(q) for p, q in vecs))
+    assert top > 2 ** 24
+    assert_same_outer_records([walk.sample_path(mu, cfg, trial)],
+                              [per_step_gl2z_trial(mu, cfg, trial)])
+
+
+@pytest.mark.parametrize("name,row", [("outf2_clt", 500),
+                                      ("outf2_deviation", 3860)])
+def test_gl2z_rows_are_sized_by_the_horizon_not_the_cap(name, row):
+    # steps, plus 2 x 5 vector entries of a pointer and an int as large as
+    # 2^horizon times the longest start class (aba)
+    for cap in ({}, {"max_word_letters": 64}):
+        mu, cfg = shipped_walk(name, **cap)
+        assert walk._GL2ZBlock.row_bytes(mu, cfg) == row
 
 
 # -- tree blocks against the per-letter reference
