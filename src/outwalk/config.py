@@ -7,8 +7,12 @@ JSON path of the offending value.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+import operator
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -23,13 +27,94 @@ class ConfigError(ValueError):
     """Invalid configuration, with file/path context in the message."""
 
 
+@functools.lru_cache(maxsize=None)
 def _schema():
     path = resources.files("outwalk.schema").joinpath("experiment.schema.json")
     return json.loads(path.read_text())
 
 
+# The schema's keywords, read as JSON Schema draft 2020-12 reads them, except
+# that an integer is an int literal (60.0 is not one) and a number is finite
+# (Python's json accepts NaN and Infinity, which are not JSON).
+
+def _is(x, kind):
+    if kind == "integer":
+        return type(x) is int
+    if kind == "number":
+        return type(x) is int or type(x) is float and math.isfinite(x)
+    return isinstance(x, {"object": dict, "array": list, "string": str}[kind])
+
+
+_TESTS = {  # keyword: (the instances it tests, None for all; failure; message)
+    "type": (None, lambda x, t: not _is(x, t), "%r is not of type %r"),
+    "enum": (None, lambda x, e: x not in e, "%r is not one of %r"),
+    "pattern": ("string", lambda x, p: not re.search(p, x),
+                "%r does not match %r"),
+    "minimum": ("number", operator.lt, "%r is less than the minimum of %r"),
+    "maximum": ("number", operator.gt, "%r is greater than the maximum of %r"),
+    "exclusiveMinimum": ("number", operator.le,
+                         "%r is less than or equal to the minimum of %r"),
+    "minItems": ("array", lambda x, n: len(x) < n, "%r has fewer than %r items"),
+    "maxItems": ("array", lambda x, n: len(x) > n, "%r has more than %r items"),
+}
+_ANNOTATIONS = ("$schema", "$id", "title", "$defs")
+
+
+def _errors(schema, x, path=()):
+    """(path, message) of every violation of `schema` by x, in the order a
+    draft 2020-12 validator finds them: keyword by keyword, depth first."""
+    obj = _is(x, "object")
+    for key, v in schema.items():
+        if key in _TESTS:
+            kind, fails, message = _TESTS[key]
+            if (kind is None or _is(x, kind)) and fails(x, v):
+                yield path, message % (x, v)
+        elif key == "required":
+            yield from ((path, "%r is a required property" % k)
+                        for k in v if obj and k not in x)
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted(k for k in x if k not in known) if obj else []
+            if extras and v is False:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed (%s %s "
+                             "unexpected)" % (", ".join(map(repr, extras)), verb))
+        elif key == "properties":
+            for k in v if obj else ():
+                if k in x:
+                    yield from _errors(v[k], x[k], path + (k,))
+        elif key == "items":
+            for i, item in enumerate(x if _is(x, "array") else ()):
+                yield from _errors(v, item, path + (i,))
+        elif key == "oneOf":
+            valid = sum(next(_errors(s, x, path), None) is None for s in v)
+            if valid != 1:
+                yield path, "%r is %s the given schemas" % (
+                    x, "valid under more than one of" if valid
+                    else "not valid under any of")
+        elif key == "$ref":     # "#/$defs/name"
+            target = functools.reduce(operator.getitem, v.split("/")[1:],
+                                      _schema())
+            yield from _errors(target, x, path)
+        elif key not in _ANNOTATIONS:
+            raise NotImplementedError("schema keyword %r" % key)
+
+
+def _violation(cfg):
+    """The first violation of the schema by cfg in path order, as its JSON
+    path and message, or None."""
+    error = min(_errors(_schema(), cfg), key=lambda e: e[0], default=None)
+    if error:
+        return "$" + "".join("[%d]" % k if isinstance(k, int) else "." + k
+                             for k in error[0]), error[1]
+
+
 def load_config(path):
-    """Read, parse, and schema-validate a config file."""
+    """Read, parse, and validate a config file against the shipped schema.
+
+    The first violation by path order is reported with its JSON path.  An
+    integer must be an integer literal, and NaN and Infinity are refused.
+    """
     try:
         with open(path, "r") as fh:
             text = fh.read()
@@ -40,12 +125,9 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError("%s: line %d column %d: %s"
                           % (path, exc.lineno, exc.colno, exc.msg)) from exc
-    import jsonschema   # slow to import: only commands that load a config pay
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        raise ConfigError("%s: at %s: %s" % (path, e.json_path, e.message))
+    error = _violation(cfg)
+    if error:
+        raise ConfigError("%s: at %s: %s" % (path, *error))
     _cross_validate(path, cfg)
     return cfg
 

@@ -109,7 +109,7 @@ class MeasureSpec:
             raise ValueError("need matching nonempty atoms and weights")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
+        if not abs(math.fsum(weights) - 1.0) <= 1e-12:    # also NaN
             raise ValueError("weights must sum to 1 within 1e-12")
         if isinstance(atoms[0], fg.Automorphism):
             if not all(isinstance(a, fg.Automorphism) for a in atoms):

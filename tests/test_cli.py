@@ -201,6 +201,37 @@ def test_seed_outside_the_schema_range_exits_2(tmp_path, capsys, seed):
     assert not out.exists()     # refused before any trial ran
 
 
+# An integer must be an integer literal, and NaN and Infinity (which
+# Python's json reads) are no numbers: each exits 2 at its path.
+@pytest.mark.parametrize("command,over,where", [
+    ("clt", {"horizon": 60.0}, "$.horizon"),
+    ("clt", {"trials": 100.0}, "$.trials"),
+    ("clt", {"rank": 2.0}, "$.rank"),
+    ("clt", {"checkpoints": {"every": 10.0}}, "$.checkpoints"),
+    ("clt", {"seed": 7.0}, "$.seed"),
+    ("clt", {"checkpoints": [10, 20.0, 30]}, "$.checkpoints"),
+    ("clt", {"max_word_letters": 100.0}, "$.max_word_letters"),
+    ("clt", {"measure": [{"trace": ["R:1:2:+"], "weight": float("nan")},
+                         {"trace": ["R:1:2:-"], "weight": 0.5}]},
+     "$.measure[0].weight"),
+    ("deviation", {"deviation": {"epsilon_factor": float("nan")}},
+     "$.deviation.epsilon_factor"),
+    ("deviation", {"deviation": {"epsilon_factor": float("inf")}},
+     "$.deviation.epsilon_factor"),
+    ("clt", {"tolerances": {"ks_p_min": float("nan")}},
+     "$.tolerances.ks_p_min"),
+    ("clt", {"tolerances": {"drift_interval": [float("-inf"), 0.52]}},
+     "$.tolerances.drift_interval[0]"),
+])
+def test_float_integers_and_non_finite_numbers_exit_2(tmp_path, capsys,
+                                                      command, over, where):
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, outer_cfg(**over))
+    assert run([command, "--config", path, "--out", str(out)]) == 2
+    assert "at %s:" % where in capsys.readouterr().err
+    assert not out.exists()     # refused before any trial ran
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     out = tmp_path / "o"

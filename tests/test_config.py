@@ -1,6 +1,12 @@
 """Config loading: schema validation, cross checks, and builders."""
 
+import copy
+import functools
+import glob
 import json
+import math
+import operator
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +17,8 @@ from outwalk import config as cfgmod
 from outwalk import freegroup as fg
 from outwalk.config import ConfigError
 
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GOOD_TREE = {
     "rank": 2,
@@ -43,10 +51,7 @@ def write(tmp_path, payload, name="c.json"):
 
 
 def test_shipped_configs_all_validate():
-    import glob
-    import os
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = glob.glob(os.path.join(root, "configs", "*.json"))
+    paths = glob.glob(os.path.join(ROOT, "configs", "*.json"))
     assert paths, "expected shipped example configs"
     for p in paths:
         cfg = cfgmod.load_config(p)
@@ -220,10 +225,151 @@ def test_boundary_tracked_strings_validated(tmp_path):
         cfgmod.build_walk_config(cfg)
 
 
-def test_importing_the_cli_leaves_jsonschema_unloaded():
-    # only load_config validates against the schema
-    child = "import sys, outwalk.cli\nprint('jsonschema' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True)
+def test_loading_every_shipped_config_leaves_jsonschema_unloaded():
+    # the config interpreter stands alone: jsonschema is only a test oracle
+    child = (
+        "import glob, sys\n"
+        "from outwalk import cli, config\n"
+        "for p in sorted(glob.glob(sys.argv[1])):\n"
+        "    cfg = config.load_config(p)\n"
+        "    config.build_measure(cfg)\n"
+        "    config.build_walk_config(cfg)\n"
+        "print('jsonschema' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, os.path.join(ROOT, "configs", "*.json")],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _schema_keywords(schema):
+    """(keyword, value) of every schema object in the shipped schema."""
+    for key, value in schema.items():
+        yield key, value
+        if key in ("properties", "$defs"):
+            for sub in value.values():
+                yield from _schema_keywords(sub)
+        elif key == "items":
+            yield from _schema_keywords(value)
+        elif key == "oneOf":
+            for sub in value:
+                yield from _schema_keywords(sub)
+
+
+def test_every_schema_keyword_is_interpreted():
+    found = list(_schema_keywords(cfgmod._schema()))
+    assert {k for k, _ in found} >= {"type", "$ref", "oneOf", "pattern"}
+    for key, value in found:
+        for instance in (None, True, 1, 0.5, "a", [1], {"a": 1}):
+            list(cfgmod._errors({key: value}, instance))
+    with pytest.raises(NotImplementedError, match="format"):
+        list(cfgmod._errors({"format": "email"}, "a"))
+
+
+# The interpreter against jsonschema, on mutated copies of the shipped
+# configs, one of each schema location: every leaf set to each of
+# LEAF_VALUES, every list or object below the top set to each of
+# NODE_VALUES, every key dropped, an extra key added to every object, and
+# each two neighbouring leaves set to null together.
+LEAF_VALUES = [None, True, 0, -1, 1, 2, 64, 2 ** 64, 0.5, 60.0, math.nan,
+               math.inf, -math.inf, "", "a", "1/2", "per:a", "R:1:2:+", [],
+               [1], {}]
+NODE_VALUES = [None, [], [0.5, 0.5, 0.5], {},
+               {"word": "a", "trace": [], "weight": 1}]
+
+
+def _divergent(value):
+    """An integral float or a non-finite number: not a JSON Schema integer
+    or number here, although jsonschema takes it for one."""
+    return type(value) is float and (value.is_integer()
+                                     or not math.isfinite(value))
+
+
+def _slots(node, path=()):
+    if isinstance(node, (dict, list)) and path:
+        yield "node", path
+    if isinstance(node, dict):
+        yield "object", path
+        for key, value in node.items():
+            yield "key", path + (key,)
+            yield from _slots(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _slots(value, path + (i,))
+    else:
+        yield "leaf", path
+
+
+def _set(cfg, at, value):
+    functools.reduce(operator.getitem, at[:-1], cfg)[at[-1]] = value
+    return cfg
+
+
+def _mutants():
+    """(the value set in and where, or None and None; the mutated config)."""
+    seen = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
+        with open(path) as fh:
+            cfg = json.load(fh)
+        leaves = []
+        for kind, at in _slots(cfg):
+            where = (kind,) + tuple("*" if isinstance(k, int) else k
+                                    for k in at)
+            if where in seen:
+                continue
+            seen.add(where)
+            if kind == "leaf":
+                leaves.append(at)
+            if kind in ("leaf", "node"):
+                for value in LEAF_VALUES if kind == "leaf" else NODE_VALUES:
+                    yield value, at, _set(copy.deepcopy(cfg), at, value)
+                continue
+            mutant = copy.deepcopy(cfg)
+            if kind == "key":
+                del functools.reduce(operator.getitem, at[:-1], mutant)[at[-1]]
+            else:
+                functools.reduce(operator.getitem, at, mutant)["extra"] = 1
+            yield None, None, mutant
+        for a, b in zip(leaves, leaves[1:]):
+            yield None, None, _set(_set(copy.deepcopy(cfg), a, None), b, None)
+
+
+def test_interpreter_agrees_with_jsonschema_on_mutated_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+    stock = jsonschema.Draft202012Validator
+    # jsonschema with this package's two type rules, for the values where
+    # the plain validator deliberately disagrees
+    strict = jsonschema.validators.extend(
+        stock, type_checker=stock.TYPE_CHECKER.redefine_many({
+            "integer": lambda _, x: type(x) is int,
+            "number": lambda _, x: type(x) is int or (
+                type(x) is float and math.isfinite(x))}))
+    schema = cfgmod._schema()
+    stock, strict = stock(schema), strict(schema)
+    seen = {"accepted": 0, "rejected": 0, "two paths": 0,
+            "integral float": 0, "non-finite": 0}
+    for value, at, mutant in _mutants():
+        oracle = strict if _divergent(value) else stock
+        expected = sorted(oracle.iter_errors(mutant),
+                          key=lambda e: list(e.absolute_path))
+        if oracle is strict and expected and stock.is_valid(mutant):
+            # the deliberate divergence: refused at the value or the oneOf
+            # that holds it, where plain jsonschema accepts
+            where = tuple(expected[0].absolute_path)
+            assert where == at[:len(where)], mutant
+            seen["integral float" if value.is_integer() else "non-finite"] += 1
+        got = cfgmod._violation(mutant)
+        if not expected:
+            assert got is None, mutant
+            seen["accepted"] += 1
+            continue
+        first = expected[0]
+        assert got is not None and got[0] == first.json_path, mutant
+        # the wording of these two keywords differs between jsonschema
+        # releases, and the many-valid oneOf message lists the schemas
+        if first.validator not in ("minItems", "maxItems") and \
+                "valid under each of" not in first.message:
+            assert got[1] == first.message, mutant
+        seen["rejected"] += 1
+        seen["two paths"] += len({e.json_path for e in expected}) > 1
+    assert all(seen.values()), seen

@@ -38,6 +38,9 @@ def test_measure_weights_must_sum_to_one():
         MeasureSpec([fg.parse_word("a"), fg.parse_word("b")], [0.5, 0.6])
     with pytest.raises(ValueError):
         MeasureSpec([fg.parse_word("a")], [])
+    with pytest.raises(ValueError, match="sum to 1"):
+        MeasureSpec([fg.parse_word("a"), fg.parse_word("b")],
+                    [float("nan"), 0.5])
 
 
 def test_measure_rejects_nonpositive_weights_and_mixed_atoms():
