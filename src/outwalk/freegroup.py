@@ -348,8 +348,7 @@ class Automorphism:
     procedure.
     """
 
-    __slots__ = ("rank", "forward", "inverse",
-                 "_lists", "_inv_lists", "_arrays", "_inv_arrays",
+    __slots__ = ("rank", "forward", "inverse", "_lists", "_arrays",
                  "_inverted")
 
     def __init__(self, rank, forward, inverse):
@@ -362,6 +361,8 @@ class Automorphism:
         for w in forward + inverse:
             check_rank(w, rank)
         self._setup(rank, forward, inverse)
+        if __debug__:
+            self._verify_round_trip()
 
     @classmethod
     def _trusted(cls, rank, forward, inverse):
@@ -369,6 +370,8 @@ class Automorphism:
         letter arrays within the rank, so only the round trip is checked."""
         self = object.__new__(cls)
         self._setup(rank, tuple(forward), tuple(inverse))
+        if __debug__:
+            self._verify_round_trip()
         return self
 
     def _setup(self, rank, forward, inverse):
@@ -378,12 +381,8 @@ class Automorphism:
         # image tables are built on first use: the Python lists serve words
         # of up to _SMALL letters, the numpy gather arrays longer ones
         self._lists = None
-        self._inv_lists = None
         self._arrays = None
-        self._inv_arrays = None
         self._inverted = None
-        if __debug__:
-            self._verify_round_trip()
 
     # The round trip gathers an inverse image for every letter of every
     # forward image, so its cost is quadratic in image size.  Composites of
@@ -396,7 +395,7 @@ class Automorphism:
         widest = max(len(w) for w in self.inverse)
         if total * max(widest, 1) > self._VERIFY_BUDGET:
             return
-        table = self._image_lists(-1)
+        table = self.inverted()._image_lists()
         for i, w in enumerate(self.forward, 1):
             out = []
             for v in w.tolist():
@@ -419,43 +418,37 @@ class Automorphism:
 
     # -- application
 
-    def _image_lists(self, direction):
+    def _image_lists(self):
         """Letter -> image as a list, for every letter and its inverse."""
-        slot = "_lists" if direction > 0 else "_inv_lists"
-        table = getattr(self, slot)
-        if table is None:
-            images = self.forward if direction > 0 else self.inverse
+        if self._lists is None:
             table = {}
-            for i, img in enumerate(images, 1):
+            for i, img in enumerate(self.forward, 1):
                 table[i] = img.tolist()
                 table[-i] = [-v for v in reversed(table[i])]
-            setattr(self, slot, table)
-        return table
+            self._lists = table
+        return self._lists
 
-    def _image_arrays(self, direction):
+    def _image_arrays(self):
         """Concatenated images, ordered by letter code, with starts and lengths."""
-        slot = "_arrays" if direction > 0 else "_inv_arrays"
-        cached = getattr(self, slot)
-        if cached is None:
-            images = self.forward if direction > 0 else self.inverse
+        if self._arrays is None:
             rows = []
-            for i in range(self.rank):
-                rows.append(images[i])
-                rows.append(-images[i][::-1])
+            for img in self.forward:
+                rows.append(img)
+                rows.append(-img[::-1])
             lens = np.array([len(r) for r in rows], dtype=np.int64)
             flat = (np.concatenate(rows) if lens.sum()
                     else np.zeros(0, dtype=LETTER_DTYPE))
             starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
-            cached = (flat, starts, lens)
-            setattr(self, slot, cached)
-        return cached
+            self._arrays = (flat, starts, lens)
+        return self._arrays
 
-    def _apply_dir(self, w, direction):
+    def apply(self, w):
+        """Image of the word under the automorphism (reduced)."""
         w = np.asarray(w, dtype=LETTER_DTYPE)
         if len(w) == 0:
             return _EMPTY
         if len(w) <= _SMALL:
-            table = self._image_lists(direction)
+            table = self._image_lists()
             out = []
             try:
                 for v in w.tolist():
@@ -467,19 +460,17 @@ class Automorphism:
         if int(np.abs(w).max()) > self.rank:
             raise RankError("word uses letters beyond rank %d" % self.rank)
         codes = ((np.abs(w).astype(np.intp) - 1) << 1) | (w < 0)
-        return reduce(_gather(self._image_arrays(direction), codes))
-
-    def apply(self, w):
-        """Image of the word under the automorphism (reduced)."""
-        return self._apply_dir(w, +1)
+        return reduce(_gather(self._image_arrays(), codes))
 
     def apply_inverse(self, w):
-        return self._apply_dir(w, -1)
+        return self.inverted().apply(w)
 
     def inverted(self):
-        """The inverse automorphism."""
+        """The inverse automorphism; built unchecked, as the round trip
+        that checked this one proves both (F_N is Hopfian)."""
         if self._inverted is None:
-            inv = Automorphism._trusted(self.rank, self.inverse, self.forward)
+            inv = object.__new__(Automorphism)
+            inv._setup(self.rank, self.inverse, self.forward)
             inv._inverted = self
             self._inverted = inv
         return self._inverted
@@ -513,7 +504,7 @@ def image_table(autos):
     lens = np.zeros((len(autos), _TABLE_WIDTH), dtype=np.int64)
     flats = []
     for row, phi in zip(lens, autos):
-        flat, _, row[:2 * phi.rank] = phi._image_arrays(+1)
+        flat, _, row[:2 * phi.rank] = phi._image_arrays()
         flats += [flat, _SEPARATOR]
         row[-1] = 1
     lens = lens.ravel()

@@ -177,13 +177,6 @@ def _enumeration_count(rank, max_len):
     return total
 
 
-def _unpack(vals, length, bits):
-    """Packed letter codes (first letter most significant) -> int8 rows."""
-    shifts = bits * np.arange(length - 1, -1, -1, dtype=np.int64)
-    codes = (vals[:, None] >> shifts) & ((1 << bits) - 1)
-    return (((codes >> 1) + 1) * (1 - 2 * (codes & 1))).astype(np.int8)
-
-
 def _prenecklace_levels(rank, max_len):
     """Yield (vals, parent, code, keep) for prenecklace lengths 1..max_len.
 
@@ -236,7 +229,9 @@ def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
     necklace and the weighted cyclic length of its image under theta_inv.
     """
     tree = _prenecklace_tree(rank, max_len)
-    flat, starts, lens = theta_inv._image_arrays(+1)
+    # letter code c < 2 rank has image flat[starts[c]:starts[c] + lens[c]];
+    # every image has a letter, so the separator's does not raise k_max
+    flat, starts, lens = fg.image_table([theta_inv])
     k_max = int(lens.max())
     width = max_len * k_max      # the longest image a word can have
     # imgs[c, :lens[c]] is the image of letter code c, zero-padded to twice

@@ -865,10 +865,8 @@ class _TreeBlock(_Block):
         for i, depth in self.truncated:     # the letter past depth is unknown
             blind = (self.cp[i] == depth) & (n > depth)
             for r in np.flatnonzero(blind).tolist():
-                try:
-                    self.tracked[i].letter(depth)
-                except treemod.DepthError as exc:
-                    self.fail(r, exc)
+                self.fail(r, treemod.DepthError(
+                    "letter %d beyond certified depth %d" % (depth, depth)))
         self.kappa[k] = n
         self.sigma[k] = n - 2 * self.cp
         if k == self.first:

@@ -101,6 +101,28 @@ def test_constructor_rejects_mismatched_inverse():
         fg.Automorphism(2, fwd, bad_inv)
 
 
+def test_inverted_runs_no_round_trip(monkeypatch):
+    # the round trip that checks phi also proves its inverse: a verified
+    # inv o fwd = id makes both automorphisms, as F_N is Hopfian
+    calls = []
+    monkeypatch.setattr(fg.Automorphism, "_verify_round_trip",
+                        lambda self: calls.append(self))
+    fwd = [fg.parse_word("ab"), fg.parse_word("b")]
+    phi = fg.Automorphism(2, fwd, [fg.parse_word("aB"), fg.parse_word("b")])
+    assert calls == [phi]
+    inv = phi.inverted()
+    assert calls == [phi]
+    assert inv.inverted() is phi and phi.inverted() is inv
+    assert images(inv) == ["aB", "b"]
+
+
+def test_trusted_constructor_rejects_mismatched_inverse():
+    fwd = [fg.parse_word("ab"), fg.parse_word("b")]
+    bad_inv = [fg.parse_word("a"), fg.parse_word("b")]
+    with pytest.raises(ValueError):
+        fg.Automorphism._trusted(2, fwd, bad_inv)
+
+
 def test_constructor_rejects_wrong_rank_letters():
     fwd = [fg.parse_word("ac"), fg.parse_word("b")]
     with pytest.raises(fg.RankError):
@@ -138,7 +160,8 @@ def test_images_grow_exponentially_under_iterated_positive_moves():
 def test_apply_segments_matches_apply(rank):
     # one ragged gather of many words, each under its own automorphism,
     # against Automorphism.apply one word at a time, on words below and
-    # above the 64 letters where apply leaves its list path
+    # above the 64 letters where apply leaves its list path; and
+    # apply_inverse against the inverse applied forward on the same words
     rng = np.random.default_rng(rank)
     autos = [fg.random_automorphism(rng, rank, int(n)) for n in (3, 5, 8)]
     autos += [fg.from_trace(rank, ["R:1:2:+", "L:2:1:-"] * 3),
@@ -153,3 +176,9 @@ def test_apply_segments_matches_apply(rank):
     assert [w.tolist() for w in fg.split(got)] == \
         [autos[i].apply(w).tolist() for i, w in zip(atoms.tolist(), words)]
     assert len(joined) > 64
+    # apply_inverse undoes apply on both of apply's paths
+    for phi in autos:
+        for w in words:
+            assert np.array_equal(phi.apply_inverse(phi.apply(w)), w)
+            assert np.array_equal(phi.apply_inverse(w),
+                                  phi.inverted().apply(w))

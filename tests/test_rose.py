@@ -173,12 +173,19 @@ def _burnside_class_count(rank, length):
     return total // length
 
 
+def _unpack(vals, length, bits):
+    """Packed letter codes (first letter most significant) -> int8 rows."""
+    shifts = bits * np.arange(length - 1, -1, -1, dtype=np.int64)
+    codes = (vals[:, None] >> shifts) & ((1 << bits) - 1)
+    return (((codes >> 1) + 1) * (1 - 2 * (codes & 1))).astype(np.int8)
+
+
 def necklace_blocks(rank, max_len):
     """One int8 array per length 1..max_len of the necklaces the oracle's
     prenecklace tree keeps, each row a class's least rotation under a < A <
     b < B < ..., rows ascending."""
     bits = (2 * rank - 1).bit_length()
-    return [rose._unpack(vals[keep], n, bits) for n, (vals, _, _, keep)
+    return [_unpack(vals[keep], n, bits) for n, (vals, _, _, keep)
             in enumerate(rose._prenecklace_levels(rank, max_len), start=1)]
 
 
@@ -228,34 +235,24 @@ def test_necklace_blocks_match_a_pure_python_enumeration():
 
 def test_packing_refuses_words_wider_than_63_bits(monkeypatch):
     # two bits per letter at rank 2: 31 letters fit, 32 do not; lift the
-    # enumeration bound so the packing check is the one that fires, and
-    # stop at once should the enumeration start anyway
-    def started(*args):
-        raise AssertionError("enumeration started past the packing check")
-
+    # enumeration bound so the packing check is the one that fires, before
+    # the first level is yielded
     monkeypatch.setattr(rose, "ENUMERATION_BOUND", 10 ** 30)
-    monkeypatch.setattr(rose, "_unpack", started)
-    with pytest.raises(rose.ResourceLimitError):
-        necklace_blocks(2, 32)
-    with pytest.raises(rose.ResourceLimitError):
-        necklace_blocks(16, 13)      # five bits per letter
+    with pytest.raises(rose.ResourceLimitError, match="63 bits"):
+        next(rose._prenecklace_levels(2, 32))
+    with pytest.raises(rose.ResourceLimitError, match="63 bits"):
+        next(rose._prenecklace_levels(16, 13))      # five bits per letter
 
 
 # the oracle's former block kernel, kept as the reference for the tree:
 # the images of a whole block are gathered into one array, rows kept apart
-# by a separator letter, freely reduced by freegroup's cancel pass, then
+# by freegroup's separator, freely reduced by its cancel pass, then
 # cyclically reduced by peeling inverse letters off both ends of every row
-_SEPARATOR = 64     # a letter value that never cancels: no letter is -64
-
-
 def _batch_weighted_cyclic(theta_inv, block, weights_num):
     """For each row w of block: weighted cyclic length of theta_inv(w)."""
-    flat_img, starts, lens = theta_inv._image_arrays(+1)
-    # code 2N is a one-letter image holding the separator
-    sep = len(lens)
-    flat_img = np.append(flat_img, np.int8(_SEPARATOR))
-    starts = np.append(starts, len(flat_img) - 1)
-    lens = np.append(lens, 1)
+    flat_img, starts, lens = fg.image_table([theta_inv])
+    # the table's last code is the separator's, whose image is itself
+    sep = len(lens) - 1
     codes = ((np.abs(block).astype(np.intp) - 1) << 1) | (block < 0)
     codes = np.pad(codes, ((0, 0), (0, 1)), constant_values=sep).ravel()
     lens_pp = lens[codes]
@@ -268,9 +265,9 @@ def _batch_weighted_cyclic(theta_inv, block, weights_num):
     while changed:
         letters, changed = fg._cancel_pass(letters)
 
-    stop = np.flatnonzero(letters == _SEPARATOR)       # one per row, in order
+    stop = np.flatnonzero(letters == fg.SEPARATOR)       # one per row, in order
     begin = np.concatenate(([0], stop[:-1] + 1))
-    wtab = np.zeros(_SEPARATOR + 1, dtype=np.int64)
+    wtab = np.zeros(fg.SEPARATOR + 1, dtype=np.int64)
     wtab[1:len(weights_num) + 1] = weights_num
     cum = np.concatenate(([0], np.cumsum(wtab[np.abs(letters)])))
     # a reduced row is s c s^-1 with c cyclically reduced: peel s and s^-1
