@@ -57,7 +57,8 @@ _BLOCK_BYTES = 1 << 21
 
 
 class WordCapExceeded(RuntimeError):
-    """A tracked word outgrew the configured letter cap."""
+    """An image word of the outer word engine outgrew the letter cap, the
+    only words a walk holds that can grow faster than its steps."""
 
     def __init__(self, trial, step, length, cap):
         super().__init__(
@@ -149,6 +150,10 @@ class MeasureSpec:
             yield j, idx
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     horizon: int
@@ -160,27 +165,31 @@ class WalkConfig:
     spot_check_rate: float = SPOT_CHECK_RATE
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        cps = tuple(int(c) for c in self.checkpoints)
+        for name in ("horizon", "trials"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError("%s must be an int >= 1, got %r"
+                                 % (name, value))
+        cps = tuple(self.checkpoints)
         if not cps:
             raise ValueError("checkpoints must be nonempty")
+        for c in cps:
+            if not _is_int(c):
+                raise ValueError("checkpoints must be ints, got %r" % (c,))
         if list(cps) != sorted(set(cps)) or cps[0] < 1 or cps[-1] > self.horizon:
             raise ValueError("checkpoints must be strictly increasing in [1, horizon]")
         object.__setattr__(self, "checkpoints", cps)
         seed = self.master_seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or \
-                not 0 <= seed < 1 << 64:
+        if not _is_int(seed) or not 0 <= seed < 1 << 64:
             raise ValueError("master_seed must be an int in [0, 2^64), got %r"
                              % (seed,))
         cap = self.max_word_letters
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        if not _is_int(cap) or cap < 1:
             raise ValueError("max_word_letters must be an int >= 1, got %r"
                              % (cap,))
         rate = self.spot_check_rate
-        if not isinstance(rate, numbers.Real) or not 0 <= rate <= 1:
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or \
+                not 0 <= rate <= 1:
             raise ValueError("spot_check_rate must be a real in [0, 1], "
                              "got %r" % (rate,))
         object.__setattr__(self, "tracked_classes", tuple(self.tracked_classes))
@@ -233,10 +242,11 @@ class _Block:
     to every row; read(k, step), checkpoint k's values; spot_check(k, step,
     rows), mapping each of `rows` that disagrees with its steps redone from
     scratch to an AssertionError; record(r); and the classmethod
-    row_bytes(mu, config).  It extends fail to stop a failed row, and plan
-    to prepare its spot checks: plan(due) is called before the first
-    advance when any pair is due, due[k, r] true where row r is checked at
-    checkpoint k unless it has failed by then.
+    row_bytes(mu, config).  It may extend plan to prepare its spot checks:
+    plan(due) is called before the first advance when any pair is due,
+    due[k, r] true where row r is checked at checkpoint k unless it has
+    failed by then.  A failed row walks on with its block, and nothing
+    reads it again.
     """
 
     def __init__(self, mu, config, lo, hi):
@@ -248,8 +258,9 @@ class _Block:
         self.failures = {}
 
     def fail(self, r, exc):
-        """Trial lo + r fails with exc."""
-        self.failures[r] = exc
+        """Trial lo + r fails with exc, unless it has failed already: a row
+        keeps its first failure."""
+        self.failures.setdefault(r, exc)
 
     def plan(self, due):
         """Prepare the spot checks of due[k, r]."""
@@ -408,7 +419,8 @@ class _WordBlock(_OuterBlock):
         self.peak = [max(self.classes.start_lens)] * self.rows
 
     def fail(self, r, exc):
-        """Trial lo + r fails with exc; its words are dropped."""
+        """Trial lo + r fails with exc; its words are dropped, so that words
+        past the cap stop growing."""
         super().fail(r, exc)
         self.words[r] = []
 
@@ -524,11 +536,6 @@ class _GL2ZBlock(_OuterBlock):
         self.peak = np.full(self.rows, max(self.classes.start_lens),
                             dtype=object)
 
-    def fail(self, r, exc):
-        """Trial lo + r fails with exc; its row stops growing."""
-        super().fail(r, exc)
-        self.p[r] = self.q[r] = 0
-
     def advance(self, start, stop):
         """Steps start+1 .. stop a segment at a time, then each row's
         cyclic lengths and peak."""
@@ -587,14 +594,14 @@ class _Replay:
     """The due rows of an outer block redone from scratch, in lock-step.
 
     A row due a spot check is held until its last due checkpoint or its
-    failure.  Its steps are redrawn from Philox once, up to that
-    checkpoint, and only its moving steps are kept: an atom whose images
-    are the basis fixes every word and matrix.  The held rows' start words
-    sit in one separated array (fg.join), a row's classes in storage order,
-    and advancing to a checkpoint applies the m-th moving step of every
-    held row at once, one fg.apply_segments call per m, a row without an
-    m-th taking the identity.  Words never cancel across rows, so a row
-    fails alone.
+    failure.  The held rows' steps are redrawn from Philox once, up to the
+    block's last due checkpoint, and only their moving steps are kept: an
+    atom whose images are the basis fixes every word and matrix.  The held
+    rows' start words sit in one separated array (fg.join), a row's classes
+    in storage order, and advancing to a checkpoint applies the m-th moving
+    step of every held row at once, one fg.apply_segments call per m, a row
+    without an m-th taking the identity.  Words never cancel across rows,
+    so a row fails alone.
 
     With a letter limit (GL(2,Z) blocks), each held row also multiplies its
     step matrices (mats) in Python ints and compares |p|+|q| of each start
@@ -616,15 +623,11 @@ class _Replay:
         rows = len(self.held)
         # last[h]: held row h's last due checkpoint
         self.last = len(cps) - 1 - due[::-1, self.held].argmax(axis=0)
-        # each held row's steps up to its last due checkpoint, drawn a
-        # checkpoint at a time
-        drawn = [None] * rows
-        for k in set(self.last.tolist()):
-            hs = np.flatnonzero(self.last == k)
-            for j, idx in mu.draw_indices(config.master_seed,
-                                          block.lo + self.held[hs], cps[k]):
-                for h, row in zip(hs[j:].tolist(), idx):
-                    drawn[h] = row
+        # every held row's steps up to the block's last due checkpoint; a
+        # row is dropped at its own, before its later steps apply
+        drawn = [row for _, idx in mu.draw_indices(
+            config.master_seed, block.lo + self.held, cps[self.last.max()])
+            for row in idx]
         at = [np.flatnonzero(moves[idx]) for idx in drawn]
         n = max(map(len, at), default=0)
         # atoms[m, h], steps[m, h]: held row h's m-th moving atom and its
@@ -723,11 +726,6 @@ class _Replay:
 # ---------------------------------------------------------------------------
 # tree mode
 
-# never the inverse of a letter: the floor under every stack, and the
-# stream value past a truncated point's certified letters
-_NO_LETTER = 127
-
-
 def _inverse_atom_table(mu):
     """Inverse atoms as the rows of one int8 table, padded with the no-op
     letter 0."""
@@ -739,25 +737,21 @@ def _inverse_atom_table(mu):
     return table
 
 
-def _tree_width(config, table):
-    # a stack grows at most one atom per step, and a row over the cap at
-    # the end of a step stops there
-    atom = table.shape[1]
-    return min(config.horizon * atom, config.max_word_letters + atom)
-
-
 class _TreeBlock(_Block):
     """Tree-mode trials advanced one step at a time.
 
     Row r's walk position g_n^{-1} is a letter stack in row r of one flat
-    int8 array above a floor column; top[r] is the index of its top letter
-    (its floor when empty), and its length is top[r] - base[r], taken only
-    where a length is read: at checkpoints, the cap check and the record.
-    Each letter of a step is six numpy calls over all rows (take, compare,
-    add, scatter, two subtracts), a seventh when some atom is padded or some
-    row has failed, and nothing about the tracked points.  At the default
-    budget a worker's share of tree_srw_f2 is one block, so a step pays its
-    calls once per worker.
+    int8 array above a floor column of fg.SEPARATOR, never a letter's
+    inverse; top[r] is the index of its top letter (its floor when empty),
+    and its length is top[r] - base[r], taken only where a length is read:
+    at checkpoints and the record.  A step pushes at most one atom, so a
+    stack never outgrows the horizon x atom letters of its row's steps, and
+    the letter cap, which bounds the outer word engine's words, is not read
+    here.  Each letter of a step is six numpy calls over all rows (take,
+    compare, add, scatter, two subtracts), a seventh when some atom is
+    padded, and nothing about the tracked points.  A failed row walks on
+    with the others.  At the default budget a worker's share of tree_srw_f2
+    is one block, so a step pays its calls once per worker.
 
     The stacks are read at checkpoints only, by one kernel, fg.row_prefix:
     cp[i] is each row's common prefix with tracked point i's letters.  A
@@ -776,21 +770,20 @@ class _TreeBlock(_Block):
 
     @classmethod
     def row_bytes(cls, mu, config):
-        """Stack and steps."""
-        table = _inverse_atom_table(mu)
-        return _tree_width(config, table) + config.horizon * table.shape[1]
+        """Stack and steps, horizon x atom letters each."""
+        return 2 * config.horizon * _inverse_atom_table(mu).shape[1]
 
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
         self.table = table = _inverse_atom_table(mu)
         self.padded = not table.all()
         rows = self.rows
-        width = _tree_width(config, table)
+        width = config.horizon * table.shape[1]
         self.stride = width + 2         # floor, letters, one write past the top
         self.stack = np.empty(rows * self.stride, dtype=fg.LETTER_DTYPE)
         self.words = self.stack.reshape(rows, self.stride)[:, 1:]
         self.base = np.arange(rows, dtype=np.intp) * self.stride
-        self.stack[self.base] = _NO_LETTER
+        self.stack[self.base] = fg.SEPARATOR
         self.top = self.base.copy()
         self.peak = self.base.copy()
         count = len(config.checkpoints)
@@ -806,7 +799,8 @@ class _TreeBlock(_Block):
 
         self.tracked = config.tracked_classes
         self.labels = tracked_labels(config)
-        self.streams = np.full((len(self.tracked), width + 1), _NO_LETTER,
+        # past a truncated point's certified letters, a letter no stack holds
+        self.streams = np.full((len(self.tracked), width + 1), fg.SEPARATOR,
                                dtype=fg.LETTER_DTYPE)
         for row, xi in zip(self.streams, self.tracked):
             k = width + 1 if xi.depth is None else min(width + 1, xi.depth)
@@ -819,24 +813,16 @@ class _TreeBlock(_Block):
         self.kappa = np.zeros((count, rows), dtype=np.intp)
         self.sigma = np.zeros((count, len(self.tracked), rows), dtype=np.intp)
 
-    def fail(self, r, exc):
-        """Trial lo + r fails with exc; its row stops moving."""
-        super().fail(r, exc)
-        self.letters[:, :, r] = 0
-        self.top[r] = self.base[r]
-
     def advance(self, start, stop):
         """Steps start+1 .. stop.  Each letter v pops the rows whose top is
         its inverse and pushes it on the others: v is written above every
         top, which moves up one and, where it popped, down two."""
         stack, top, peak = self.stack, self.top, self.peak
-        cap = self.config.max_word_letters
-        atom = self.letters.shape[1]
         letters = self.letters[start:stop]
         inverse = -letters
-        # the no-op letter 0 pads short atoms and stops failed rows
-        idle = letters == 0 if self.padded or self.failures else None
-        for s, (vs, ws) in enumerate(zip(letters, inverse), start + 1):
+        # the no-op letter 0 pads short atoms
+        idle = letters == 0 if self.padded else None
+        for s, (vs, ws) in enumerate(zip(letters, inverse)):
             for k, (v, w) in enumerate(zip(vs, ws)):
                 pop = stack.take(top) == w
                 top += 1
@@ -844,16 +830,8 @@ class _TreeBlock(_Block):
                 top -= pop
                 top -= pop
                 if idle is not None:
-                    top -= idle[s - start - 1, k]
+                    top -= idle[s, k]
             np.maximum(peak, top, out=peak)
-            if s * atom > cap:
-                n = top - self.base
-                over = np.flatnonzero(n > cap).tolist()
-                for r in over:
-                    self.fail(r, WordCapExceeded(self.lo + r, s, int(n[r]),
-                                                 cap))
-                if over:        # their letters are now 0: they idle from here
-                    idle = letters == 0
 
     def read(self, k, step):
         """Checkpoint k's values and limit prefix."""

@@ -418,6 +418,23 @@ def test_word_cap_failure_exits_1(tmp_path, capsys):
     assert "trial" in capsys.readouterr().err
 
 
+def test_a_tree_run_past_the_word_cap_finishes(tmp_path):
+    # the cap binds only the outer word engine: tree stacks pass 64 letters,
+    # and drift writes what it writes without the key
+    cfg = tree_cfg(max_word_letters=64)
+    records = walk.run_experiment(config.build_measure(cfg),
+                                  config.build_walk_config(cfg))
+    assert max(r.peak_letters for r in records) > 64
+    written = []
+    for name, over in (("cap", cfg), ("plain", tree_cfg())):
+        out = tmp_path / name
+        path = write_cfg(tmp_path, over, name + ".json")
+        assert run(["drift", "--config", path, "--out", str(out)]) == 0
+        written.append([(out / f).read_bytes()
+                        for f in ("drift.csv", "drift_summary.json")])
+    assert written[0] == written[1]
+
+
 # -- output files
 
 def test_drift_outputs_and_manifest(tmp_path):

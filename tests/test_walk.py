@@ -227,11 +227,26 @@ def test_walk_config_refuses_a_cap_that_is_not_a_positive_int(cap):
 
 
 @pytest.mark.parametrize("rate", [-0.01, 1.5, float("nan"), "0.1", None,
-                                  1j])
+                                  1j, True])
 def test_walk_config_refuses_a_spot_check_rate_outside_0_1(rate):
     with pytest.raises(ValueError, match="spot_check_rate"):
         WalkConfig(horizon=10, trials=1, master_seed=0, checkpoints=(10,),
                    spot_check_rate=rate)
+
+
+@pytest.mark.parametrize("field,value,bad", [
+    ("horizon", 60.0, 60.0), ("horizon", True, True), ("horizon", "60", "60"),
+    ("trials", 2.0, 2.0), ("trials", True, True),
+    ("checkpoints", (30.7,), 30.7), ("checkpoints", (True,), True),
+    ("checkpoints", (10, 60.0), 60.0)])
+def test_walk_config_refuses_a_horizon_trials_or_checkpoint_not_an_int(
+        field, value, bad):
+    # a float would crash the walk, or be truncated, and a bool taken as 1
+    kwargs = dict(horizon=60, trials=2, master_seed=0, checkpoints=(60,))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=r"%s must be .*got %s" %
+                       (field, re.escape(repr(bad)))):
+        WalkConfig(**kwargs)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, True, 7.0, "7", None])
@@ -518,11 +533,13 @@ def test_cap_failures_surface_through_the_worker_pool():
 
 
 def test_tree_mode_ignores_the_letter_cap_gracefully():
-    # tree walks grow one letter per step, so a tight cap still suffices
+    # a tree stack grows at most one atom per step, as the block's steps
+    # do, so the cap bounds nothing there: a stack of 60 letters passes a
+    # cap of 32 and the trial finishes
     cfg = WalkConfig(horizon=60, trials=1, master_seed=1, checkpoints=(60,),
-                     max_word_letters=64)
+                     max_word_letters=32)
     rec = run_experiment(tree_point_mass("a"), cfg)[0]
-    assert rec.kappa == (60,)
+    assert rec.kappa == (60,) and rec.peak_letters == 60
 
 
 def test_peak_letters_reported():
@@ -1256,7 +1273,6 @@ def per_letter_trial(mu, config, trial):
     inv_atoms = [[int(v) for v in fg.inverse(a)] for a in mu.atoms]
     tracked = list(config.tracked_classes)
     idx = float_draw(mu, config.master_seed, trial, config.horizon)
-    cap = config.max_word_letters
     u = []                          # walk position g_n^{-1}
     kappa, snap_words, spots, peak = [], [], [], 0
     sigma = {tree.format_boundary(xi): [] for xi in tracked}
@@ -1266,8 +1282,6 @@ def per_letter_trial(mu, config, trial):
                 u.pop()
             else:
                 u.append(v)
-        if len(u) > cap:
-            raise WordCapExceeded(trial, step, len(u), cap)
         peak = max(peak, len(u))
         if step in config.checkpoints:
             cps = _reference_prefixes(u, tracked)
@@ -1292,7 +1306,7 @@ def reference_run(mu, config):
     for trial in range(config.trials):
         try:
             records.append(per_letter_trial(mu, config, trial))
-        except (WordCapExceeded, tree.DepthError) as exc:
+        except tree.DepthError as exc:
             failures.append((trial, exc))
     return records, failures
 
@@ -1354,7 +1368,8 @@ def test_tree_blocks_match_the_per_letter_reference(rank, seed, workers,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tree_failures_are_attributed_to_their_own_trials(workers):
-    # 40 trials at seed 5: 12 pass the cap, 8 run off the certified depth
+    # 40 trials at seed 5: 8 run off the certified depth, and 12 of the 32
+    # others pass the cap of 42 letters, which tree mode does not read
     mu = MeasureSpec([fg.parse_word(w) for w in
                       ("BA", "Ab", "bbA", "a", "B", "aB", "A", "b")], [1 / 8] * 8)
     cfg = WalkConfig(horizon=40, trials=40, master_seed=5,
@@ -1363,9 +1378,8 @@ def test_tree_failures_are_attributed_to_their_own_trials(workers):
                      tracked_classes=(tree.parse_boundary("per:a"),
                                       tree.parse_boundary("prefix:ab depth:2")))
     want, want_failures = reference_run(mu, cfg)
-    kinds = [type(e) for _, e in want_failures]
-    assert WordCapExceeded in kinds and tree.DepthError in kinds
-    assert want
+    assert len(want_failures) == 8 and len(want) == 32
+    assert sum(r.peak_letters > cfg.max_word_letters for r in want) == 12
     with pytest.raises(ExperimentError) as err:
         run_experiment(mu, cfg, workers=workers)
     assert failure_key(err.value.failures) == failure_key(want_failures)
@@ -1376,19 +1390,19 @@ def test_tree_failures_are_attributed_to_their_own_trials(workers):
         assert_same_tree_record(g, w)
 
 
-def test_tree_cap_failures_stop_their_rows_in_an_unpadded_block():
-    # one-letter atoms, so no letter is the no-op 0 until a row passes the
-    # cap mid-advance; that row must stop there, not pass the cap again or
-    # write past its stack into the next row's
+def test_tree_stacks_pass_the_cap_in_an_unpadded_block():
+    # one-letter atoms, so no letter is the no-op 0: stacks of up to 23
+    # letters pass the cap of 8, which tree mode does not read, without
+    # writing past their rows, and every trial finishes as in the reference
     mu = MeasureSpec([fg.parse_word("a"), fg.parse_word("A")], [0.5, 0.5])
     cfg = WalkConfig(horizon=60, trials=30, master_seed=6,
                      checkpoints=(20, 60), max_word_letters=8,
                      tracked_classes=(tree.parse_boundary("per:a"),))
     want, want_failures = reference_run(mu, cfg)
-    assert want and want_failures
+    assert not want_failures and len(want) == cfg.trials
+    assert max(r.peak_letters for r in want) > cfg.max_word_letters
     got, failures = one_block(mu, cfg)
-    assert failure_key(failures) == failure_key(want_failures)
-    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    assert not failures and len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_tree_record(g, w)
 
@@ -1565,24 +1579,57 @@ def test_a_corrupted_row_of_outer_steps_fails_alone(backend, tracked):
     assert_same_outer_records(got, [r for r in clean if r.trial_index != 5])
 
 
-def test_a_failed_tree_row_idles():
-    # fail() zeroes the row's letters: it stays empty while the others
-    # walk on as in a block without the failure
-    mu = srw_measure()
+@pytest.mark.parametrize("measure", [
+    srw_measure, lambda: random_tree_measure(np.random.default_rng(3), 2)],
+    ids=["unpadded", "padded"])
+def test_a_failed_tree_row_walks_on_alone(measure):
+    # fail() keeps a row's first failure and touches nothing else: the row
+    # walks on, and every stack, its own included, ends as in a block
+    # without the failure
+    mu = measure()
     cfg = WalkConfig(horizon=30, trials=4, master_seed=1, checkpoints=(30,))
     block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
     clean = walk._TreeBlock(mu, cfg, 0, cfg.trials)
     block.advance(0, 10)
     clean.advance(0, 10)
-    block.fail(2, AssertionError("stopped"))
-    assert not block.letters[:, :, 2].any()
+    first = AssertionError("stopped")
+    block.fail(2, first)
+    block.fail(2, AssertionError("stopped again"))
+    assert block.failures == {2: first}
     block.advance(10, 30)
     clean.advance(10, 30)
-    assert block.top[2] == block.base[2]
-    for r in (0, 1, 3):
+    for r in range(cfg.trials):
         n = clean.top[r] - clean.base[r]
         assert n > 0 and block.top[r] - block.base[r] == n
         assert np.array_equal(block.words[r, :n], clean.words[r, :n])
+
+
+def test_a_failed_tree_row_keeps_its_first_failure():
+    # row 5's first letter, corrupted at step 5, fails its spot check
+    # there; the row walks on and by checkpoint 40 holds all of the
+    # certified ab and more, an undecidable value, but its trial reports
+    # the spot check
+    mu = srw_measure()
+    cfg = WalkConfig(horizon=40, trials=12, master_seed=4,
+                     checkpoints=(5, 20, 40), spot_check_rate=1.0,
+                     tracked_classes=(tree.parse_boundary("prefix:ab depth:2"),))
+    clean, failures = one_block(mu, cfg)
+    assert not failures
+
+    def corrupt(block):
+        at = block.base[5] + 1
+        block.stack[at] = block.stack[at] % 2 + 1     # another letter, a or b
+
+    block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
+    got, [(trial, exc)] = run_with_fault(block, 5, corrupt)
+    assert trial == 5 and isinstance(exc, AssertionError)
+    assert str(exc) == "trial 5 step 5: position stack diverged from " \
+        "from-scratch reduction"
+    assert block.cp[0, 5] == 2 < block.kappa[-1, 5]
+    want = [r for r in clean if r.trial_index != 5]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
 
 
 def test_tracked_kinds_are_checked_before_any_trial_runs():
