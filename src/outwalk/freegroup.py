@@ -395,7 +395,7 @@ class Automorphism:
         widest = max(len(w) for w in self.inverse)
         if total * max(widest, 1) > self._VERIFY_BUDGET:
             return
-        table = self.inverted()._image_lists()
+        table = _letter_images(self.inverse)
         for i, w in enumerate(self.forward, 1):
             out = []
             for v in w.tolist():
@@ -421,11 +421,7 @@ class Automorphism:
     def _image_lists(self):
         """Letter -> image as a list, for every letter and its inverse."""
         if self._lists is None:
-            table = {}
-            for i, img in enumerate(self.forward, 1):
-                table[i] = img.tolist()
-                table[-i] = [-v for v in reversed(table[i])]
-            self._lists = table
+            self._lists = _letter_images(self.forward)
         return self._lists
 
     def _image_arrays(self):
@@ -474,6 +470,15 @@ class Automorphism:
             inv._inverted = self
             self._inverted = inv
         return self._inverted
+
+
+def _letter_images(images):
+    """Letter -> image as a list, from the images of the basis letters."""
+    table = {}
+    for i, img in enumerate(images, 1):
+        table[i] = img.tolist()
+        table[-i] = [-v for v in reversed(table[i])]
+    return table
 
 
 def _gather(images, codes):

@@ -39,7 +39,7 @@ def observable_matrix(records, observable):
     elif observable.startswith("loglen:"):
         lab = observable[len("loglen:"):]
         try:
-            rows = [tuple(math.log(v) for v in r.lengths[lab]) for r in records]
+            rows = [list(map(math.log, r.lengths[lab])) for r in records]
         except KeyError:
             raise ValueError("class %r has no tracked lengths" % lab) from None
     else:
@@ -58,13 +58,20 @@ def class_observable(records, label):
 
 
 def verify_sigma_domination(records):
-    """Hard invariant: sigma(Phi_n, g) <= kappa(Phi_n) at every checkpoint."""
-    for r in records:
-        k = np.asarray(r.kappa, dtype=np.float64)
-        for lab, vals in r.sigma.items():
-            if np.any(np.asarray(vals, dtype=np.float64) > k):
-                raise AssertionError(
-                    "sigma(%s) exceeds kappa in trial %d" % (lab, r.trial_index))
+    """Hard invariant: sigma(Phi_n, g) <= kappa(Phi_n) at every checkpoint.
+    A violation names the first failing record, and in it the first label
+    that fails."""
+    if not records:
+        return True
+    labels = class_labels(records)
+    kappa = observable_matrix(records, "kappa")[1]
+    over = np.array([(observable_matrix(records, "sigma:" + lab)[1]
+                      > kappa).any(axis=1) for lab in labels])
+    if over.any():
+        t = int(over.any(axis=0).argmax())
+        raise AssertionError("sigma(%s) exceeds kappa in trial %d"
+                             % (labels[over[:, t].argmax()],
+                                records[t].trial_index))
     return True
 
 
@@ -281,18 +288,14 @@ def kappa_sigma_gap(records, label):
     half_mask = cps <= H // 2
     if not half_mask.any():
         raise ValueError("no checkpoints at or below half horizon")
-    sup_full = []
-    sup_half = []
-    for r in records:
-        gap = np.abs(np.asarray(r.kappa, dtype=np.float64)
-                     - np.asarray(r.sigma[label], dtype=np.float64))
-        sup_full.append(float(gap.max()))
-        sup_half.append(float(gap[half_mask].max()))
-    sf = np.array(sup_full)
-    sh = np.array(sup_half)
+    # gap[t, k]: trial t's |kappa - sigma| at checkpoint k
+    gap = np.abs(observable_matrix(records, "kappa")[1]
+                 - observable_matrix(records, "sigma:" + label)[1])
+    sf = gap.max(axis=1)
+    sh = gap[:, half_mask].max(axis=1)
     quants = {q: (float(np.quantile(sf, q)), float(np.quantile(sh, q)))
               for q in GAP_QUANTILES}
     mf, mh = quants[0.5]
     ratio = 1.0 if (mf == 0 and mh == 0) else (math.inf if mh == 0 else mf / mh)
-    return GapReport(label, H, int(cps[half_mask][-1]), tuple(sup_full),
-                     tuple(sup_half), quants, ratio)
+    return GapReport(label, H, int(cps[half_mask][-1]), tuple(sf.tolist()),
+                     tuple(sh.tolist()), quants, ratio)

@@ -132,18 +132,25 @@ class MeasureSpec:
         """Atom indices of steps 1..n of each of `trials`, a chunk of trials
         at a time: yields (j, idx), idx[i, s] the atom of step s+1 of trial
         trials[j + i].  Each row is a pure function of (master_seed, trial,
-        n): trial t draws from Philox keyed by (master_seed, t).  A chunk's
-        draws take at most _BLOCK_BYTES / 8 bytes (at least one trial's)."""
+        n): trial t draws from Philox keyed by (master_seed, t), one
+        generator per call rekeyed for each trial.  A chunk's draws take at
+        most _BLOCK_BYTES / 8 bytes (at least one trial's)."""
         trials = [int(t) for t in trials]
-        seed = master_seed << 64
         chunk = max(1, _BLOCK_BYTES // (64 * n))
         buf = np.empty((min(chunk, len(trials)), n), dtype=np.uint64)
+        # a fresh Philox's state with the key (master_seed, t) in its two
+        # words: setting it restarts the stream at counter 0
+        gen = Philox(key=0)
+        state = gen.state
+        key = state["state"]["key"]
+        key[1] = master_seed
         for j in range(0, len(trials), chunk):
             # m[i, s]: the top 53 bits of draw s of trial trials[j + i]
             m = buf[:len(trials[j:j + chunk])]
             for row, t in zip(m, trials[j:j + chunk]):
-                np.right_shift(Philox(key=seed + t).random_raw(n),
-                               np.uint64(11), out=row)
+                key[0] = t
+                gen.state = state
+                np.right_shift(gen.random_raw(n), np.uint64(11), out=row)
             idx = np.zeros(m.shape, dtype=_step_dtype(self))
             for bound in self._thresholds:
                 idx += m >= bound
@@ -301,16 +308,11 @@ class _Block:
 # outer mode
 
 class _Classes:
-    """The classes an outer walk follows, and the reader of their lengths.
-
-    The rose candidates and the tracked classes are held once each, as
-    cyclically reduced start words.  At a checkpoint, kappa is the top
-    candidate ratio of cyclic length to start length and sigma each tracked
-    class's ratio.  Both are compared in integers, over one common
-    denominator of the candidates' start lengths, and each becomes a float
-    by one division of ints, which is correctly rounded: the logs equal
-    those of the exact ratios.
-    """
+    """The classes an outer walk follows, held once each as cyclically
+    reduced start words: the rose candidates and the tracked classes.
+    Their start lengths are kept as Python ints for _OuterBlock.read: each
+    candidate's multiplier onto one common denominator, den, and each
+    tracked class's start length."""
 
     def __init__(self, mu, config):
         self.storage = []       # start words, cyclically reduced
@@ -337,23 +339,19 @@ class _Classes:
         self.slots = [slot for _, slot in self.tracked]
         self.start_lens = [len(w) for w in self.storage]
         self.den = math.lcm(*(self.start_lens[i] for i in cands))
-        self.scale = [(i, self.den // self.start_lens[i]) for i in cands]
+        self.cands = cands
+        self.mults = np.array([self.den // self.start_lens[i] for i in cands],
+                              dtype=object)
+        self.starts = np.array([self.start_lens[i] for i in self.slots],
+                               dtype=object)
         # a primitive class of F2 is fixed by its abelianization
         self.gl2z = mu.atoms[0].rank == 2 and \
             all(fg.is_primitive_f2(w) for w in self.storage)
 
-    def read(self, trial, step, lens):
-        """kappa and the tracked classes' sigmas from one row of cyclic
-        lengths."""
-        top = max(lens[i] * m for i, m in self.scale)
-        sigma = []
-        for lab, slot in self.tracked:
-            # White's formula: the candidate max dominates every class
-            if lens[slot] * self.den > top * self.start_lens[slot]:
-                raise AssertionError("trial %d step %d: sigma(%s) exceeded "
-                                     "kappa" % (trial, step, lab))
-            sigma.append(math.log(lens[slot] / self.start_lens[slot]))
-        return math.log(top / self.den), sigma
+
+# math.log of each entry of an object array: a float from libm, as the
+# scalar path, where np.log need not round the same way
+_log = np.frompyfunc(math.log, 1, 1)
 
 
 def _step_dtype(mu):
@@ -361,9 +359,9 @@ def _step_dtype(mu):
 
 
 class _OuterBlock(_Block):
-    """Outer trials: each row's values are read from the cyclic lengths of
-    its classes' images (a backend's cyclic_lengths()), and its spot checks
-    from one lock-step _Replay of the block's due rows (plan)."""
+    """Outer trials: the rows' values are read from the cyclic lengths of
+    their classes' images (read), and their spot checks from one lock-step
+    _Replay of the block's due rows (plan)."""
 
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
@@ -382,16 +380,27 @@ class _OuterBlock(_Block):
         self.lengths = np.zeros(shape, dtype=object)
 
     def read(self, k, step):
-        """Checkpoint k's kappa, sigma and lengths of every row."""
-        for r, lens in enumerate(self.cyclic_lengths()):
-            if r in self.failures:
-                continue
-            self.lengths[k, r] = [lens[i] for i in self.classes.slots]
-            try:
-                self.kappa[k, r], self.sigma[k, r] = \
-                    self.classes.read(self.lo + r, step, lens)
-            except AssertionError as exc:
-                self.fail(r, exc)
+        """Checkpoint k's kappa, sigma and lengths of every live row, in one
+        pass over the block's cyclic lengths (a backend's cyclic_lengths(
+        rows), Python ints).  kappa is the top candidate ratio of cyclic
+        length to start length and sigma each tracked class's ratio.  Both
+        are compared in integers, over the candidates' common denominator,
+        and each becomes a float by one division of ints, which is correctly
+        rounded: the logs equal those of the exact ratios."""
+        c = self.classes
+        rows = [r for r in range(self.rows) if r not in self.failures]
+        lens = self.cyclic_lengths(rows)
+        top = (lens[:, c.cands] * c.mults).max(axis=1)
+        tracked = lens[:, c.slots]
+        # White's formula: the candidate max dominates every class
+        over = tracked * c.den > top[:, None] * c.starts
+        for j in np.flatnonzero(over.any(axis=1)).tolist():
+            self.fail(rows[j], AssertionError(
+                "trial %d step %d: sigma(%s) exceeded kappa"
+                % (self.lo + rows[j], step, c.tracked[over[j].argmax()][0])))
+        self.lengths[k, rows] = tracked
+        self.kappa[k, rows] = _log(top / c.den)
+        self.sigma[k, rows] = _log(tracked / c.starts)
 
     def record(self, r):
         labels = [lab for lab, _ in self.classes.tracked]
@@ -441,8 +450,10 @@ class _WordBlock(_OuterBlock):
             except WordCapExceeded as exc:
                 self.fail(r, exc)
 
-    def cyclic_lengths(self):
-        return [[fg.cyclic_length(w) for w in words] for words in self.words]
+    def cyclic_lengths(self, rows):
+        return np.array([[fg.cyclic_length(w) for w in self.words[r]]
+                         for r in rows], dtype=object).reshape(
+            len(rows), len(self.classes.storage))
 
     def plan(self, due):
         self.replay = _Replay(self, due)
@@ -555,8 +566,8 @@ class _GL2ZBlock(_OuterBlock):
         a, b, c, d = prod.astype(object)[:, :, None]
         self.p, self.q = a * self.p + b * self.q, c * self.p + d * self.q
 
-    def cyclic_lengths(self):
-        return self.lens.tolist()
+    def cyclic_lengths(self, rows):
+        return self.lens[rows]
 
     def plan(self, due):
         self.replay = _Replay(self, due, self.REPLAY_LETTERS, self.atom_mats,
@@ -604,10 +615,13 @@ class _Replay:
     so a row fails alone.
 
     With a letter limit (GL(2,Z) blocks), each held row also multiplies its
-    step matrices (mats) in Python ints and compares |p|+|q| of each start
-    vector (vecs) with its word's cyclic length, at step 0 and after each
-    moving step.  It keeps its first mismatch, (step, class), and stops
-    carrying its words after a mismatch or once one passes the limit.
+    step matrices (mats) in Python ints.  While it carries its words, a row
+    does so a step at a time and compares |p|+|q| of each start vector
+    (vecs) with its word's cyclic length, at step 0 and after each moving
+    step.  It keeps its first mismatch, (step, class), and stops carrying
+    its words after a mismatch or once one passes the limit.  From then on
+    its moving steps up to each due checkpoint are one pairwise product
+    (multiply).
     """
 
     def __init__(self, block, due, limit=None, mats=None, vecs=None):
@@ -655,30 +669,58 @@ class _Replay:
 
     def advance(self, k, failures):
         """Every held row through its moving steps up to checkpoint k; the
-        rows failed or with no due checkpoint from k on are dropped first."""
+        rows failed or with no due checkpoint from k on are dropped first.
+        The rows that carry words take their steps together, a step at a
+        time; then the others' products are completed (multiply)."""
         self.drop((self.last >= k) & np.array(
             [r not in failures for r in self.held.tolist()], dtype=bool))
         counts = self.counts[k]
-        moves = counts - self.done
         cols = np.arange(len(self.held))
-        for j in range(int(moves.max(initial=0))):
-            live = j < moves
-            m = np.where(live, self.done + j, len(self.atoms) - 1)
+        while True:
+            live = self.carried & (self.done < counts)
+            if not live.any():
+                break
+            m = np.where(live, self.done, len(self.atoms) - 1)
             atoms = self.atoms[m, cols]
-            if self.limit is not None:
-                self.prod = self.mats[atoms] @ self.prod
-            if not self.carried.any():
-                continue
+            self.done = self.done + live
             self.flat = fg.apply_segments(
                 self.table, self.flat, self.lens,
                 np.repeat(atoms[self.carried], self.width))
             self.lens = fg.segment_lengths(self.flat)
             if self.limit is not None:
+                self.prod[live] = self.mats[atoms[live]] @ self.prod[live]
                 self.drop_words(self.lens.reshape(-1, self.width).max(axis=1)
                                 > self.limit)
                 if self.carried.any():
                     self.compare(live, self.steps[m, cols])
+        if self.limit is not None:
+            self.multiply(counts)
         self.done = counts
+
+    def multiply(self, counts):
+        """Each held row's product through its moving steps up to counts:
+        the steps it has yet to take stacked step-major, padded with the
+        identity, and multiplied in pairs, a later step on the left, about
+        log2(steps) matmuls in all; the first level multiplies each
+        distinct pair of consecutive steps once."""
+        todo = counts - self.done
+        rows = np.flatnonzero(todo)
+        if not len(rows):
+            return
+        n = len(self.mats)
+        s = np.arange(-(-int(todo.max()) // 2) * 2)[:, None]    # even
+        m = np.minimum(self.done[rows] + s, len(self.atoms) - 1)
+        idx = np.where(s < todo[rows], self.atoms[m, rows], n - 1)
+        pairs, which = np.unique(idx[1::2] * n + idx[::2],
+                                 return_inverse=True)
+        stack = (self.mats[pairs // n] @ self.mats[pairs % n])[
+            which.reshape(len(s) // 2, -1)]
+        pad = self.mats[np.full((1, len(rows)), n - 1)]
+        while len(stack) > 1:
+            if len(stack) % 2:
+                stack = np.concatenate((stack, pad))
+            stack = stack[1::2] @ stack[::2]
+        self.prod[rows] = stack[0] @ self.prod[rows]
 
     def compare(self, live, steps):
         """Each carried live row's |p|+|q| against its cyclic lengths, at

@@ -116,6 +116,22 @@ def test_inverted_runs_no_round_trip(monkeypatch):
     assert images(inv) == ["aB", "b"]
 
 
+def test_checked_automorphisms_build_no_inverse_twin():
+    # the round trip reads the inverse images directly: no constructor
+    # leaves a cached inverse, and with it a reference cycle, behind (a
+    # right factor of compose still builds its own, to apply its inverse)
+    fwd = [fg.parse_word("ab"), fg.parse_word("b")]
+    inv = [fg.parse_word("aB"), fg.parse_word("b")]
+    phi = fg.Automorphism(2, fwd, inv)
+    assert phi._inverted is None
+    psi = fg.Automorphism._trusted(2, inv, fwd)
+    assert psi._inverted is None
+    both = fg.compose(phi, psi)
+    assert both._inverted is None and images(both) == ["a", "b"]
+    walk = fg.from_trace(2, ["R:1:2:+", "L:2:1:-", "I:1", "T:1:2"])
+    assert walk._inverted is None
+
+
 def test_trusted_constructor_rejects_mismatched_inverse():
     fwd = [fg.parse_word("ab"), fg.parse_word("b")]
     bad_inv = [fg.parse_word("a"), fg.parse_word("b")]

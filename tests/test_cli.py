@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output files, and reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -538,6 +539,23 @@ def test_outer_outputs_do_not_depend_on_the_thread_count(tmp_path, command,
     for name in names:
         assert open(os.path.join(outs[0], name), "rb").read() == \
             open(os.path.join(outs[1], name), "rb").read(), name
+
+
+def test_bench_outer_clt_input_keeps_its_recorded_digests(tmp_path):
+    # the benchmark's outer_clt input: outf2_clt cut to 91 trials; clt must
+    # write the files whose digests bench/digests.json records
+    with open(os.path.join(ROOT, "configs", "outf2_clt.json")) as fh:
+        cfg = json.load(fh)
+    cfg["trials"] = 91
+    out = str(tmp_path / "o")
+    assert run(["clt", "--config", write_cfg(tmp_path, cfg),
+                "--out", out]) == 0
+    with open(os.path.join(ROOT, "bench", "digests.json")) as fh:
+        digests = json.load(fh)["outer_clt"]
+    assert sorted(digests) == ["clt.csv", "clt_summary.json"]
+    for name, digest in digests.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_clt_csv_layout(tmp_path):

@@ -289,6 +289,39 @@ def test_sigma_domination_check_names_label_and_trial():
     assert "bad" in str(err.value) and "trial 2" in str(err.value)
 
 
+def reference_domination(records):
+    """The first (trial, label) that fails, record by record."""
+    for r in records:
+        for lab, vals in r.sigma.items():
+            if any(v > k for v, k in zip(vals, r.kappa)):
+                return r.trial_index, lab
+    return None
+
+
+@pytest.mark.parametrize("late,early", [(("y", 4), ("x", 2)),
+                                        (("x", 4), ("y", 2)),
+                                        (("x", 2), ("y", 2))])
+def test_sigma_domination_names_the_first_failing_record_then_label(late,
+                                                                    early):
+    # labels x, y, z; two of them pass kappa in one trial each: the message
+    # names the first such trial, and in it the first label in order
+    bad = dict([late, early])
+
+    def sigma(lab):
+        return lambda t, n: 1.5 if (t == bad.get(lab) and n == 20) else 0.25
+
+    recs = make_records(6, [10, 20, 30], lambda t, n: 1.0,
+                        sigma_fns={lab: sigma(lab) for lab in "xyz"})
+    trial, lab = reference_domination(recs)
+    assert trial == min(early[1], late[1])
+    with pytest.raises(AssertionError) as err:
+        stats.verify_sigma_domination(recs)
+    assert str(err.value) == "sigma(%s) exceeds kappa in trial %d" % (lab,
+                                                                       trial)
+    assert stats.verify_sigma_domination(
+        [r for r in recs if r.trial_index not in bad.values()])
+
+
 def test_class_labels_preserve_tracking_order():
     recs = make_records(2, [10], lambda t, n: 0.0,
                         sigma_fns={"b": lambda t, n: 0.0,

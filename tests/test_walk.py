@@ -182,6 +182,9 @@ def test_a_draw_on_a_threshold_counts_it(monkeypatch):
                    dtype=np.uint64)
 
     class Fixed:
+        # draw_indices rekeys one generator through its state
+        state = {"state": {"key": np.zeros(2, dtype=np.uint64)}}
+
         def __init__(self, key):
             pass
 
@@ -202,6 +205,36 @@ def test_a_measure_of_300_atoms_draws_indices_past_255():
     idx = drawn(mu, 4, range(3), 2000)
     assert idx.max() > 255
     assert_draws_match_the_float_search(mu, 4, range(3), 2000)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_one_generator_per_call_draws_each_trials_own_philox_stream(
+        seed, monkeypatch):
+    # the rows are those of a fresh Philox per trial, whatever the trials
+    # before it in the call, also at the largest keys
+    made, raws = [], []
+
+    class Recording(Philox):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def random_raw(self, n):
+            raw = super().random_raw(n)
+            raws.append(raw.copy())
+            return raw
+
+    monkeypatch.setattr(walk, "Philox", Recording)
+    mu = MeasureSpec([fg.parse_word("a")] * 300, [1 / 300] * 300)
+    trials = [5, 0, 2 ** 40 + 3, 2 ** 63, 2 ** 64 - 1, 5]
+    got = drawn(mu, seed, trials, 70)
+    assert len(made) == 1 and len(raws) == len(trials)
+    for raw, row, t in zip(raws, got, trials):
+        want = Philox(key=(seed << 64) + t).random_raw(70)
+        assert np.array_equal(raw, want)
+        m = want >> np.uint64(11)
+        assert row.tolist() == \
+            (m[:, None] >= mu._thresholds).sum(axis=1).tolist()
 
 
 # -- config validation
@@ -1086,7 +1119,7 @@ def per_step_gl2z_trial(mu, config, trial):
     classes = walk._Classes(mu, config)
     mats = [walk._abelian_matrix(phi) for phi in mu.atoms]
     start = classes.start_lens
-    cands = [i for i, _ in classes.scale]
+    cands = classes.cands
     vecs = [fg.exponent_sums(w, 2) for w in classes.storage]
     steps = float_draw(mu, config.master_seed, trial, config.horizon)
     peak = max(start)
@@ -1236,6 +1269,126 @@ def test_gl2z_rows_are_sized_by_the_horizon_not_the_cap(name, row):
     for cap in ({}, {"max_word_letters": 64}):
         mu, cfg = shipped_walk(name, **cap)
         assert walk._GL2ZBlock.row_bytes(mu, cfg) == row
+
+
+# -- the block read against the per-row reference
+
+def per_row_read(block, k, step):
+    """Checkpoint k's values read a row at a time, the way blocks once read
+    them: kappa, sigma and lengths of each live row, compared in integers
+    over the candidates' common denominator, and one int division and one
+    math.log per value; a row whose tracked class passes kappa fails."""
+    classes = block.classes
+    for r in range(block.rows):
+        if r in block.failures:
+            continue
+        lens = block.cyclic_lengths([r])[0].tolist()
+        block.lengths[k, r] = [lens[i] for i in classes.slots]
+        top = max(lens[i] * m for i, m in zip(classes.cands, classes.mults))
+        sigma = []
+        for lab, slot in classes.tracked:
+            if lens[slot] * classes.den > top * classes.start_lens[slot]:
+                block.fail(r, AssertionError(
+                    "trial %d step %d: sigma(%s) exceeded kappa"
+                    % (block.lo + r, step, lab)))
+                break
+            sigma.append(math.log(lens[slot] / classes.start_lens[slot]))
+        else:
+            block.kappa[k, r] = math.log(top / classes.den)
+            block.sigma[k, r] = sigma
+
+
+def assert_reads_match_the_per_row_reference(mu, cfg):
+    """Two blocks of every trial, advanced alike: one read by the block,
+    one by per_row_read, field by field at every checkpoint.  Returns the
+    block's failures."""
+    cls = walk._block_class(mu, cfg)
+    got, want = cls(mu, cfg, 0, cfg.trials), cls(mu, cfg, 0, cfg.trials)
+    done = 0
+    for k, step in enumerate(cfg.checkpoints):
+        for block in (got, want):
+            block.advance(done, step)
+        got.read(k, step)
+        per_row_read(want, k, step)
+        assert {r: str(e) for r, e in got.failures.items()} == \
+            {r: str(e) for r, e in want.failures.items()}
+        assert {r: type(e) for r, e in got.failures.items()} == \
+            {r: type(e) for r, e in want.failures.items()}
+        live = [r for r in range(cfg.trials) if r not in got.failures]
+        # floats bit for bit; lengths as the same Python ints
+        assert got.kappa[k, live].tobytes() == want.kappa[k, live].tobytes()
+        assert got.sigma[k, live].tobytes() == want.sigma[k, live].tobytes()
+        assert got.lengths[k, live].tolist() == want.lengths[k, live].tolist()
+        assert all(type(v) is int for v in got.lengths[k, live].ravel())
+        done = step
+    return got.failures
+
+
+@pytest.mark.parametrize("backend,measure,tracked", [
+    ("gl2z", nielsen_measure, ("a", "b", "ab", "aB", "aba", "aabab")),
+    ("gl2z", lazy_nielsen_measure, ("a", "b", "ab", "aB", "aba")),
+    ("words", nielsen_measure, ("a", "abAB", "aba")),
+    ("words", rank3_measure, ("a", "abc", "aB"))])
+def test_block_reads_match_the_per_row_reference(backend, measure, tracked):
+    mu = measure()
+    cfg = WalkConfig(horizon=40, trials=9, master_seed=4,
+                     checkpoints=(1, 5, 20, 40), max_word_letters=10 ** 5,
+                     tracked_classes=tuple(fg.parse_word(w) for w in tracked))
+    assert walk.outer_backend(mu, cfg) == backend
+    assert not assert_reads_match_the_per_row_reference(mu, cfg)
+
+
+def test_the_block_read_skips_word_rows_failed_at_the_cap():
+    # trials that pass the cap of 64 letters between checkpoints hold no
+    # words from then on; the others are read as before
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=30, trials=48, master_seed=2,
+                     checkpoints=(10, 20, 30), max_word_letters=64,
+                     tracked_classes=(fg.parse_word("a"),
+                                      fg.parse_word("abAB")))
+    assert walk.outer_backend(mu, cfg) == "words"
+    failures = assert_reads_match_the_per_row_reference(mu, cfg)
+    assert 0 < len(failures) < cfg.trials
+    assert all(isinstance(e, WordCapExceeded) for e in failures.values())
+    assert {e.step for e in failures.values()} - {10, 20, 30}
+
+
+@pytest.mark.parametrize("backend", ["gl2z", "words"])
+def test_a_planted_domination_failure_fails_its_row_alone(backend,
+                                                          monkeypatch):
+    # trial 3's lengths of aba and aabab, which are not rose candidates,
+    # are read a million times too long: both pass kappa at the first
+    # checkpoint, and the first in tracking order is named
+    mu = nielsen_measure() if backend == "gl2z" else rank3_measure()
+    tracked = ("a", "aba", "ab", "aabab")
+    cfg = WalkConfig(horizon=30, trials=6, master_seed=9,
+                     checkpoints=(5, 10, 20, 30), max_word_letters=10 ** 5,
+                     spot_check_rate=0.0,
+                     tracked_classes=tuple(fg.parse_word(w) for w in tracked))
+    cls = walk._block_class(mu, cfg)
+    assert walk.outer_backend(mu, cfg) == backend
+    classes = walk._Classes(mu, cfg)
+    bumped = [slot for lab, slot in classes.tracked if lab in ("aba", "aabab")]
+    assert len(bumped) == 2
+    assert not set(bumped) & set(classes.cands)
+    clean = [walk.sample_path(mu, cfg, t) for t in range(cfg.trials)]
+    true_lengths = cls.cyclic_lengths
+
+    def planted(self, rows):
+        lens = true_lengths(self, rows)
+        for j, r in enumerate(rows):
+            if self.lo + r == 3:
+                lens[j, bumped] *= 10 ** 6
+        return lens
+
+    monkeypatch.setattr(cls, "cyclic_lengths", planted)
+    failures = assert_reads_match_the_per_row_reference(mu, cfg)
+    assert list(failures) == [3]
+    assert str(failures[3]) == "trial 3 step 5: sigma(aba) exceeded kappa"
+    records, [(trial, exc)] = walk._run_trials(cls, mu, cfg, 0, cfg.trials)
+    assert trial == 3 and str(exc) == str(failures[3])
+    assert_same_outer_records(records,
+                              [r for r in clean if r.trial_index != 3])
 
 
 # -- tree blocks against the per-letter reference
