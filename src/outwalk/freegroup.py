@@ -30,6 +30,10 @@ _EMPTY.flags.writeable = False
 # below this size the plain-Python paths beat numpy call overhead
 _SMALL = 64
 
+# pairs cyclic_lengths peels a round at a time before it scans the words
+# still peeling whole
+_PEEL_ROUNDS = 8
+
 # ends each word of a separated array: no letter's inverse, nor its own
 SEPARATOR = 127
 _SEPARATOR = np.array([SEPARATOR], dtype=LETTER_DTYPE)
@@ -113,7 +117,7 @@ def _cancel_pass(w):
     # inverse pairs; repeating to a fixed point yields the reduced word
     # (free reduction is confluent, so the order of cancellations is free).
     m = w[:-1] == -w[1:]
-    idx = np.flatnonzero(m)
+    idx = m.nonzero()[0]
     if idx.size == 0:
         return w, False
     is_start = np.empty(idx.size, dtype=bool)
@@ -175,7 +179,7 @@ def join(words):
 
 def segment_lengths(w):
     """The length of each word of separated w."""
-    ends = np.flatnonzero(w == SEPARATOR)
+    ends = (w == SEPARATOR).nonzero()[0]
     lens = ends.copy()
     lens[1:] -= ends[:-1] + 1
     return lens
@@ -243,16 +247,33 @@ def cyclic_length(w):
 
 def cyclic_lengths(w, lens):
     """cyclic_length of each word of separated, reduced w; lens are their
-    lengths."""
-    size = lens + 1
-    starts = np.cumsum(size) - size
-    pos = np.arange(len(w))
-    # each letter's mirror in its word (a separator's is the letter before
-    # its word); peeling stops at the first letter that is not before its
-    # mirror or not its inverse, at the separator at the latest
-    mirror = np.repeat(2 * starts + lens - 1, size) - pos
-    stop = np.flatnonzero((pos >= mirror) | (w != -w[mirror]))
-    return lens - 2 * (stop[np.searchsorted(stop, starts)] - starts)
+    lengths.
+
+    Most words peel no letter, and those that do peel few: each word's end
+    letters are tested first, then those of the words whose ends cancelled,
+    a pair a round, for at most _PEEL_ROUNDS rounds.  The words still
+    peeling after that are scanned from both ends to their middles at once,
+    where a reduced word stops peeling.  An empty word's ends are the
+    separators around it, which never cancel."""
+    ends = (lens + 1).cumsum() - 1
+    i, j = ends - lens, ends - 1    # each word's first and last letter
+    out = lens.copy()
+    act = np.arange(len(lens))
+    for _ in range(_PEEL_ROUNDS):
+        more = (w[i] == -w[j]).nonzero()[0]
+        if not len(more):
+            return out
+        act, i, j = act[more], i[more] + 1, j[more] - 1
+        out[act] -= 2
+    # the middle letter of i..j, or its middle pair, stops the scan
+    size = (j - i + 2) >> 1
+    first = size.cumsum() - size
+    pos = (i - first).repeat(size)
+    pos += np.arange(len(pos))
+    mirror = (i + j).repeat(size) - pos
+    stop = (w[pos] != -w[mirror]).nonzero()[0]
+    out[act] -= 2 * (stop[stop.searchsorted(first)] - first)
+    return out
 
 
 def letter_code(v):
@@ -349,7 +370,7 @@ class Automorphism:
     """
 
     __slots__ = ("rank", "forward", "inverse", "_lists", "_arrays",
-                 "_inverted")
+                 "_inverted", "_inverse_lists")
 
     def __init__(self, rank, forward, inverse):
         if not 2 <= rank <= MAX_RANK:
@@ -383,6 +404,8 @@ class Automorphism:
         self._lists = None
         self._arrays = None
         self._inverted = None
+        # the round trip's table of inverse images: the twin's _lists
+        self._inverse_lists = None
 
     # The round trip gathers an inverse image for every letter of every
     # forward image, so its cost is quadratic in image size.  Composites of
@@ -403,6 +426,7 @@ class Automorphism:
             if _reduce_list(out) != [i]:
                 raise ValueError("forward and inverse images do not invert "
                                  "each other at a_%d" % i)
+        self._inverse_lists = table
 
     # -- identity / elementary constructors
 
@@ -467,6 +491,7 @@ class Automorphism:
         if self._inverted is None:
             inv = object.__new__(Automorphism)
             inv._setup(self.rank, self.inverse, self.forward)
+            inv._lists, self._inverse_lists = self._inverse_lists, None
             inv._inverted = self
             self._inverted = inv
         return self._inverted
@@ -502,10 +527,17 @@ for _v in range(1, MAX_RANK + 1):
     _CODES[_v], _CODES[256 - _v] = letter_code(_v), letter_code(-_v)
 _CODES[SEPARATOR] = _TABLE_WIDTH - 1
 
+# the longest images segment_table pads: a padded row of this many int8
+# letters takes no more bytes than the int64 position a ragged gather
+# keeps for each letter it writes
+_PADDED = 8
+
 
 def image_table(autos):
-    """The images of every letter under each automorphism, for
-    apply_segments; the separator's image is itself."""
+    """The images of every letter under each automorphism, ragged, by code:
+    (flat, starts, lens), the image of code c = atom * _TABLE_WIDTH + the
+    letter's letter_code being flat[starts[c]:starts[c] + lens[c]]; the
+    separator, code _TABLE_WIDTH - 1 of each atom, is its own image."""
     lens = np.zeros((len(autos), _TABLE_WIDTH), dtype=np.int64)
     flats = []
     for row, phi in zip(lens, autos):
@@ -516,11 +548,36 @@ def image_table(autos):
     return np.concatenate(flats), np.cumsum(lens) - lens, lens
 
 
+def segment_table(autos):
+    """The table apply_segments reads.  When no image is longer than
+    _PADDED letters, the images padded with 0, which is no letter, into
+    the rows of one int8 array, row (atom << 8) + the letter's byte;
+    otherwise image_table(autos)."""
+    flat, starts, lens = table = image_table(autos)
+    width = int(lens.max())
+    if width > _PADDED:
+        return table
+    col = np.arange(width)
+    inside = col < lens[:, None]
+    by_code = np.zeros((len(lens), width), dtype=LETTER_DTYPE)
+    by_code[inside] = flat[(starts[:, None] + col)[inside]]
+    atoms = np.arange(len(autos))[:, None] * _TABLE_WIDTH
+    return by_code[(atoms + _CODES).ravel()]
+
+
 def apply_segments(table, w, lens, atoms):
     """Each word s of separated w, of lens[s] letters, under automorphism
-    atoms[s] of table = image_table(autos); reduced and separated."""
-    codes = np.repeat(np.asarray(atoms, dtype=np.intp) * _TABLE_WIDTH,
-                      lens + 1)
+    atoms[s] of table = segment_table(autos) (or image_table(autos));
+    reduced and separated."""
+    atoms = np.asarray(atoms, dtype=np.intp)
+    if isinstance(table, np.ndarray):       # padded: a row per letter
+        rows = (atoms << 8).repeat(lens + 1)
+        rows |= w.view(np.uint8)
+        out = table.take(rows, axis=0).ravel()
+        # compress, unlike a boolean index, costs the same whatever the
+        # pattern of the padding
+        return reduce(out.compress(out != 0))
+    codes = (atoms * _TABLE_WIDTH).repeat(lens + 1)
     codes += _CODES[w.view(np.uint8)]
     return reduce(_gather(table, codes))
 

@@ -354,6 +354,23 @@ class _Classes:
 _log = np.frompyfunc(math.log, 1, 1)
 
 
+def _log_quotient(a, b):
+    try:
+        return math.log(a / b)
+    except OverflowError:       # math.log takes an int of any size
+        return math.log(a) - math.log(b)
+
+
+def _log_ratio(a, b):
+    """_log of a / b, two object arrays of positive ints: each quotient one
+    correctly rounded int division.  Where a quotient is past the float
+    range, and only there, its log is the difference of the two logs."""
+    try:
+        return _log(a / b)
+    except OverflowError:
+        return np.frompyfunc(_log_quotient, 2, 1)(a, b)
+
+
 def _step_dtype(mu):
     return np.min_scalar_type(len(mu.atoms) - 1)
 
@@ -386,7 +403,8 @@ class _OuterBlock(_Block):
         length to start length and sigma each tracked class's ratio.  Both
         are compared in integers, over the candidates' common denominator,
         and each becomes a float by one division of ints, which is correctly
-        rounded: the logs equal those of the exact ratios."""
+        rounded: the logs equal those of the exact ratios (_log_ratio; past
+        the float range, a difference of two logs)."""
         c = self.classes
         rows = [r for r in range(self.rows) if r not in self.failures]
         lens = self.cyclic_lengths(rows)
@@ -399,8 +417,8 @@ class _OuterBlock(_Block):
                 "trial %d step %d: sigma(%s) exceeded kappa"
                 % (self.lo + rows[j], step, c.tracked[over[j].argmax()][0])))
         self.lengths[k, rows] = tracked
-        self.kappa[k, rows] = _log(top / c.den)
-        self.sigma[k, rows] = _log(tracked / c.starts)
+        self.kappa[k, rows] = _log_ratio(top, c.den)
+        self.sigma[k, rows] = _log_ratio(tracked, c.starts)
 
     def record(self, r):
         labels = [lab for lab, _ in self.classes.tracked]
@@ -409,7 +427,7 @@ class _OuterBlock(_Block):
             kappa=tuple(self.kappa[:, r].tolist()),
             sigma=dict(zip(labels, zip(*self.sigma[:, r].tolist()))),
             lengths=dict(zip(labels, zip(*self.lengths[:, r].tolist()))),
-            peak_letters=self.peak[r], spot_checked=tuple(self.spots[r]))
+            peak_letters=int(self.peak[r]), spot_checked=tuple(self.spots[r]))
 
 
 class _WordBlock(_OuterBlock):
@@ -511,12 +529,16 @@ class _GL2ZBlock(_OuterBlock):
     cyclic length is |p| + |q|.  Automorphisms keep classes primitive, so a
     step multiplies each vector by the step's 2x2 integer matrix.
 
-    Row r's vectors are Python ints in row r of two object arrays, p and q,
-    one column per class.  Between checkpoints the rows' step matrices are
-    multiplied in int64, in segments of at most `seg` steps
-    (_segment_steps), and each segment's product moves the vectors once.
-    No words are held, so the letter cap does not apply: a row's peak is
-    its largest |p|+|q| at the start, a checkpoint or the horizon.
+    Row r's vectors are row r of two arrays, p and q, one column per class:
+    int64 when r^horizon (_column_sum) times the longest start class is
+    below 2^63, which bounds every |p|+|q| of the walk and every partial
+    sum of its products, and Python ints in object arrays otherwise.
+    Between checkpoints the rows' step matrices are multiplied in int64, in
+    segments of at most `seg` steps (_segment_steps), and each segment's
+    product moves the vectors once.  The read takes the cyclic lengths as
+    Python ints either way.  No words are held, so the letter cap does not
+    apply: a row's peak is its largest |p|+|q| at the start, a checkpoint or
+    the horizon.
     """
 
     # the spot check compares cyclic lengths while its words stay this short
@@ -537,15 +559,17 @@ class _GL2ZBlock(_OuterBlock):
     def __init__(self, mu, config, lo, hi):
         super().__init__(mu, config, lo, hi)
         self.atom_mats = [_abelian_matrix(phi) for phi in mu.atoms]
-        self.mats = np.array(self.atom_mats, dtype=np.int64).T.copy()
+        self.mats = np.array(self.atom_mats, dtype=np.int64).reshape(-1, 2, 2)
         self.seg = _segment_steps(self.atom_mats, config.horizon)
         self.start_vecs = [fg.exponent_sums(w, 2)
                            for w in self.classes.storage]
+        longest = max(self.classes.start_lens)
+        bound = _column_sum(self.atom_mats) ** config.horizon * longest
+        dtype = np.int64 if bound < 2 ** 63 else object
         p, q = zip(*self.start_vecs)
-        self.p = np.array([p] * self.rows, dtype=object)
-        self.q = np.array([q] * self.rows, dtype=object)
-        self.peak = np.full(self.rows, max(self.classes.start_lens),
-                            dtype=object)
+        self.p = np.array([p] * self.rows, dtype=dtype)
+        self.q = np.array([q] * self.rows, dtype=dtype)
+        self.peak = np.full(self.rows, longest, dtype=dtype)
 
     def advance(self, start, stop):
         """Steps start+1 .. stop a segment at a time, then each row's
@@ -557,17 +581,14 @@ class _GL2ZBlock(_OuterBlock):
 
     def segment(self, start, stop):
         """Steps start+1 .. stop as one product per row."""
-        prod = np.zeros((4, self.rows), dtype=np.int64)
-        prod[0] = prod[3] = 1
-        for s in range(start, stop):
-            e, f, g, h = self.mats[:, self.steps[s]]
-            prod = np.concatenate((e * prod[:2] + f * prod[2:],
-                                   g * prod[:2] + h * prod[2:]))
-        a, b, c, d = prod.astype(object)[:, :, None]
+        prod = self.mats[self.steps[start]]
+        for s in range(start + 1, stop):
+            prod = self.mats[self.steps[s]] @ prod
+        a, b, c, d = prod.reshape(-1, 4).T.astype(self.p.dtype)[:, :, None]
         self.p, self.q = a * self.p + b * self.q, c * self.p + d * self.q
 
     def cyclic_lengths(self, rows):
-        return self.lens[rows]
+        return self.lens[rows].astype(object)
 
     def plan(self, due):
         self.replay = _Replay(self, due, self.REPLAY_LETTERS, self.atom_mats,
@@ -590,9 +611,10 @@ class _GL2ZBlock(_OuterBlock):
                     % (self.lo + r, at, fg.format_word(storage[i])))
                 continue
             a, b, c, d = replay.product(r)
-            for i, (w0, (p, q)) in enumerate(zip(storage, self.start_vecs)):
-                if (a * p + b * q, c * p + d * q) != (self.p[r, i],
-                                                      self.q[r, i]):
+            for w0, (p, q), vec in zip(storage, self.start_vecs,
+                                      zip(self.p[r].tolist(),
+                                          self.q[r].tolist())):
+                if (a * p + b * q, c * p + d * q) != vec:
                     bad[r] = AssertionError(
                         "trial %d step %d: incremental vector of %r diverged "
                         "from the product of the step matrices"
@@ -615,13 +637,19 @@ class _Replay:
     so a row fails alone.
 
     With a letter limit (GL(2,Z) blocks), each held row also multiplies its
-    step matrices (mats) in Python ints.  While it carries its words, a row
-    does so a step at a time and compares |p|+|q| of each start vector
-    (vecs) with its word's cyclic length, at step 0 and after each moving
-    step.  It keeps its first mismatch, (step, class), and stops carrying
-    its words after a mismatch or once one passes the limit.  From then on
-    its moving steps up to each due checkpoint are one pairwise product
-    (multiply).
+    step matrices (mats).  While it carries its words, a row does so a step
+    at a time and compares |p|+|q| of each start vector (vecs) with its
+    word's cyclic length, at step 0 and after each moving step.  It keeps
+    its first mismatch, (step, class), and stops carrying its words after a
+    mismatch or once one passes the limit; one mask a step decides both.
+    The carried rows' products are int64 where that is exact.  Classes 0
+    and 1 are a and b, so a product's columns are their vectors, whose l1
+    norms a passed comparison bounds by the limit; one more step, and the
+    product with the start vectors, then stay below r (_column_sum) x
+    limit x the largest |p|+|q| of a start vector, which is checked against
+    2^63 once.  A row that stops carrying hands its product on in Python
+    ints, and its moving steps up to each due checkpoint are one pairwise
+    product (multiply).
     """
 
     def __init__(self, block, due, limit=None, mats=None, vecs=None):
@@ -629,7 +657,7 @@ class _Replay:
         self.width = len(block.classes.storage)     # words a row
         self.limit = limit
         identity = fg.Automorphism.identity(mu.atoms[0].rank)
-        self.table = fg.image_table(mu.atoms + (identity,))
+        self.table = fg.segment_table(mu.atoms + (identity,))
         moves = np.array([any(w.tolist() != [x] for x, w in
                               enumerate(phi.forward, 1)) for phi in mu.atoms])
         cps = np.array(config.checkpoints)
@@ -663,9 +691,16 @@ class _Replay:
             # 2x2 matrices of Python ints, the identity last
             self.mats = np.array(list(mats) + [(1, 0, 0, 1)],
                                  dtype=object).reshape(-1, 2, 2)
-            self.prod = self.mats[[-1] * rows]
-            self.vecs = np.array(vecs, dtype=object).T  # start (p, q) columns
-            self.compare(np.ones(rows, dtype=bool), np.zeros(rows, dtype=int))
+            self.prod = self.mats[[-1] * rows]      # rows no longer carried
+            bound = _column_sum(mats) * limit * max(abs(p) + abs(q)
+                                                    for p, q in vecs)
+            dtype = np.int64 if bound < 2 ** 63 else object
+            # the carried rows' matrices, products and start (p, q) columns
+            self.cmats = self.mats.astype(dtype)
+            self.cprod = self.cmats[[-1] * rows]
+            self.cvecs = np.array(vecs, dtype=dtype).T
+            self.compare(np.ones(rows, dtype=bool), np.zeros(rows, dtype=int),
+                         math.inf)
 
     def advance(self, k, failures):
         """Every held row through its moving steps up to checkpoint k; the
@@ -675,24 +710,34 @@ class _Replay:
         self.drop((self.last >= k) & np.array(
             [r not in failures for r in self.held.tolist()], dtype=bool))
         counts = self.counts[k]
-        cols = np.arange(len(self.held))
-        while True:
-            live = self.carried & (self.done < counts)
-            if not live.any():
-                break
-            m = np.where(live, self.done, len(self.atoms) - 1)
-            atoms = self.atoms[m, cols]
-            self.done = self.done + live
-            self.flat = fg.apply_segments(
-                self.table, self.flat, self.lens,
-                np.repeat(atoms[self.carried], self.width))
+        held = self.carried.nonzero()[0]
+        done = self.done[held]
+        todo = counts[held] - done
+        n = int(todo.max(initial=0))
+        # live[j, c]: carried row c takes a moving step at the advance's
+        # j-th, atoms[j, c] at steps[j, c]; else the identity
+        t = np.arange(n)[:, None]
+        live = t < todo
+        m = np.where(live, done + t, -1)
+        atoms, steps = self.atoms[m, held], self.steps[m, held]
+        for j in range(n):
+            self.flat = fg.apply_segments(self.table, self.flat, self.lens,
+                                          atoms[j].repeat(self.width))
             self.lens = fg.segment_lengths(self.flat)
-            if self.limit is not None:
-                self.prod[live] = self.mats[atoms[live]] @ self.prod[live]
-                self.drop_words(self.lens.reshape(-1, self.width).max(axis=1)
-                                > self.limit)
-                if self.carried.any():
-                    self.compare(live, self.steps[m, cols])
+            if self.limit is None:
+                continue
+            self.cprod = self.cmats[atoms[j]] @ self.cprod
+            stop = self.compare(live[j], steps[j], self.limit)
+            if stop is not None:
+                # the stopped rows go on from the moving steps they took
+                self.done[held[stop]] = done[stop] + np.minimum(todo[stop],
+                                                                j + 1)
+                on = ~stop
+                held, done, todo = held[on], done[on], todo[on]
+                atoms, steps, live = atoms[:, on], steps[:, on], live[:, on]
+                if not live[j + 1:].any():
+                    break
+        self.done[held] = counts[held]
         if self.limit is not None:
             self.multiply(counts)
         self.done = counts
@@ -722,26 +767,41 @@ class _Replay:
             stack = stack[1::2] @ stack[::2]
         self.prod[rows] = stack[0] @ self.prod[rows]
 
-    def compare(self, live, steps):
-        """Each carried live row's |p|+|q| against its cyclic lengths, at
-        held row h's step steps[h]; a mismatch drops the row's words."""
-        cyc = fg.cyclic_lengths(self.flat, self.lens).reshape(-1, self.width)
-        vec = np.abs(self.prod[self.carried] @ self.vecs).sum(axis=1)
-        off = (vec != cyc) & live[self.carried, None]
-        bad = off.any(axis=1)
-        if bad.any():
-            rows = np.flatnonzero(self.carried)[bad].tolist()
-            for h, i in zip(rows, off[bad].argmax(axis=1).tolist()):
-                self.mismatch[int(self.held[h])] = (int(steps[h]), i)
-            self.drop_words(bad)
+    def compare(self, live, steps, limit):
+        """Each carried row's |p|+|q| against its words' cyclic lengths, in
+        one mask: a row with a word past `limit` letters stops carrying its
+        words uncompared; a live row that differs keeps its first mismatch,
+        (its step steps[c], class), and stops carrying them too.  The mask
+        of the rows that stopped, or None."""
+        off = np.abs(self.cprod @ self.cvecs).sum(axis=1) != \
+            fg.cyclic_lengths(self.flat, self.lens).reshape(-1, self.width)
+        off &= live[:, None]
+        over = self.lens.reshape(-1, self.width) > limit
+        if not (off | over).any():
+            return None
+        over = over.any(axis=1)
+        bad = off.any(axis=1) & ~over
+        held = self.held[self.carried.nonzero()[0][bad]].tolist()
+        for r, step, i in zip(held, steps[bad].tolist(),
+                              off[bad].argmax(axis=1).tolist()):
+            self.mismatch[r] = (step, i)
+        stop = over | bad
+        self.drop_words(stop)
+        return stop
 
     def drop_words(self, off):
-        """Stop carrying the words of the carried rows where off holds."""
-        if off.any():
-            seg = np.repeat(~off, self.width)
-            self.flat = self.flat[np.repeat(seg, self.lens + 1)]
-            self.lens = self.lens[seg]
-            self.carried[np.flatnonzero(self.carried)[off]] = False
+        """Stop carrying the words of the carried rows where off holds; their
+        products go on in Python ints."""
+        if not off.any():
+            return
+        seg = (~off).repeat(self.width)
+        self.flat = self.flat[seg.repeat(self.lens + 1)]
+        self.lens = self.lens[seg]
+        held = self.carried.nonzero()[0][off]
+        self.carried[held] = False
+        if self.limit is not None:
+            self.prod[held] = self.cprod[off].astype(object)
+            self.cprod = self.cprod[~off]
 
     def drop(self, keep):
         """Stop holding the rows where keep fails."""
@@ -761,8 +821,14 @@ class _Replay:
         return fg.split(self.flat)[h * self.width:(h + 1) * self.width]
 
     def product(self, r):
-        """Row r's product of its step matrices, as (a, b, c, d)."""
-        return self.prod[np.searchsorted(self.held, r)].ravel().tolist()
+        """Row r's product of its step matrices, as (a, b, c, d) in Python
+        ints."""
+        h = np.searchsorted(self.held, r)
+        if self.carried[h]:
+            prod = self.cprod[np.count_nonzero(self.carried[:h])]
+        else:
+            prod = self.prod[h]
+        return prod.ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

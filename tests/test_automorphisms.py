@@ -132,6 +132,31 @@ def test_checked_automorphisms_build_no_inverse_twin():
     assert walk._inverted is None
 
 
+def test_a_checked_compose_builds_each_image_table_once(monkeypatch):
+    # the round trip that checked psi built psi's inverse images, which are
+    # its twin's forward table: applying psi's inverse in compose takes that
+    # table, so one compose builds phi's forward table and its own result's
+    # round-trip table only
+    built = []
+    letter_images = fg._letter_images
+
+    def counted(images):
+        built.append([fg.format_word(w) for w in images])
+        return letter_images(images)
+
+    monkeypatch.setattr(fg, "_letter_images", counted)
+    phi = fg.Automorphism(2, [fg.parse_word("ab"), fg.parse_word("b")],
+                          [fg.parse_word("aB"), fg.parse_word("b")])
+    psi = fg.Automorphism(2, [fg.parse_word("a"), fg.parse_word("ba")],
+                          [fg.parse_word("a"), fg.parse_word("bA")])
+    assert built == [["aB", "b"], ["a", "bA"]]      # the two round trips
+    del built[:]
+    both = fg.compose(phi, psi)
+    assert images(both) == ["ab", "bab"]
+    assert built == [["ab", "b"], [fg.format_word(w) for w in both.inverse]]
+    assert psi._inverse_lists is None       # handed to its twin
+
+
 def test_trusted_constructor_rejects_mismatched_inverse():
     fwd = [fg.parse_word("ab"), fg.parse_word("b")]
     bad_inv = [fg.parse_word("a"), fg.parse_word("b")]
@@ -170,6 +195,31 @@ def test_images_grow_exponentially_under_iterated_positive_moves():
     small = fg.from_trace(2, ["R:1:2:+", "R:2:1:+"] * 5)
     probe = small.apply(fg.parse_word("a"))
     assert np.array_equal(small.inverted().apply(probe), fg.parse_word("a"))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_padded_segment_tables_match_apply(rank):
+    # images of at most 8 letters are padded into one int8 table; a longer
+    # image keeps the ragged table; both apply each word under its own atom
+    rng = np.random.default_rng(10 + rank)
+    short = [fg.elementary("R:1:2:+", rank), fg.elementary("L:2:1:-", rank),
+             fg.from_trace(rank, ["R:1:2:+", "R:2:1:+", "I:1"]),
+             fg.from_trace(rank, ["R:1:2:+"] * 7),      # a -> a b^7
+             fg.Automorphism.identity(rank)]
+    long = short + [fg.from_trace(rank, ["R:1:2:+"] * 8)]
+    assert max(len(w) for phi in short for w in phi.forward) == 8
+    padded, ragged = fg.segment_table(short), fg.segment_table(long)
+    assert isinstance(padded, np.ndarray) and padded.shape[1] == 8
+    assert isinstance(ragged, tuple)
+    words = [fg.random_reduced_word(rng, rank, n)
+             for n in [0, 1, 2, 7, 64, 65, 300] * 3]
+    joined = fg.join(words)
+    lens = fg.segment_lengths(joined)
+    for autos, table in ((short, padded), (long, ragged)):
+        atoms = rng.integers(0, len(autos), size=len(words))
+        got = fg.apply_segments(table, joined, lens, atoms)
+        assert [w.tolist() for w in fg.split(got)] == \
+            [autos[i].apply(w).tolist() for i, w in zip(atoms.tolist(), words)]
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -558,6 +558,30 @@ def test_bench_outer_clt_input_keeps_its_recorded_digests(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
+# sha256 of `outwalk gap` on configs/outf2_gap.json as shipped (400 trials,
+# horizon 500, seed 31), recorded before the GL(2,Z) walk took int64 vectors
+# where a bound allows: at horizon 500 its vectors stay Python ints
+GAP_DIGESTS = {
+    "gap.csv":
+        "3f70461df032931fc0776eab879ca8587127a4e9f69e764e61db914b6f845c47",
+    "gap_summary.json":
+        "49a8ea82d5630ffc8e0e10e55f5dd6b35d57c7ff31a2be64b14189855f60aecd",
+}
+
+
+def test_outf2_gap_keeps_its_recorded_digests(tmp_path):
+    path = os.path.join(ROOT, "configs", "outf2_gap.json")
+    outs = [str(tmp_path / "t1"), str(tmp_path / "t2")]
+    for out, threads in zip(outs, ("1", "2")):
+        assert run(["gap", "--config", path, "--out", out,
+                    "--threads", threads]) == 0
+        for name, digest in GAP_DIGESTS.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+    assert open(os.path.join(outs[0], "manifest.json"), "rb").read() == \
+        open(os.path.join(outs[1], "manifest.json"), "rb").read()
+
+
 def test_clt_csv_layout(tmp_path):
     path = write_cfg(tmp_path, tree_cfg(trials=40))
     out = str(tmp_path / "o")

@@ -942,13 +942,18 @@ def rank3_lazy_measure():
     return lazy_measure(3, (["R:1:2:+"], ["L:3:1:-"], ["R:2:3:-"]))
 
 
+# case -> (measure, tracked, horizon); the Nielsen moves have column sum
+# 2 and the longest class, aba, 3 letters: 2^61 x 3 < 2^63 < 2^62 x 3, so
+# the block holds int64 vectors at horizon 61 and Python ints at 62
 OUTER_CASES = {
-    "gl2z": (nielsen_measure, ("a", "b", "ab", "aB", "aba")),
+    "gl2z": (nielsen_measure, ("a", "b", "ab", "aB", "aba"), 40),
     "gl2z-lazy": (lambda: lazy_measure(2, (["R:1:2:+"], ["R:1:2:-"],
                                            ["R:2:1:+"], ["R:2:1:-"])),
-                  ("a", "b", "ab", "aB", "aba")),
-    "words": (rank3_measure, ("a", "abc", "aB")),
-    "words-lazy": (rank3_lazy_measure, ("a", "abc", "aB")),
+                  ("a", "b", "ab", "aB", "aba"), 40),
+    "gl2z-int64": (nielsen_measure, ("a", "b", "ab", "aB", "aba"), 61),
+    "gl2z-object": (nielsen_measure, ("a", "b", "ab", "aB", "aba"), 62),
+    "words": (rank3_measure, ("a", "abc", "aB"), 40),
+    "words-lazy": (rank3_lazy_measure, ("a", "abc", "aB"), 40),
 }
 
 
@@ -989,14 +994,17 @@ def words_fault(monkeypatch, mu):
 def test_outer_spot_checks_match_the_per_row_reference(case, fault, workers,
                                                        monkeypatch):
     # blocks of 4 rows, so at two workers the blocks run on the pool
-    measure, tracked = OUTER_CASES[case]
+    measure, tracked, horizon = OUTER_CASES[case]
     mu = measure()
-    cfg = WalkConfig(horizon=40, trials=12, master_seed=5,
+    cfg = WalkConfig(horizon=horizon, trials=12, master_seed=5,
                      checkpoints=(5, 10, 20, 30, 40), spot_check_rate=0.4,
                      max_word_letters=10 ** 5,
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
     cls = walk._block_class(mu, cfg)
     assert walk.outer_backend(mu, cfg) == case.split("-")[0]
+    if horizon > 40:
+        dtype = cls(mu, cfg, 0, 1).p.dtype
+        assert dtype == (np.int64 if case == "gl2z-int64" else object)
     monkeypatch.setattr(walk, "_BLOCK_BYTES", 4 * cls.row_bytes(mu, cfg))
     if fault:
         (gl2z_fault if cls is walk._GL2ZBlock else words_fault)(monkeypatch,
@@ -1015,6 +1023,141 @@ def test_outer_spot_checks_match_the_per_row_reference(case, fault, workers,
     else:
         got = run_experiment(mu, cfg, workers=workers)
     assert_same_outer_records(got, want)
+
+
+def near_limit_fault(monkeypatch, limit):
+    # both cyclic-length kernels read 2 letters long for words of more than
+    # limit - 100 letters: the fault shows where the replay compares such a
+    # word, within 100 letters below the limit or on it, and would show past
+    # the limit, where the replay must not compare
+    cyclic_length, cyclic_lengths = fg.cyclic_length, fg.cyclic_lengths
+
+    def length(w):
+        return cyclic_length(w) + 2 * (len(w) > limit - 100)
+
+    def lengths(w, lens):
+        return cyclic_lengths(w, lens) + 2 * (lens > limit - 100)
+
+    monkeypatch.setattr(fg, "cyclic_length", length)
+    monkeypatch.setattr(fg, "cyclic_lengths", lengths)
+
+
+def landing_length(block, r, step):
+    """The first longest-word length of row r's replay past 600 letters,
+    reached from at least 100 letters below it."""
+    before = 0
+    for _, _, words in per_row_replay(block, r, step, 2000):
+        top = max(map(len, words), default=0)
+        if top > 600:
+            return top if top - before >= 100 else None
+        before = top
+    return None
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replay_limit_steps_match_the_per_row_reference(fault, workers,
+                                                        monkeypatch):
+    # positive moves: every class passes the replay's limit within the
+    # horizon, a step of about x1.6 at a time, so the carried words meet
+    # the limit at steps of their own in most rows.  The limit is set to a
+    # length that trial 0's longest word lands on from 100 letters below,
+    # so that under the fault trial 0 fails on the limit itself.  A row
+    # fails where a word first lands within 100 letters below the limit or
+    # on it, and passes where its words jump past it
+    mu = MeasureSpec([fg.from_trace(2, t) for t in (["R:1:2:+"],
+                                                     ["R:2:1:+"],
+                                                     ["L:1:2:+"],
+                                                     ["L:2:1:+"])],
+                     [0.25] * 4)
+    cfg = WalkConfig(horizon=30, trials=24, master_seed=9,
+                     checkpoints=(10, 20, 30), spot_check_rate=1.0,
+                     tracked_classes=OUTER_TRACKED)
+    cls = walk._block_class(mu, cfg)
+    assert cls is walk._GL2ZBlock
+    limit = landing_length(cls(mu, cfg, 0, 1), 0, cfg.horizon)
+    assert limit is not None
+    monkeypatch.setattr(cls, "REPLAY_LETTERS", limit)
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 8 * cls.row_bytes(mu, cfg))
+    if fault:
+        near_limit_fault(monkeypatch, limit)
+    want, want_failures = per_row_block_run(cls(mu, cfg, 0, cfg.trials))
+    assert all("differs from its cyclic word length" in str(e)
+               for _, e in want_failures)
+    if fault:
+        # rows that fail near the limit and rows whose words skip the
+        # window, so that a replay comparing past the limit fails them too
+        assert 0 < len(want_failures) < cfg.trials
+        assert want_failures[0][0] == 0
+        got, failures = one_block(mu, cfg)
+        assert failure_key(failures) == failure_key(want_failures)
+        with pytest.raises(ExperimentError) as err:
+            run_experiment(mu, cfg, workers=workers)
+        assert failure_key(err.value.failures) == failure_key(want_failures)
+    else:
+        assert not want_failures
+        got = run_experiment(mu, cfg, workers=workers)
+    assert_same_outer_records(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_start_class_past_the_limit_matches_the_per_row_reference(
+        workers, monkeypatch):
+    # the class a b^1101 starts past the replay's limit: a held row stops
+    # carrying its words at the first step of its replay, whether it moves
+    # there or not (nine steps in ten are the identity), and its product
+    # goes on from the moving steps it has taken
+    mu = lazy_measure(2, (["R:1:2:+"], ["R:1:2:-"], ["R:2:1:+"],
+                          ["R:2:1:-"]), lazy=0.9)
+    cfg = WalkConfig(horizon=40, trials=12, master_seed=5,
+                     checkpoints=(5, 10, 20, 30, 40), spot_check_rate=0.4,
+                     tracked_classes=(fg.parse_word("a"),
+                                      fg.parse_word("a" + "b" * 1101)))
+    cls = walk._block_class(mu, cfg)
+    assert cls is walk._GL2ZBlock
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 4 * cls.row_bytes(mu, cfg))
+    block = cls(mu, cfg, 0, cfg.trials)
+    want, want_failures = per_row_block_run(block)
+    assert not want_failures
+    # some held row takes no moving step before its first due checkpoint
+    steps = [float_draw(mu, 5, t, 5).tolist() for t in range(cfg.trials)]
+    assert any(not any(d) and spot_selected(5, t, 5, 0.4)
+               for t, d in enumerate(steps))
+    assert_same_outer_records(run_experiment(mu, cfg, workers=workers), want)
+
+
+def test_a_corrupted_idle_row_fails_at_its_own_next_moving_step(monkeypatch):
+    # nine steps in ten are the identity, so held rows take their first
+    # moving steps at different steps; one row's word aba becomes Aba, of
+    # cyclic length 1, after the step-0 comparison, and its mismatch is
+    # reported at its own first moving step, where the replay next compares
+    # it, not at an earlier step of the other rows
+    mu = lazy_measure(2, (["R:1:2:+"], ["R:1:2:-"], ["R:2:1:+"],
+                          ["R:2:1:-"]), lazy=0.9)
+    cfg = WalkConfig(horizon=40, trials=8, master_seed=3,
+                     checkpoints=(20, 40), spot_check_rate=1.0,
+                     tracked_classes=(fg.parse_word("a"),
+                                      fg.parse_word("aba")))
+    assert walk.outer_backend(mu, cfg) == "gl2z"
+    firsts = [float_draw(mu, 3, t, 40).tolist() for t in range(8)]
+    firsts = [next(s for s, i in enumerate(d, 1) if i) for d in firsts]
+    victim = max(range(8), key=firsts.__getitem__)
+    assert firsts[victim] > min(firsts)
+    init = walk._Replay.__init__
+
+    def corrupted(self, block, due, *args):
+        init(self, block, due, *args)
+        assert fg.format_word(block.classes.storage[4]) == "aba"
+        start = int((self.lens[:victim * self.width + 4] + 1).sum())
+        flat = self.flat.copy()
+        flat[start] = -flat[start]
+        self.flat = flat
+
+    monkeypatch.setattr(walk._Replay, "__init__", corrupted)
+    _, [(trial, exc)] = one_block(mu, cfg)
+    assert trial == victim
+    assert str(exc).startswith("trial %d step %d: |p|+|q| of the image of "
+                               "'aba'" % (victim, firsts[victim]))
 
 
 @pytest.mark.parametrize("backend,tracked", [("gl2z", "aba"),
@@ -1205,6 +1348,33 @@ def test_gl2z_blocks_match_the_per_step_reference(measure, rows, workers,
                         rows * walk._GL2ZBlock.row_bytes(mu, cfg))
     want = per_step_gl2z_run(mu, cfg)
     assert_same_outer_records(run_experiment(mu, cfg, workers=workers), want)
+
+
+def test_an_exact_ratio_past_the_float_range_reads_as_a_difference_of_logs():
+    # the Anosov point mass a>aba, b>ba stretches by rho = (3+sqrt5)/2 a
+    # step, so at step 800 kappa's ratio is about e^770, past the largest
+    # float (about e^709.8): the ratio is read as log(top) - log(den), where
+    # one int division used to raise OverflowError
+    mu = outer_point_mass(["R:1:2:+", "R:2:1:+"])
+    cfg = WalkConfig(horizon=800, trials=2, master_seed=0,
+                     checkpoints=(400, 800), tracked_classes=OUTER_TRACKED)
+    assert walk.outer_backend(mu, cfg) == "gl2z"
+    block = walk._GL2ZBlock(mu, cfg, 0, 1)
+    assert block.p.dtype == object
+    records = run_experiment(mu, cfg)
+    log_rho = math.log((3 + 5 ** 0.5) / 2)
+    for rec in records:
+        assert rec.kappa == records[0].kappa
+        for n, kappa in zip(rec.checkpoints, rec.kappa):
+            assert abs(kappa / n - log_rho) < 1e-3
+        lengths = rec.lengths["aba"]
+        assert lengths[1] > 3 * 2 ** 1024 > lengths[0]
+        assert rec.sigma["aba"] == (math.log(lengths[0] / 3),
+                                    math.log(lengths[1]) - math.log(3))
+    block.run()
+    top = max(block.lens[0, i] * m for i, m in zip(block.classes.cands,
+                                                    block.classes.mults))
+    assert records[0].kappa[1] == math.log(top) - math.log(block.classes.den)
 
 
 def test_gl2z_rows_hold_vectors_beyond_int64():

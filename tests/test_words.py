@@ -115,6 +115,31 @@ def test_cyclic_lengths_match_cyclic_length(seed):
     assert len(fg.join(words)) > 64
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_cyclic_lengths_peel_in_rounds_then_scan(rank, seed):
+    # conjugators of every depth from 0 past the rounds (so the last words
+    # are scanned whole), on cores of 0-3 letters and longer ones, with
+    # empty and one-letter words between them, against cyclic_length
+    rng = np.random.default_rng(100 + seed)
+    deep = fg._PEEL_ROUNDS
+    words = []
+    for depth in list(range(deep + 4)) + [40, 300]:
+        for core_len in (0, 1, 2, 3, int(rng.integers(4, 60))):
+            core = fg.random_reduced_word(rng, rank, core_len)
+            s = fg.random_reduced_word(rng, rank, depth)
+            words.append(fg.concat(s, core, fg.inverse(s)))
+    order = rng.permutation(len(words))
+    words = [words[i] for i in order]
+    want = [fg.cyclic_length(w) for w in words]
+    assert max(len(w) - c for w, c in zip(words, want)) > 2 * deep
+    for chosen, cyc in ((words, want), (words[:5], want[:5]),
+                        (words[-1:], want[-1:])):
+        joined = fg.join(chosen)
+        assert fg.cyclic_lengths(joined, fg.segment_lengths(joined)
+                                 ).tolist() == cyc
+
+
 @given(letters_f3)
 def test_cyclic_reduce_conjugacy_relation(raw):
     w = fg.reduce(raw)
