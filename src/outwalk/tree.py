@@ -383,11 +383,11 @@ _HEAD = 64
 
 
 def _known_head(p):
-    """Up to _HEAD letters of p known for certain; none for a finite word,
-    which therefore always takes the scalar path."""
-    if not isinstance(p, BoundaryPoint):
-        return ()
-    return p.letters(_HEAD) if p.is_periodic else p.prefix[:_HEAD]
+    """Up to _HEAD letters of p known for certain, as int8 bytes padded with
+    0 to _HEAD, and how many; none for a finite word, which therefore always
+    takes the scalar path."""
+    head = p._head(_HEAD)[:_HEAD] if isinstance(p, BoundaryPoint) else b""
+    return head.ljust(_HEAD, b"\0"), len(head)
 
 
 class _HeadScreen:
@@ -402,20 +402,15 @@ class _HeadScreen:
 
     def __init__(self, samples):
         self.samples = list(samples)
-        self.rows = np.zeros((len(self.samples), _HEAD), dtype=fg.LETTER_DTYPE)
-        self.known = np.zeros(len(self.samples), dtype=np.intp)
-        for i, y in enumerate(self.samples):
-            head = _known_head(y)
-            self.rows[i, :len(head)] = head
-            self.known[i] = len(head)
+        heads = [_known_head(y) for y in self.samples]
+        self.rows = _view(b"".join(h for h, _ in heads)).reshape(-1, _HEAD)
+        self.known = np.array([n for _, n in heads], dtype=np.intp)
 
     def products(self, x, fallback):
         """(x|y) for every sample y as a float array."""
-        head = _known_head(x)
-        xrow = np.zeros(_HEAD, dtype=fg.LETTER_DTYPE)
-        xrow[:len(head)] = head
-        known = np.minimum(self.known, len(head))
-        first = fg.row_prefix(self.rows, xrow, known)
+        head, n = _known_head(x)
+        known = np.minimum(self.known, n)
+        first = fg.row_prefix(self.rows, _view(head), known)
         out = first.astype(np.float64)
         for i in np.flatnonzero(first == known):
             out[i] = fallback(x, self.samples[i])

@@ -12,7 +12,7 @@ all rows to a checkpoint, read them there, spot-check the rows that are
 due from scratch, and fail a row alone.  The due pairs of every
 checkpoint are known before the first step: an outer block replays all
 its due rows' start words in one lock-step _Replay, and a tree block
-reduces a checkpoint's due rows' redrawn letters in one call.  Three
+reduces all its due pairs' redrawn letters before its first step.  Three
 backends supply the rows: _TreeBlock (position stacks, each step a few
 numpy operations over all rows), _GL2ZBlock (rank 2 with every class
 primitive: abelianized vectors moved by int64 products of step matrices)
@@ -845,6 +845,32 @@ def _inverse_atom_table(mu):
     return table
 
 
+# what advance subtracts from the top bytes for the no-op letter 0: a stack
+# byte (a letter or fg.SEPARATOR) less _IDLE is never a stack byte less a
+# letter, mod 256, so _MOVES tells the two apart
+_IDLE = 64
+
+
+def _move_table():
+    """How far a stack top moves on a letter, by the uint8 difference of the
+    top byte and the letter's inverse: 0 pops (-1), a difference with _IDLE
+    stays (0), any other pushes (+1)."""
+    tops = [v for v in range(-fg.MAX_RANK, fg.MAX_RANK + 1) if v]
+    moves = np.ones(256, dtype=np.intp)
+    moves[[(b - _IDLE) % 256 for b in tops + [fg.SEPARATOR]]] = 0
+    moves[0] = -1
+    return moves
+
+
+_MOVES = _move_table()
+# columns read compares before the rows that agree through all of them
+_HEAD = 64
+# letters one fg.reduce call of plan takes at most: a call allocates about
+# ten bytes a letter, and one call of a whole tree_srw_f2 block's 133k
+# letters raised each worker's peak RSS by about 1 MB
+_PLAN_LETTERS = 1 << 15
+
+
 class _TreeBlock(_Block):
     """Tree-mode trials advanced one step at a time.
 
@@ -855,11 +881,11 @@ class _TreeBlock(_Block):
     at checkpoints and the record.  A step pushes at most one atom, so a
     stack never outgrows the horizon x atom letters of its row's steps, and
     the letter cap, which bounds the outer word engine's words, is not read
-    here.  Each letter of a step is six numpy calls over all rows (take,
-    compare, add, scatter, two subtracts), a seventh when some atom is
-    padded, and nothing about the tracked points.  A failed row walks on
-    with the others.  At the default budget a worker's share of tree_srw_f2
-    is one block, so a step pays its calls once per worker.
+    here.  Each letter of a step is five numpy calls over all rows (take,
+    subtract, take, scatter, add), padded atoms included, and nothing about
+    the tracked points.  A failed row walks on with the others.  At the
+    default budget a worker's share of tree_srw_f2 is one block, so a step
+    pays its calls once per worker.
 
     The stacks are read at checkpoints only, by one kernel, fg.row_prefix:
     cp[i] is each row's common prefix with tracked point i's letters.  A
@@ -871,9 +897,9 @@ class _TreeBlock(_Block):
     again at every later checkpoint.
 
     The steps are drawn once, at construction, a chunk of trials at a time
-    (MeasureSpec.draw_indices), into letters.  A spot check redraws its
-    rows from Philox the same way and never reads letters, so it stays
-    independent of the copy it checks.
+    (MeasureSpec.draw_indices), into letters.  plan redraws the rows due a
+    spot check from Philox the same way and never reads letters or the
+    stacks, so the checks stay independent of the copy they check.
     """
 
     @classmethod
@@ -923,38 +949,45 @@ class _TreeBlock(_Block):
 
     def advance(self, start, stop):
         """Steps start+1 .. stop.  Each letter v pops the rows whose top is
-        its inverse and pushes it on the others: v is written above every
-        top, which moves up one and, where it popped, down two."""
+        its inverse w and pushes it on the others: v is written above every
+        top, which moves by _MOVES at the byte difference of top and w."""
         stack, top, peak = self.stack, self.top, self.peak
+        above, bytes_ = stack[1:], stack.view(np.uint8)
         letters = self.letters[start:stop]
-        inverse = -letters
-        # the no-op letter 0 pads short atoms
-        idle = letters == 0 if self.padded else None
-        for s, (vs, ws) in enumerate(zip(letters, inverse)):
-            for k, (v, w) in enumerate(zip(vs, ws)):
-                pop = stack.take(top) == w
-                top += 1
-                stack[top] = v
-                top -= pop
-                top -= pop
-                if idle is not None:
-                    top -= idle[s, k]
+        inverse = (-letters).view(np.uint8)
+        if self.padded:         # the no-op letter 0 pads short atoms
+            inverse[letters == 0] = _IDLE
+        diff = np.empty(self.rows, dtype=np.uint8)
+        move = np.empty(self.rows, dtype=np.intp)
+        for vs, ws in zip(letters, inverse):
+            for v, w in zip(vs, ws):
+                np.subtract(bytes_.take(top), w, out=diff)
+                above[top] = v
+                top += _MOVES.take(diff, out=move)
             np.maximum(peak, top, out=peak)
 
     def read(self, k, step):
         """Checkpoint k's values and limit prefix."""
         n, words = self.top - self.base, self.words
         # letters above a row's length never count, so the rows are
-        # compared whole, to one column past the longest word
+        # compared whole, to one column past the longest word: on the first
+        # _HEAD columns, then in full for the rows that agree with a point
+        # through all of them
         cols = int(n.max()) + 1
-        self.cp = fg.row_prefix(words, self.streams[:, None, :cols], n)
+        head = min(cols, _HEAD)
+        cp = fg.row_prefix(words[:, :head], self.streams[:, None, :head], n)
+        deep = np.flatnonzero((cp == head).any(axis=0))
+        if len(deep):
+            cp[:, deep] = fg.row_prefix(words[deep],
+                                        self.streams[:, None, :cols], n[deep])
+        self.cp = cp
         for i, depth in self.truncated:     # the letter past depth is unknown
-            blind = (self.cp[i] == depth) & (n > depth)
+            blind = (cp[i] == depth) & (n > depth)
             for r in np.flatnonzero(blind).tolist():
                 self.fail(r, treemod.DepthError(
                     "letter %d beyond certified depth %d" % (depth, depth)))
         self.kappa[k] = n
-        self.sigma[k] = n - 2 * self.cp
+        self.sigma[k] = n - 2 * cp
         if k == self.first:
             self.anchor = words[:, :cols].copy()
             self.limit = n.copy()
@@ -962,26 +995,56 @@ class _TreeBlock(_Block):
             self.limit = np.minimum(self.limit,
                                     fg.row_prefix(words, self.anchor, n))
 
+    def plan(self, due):
+        """Each due (checkpoint, row) pair's word and common prefixes with
+        the tracked points, from scratch.  A row is redrawn once, through
+        its last due checkpoint, by one draw_indices call per such
+        checkpoint; every pair's letters are then reduced anew, as many
+        pairs a fg.reduce call as fit in _PLAN_LETTERS letters."""
+        config, width = self.config, self.table.shape[1]
+        cps = config.checkpoints
+        held = np.flatnonzero(due.any(axis=0))
+        last = len(cps) - 1 - due[::-1, held].argmax(axis=0)
+        pairs, pieces = [], []
+        for k in sorted(set(last.tolist())):
+            rows = held[last == k]
+            for j, idx in self.mu.draw_indices(config.master_seed,
+                                               self.lo + rows, cps[k]):
+                steps = self.table[idx].reshape(len(idx), -1)
+                for r, flat in zip(rows[j:j + len(idx)].tolist(), steps):
+                    for c in np.flatnonzero(due[:k + 1, r]).tolist():
+                        prefix = flat[:cps[c] * width]
+                        pairs.append((c, r))
+                        pieces.append(prefix[prefix != 0])
+        words, chunk, size = [], [], 0
+        for piece in pieces:
+            if chunk and size + len(piece) + 1 > _PLAN_LETTERS:
+                words += fg.split(fg.reduce(fg.join(chunk)))
+                chunk, size = [], 0
+            chunk.append(piece)
+            size += len(piece) + 1
+        words += fg.split(fg.reduce(fg.join(chunk)))
+        self.expected = {}      # (checkpoint, row) -> (word bytes, prefixes)
+        for pair, w in zip(pairs, words):
+            prefixes = []
+            for xi in self.tracked:
+                n = len(w) if xi.is_periodic else min(len(w), xi.depth)
+                prefixes.append(fg.common_prefix_len(w[:n], xi.letters(n)))
+            self.expected[pair] = (w.tobytes(), prefixes)
+
     def spot_check(self, k, step, rows):
-        """Each row and its prefixes against its redrawn steps, the rows'
-        letters reduced anew in one call."""
-        drawn = []
-        for _, idx in self.mu.draw_indices(self.config.master_seed,
-                                           [self.lo + r for r in rows], step):
-            for flat in self.table[idx].reshape(len(idx), -1):
-                drawn.append(flat[flat != 0])
+        """Each row and its prefixes against the word planned for it."""
         bad = {}
-        for r, w in zip(rows, fg.split(fg.reduce(fg.join(drawn)))):
+        for r in rows:
             trial = self.lo + r
-            u = self.words[r, :self.top[r] - self.base[r]]
-            if not np.array_equal(w, u):
+            word, prefixes = self.expected[k, r]
+            if self.words[r, :self.top[r] - self.base[r]].tobytes() != word:
                 bad[r] = AssertionError("trial %d step %d: position stack "
                                         "diverged from from-scratch "
                                         "reduction" % (trial, step))
                 continue
-            for i, xi in enumerate(self.tracked):
-                n = len(u) if xi.is_periodic else min(len(u), xi.depth)
-                if fg.common_prefix_len(u[:n], xi.letters(n)) != self.cp[i, r]:
+            for i, c in enumerate(prefixes):
+                if self.cp[i, r] != c:
                     bad[r] = AssertionError(
                         "trial %d step %d: common prefix with %s diverged "
                         "from the point's letters" % (trial, step,

@@ -1835,6 +1835,7 @@ def test_tree_spot_check_catches_a_corrupted_stack_entry():
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,),
                      tracked_classes=(tree.parse_boundary("per:a"),))
     block = walk._TreeBlock(mu, cfg, 0, 1)
+    block.plan(np.ones((1, 1), dtype=bool))
     block.advance(0, 30)
     block.read(0, 30)
     assert block.spot_check(0, 30, [0]) == {}
@@ -1851,12 +1852,160 @@ def test_tree_spot_check_catches_a_corrupted_common_prefix():
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,),
                      tracked_classes=(tree.parse_boundary("per:a"),))
     block = walk._TreeBlock(mu, cfg, 0, 1)
+    block.plan(np.ones((1, 1), dtype=bool))
     block.advance(0, 30)
     block.read(0, 30)
     assert block.spot_check(0, 30, [0]) == {}
     block.cp[0, 0] += 1
     exc = block.spot_check(0, 30, [0])[0]
     assert isinstance(exc, AssertionError) and "common prefix" in str(exc)
+
+
+def test_the_move_table_pops_pushes_and_idles():
+    # every stack byte (a letter or the floor) against every letter's
+    # inverse, and against the byte that stands for the no-op letter 0
+    letters = [v for v in range(-fg.MAX_RANK, fg.MAX_RANK + 1) if v]
+    for b in letters + [fg.SEPARATOR]:
+        for w in letters:
+            assert walk._MOVES[(b - w) % 256] == (-1 if b == w else 1)
+        assert walk._MOVES[(b - walk._IDLE) % 256] == 0
+
+
+def long_ray_measure():
+    # the stack is A^n or a^n, mostly A^n: its common prefix with A^inf
+    # passes the 64 columns read compares first
+    return MeasureSpec([fg.parse_word("a"), fg.parse_word("A")], [0.95, 0.05])
+
+
+def test_read_past_the_head_matches_the_per_letter_reference():
+    cfg = WalkConfig(horizon=100, trials=1, master_seed=0,
+                     checkpoints=(30, 64, 65, 100),
+                     tracked_classes=(tree.parse_boundary("per:A"),))
+    [rec] = run_experiment(tree_point_mass("a"), cfg)
+    assert rec.kappa == (30, 64, 65, 100)
+    assert rec.sigma == {"per:A": (-30, -64, -65, -100)}
+    assert_same_tree_record(rec, per_letter_trial(tree_point_mass("a"), cfg, 0))
+    cfg = WalkConfig(horizon=100, trials=12, master_seed=3,
+                     checkpoints=(40, 70, 100), spot_check_rate=0.5,
+                     tracked_classes=(tree.parse_boundary("per:a"),
+                                      tree.parse_boundary("per:A")))
+    got, failures = one_block(long_ray_measure(), cfg)
+    assert not failures and max(r.kappa[-1] for r in got) > 64
+    for rec in got:
+        assert_same_tree_record(rec, per_letter_trial(
+            long_ray_measure(), cfg, rec.trial_index))
+
+
+def test_a_truncated_point_past_the_head_fails_as_the_reference():
+    # A^80 certified to depth 80: a stack A^n with 64 < n <= 80 reads a
+    # decided value past the head, and one with n > 80 fails
+    point = tree.parse_boundary("prefix:%s depth:80" % ("A" * 80))
+    cfg = WalkConfig(horizon=90, trials=30, master_seed=1,
+                     checkpoints=(60, 75, 90), spot_check_rate=0.3,
+                     tracked_classes=(tree.parse_boundary("per:a"), point))
+    want, want_failures = reference_run(long_ray_measure(), cfg)
+    assert want_failures and want
+    assert {str(e) for _, e in want_failures} == {
+        "letter 80 beyond certified depth 80"}
+    assert any(64 < r.kappa[-1] for r in want)
+    got, failures = one_block(long_ray_measure(), cfg)
+    assert failure_key(failures) == failure_key(want_failures)
+    assert [r.trial_index for r in got] == [r.trial_index for r in want]
+    for g, w in zip(got, want):
+        assert_same_tree_record(g, w)
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0])
+def test_the_plan_redraws_each_due_row_once(rate, monkeypatch):
+    mu = random_tree_measure(np.random.default_rng(8), 2)
+    cfg = WalkConfig(horizon=50, trials=12, master_seed=8,
+                     checkpoints=(10, 20, 30, 40), spot_check_rate=rate,
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
+    draws = []
+    draw_indices = MeasureSpec.draw_indices
+
+    def counting(self, master_seed, trials, n):
+        draws.extend((int(t), n) for t in trials)
+        return draw_indices(self, master_seed, trials, n)
+
+    monkeypatch.setattr(MeasureSpec, "draw_indices", counting)
+    records, failures = block.run()
+    assert not failures
+    # each row with a checked checkpoint, through its last one
+    want = sorted((r.trial_index, r.spot_checked[-1]) for r in records
+                  if r.spot_checked)
+    assert sorted(draws) == want
+    if rate == 1.0:
+        assert want == [(t, 40) for t in range(cfg.trials)]
+    for rec in records:
+        assert_same_tree_record(rec, per_letter_trial(mu, cfg,
+                                                      rec.trial_index))
+
+
+def test_the_plan_cuts_its_letters_at_its_budget(monkeypatch):
+    mu = random_tree_measure(np.random.default_rng(9), 2)
+    cfg = WalkConfig(horizon=60, trials=6, master_seed=9,
+                     checkpoints=(20, 40, 60), spot_check_rate=1.0,
+                     tracked_classes=(tree.parse_boundary("per:a"),))
+    budget = 400
+    monkeypatch.setattr(walk, "_PLAN_LETTERS", budget)
+    calls = []
+    reduce = fg.reduce
+
+    def recording(letters):
+        if isinstance(letters, np.ndarray) and \
+                (letters == fg.SEPARATOR).any():
+            calls.append([len(w) + 1 for w in fg.split(letters)])
+        return reduce(letters)
+
+    monkeypatch.setattr(fg, "reduce", recording)
+    records, failures = walk._TreeBlock(mu, cfg, 0, cfg.trials).run()
+    assert not failures
+    # 18 pairs in several calls, each within the budget, and no call's
+    # first pair would have fit in the call before it
+    assert sum(map(len, calls)) == 18 and len(calls) > 1
+    assert all(sum(c) <= budget for c in calls)
+    assert all(sum(a) + b[0] > budget for a, b in zip(calls, calls[1:]))
+    for rec in records:
+        assert_same_tree_record(rec, per_letter_trial(mu, cfg,
+                                                      rec.trial_index))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_planted_stack_fault_fails_alike_at_every_worker_count(
+        workers, monkeypatch):
+    # blocks of three rows of a padded measure, so every worker plans
+    # several blocks; trial 7's top letter is flipped once step 20 is
+    # reached, and only trial 7 fails, at checkpoint 20
+    mu = random_tree_measure(np.random.default_rng(5), 2)
+    cfg = WalkConfig(horizon=60, trials=12, master_seed=5,
+                     checkpoints=(10, 20, 40, 60), spot_check_rate=1.0,
+                     tracked_classes=tuple(tree.parse_boundary(s)
+                                           for s in TREE_POINTS[2]))
+    assert not walk._inverse_atom_table(mu).all()      # padded
+    monkeypatch.setattr(walk, "_BLOCK_BYTES",
+                        3 * walk._TreeBlock.row_bytes(mu, cfg))
+    clean = run_experiment(mu, cfg, workers=workers)
+    assert len(clean) == cfg.trials
+    for rec in clean:
+        assert_same_tree_record(rec, per_letter_trial(mu, cfg,
+                                                      rec.trial_index))
+    advance = walk._TreeBlock.advance
+
+    def faulty(self, start, stop):
+        advance(self, start, stop)
+        r = 7 - self.lo
+        if 0 <= r < self.rows and start < 20 <= stop:
+            self.stack[self.top[r]] = -self.stack[self.top[r]]
+
+    monkeypatch.setattr(walk._TreeBlock, "advance", faulty)
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(mu, cfg, workers=workers)
+    [(trial, exc)] = err.value.failures
+    assert (trial, type(exc), str(exc)) == (
+        7, AssertionError, "trial 7 step 20: position stack diverged from "
+        "from-scratch reduction")
 
 
 def test_a_corrupted_row_of_tree_letters_fails_alone():
