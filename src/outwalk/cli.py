@@ -2,7 +2,7 @@
 
 Subcommands: verify (invariant suites), distance, and the walk commands
 drift, clt, deviation, gap and tree-lab.  A walk command is a settings
-check from config, run before any trial, and an analysis of the records;
+check from config, run before any trial, and an analysis of the walk.Run;
 one runner writes each one's CSV and JSON artifacts plus a manifest into
 the output directory, byte-reproducible for a fixed (config, seed, code
 version) whatever the thread count.  Exit codes: 0 success, 1
@@ -69,8 +69,8 @@ def _write_manifest(out_dir, command, cfg, seed, outputs):
 # walk commands: each analysis takes what its settings returned as `setting`
 # and gives the CSV as (header, rows) or None, the summary and stdout lines
 
-def _drift(cfg, mu, records, setting):
-    de = stats.drift_estimate(records)
+def _drift(cfg, mu, run, setting):
+    de = stats.drift_estimate(run)
     rows = [("kappa", de.lambda_hat, de.std_error)]
     rows += [(lab, est, se) for lab, (est, se) in de.per_class.items()]
     summary = {
@@ -96,12 +96,12 @@ def _clt_json(rep):
         "degenerate")}
 
 
-def _clt(cfg, mu, records, setting):
-    de = stats.drift_estimate(records)
-    main = stats.clt_report(records, de.lambda_hat)
+def _clt(cfg, mu, run, setting):
+    de = stats.drift_estimate(run)
+    main = stats.clt_report(run, de.lambda_hat)
     per_class = {lab: _clt_json(stats.clt_report(
-        records, de.lambda_hat, stats.class_observable(records, lab)))
-        for lab in stats.class_labels(records)}
+        run, de.lambda_hat, stats.class_observable(run, lab)))
+        for lab in stats.class_labels(run)}
     summary = {
         "lambda_hat": de.lambda_hat,
         "main": _clt_json(main),
@@ -122,11 +122,11 @@ def _fit(value, fmt):
     return "n/a" if value is None else fmt % value
 
 
-def _deviation(cfg, mu, records, grid):
-    de = stats.drift_estimate(records)
+def _deviation(cfg, mu, run, grid):
+    de = stats.drift_estimate(run)
     epsilon = (float(cfg.get("deviation", {}).get("epsilon_factor", 0.2))
                * de.lambda_hat)
-    curve = stats.deviation_curve(records, de.lambda_hat, epsilon, grid)
+    curve = stats.deviation_curve(run, de.lambda_hat, epsilon, grid)
     summary = {
         "lambda_hat": de.lambda_hat,
         "epsilon": curve.threshold,
@@ -141,8 +141,8 @@ def _deviation(cfg, mu, records, grid):
         % (epsilon, curve.points[-1][1], _fit(curve.rate, "%.4f"))]
 
 
-def _gap(cfg, mu, records, label):
-    gr = stats.kappa_sigma_gap(records, label)
+def _gap(cfg, mu, run, label):
+    gr = stats.kappa_sigma_gap(run, label)
     summary = {
         "class": label,
         "horizon": gr.horizon,
@@ -155,15 +155,15 @@ def _gap(cfg, mu, records, label):
         "tolerances": cfgmod.tolerances(cfg),
     }
     return (("trial", "sup_gap"),
-            [(r.trial_index, g) for r, g in zip(records, gr.sup_gaps)]), \
+            list(zip(run.trials.tolist(), gr.sup_gaps))), \
         summary, ["gap(%s): median sup-gap %.4f at H=%d vs %.4f at H=%d"
                   % (label, gr.quantiles[0.5][0], gr.horizon,
                      gr.quantiles[0.5][1], gr.half_horizon)]
 
 
-def _tree_lab(cfg, mu, records, points):
+def _tree_lab(cfg, mu, run, points):
     x_points, h2 = points
-    rep = treemod.centering_check(mu, x_points, records, h2)
+    rep = treemod.centering_check(mu, x_points, run, h2)
     summary = {
         "lambda_hat": rep.lambda_hat,
         "lambda_se": rep.lambda_se,
@@ -208,9 +208,9 @@ def cmd_walk(args):
     setting = settings(cfg, wcfg)
     os.makedirs(args.out, exist_ok=True)
     # looked up at call time, so that a patched run_experiment is the one run
-    records = walk.run_experiment(mu, wcfg, workers=args.threads)
-    stats.verify_sigma_domination(records)
-    csv, summary, lines = analyse(cfg, mu, records, setting)
+    run = walk.run_experiment(mu, wcfg, workers=args.threads)
+    stats.verify_sigma_domination(run)
+    csv, summary, lines = analyse(cfg, mu, run, setting)
     stem = args.command.replace("-", "_")
     outputs = [stem + "_summary.json"]
     if csv:

@@ -1,6 +1,7 @@
-"""Statistical verification layer over walk records.
+"""Statistical verification layer over walk runs.
 
-Everything here is pure aggregation: records in, report dataclasses out.
+Everything here is pure aggregation: a walk.Run in, report dataclasses out.
+Every estimator reads the run's (trials x checkpoints) float64 matrices.
 The estimators are the plain Monte Carlo ones; the variance is estimated
 from the standardized end-of-horizon values rather than from a boundary
 integral, which has no closed form in these settings.
@@ -20,58 +21,59 @@ KS_SERIES_TERMS = 100
 # ---------------------------------------------------------------------------
 # observable extraction
 
-def observable_matrix(records, observable):
-    """Per-trial checkpoint rows for a named observable.
+def observable_matrix(run, observable):
+    """The checkpoints, and the C-ordered float64 (trials x checkpoints)
+    matrix of a named observable.
 
     Names: "kappa", "sigma:<label>", "loglen:<label>" (outer mode cyclic
-    length of the tracked class, unnormalized)."""
-    if not records:
+    length of the tracked class, unnormalized, its logs taken once per
+    run)."""
+    if not len(run):
         raise ValueError("no records")
-    cps = records[0].checkpoints
     if observable == "kappa":
-        rows = [r.kappa for r in records]
+        mat = run.kappa
     elif observable.startswith("sigma:"):
         lab = observable[len("sigma:"):]
         try:
-            rows = [r.sigma[lab] for r in records]
+            mat = run.sigma[lab]
         except KeyError:
             raise ValueError("class %r was not tracked" % lab) from None
     elif observable.startswith("loglen:"):
         lab = observable[len("loglen:"):]
         try:
-            rows = [list(map(math.log, r.lengths[lab])) for r in records]
+            mat = run.log_lengths(lab)
         except KeyError:
             raise ValueError("class %r has no tracked lengths" % lab) from None
     else:
         raise ValueError("unknown observable %r" % observable)
-    return np.asarray(cps, dtype=np.int64), np.asarray(rows, dtype=np.float64)
+    return np.asarray(run.checkpoints, dtype=np.int64), \
+        np.asarray(mat, dtype=np.float64)
 
 
-def class_labels(records):
-    return tuple(records[0].sigma.keys())
+def class_labels(run):
+    return tuple(run.sigma)
 
 
-def class_observable(records, label):
+def class_observable(run, label):
     """The observable of one tracked class: its cyclic log length when the
-    records carry lengths (outer mode), else its cocycle."""
-    return ("loglen:" if records[0].lengths else "sigma:") + label
+    run carries lengths (outer mode), else its cocycle."""
+    return ("loglen:" if run.lengths else "sigma:") + label
 
 
-def verify_sigma_domination(records):
+def verify_sigma_domination(run):
     """Hard invariant: sigma(Phi_n, g) <= kappa(Phi_n) at every checkpoint.
-    A violation names the first failing record, and in it the first label
+    A violation names the first failing trial, and in it the first label
     that fails."""
-    if not records:
+    if not len(run):
         return True
-    labels = class_labels(records)
-    kappa = observable_matrix(records, "kappa")[1]
-    over = np.array([(observable_matrix(records, "sigma:" + lab)[1]
+    labels = class_labels(run)
+    kappa = observable_matrix(run, "kappa")[1]
+    over = np.array([(observable_matrix(run, "sigma:" + lab)[1]
                       > kappa).any(axis=1) for lab in labels])
     if over.any():
         t = int(over.any(axis=0).argmax())
         raise AssertionError("sigma(%s) exceeds kappa in trial %d"
-                             % (labels[over[:, t].argmax()],
-                                records[t].trial_index))
+                             % (labels[over[:, t].argmax()], run.trials[t]))
     return True
 
 
@@ -115,7 +117,7 @@ def _slope_stats(cps, mat):
     return est, se
 
 
-def drift_estimate(records):
+def drift_estimate(run):
     """lambda_hat = mean(value at horizon) / horizon, with a per-class table.
 
     Per-class estimates use the second-half increment of the unnormalized
@@ -123,14 +125,14 @@ def drift_estimate(records):
     mode): the endpoint form converges to the same drift but keeps an O(1/n)
     bias that differs per class, which would drown the class comparison at
     practical horizons."""
-    if len(records) < MIN_DRIFT_TRIALS:
+    if len(run) < MIN_DRIFT_TRIALS:
         raise ValueError("drift needs >= %d trials, got %d"
-                         % (MIN_DRIFT_TRIALS, len(records)))
-    cps, mat = observable_matrix(records, "kappa")
+                         % (MIN_DRIFT_TRIALS, len(run)))
+    cps, mat = observable_matrix(run, "kappa")
     lam, se = end_stats(cps, mat)
     per_class = {}
-    for lab in class_labels(records):
-        ccps, cmat = observable_matrix(records, class_observable(records, lab))
+    for lab in class_labels(run):
+        ccps, cmat = observable_matrix(run, class_observable(run, lab))
         per_class[lab] = _slope_stats(ccps, cmat)
     flagged = False
     labs = list(per_class)
@@ -147,7 +149,7 @@ def drift_estimate(records):
         mean = sum(vals) / len(vals)
         if mean != 0:
             spread = (max(vals) - min(vals)) / abs(mean)
-    return DriftEstimate(lam, se, per_class, int(cps[-1]), len(records),
+    return DriftEstimate(lam, se, per_class, int(cps[-1]), len(run),
                          flagged, spread)
 
 
@@ -195,13 +197,13 @@ class CltReport:
     degenerate: bool
 
 
-def clt_report(records, lambda_hat, observable="kappa"):
+def clt_report(run, lambda_hat, observable="kappa"):
     """Standardize end-of-horizon values as (v - n*lambda)/sqrt(n), estimate
     the CLT variance by their sample variance, and KS-test normality."""
-    if len(records) < MIN_DRIFT_TRIALS:
+    if len(run) < MIN_DRIFT_TRIALS:
         raise ValueError("CLT report needs >= %d trials, got %d"
-                         % (MIN_DRIFT_TRIALS, len(records)))
-    cps, mat = observable_matrix(records, observable)
+                         % (MIN_DRIFT_TRIALS, len(run)))
+    cps, mat = observable_matrix(run, observable)
     n = int(cps[-1])
     std = (mat[:, -1] - n * lambda_hat) / math.sqrt(n)
     if np.all(std == std[0]):
@@ -245,12 +247,12 @@ def tail_curve(threshold, points, scale=1.0):
                      None if rate is None else rate < 1.0)
 
 
-def deviation_curve(records, lambda_hat, epsilon, n_grid):
+def deviation_curve(run, lambda_hat, epsilon, n_grid):
     """Empirical P[|kappa_n - n*lambda| >= epsilon*n] on a sub-grid of the
     checkpoints, with a log-linear decay fit."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cps, mat = observable_matrix(records, "kappa")
+    cps, mat = observable_matrix(run, "kappa")
     pos = {int(c): i for i, c in enumerate(cps)}
     missing = [n for n in n_grid if int(n) not in pos]
     if missing:
@@ -276,21 +278,21 @@ class GapReport:
 GAP_QUANTILES = (0.25, 0.5, 0.75, 0.9)
 
 
-def kappa_sigma_gap(records, label):
+def kappa_sigma_gap(run, label):
     """Per-path sup over checkpoints of |kappa - sigma(., label)|, compared
     at the full and at the half horizon to diagnose boundedness."""
-    if not records:
+    if not len(run):
         raise ValueError("no records")
-    if label not in records[0].sigma:
+    if label not in run.sigma:
         raise ValueError("class %r was not tracked" % label)
-    cps = np.asarray(records[0].checkpoints)
+    cps = np.asarray(run.checkpoints)
     H = int(cps[-1])
     half_mask = cps <= H // 2
     if not half_mask.any():
         raise ValueError("no checkpoints at or below half horizon")
     # gap[t, k]: trial t's |kappa - sigma| at checkpoint k
-    gap = np.abs(observable_matrix(records, "kappa")[1]
-                 - observable_matrix(records, "sigma:" + label)[1])
+    gap = np.abs(observable_matrix(run, "kappa")[1]
+                 - observable_matrix(run, "sigma:" + label)[1])
     sf = gap.max(axis=1)
     sh = gap[:, half_mask].max(axis=1)
     quants = {q: (float(np.quantile(sf, q)), float(np.quantile(sh, q)))

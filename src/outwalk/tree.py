@@ -391,20 +391,31 @@ def _known_head(p):
 
 
 class _HeadScreen:
-    """Gromov products of one point against many boundary samples at once.
+    """Gromov products of one point against the limit points of a tree-mode
+    walk.Run at once.
 
-    The first _HEAD known letters of every sample are stacked once as int8
-    rows padded with 0.  For a query x, fg.row_prefix with x's head finds
-    each row's first mismatch; a mismatch of two known letters is the
-    product.  A row without one (a product of _HEAD or more, equal points,
-    a certified depth reached, a finite word) gets fallback(x, y), which
-    sees exactly what the scalar definition would, in sample order."""
+    The samples are the run's limits with at least one certified letter.
+    The first _HEAD letters of every sample are stacked once, from the
+    run's limit bytes, as int8 rows padded with 0.  For a query x,
+    fg.row_prefix with x's head finds each row's first mismatch; a mismatch
+    of two known letters is the product.  A row without one (a product of
+    _HEAD or more, a certified depth reached) gets fallback(x, y), y the
+    sample as a BoundaryPoint (Run.limit), which sees exactly what the
+    scalar definition would, in sample order."""
 
-    def __init__(self, samples):
-        self.samples = list(samples)
-        heads = [_known_head(y) for y in self.samples]
-        self.rows = _view(b"".join(h for h, _ in heads)).reshape(-1, _HEAD)
-        self.known = np.array([n for _, n in heads], dtype=np.intp)
+    def __init__(self, run):
+        self.run = run
+        lens = run.limit_lens
+        self.trials = np.flatnonzero(lens)
+        starts = (np.cumsum(lens) - lens)[self.trials]
+        self.known = np.minimum(lens[self.trials], _HEAD)
+        cols = np.arange(_HEAD)
+        held = cols < self.known[:, None]
+        self.rows = np.zeros((len(self.trials), _HEAD), dtype=fg.LETTER_DTYPE)
+        self.rows[held] = _view(run.limits)[(starts[:, None] + cols)[held]]
+
+    def __len__(self):
+        return len(self.trials)
 
     def products(self, x, fallback):
         """(x|y) for every sample y as a float array."""
@@ -413,28 +424,18 @@ class _HeadScreen:
         first = fg.row_prefix(self.rows, _view(head), known)
         out = first.astype(np.float64)
         for i in np.flatnonzero(first == known):
-            out[i] = fallback(x, self.samples[i])
+            out[i] = fallback(x, self.run.limit(self.trials[i]))
         return out
 
 
-def _float_product(x, y):
-    p = gromov_product(x, y)
-    if is_infinite(p):
-        raise ValueError("boundary sample %s equals the query point, so (x|y) "
-                         "is infinite" % format_boundary(y))
-    return float(p)
-
-
 def _product_lower_value(x, y):
-    # tail counting needs a number; an equal or undecidable pair still
-    # certifies "at least this deep", which is what a tail query consumes
+    # tail counting needs a number; an undecidable pair still certifies "at
+    # least this deep", which is what a tail query consumes
     try:
-        p = gromov_product(x, y)
+        return gromov_product(x, y)
     except DepthError:
         dx = x.depth if isinstance(x, BoundaryPoint) else None
-        dy = y.depth if isinstance(y, BoundaryPoint) else None
-        return float(min(d for d in (dx, dy) if d is not None))
-    return math.inf if is_infinite(p) else float(p)
+        return min(d for d in (dx, y.depth) if d is not None)
 
 
 @dataclass(frozen=True)
@@ -448,45 +449,44 @@ class CenteringReport:
     h2: object               # stats.TailCurve, or None without an h2 section
 
 
-def centering_check(mu, x_points, records, h2=None):
+def centering_check(mu, x_points, run, h2=None):
     """Estimate ψ(x) = -2 E[(x|y)] and E_mu[β₀(·, x)] = E_mu[β(·,x) + ψ(g.x)
     - ψ(x)] at each x, and with an h2 section (point, alpha, grid) the tail
     P[(x|y) >= alpha * n] at its point with a fitted geometric rate.
 
-    The samples y are the limit points of the tree-mode walk records, which
-    also give the drift; for a centerable cocycle every centering estimate
-    matches it.  One _HeadScreen of the samples serves every product, and
-    (x|y) is taken once for both ψ(x) and the centering term.  A sample the
-    screen cannot decide gets the scalar gromov_product, so an equal or
+    The samples y are the limit points of a tree-mode walk.Run, which also
+    gives the drift; for a centerable cocycle every centering estimate
+    matches it.  One _HeadScreen of the run's limit prefixes serves every
+    product, and (x|y) is taken once for both ψ(x) and the centering term.
+    A sample the screen cannot decide gets the scalar gromov_product, so an
     undecidable pair fails as that function does; the tail gets
     _product_lower_value instead."""
     if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
         raise ValueError("centering_check needs a tree-mode (word) measure")
-    # usable: at least one letter known (periodic points know them all)
-    ys = [r.bnd for r in records if r.bnd is not None and r.bnd.depth != 0]
-    if len(ys) < 2:
+    screen = _HeadScreen(run)
+    if len(screen) < 2:
         raise ValueError("need at least 2 usable boundary samples, got %d "
-                         "(walks too short?)" % len(ys))
-    screen = _HeadScreen(ys)
+                         "(walks too short?)" % len(screen))
     lambda_hat, lambda_se = stats.end_stats(
-        *stats.observable_matrix(records, "kappa"))
+        *stats.observable_matrix(run, "kappa"))
+    size = len(screen)
     psi = {}
     results = {}
     max_drift_disc = 0.0
     for x in x_points:
         label = format_boundary(x)
-        own = screen.products(x, _float_product)
+        own = screen.products(x, gromov_product)
         psi[label] = (-2.0 * float(own.mean()),
-                      2.0 * own.std(ddof=1) / math.sqrt(len(ys)))
+                      2.0 * own.std(ddof=1) / math.sqrt(size))
         const = 0.0
-        per_sample = np.zeros(len(ys))
+        per_sample = np.zeros(size)
         for atom, weight in zip(mu.atoms, mu.weights):
             const += weight * busemann(atom, x)
             sx = boundary_action(atom, x)
-            per_sample += weight * (-2.0) * screen.products(sx, _float_product)
+            per_sample += weight * (-2.0) * screen.products(sx, gromov_product)
         per_sample += 2.0 * own
         est = const + float(per_sample.mean())
-        se = float(per_sample.std(ddof=1)) / math.sqrt(len(ys))
+        se = float(per_sample.std(ddof=1)) / math.sqrt(size)
         results[label] = (est, se)
         comb = math.sqrt(se ** 2 + lambda_se ** 2)
         if comb > 0:
@@ -498,5 +498,5 @@ def centering_check(mu, x_points, records, h2=None):
         tail = stats.tail_curve(
             alpha, [(int(n), float((prods >= alpha * n).mean()))
                     for n in h2["grid"]], alpha)
-    return CenteringReport(lambda_hat, lambda_se, len(ys), psi, results,
+    return CenteringReport(lambda_hat, lambda_se, size, psi, results,
                            max_drift_disc, tail)

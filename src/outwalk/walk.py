@@ -21,10 +21,15 @@ a row by row_bytes, so
 run_experiment cuts blocks the same way for any worker count, and a lone
 trial (sample_path) is a block of one.
 
+A block hands back its values as arrays, a row per finished trial, and
+run_experiment joins the blocks' arrays into one Run, which the analyses
+read as (trials x checkpoints) matrices.  A Run gives one trial as a
+PathRecord on indexing and iteration.
+
 Reproducibility contract: increments for trial t are drawn from a Philox
 counter-based stream keyed by (master_seed, t), so every trial is an
 independent pure function of (measure, config, trial index), whichever
-block it runs in.  Records are therefore identical whatever the worker
+block it runs in.  Runs are therefore identical whatever the worker
 count, block size or execution order, and a failing trial fails alone.
 Blocks and spot checks alike turn the draws into atoms through one
 function, MeasureSpec.draw_indices, in integers, a chunk of trials at a
@@ -204,7 +209,7 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One trial's values at its checkpoints.
+    """One trial's values at its checkpoints, as a Run gives them.
 
     peak_letters is the most letters the trial held: the longest position
     stack in tree mode, the longest reduced image word on the outer word
@@ -229,6 +234,82 @@ def tracked_labels(config):
             else fg.format_word(fg.as_word(x)) for x in config.tracked_classes]
 
 
+class Run:
+    """A walk's finished trials in trial order, as columns: row t of every
+    array is the t-th of them.
+
+    trials[t] is its trial index; kappa[t, k] and sigma[label][t, k] its
+    values at checkpoint k, C-ordered (trials x checkpoints) arrays, float64
+    in outer mode and int64 in tree mode; lengths[label][t, k] the cyclic
+    length of a tracked class as a Python int (outer mode, else no labels);
+    peak[t] the most letters it held; spots[t, k] whether checkpoint k was
+    spot-checked.  In tree mode limits holds every trial's certified limit
+    prefix, limit_lens[t] letters, end to end as int8 bytes.  Indexing and
+    iteration give each trial as a PathRecord.  The matrices the estimators
+    read (kappa, sigma and the log lengths) are read-only, as every caller
+    gets the same arrays.
+    """
+
+    def __init__(self, checkpoints, labels, trials, kappa, sigma, peak, spots,
+                 lengths=None, limits=b"", limit_lens=None):
+        self.checkpoints = tuple(checkpoints)
+        self.trials = np.asarray(trials, dtype=np.int64)
+        self.kappa = _frozen(kappa)
+        self.sigma = dict(zip(labels, map(_frozen, sigma)))
+        self.lengths = {} if lengths is None else dict(zip(labels, lengths))
+        self.peak = np.asarray(peak)
+        self.spots = np.asarray(spots, dtype=bool)
+        self.limits = limits
+        self.limit_lens = None if limit_lens is None else \
+            np.asarray(limit_lens, dtype=np.int64)
+        self._ends = None if limit_lens is None else np.cumsum(self.limit_lens)
+        self._logs = {}
+
+    def log_lengths(self, label):
+        """math.log of each cyclic length of class label, as a float64
+        (trials x checkpoints) array, taken once per Run."""
+        if label not in self._logs:
+            self._logs[label] = _frozen(_log(self.lengths[label]).astype(
+                np.float64))
+        return self._logs[label]
+
+    def limit(self, t):
+        """Trial t's certified limit prefix as a truncated BoundaryPoint;
+        None without a certified letter, and in outer mode."""
+        if self.limit_lens is None or not self.limit_lens[t]:
+            return None
+        end = int(self._ends[t])
+        # a stack prefix is reduced: the trusted constructor takes it
+        return treemod.BoundaryPoint(
+            self.limits[end - int(self.limit_lens[t]):end])
+
+    def __len__(self):
+        return len(self.trials)
+
+    def __getitem__(self, t):
+        t = range(len(self))[t]
+        return PathRecord(
+            trial_index=int(self.trials[t]), checkpoints=self.checkpoints,
+            kappa=tuple(self.kappa[t].tolist()),
+            sigma={lab: tuple(m[t].tolist()) for lab, m in self.sigma.items()},
+            lengths={lab: tuple(m[t].tolist())
+                     for lab, m in self.lengths.items()},
+            peak_letters=int(self.peak[t]),
+            spot_checked=tuple(c for c, s in zip(self.checkpoints,
+                                                 self.spots[t].tolist()) if s),
+            bnd=self.limit(t))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _frozen(a):
+    """a as a read-only C-ordered array."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
 def _spot_mask(master_seed, lo, rows, ckpt, rate):
     """Which of trials lo .. lo+rows-1 are due a spot check at checkpoint
     ckpt: a deterministic, worker-independent hash selects about `rate` of
@@ -248,20 +329,23 @@ class _Block:
     A backend supplies advance(start, stop), applying steps start+1 .. stop
     to every row; read(k, step), checkpoint k's values; spot_check(k, step,
     rows), mapping each of `rows` that disagrees with its steps redone from
-    scratch to an AssertionError; record(r); and the classmethod
-    row_bytes(mu, config).  It may extend plan to prepare its spot checks:
-    plan(due) is called before the first advance when any pair is due,
-    due[k, r] true where row r is checked at checkpoint k unless it has
-    failed by then.  A failed row walks on with its block, and nothing
-    reads it again.
+    scratch to an AssertionError; values(live), the live rows' arrays as Run
+    takes them; and the classmethod row_bytes(mu, config, classes).  It may
+    extend plan to prepare its spot checks: plan(due) is called before the
+    first advance when any pair is due, due[k, r] true where row r is
+    checked at checkpoint k unless it has failed by then.  A failed row
+    walks on with its block, and nothing reads it again.  classes is the
+    run's _Classes in outer mode, built once per run, and None in tree mode.
     """
 
-    def __init__(self, mu, config, lo, hi):
+    def __init__(self, mu, config, lo, hi, classes=None):
         self.mu = mu
         self.config = config
         self.lo = lo
         self.rows = hi - lo
-        self.spots = [[] for _ in range(self.rows)]
+        self.classes = classes
+        # spots[k, r]: row r was spot-checked at checkpoint k
+        self.spots = np.zeros((len(config.checkpoints), self.rows), dtype=bool)
         self.failures = {}
 
     def fail(self, r, exc):
@@ -273,7 +357,7 @@ class _Block:
         """Prepare the spot checks of due[k, r]."""
 
     def run(self):
-        """Walk every step; (records, [(trial, exc)]), both in trial order."""
+        """Walk every step; then columns()."""
         config = self.config
         # the selected pairs, and trial 0 at the last checkpoint
         due = np.array([_spot_mask(config.master_seed, self.lo, self.rows,
@@ -294,14 +378,23 @@ class _Block:
                     if r in bad:
                         self.fail(r, bad[r])
                     else:
-                        self.spots[r].append(step)
+                        self.spots[k, r] = True
             done = step
         self.advance(done, config.horizon)
-        records = [self.record(r) for r in range(self.rows)
-                   if r not in self.failures]
+        return self.columns()
+
+    def columns(self):
+        """(columns, [(trial, exc)]), both in trial order: the arrays of the
+        rows that did not fail, the keyword arguments of Run but its
+        checkpoints and labels, and the failures of the others."""
+        live = np.ones(self.rows, dtype=bool)
+        live[list(self.failures)] = False
+        trials = np.arange(self.lo, self.lo + self.rows, dtype=np.int64)
+        columns = dict(trials=trials[live], spots=self.spots.T[live],
+                       **self.values(live))
         failures = [(self.lo + r, self.failures[r])
                     for r in sorted(self.failures)]
-        return records, failures
+        return columns, failures
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +429,7 @@ class _Classes:
             slot_for(fg.as_word(g), label)
         self.tracked = [(lab, slot) for lab, slot in labels.items()
                         if not lab.startswith("cand:")]
+        self.labels = [lab for lab, _ in self.tracked]
         self.slots = [slot for _, slot in self.tracked]
         self.start_lens = [len(w) for w in self.storage]
         self.den = math.lcm(*(self.start_lens[i] for i in cands))
@@ -380,9 +474,9 @@ class _OuterBlock(_Block):
     their classes' images (read), and their spot checks from one lock-step
     _Replay of the block's due rows (plan)."""
 
-    def __init__(self, mu, config, lo, hi):
-        super().__init__(mu, config, lo, hi)
-        self.classes = _Classes(mu, config)
+    def __init__(self, mu, config, lo, hi, classes=None):
+        super().__init__(mu, config, lo, hi,
+                         _Classes(mu, config) if classes is None else classes)
         # steps[s, r]: row r's atom at step s+1, one contiguous row per step
         self.steps = np.empty((config.horizon, self.rows),
                               dtype=_step_dtype(mu))
@@ -420,14 +514,11 @@ class _OuterBlock(_Block):
         self.kappa[k, rows] = _log_ratio(top, c.den)
         self.sigma[k, rows] = _log_ratio(tracked, c.starts)
 
-    def record(self, r):
-        labels = [lab for lab, _ in self.classes.tracked]
-        return PathRecord(
-            trial_index=self.lo + r, checkpoints=self.config.checkpoints,
-            kappa=tuple(self.kappa[:, r].tolist()),
-            sigma=dict(zip(labels, zip(*self.sigma[:, r].tolist()))),
-            lengths=dict(zip(labels, zip(*self.lengths[:, r].tolist()))),
-            peak_letters=int(self.peak[r]), spot_checked=tuple(self.spots[r]))
+    def values(self, live):
+        return dict(kappa=self.kappa.T[live],
+                    sigma=self.sigma.transpose(2, 1, 0)[:, live],
+                    lengths=self.lengths.transpose(2, 1, 0)[:, live],
+                    peak=np.asarray(self.peak)[live])
 
 
 class _WordBlock(_OuterBlock):
@@ -436,12 +527,13 @@ class _WordBlock(_OuterBlock):
     holds one trial's words."""
 
     @classmethod
-    def row_bytes(cls, mu, config):
+    def row_bytes(cls, mu, config, classes=None):
+        classes = _Classes(mu, config) if classes is None else classes
         return config.horizon * _step_dtype(mu).itemsize + \
-            len(_Classes(mu, config).storage) * config.max_word_letters
+            len(classes.storage) * config.max_word_letters
 
-    def __init__(self, mu, config, lo, hi):
-        super().__init__(mu, config, lo, hi)
+    def __init__(self, mu, config, lo, hi, classes=None):
+        super().__init__(mu, config, lo, hi, classes)
         self.words = [list(self.classes.storage) for _ in range(self.rows)]
         self.peak = [max(self.classes.start_lens)] * self.rows
 
@@ -545,19 +637,19 @@ class _GL2ZBlock(_OuterBlock):
     REPLAY_LETTERS = 1 << 10
 
     @classmethod
-    def row_bytes(cls, mu, config):
+    def row_bytes(cls, mu, config, classes=None):
         """Steps, and the vectors, a vector entry counted as a pointer to an
         int as large as r^horizon (_column_sum) times the longest start
         class, a bound on every |p|+|q| of the walk."""
-        classes = _Classes(mu, config)
+        classes = _Classes(mu, config) if classes is None else classes
         r = _column_sum([_abelian_matrix(phi) for phi in mu.atoms])
         entry = 8 + sys.getsizeof(r ** config.horizon *
                                   max(classes.start_lens))
         return config.horizon * _step_dtype(mu).itemsize + \
             2 * len(classes.storage) * entry
 
-    def __init__(self, mu, config, lo, hi):
-        super().__init__(mu, config, lo, hi)
+    def __init__(self, mu, config, lo, hi, classes=None):
+        super().__init__(mu, config, lo, hi, classes)
         self.atom_mats = [_abelian_matrix(phi) for phi in mu.atoms]
         self.mats = np.array(self.atom_mats, dtype=np.int64).reshape(-1, 2, 2)
         self.seg = _segment_steps(self.atom_mats, config.horizon)
@@ -878,7 +970,7 @@ class _TreeBlock(_Block):
     int8 array above a floor column of fg.SEPARATOR, never a letter's
     inverse; top[r] is the index of its top letter (its floor when empty),
     and its length is top[r] - base[r], taken only where a length is read:
-    at checkpoints and the record.  A step pushes at most one atom, so a
+    at checkpoints and the end.  A step pushes at most one atom, so a
     stack never outgrows the horizon x atom letters of its row's steps, and
     the letter cap, which bounds the outer word engine's words, is not read
     here.  Each letter of a step is five numpy calls over all rows (take,
@@ -903,11 +995,11 @@ class _TreeBlock(_Block):
     """
 
     @classmethod
-    def row_bytes(cls, mu, config):
+    def row_bytes(cls, mu, config, classes=None):
         """Stack and steps, horizon x atom letters each."""
         return 2 * config.horizon * _inverse_atom_table(mu).shape[1]
 
-    def __init__(self, mu, config, lo, hi):
+    def __init__(self, mu, config, lo, hi, classes=None):
         super().__init__(mu, config, lo, hi)
         self.table = table = _inverse_atom_table(mu)
         self.padded = not table.all()
@@ -1052,27 +1144,26 @@ class _TreeBlock(_Block):
                     break
         return bad
 
-    def record(self, r):
-        limit = int(self.limit[r])
-        # a stack prefix is reduced: the trusted constructor takes it
-        bnd = treemod.BoundaryPoint(self.anchor[r, :limit].tobytes()) \
-            if limit > 0 else None
-        return PathRecord(
-            trial_index=self.lo + r, checkpoints=self.config.checkpoints,
-            kappa=tuple(self.kappa[:, r].tolist()),
-            sigma=dict(zip(self.labels, map(tuple,
-                                            self.sigma[:, :, r].T.tolist()))),
-            lengths={}, peak_letters=int(self.peak[r] - self.base[r]),
-            spot_checked=tuple(self.spots[r]), bnd=bnd)
+    def values(self, live):
+        """The live rows' values, and their limit prefixes end to end."""
+        limit = self.limit.tolist()
+        limits = b"".join([self.anchor[r, :limit[r]].tobytes()
+                           for r in np.flatnonzero(live).tolist()])
+        return dict(kappa=self.kappa.T[live],
+                    sigma=self.sigma.transpose(1, 2, 0)[:, live],
+                    peak=(self.peak - self.base)[live],
+                    limits=limits, limit_lens=self.limit[live])
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-def _block_class(mu, config):
-    """Tree blocks in tree mode; in outer mode GL(2,Z) blocks when the rank
-    is 2 and every rose candidate and tracked class is primitive, else word
-    blocks.  Tree mode tracks boundary points, outer mode classes."""
+def _backend(mu, config):
+    """(block class, classes): tree blocks in tree mode; in outer mode
+    GL(2,Z) blocks when the rank is 2 and every rose candidate and tracked
+    class is primitive, else word blocks, with the run's _Classes, built
+    once for all its blocks (None in tree mode).  Tree mode tracks boundary
+    points, outer mode classes."""
     tree_mode = mu.mode == "tree"
     for x in config.tracked_classes:
         if isinstance(x, treemod.BoundaryPoint) != tree_mode:
@@ -1080,13 +1171,14 @@ def _block_class(mu, config):
                              else "outer mode tracks words, not boundary "
                                   "points")
     if tree_mode:
-        return _TreeBlock
-    return _GL2ZBlock if _Classes(mu, config).gl2z else _WordBlock
+        return _TreeBlock, None
+    classes = _Classes(mu, config)
+    return (_GL2ZBlock if classes.gl2z else _WordBlock), classes
 
 
 def outer_backend(mu, config):
     """The backend an outer walk uses: "gl2z" or "words"."""
-    return "gl2z" if _block_class(mu, config) is _GL2ZBlock else "words"
+    return "gl2z" if _backend(mu, config)[0] is _GL2ZBlock else "words"
 
 
 def _block_size(trials, parts, rows):
@@ -1096,20 +1188,34 @@ def _block_size(trials, parts, rows):
     return -(-trials // runs)
 
 
+def _join(config, classes, parts):
+    """One Run of the blocks' columns `parts`, in trial order."""
+    labels = tracked_labels(config) if classes is None else classes.labels
+
+    def join(values):
+        if isinstance(values[0], bytes):
+            return b"".join(values)
+        return np.concatenate(values, axis=1 if values[0].ndim == 3 else 0)
+
+    return Run(config.checkpoints, labels,
+               **{key: join([p[key] for p in parts]) for key in parts[0]})
+
+
 def sample_path(mu, config, trial):
     """One trial as a block of one; a pure function of (mu, config, trial)."""
     if not 0 <= trial < config.trials:
         raise ValueError("trial index out of range")
-    records, failures = _run_trials(_block_class(mu, config), mu, config,
-                                    trial, trial + 1)
+    cls, classes = _backend(mu, config)
+    columns, failures = _run_trials(cls, mu, config, trial, trial + 1,
+                                    classes)
     if failures:
         raise failures[0][1]
-    return records[0]
+    return _join(config, classes, [columns])[0]
 
 
-def _run_trials(cls, mu, config, lo, hi):
-    """Trials lo .. hi-1 as one block of cls: (records, [(trial, exc)])."""
-    return cls(mu, config, lo, hi).run()
+def _run_trials(cls, mu, config, lo, hi, classes=None):
+    """Trials lo .. hi-1 as one block of cls: (columns, [(trial, exc)])."""
+    return cls(mu, config, lo, hi, classes).run()
 
 
 def _cpus():
@@ -1121,7 +1227,8 @@ def _cpus():
 
 
 def run_experiment(mu, config, workers=1):
-    """All trials, ordered by trial index; identical for any worker count.
+    """All trials as one Run, ordered by trial index; identical for any
+    worker count.
 
     The trials are cut into blocks of near-equal size, each holding at most
     _BLOCK_BYTES by its backend's row_bytes (at least one row), about a
@@ -1129,21 +1236,20 @@ def run_experiment(mu, config, workers=1):
     may use.  The blocks run in process, or on a pool of one worker per
     block up to that cap."""
     trials = config.trials
-    cls = _block_class(mu, config)
-    rows = _BLOCK_BYTES // cls.row_bytes(mu, config)
+    cls, classes = _backend(mu, config)
+    rows = _BLOCK_BYTES // cls.row_bytes(mu, config, classes)
     parts = min(workers, _cpus())
     size = _block_size(trials, parts, max(1, rows))
     los = range(0, trials, size)
     his = [min(lo + size, trials) for lo in los]
-    run = partial(_run_trials, cls, mu, config)
+    run = partial(_run_trials, cls, mu, config, classes=classes)
     pool = min(parts, len(los))
     if pool <= 1:
         runs = list(map(run, los, his))
     else:
         with ProcessPoolExecutor(max_workers=pool) as executor:
             runs = list(executor.map(run, los, his))
-    records = [rec for recs, _ in runs for rec in recs]
     failures = [fail for _, fails in runs for fail in fails]
     if failures:
         raise ExperimentError(failures)
-    return records
+    return _join(config, classes, [columns for columns, _ in runs])

@@ -558,6 +558,22 @@ def test_bench_outer_clt_input_keeps_its_recorded_digests(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
+def test_bench_tree_lab_input_keeps_its_recorded_digests(tmp_path):
+    # the benchmark's tree_lab input: tree_srw_f2 as shipped on two worker
+    # processes; tree-lab must write the file whose digest
+    # bench/digests.json records
+    out = str(tmp_path / "o")
+    assert run(["tree-lab", "--config",
+                os.path.join(ROOT, "configs", "tree_srw_f2.json"),
+                "--out", out, "--threads", "2"]) == 0
+    with open(os.path.join(ROOT, "bench", "digests.json")) as fh:
+        digests = json.load(fh)["tree_lab"]
+    assert sorted(digests) == ["tree_lab_summary.json"]
+    for name, digest in digests.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
 # sha256 of `outwalk gap` on configs/outf2_gap.json as shipped (400 trials,
 # horizon 500, seed 31), recorded before the GL(2,Z) walk took int64 vectors
 # where a bound allows: at horizon 500 its vectors stay Python ints
@@ -633,9 +649,9 @@ def test_tree_lab_builds_one_head_screen(tmp_path, monkeypatch):
     built = []
 
     class CountingScreen(tree._HeadScreen):
-        def __init__(self, samples):
-            built.append(len(samples))
-            super().__init__(samples)
+        def __init__(self, run):
+            super().__init__(run)
+            built.append(len(self))
 
     monkeypatch.setattr(tree, "_HeadScreen", CountingScreen)
     path = write_cfg(tmp_path, cfg)

@@ -6,22 +6,30 @@ import numpy as np
 import pytest
 
 from outwalk import stats
-from outwalk.walk import PathRecord
+from outwalk.walk import Run
 
 
 def make_records(trials, cps, kappa_fn, sigma_fns=None, lengths_fns=None):
-    """Synthetic records; value functions take (trial, checkpoint)."""
-    recs = []
-    for t in range(trials):
-        sigma = {lab: tuple(fn(t, n) for n in cps)
-                 for lab, fn in (sigma_fns or {}).items()}
-        lengths = {lab: tuple(fn(t, n) for n in cps)
-                   for lab, fn in (lengths_fns or {}).items()}
-        recs.append(PathRecord(
-            trial_index=t, checkpoints=tuple(cps),
-            kappa=tuple(kappa_fn(t, n) for n in cps), sigma=sigma,
-            lengths=lengths, peak_letters=0, spot_checked=()))
-    return recs
+    """A synthetic walk.Run of `trials` (a count, or the trial indices);
+    value functions take (trial, checkpoint).  Length tables, when given,
+    are for the same labels as the cocycles."""
+    ts = list(range(trials) if isinstance(trials, int) else trials)
+    sigma_fns = sigma_fns or {}
+    labels = list(sigma_fns)
+
+    def table(fn, dtype=np.float64):
+        return np.array([[fn(t, n) for n in cps] for t in ts],
+                        dtype=dtype).reshape(len(ts), len(cps))
+
+    lengths = None
+    if lengths_fns:
+        assert set(lengths_fns) == set(labels)
+        lengths = [table(lengths_fns[lab], object) for lab in labels]
+    return Run(cps, labels, ts, table(kappa_fn),
+               [table(sigma_fns[lab]) for lab in labels],
+               peak=np.zeros(len(ts), dtype=np.int64),
+               spots=np.zeros((len(ts), len(cps)), dtype=bool),
+               lengths=lengths)
 
 
 # -- KS test
@@ -290,7 +298,7 @@ def test_sigma_domination_check_names_label_and_trial():
 
 
 def reference_domination(records):
-    """The first (trial, label) that fails, record by record."""
+    """The first (trial, label) that fails, trial by trial."""
     for r in records:
         for lab, vals in r.sigma.items():
             if any(v > k for v, k in zip(vals, r.kappa)):
@@ -318,8 +326,9 @@ def test_sigma_domination_names_the_first_failing_record_then_label(late,
         stats.verify_sigma_domination(recs)
     assert str(err.value) == "sigma(%s) exceeds kappa in trial %d" % (lab,
                                                                        trial)
-    assert stats.verify_sigma_domination(
-        [r for r in recs if r.trial_index not in bad.values()])
+    assert stats.verify_sigma_domination(make_records(
+        [t for t in range(6) if t not in bad.values()], [10, 20, 30],
+        lambda t, n: 1.0, sigma_fns={lab: sigma(lab) for lab in "xyz"}))
 
 
 def test_class_labels_preserve_tracking_order():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from outwalk import freegroup as fg
 from outwalk import invariants, tree
-from outwalk.walk import MeasureSpec, PathRecord
+from outwalk.walk import MeasureSpec, Run
 
 
 def bp(text):
@@ -225,11 +225,21 @@ POINT_MASS_A = MeasureSpec([fg.parse_word("a")], [1.0])
 
 
 def records_of(samples, kappas=None):
-    """Tree-mode records at one checkpoint, one per boundary sample."""
-    kappas = kappas or [5.0] * len(samples)
-    return [PathRecord(trial_index=i, checkpoints=(10,), kappa=(k,), sigma={},
-                       lengths=None, peak_letters=0, spot_checked=(), bnd=y)
-            for i, (y, k) in enumerate(zip(samples, kappas))]
+    """A tree-mode walk.Run at one checkpoint whose limit prefixes are the
+    samples, truncated points as a walk's limits are."""
+    assert all(y.depth is not None for y in samples)
+    n = len(samples)
+    kappas = (kappas or [5.0] * n)[:n]
+    return Run((10,), [], range(n), np.reshape(kappas, (n, 1)),
+               np.zeros((0, n, 1)), peak=np.zeros(n, dtype=np.int64),
+               spots=np.zeros((n, 1), dtype=bool),
+               limits=b"".join(y.letters(y.depth).tobytes() for y in samples),
+               limit_lens=[y.depth for y in samples])
+
+
+def as_limit(y, depth):
+    """y's first `depth` letters as a truncated point, a walk's limit."""
+    return tree.BoundaryPoint.truncated(y.letters(depth))
 
 
 def h2_section(x, grid):
@@ -238,7 +248,8 @@ def h2_section(x, grid):
 
 def test_psi_estimate_hand_arithmetic():
     x = bp("per:b")
-    samples = [bp("per:a"), bp("pre:b per:a")]   # products 0 and 1
+    samples = [bp("prefix:aaaa depth:4"),
+               bp("prefix:baaa depth:4")]       # products 0 and 1
     rep = tree.centering_check(POINT_MASS_A, [x], records_of(samples))
     value, se = rep.psi["per:b"]
     assert value == -1.0
@@ -249,20 +260,23 @@ def test_psi_estimate_hand_arithmetic():
 def test_psi_estimate_needs_samples():
     with pytest.raises(ValueError, match="at least 2 usable boundary "
                                          "samples, got 0"):
-        tree.centering_check(POINT_MASS_A, [bp("per:a")], [])
+        tree.centering_check(POINT_MASS_A, [bp("per:a")], records_of([]))
 
 
 def test_psi_estimate_rejects_a_sample_equal_to_the_query_point():
+    # a walk's limit equal to x through all its certified letters
     x = bp("per:ab")
-    with pytest.raises(ValueError, match="pre:ab per:ab equals the query"):
+    with pytest.raises(tree.DepthError, match="agree through certified "
+                                              "depth 4; product undecidable"):
         tree.centering_check(POINT_MASS_A, [x], records_of(
-            [bp("per:a"), bp("pre:ab per:ab")]))
+            [bp("prefix:aaaa depth:4"), bp("prefix:abab depth:4")]))
 
 
 def test_h2_tail_estimate_geometric_hand_case():
     x = bp("per:b")
-    samples = ([bp("per:a")] * 4 + [bp("pre:b per:a")] * 2
-               + [bp("pre:bb per:a")] + [bp("pre:bbb per:a")])
+    samples = ([bp("prefix:aaaaaa depth:6")] * 4
+               + [bp("prefix:baaaaa depth:6")] * 2
+               + [bp("prefix:bbaaaa depth:6"), bp("prefix:bbbaaa depth:6")])
     curve = tree.centering_check(POINT_MASS_A, [], records_of(samples),
                                  h2_section(x, [1, 2, 3])).h2
     assert [p for _, p in curve.points] == [0.5, 0.25, 0.125]
@@ -270,11 +284,13 @@ def test_h2_tail_estimate_geometric_hand_case():
     assert curve.summable
 
 
-def test_h2_tail_estimate_handles_infinite_products():
+def test_h2_tail_estimate_counts_an_undecidable_product_at_its_depth():
+    # a limit equal to x through its 4 certified letters is at least 4 deep
     x = bp("per:b")
     curve = tree.centering_check(POINT_MASS_A, [], records_of(
-        [bp("per:b"), bp("per:a")]), h2_section(x, [1, 2])).h2
-    assert [p for _, p in curve.points] == [0.5, 0.5]
+        [bp("prefix:bbbb depth:4"), bp("prefix:aaaa depth:4")]),
+        h2_section(x, [1, 2, 4, 5])).h2
+    assert [p for _, p in curve.points] == [0.5, 0.5, 0.5, 0.0]
 
 
 def test_centering_check_hand_arithmetic():
@@ -292,11 +308,12 @@ def test_centering_check_hand_arithmetic():
 
 
 def test_centering_check_rejects_a_sample_equal_to_a_query_point():
-    # the truncated samples never equal a point; the periodic one is x
+    # the second limit equals x through all its certified letters
     x = bp("per:b")
-    with pytest.raises(ValueError, match="per:b equals the query point"):
+    with pytest.raises(tree.DepthError, match="agree through certified "
+                                              "depth 4; product undecidable"):
         tree.centering_check(POINT_MASS_A, [x], records_of(
-            [bp("prefix:aaaa depth:4"), x]))
+            [bp("prefix:aaaa depth:4"), bp("prefix:bbbb depth:4")]))
 
 
 def test_centering_check_rejects_outer_measures():
@@ -315,10 +332,13 @@ def test_centering_check_needs_two_usable_samples():
 
 class LoopScreen:
     """The per-sample loop the estimators ran before the head screen: the
-    scalar definition on every sample, in order."""
+    scalar definition on every usable sample, in order."""
 
-    def __init__(self, samples):
-        self.samples = list(samples)
+    def __init__(self, run):
+        self.samples = [r.bnd for r in run if r.bnd is not None]
+
+    def __len__(self):
+        return len(self.samples)
 
     def products(self, x, fallback):
         return np.array([fallback(x, y) for y in self.samples])
@@ -352,7 +372,8 @@ def periodic_after(rng, pre):
 
 def branching_sample(rng, x):
     """A sample leaving x's stream after a random number of shared letters
-    (sometimes 64 or more), truncated at a random depth or periodic."""
+    (sometimes 64 or more), truncated at a random depth, within its letters
+    or past them into a period."""
     known = x.depth
     k = int(rng.integers(0, 100))
     if known is not None:
@@ -361,7 +382,8 @@ def branching_sample(rng, x):
     nxt = x.letter(k) if known is None or k < known else None
     word = extend(rng, base, int(rng.integers(1, 40)), first_not=nxt)
     if rng.random() < 0.5:
-        return periodic_after(rng, word)
+        return as_limit(periodic_after(rng, word),
+                        len(word) + int(rng.integers(0, 40)))
     return tree.BoundaryPoint.truncated(
         word, int(rng.integers(0, len(word) + 1)))
 
@@ -374,17 +396,16 @@ def random_x(rng):
 
 
 def mixed_samples(rng, x):
-    """Random samples around x plus every case the head cannot decide."""
+    """Random limits around x plus every case the head cannot decide."""
     ys = [branching_sample(rng, x) for _ in range(30)]
-    ys.append(x)                                        # equal to x
-    ys.append(tree.parse_boundary(tree.format_boundary(x)))
-    for d in (0, 5, 63, 64, 80):                        # ties through depth
+    ys.append(x if x.depth is not None else as_limit(x, 120))   # equal to x
+    for d in (0, 5, 63, 64, 80, 100):                   # ties through depth
         if x.depth is None or d <= x.depth:
             ys.append(tree.BoundaryPoint.truncated(x.letters(d)))
-    ys.append(bp("pre:" + "ab" * 40 + " per:a"))        # (x|y) = 81 for per:ab
-    ys.append(bp("per:ab"))
+    # (x|y) = 81 for per:ab
+    ys.append(as_limit(bp("pre:" + "ab" * 40 + " per:a"), 90))
+    ys.append(as_limit(bp("per:ab"), 100))
     ys.append(bp("prefix:" + "ab" * 40 + "b depth:70"))
-    ys.append(fg.parse_word("aB"))                      # a finite word
     order = rng.permutation(len(ys))
     return [ys[i] for i in order]
 
@@ -421,7 +442,8 @@ def test_head_screen_matches_the_scalar_products(seed):
             seen.append(outcome(tree.gromov_product, x, y))
             return -1.0
 
-        got = tree._HeadScreen(ys).products(x, fallback)
+        got = tree._HeadScreen(records_of(ys)).products(x, fallback)
+        ys = [y for y in ys if y.depth]             # the usable samples
         screened = iter(seen)
         merged = [next(screened) if v == -1.0 else int(v) for v in got]
         expected = [outcome(tree.gromov_product, x, y) for y in ys]

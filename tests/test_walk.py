@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.random import Philox
 
 from outwalk import freegroup as fg
-from outwalk import tree, walk
+from outwalk import stats, tree, walk
 from outwalk.config import build_measure, build_walk_config, load_config
 from outwalk.walk import (ExperimentError, MeasureSpec, WalkConfig,
                           WordCapExceeded, run_experiment)
@@ -460,7 +460,7 @@ def test_forced_spot_check_on_first_trial_last_checkpoint():
                      checkpoints=(25, 50), spot_check_rate=0.0)
     recs = run_experiment(srw_measure(), cfg)
     assert 50 in recs[0].spot_checked
-    assert all(r.spot_checked == () for r in recs[1:])
+    assert all(r.spot_checked == () for r in list(recs)[1:])
 
 
 def test_full_rate_spot_checks_every_checkpoint_both_modes():
@@ -518,7 +518,8 @@ def test_a_block_spot_checks_the_selected_and_the_forced_pairs(lo, seed,
     cfg = WalkConfig(horizon=40, trials=1, master_seed=seed,
                      checkpoints=(10, 20, 30, 40), spot_check_rate=rate,
                      tracked_classes=(tree.parse_boundary("per:a"),))
-    records, failures = walk._TreeBlock(srw_measure(), cfg, lo, lo + 5).run()
+    records, failures = block_run(walk._TreeBlock(srw_measure(), cfg, lo,
+                                                  lo + 5))
     assert failures == []
     for rec in records:
         t = rec.trial_index
@@ -584,9 +585,16 @@ def test_peak_letters_reported():
 
 # -- the GL(2,Z) backend against the word engine
 
+def block_run(block):
+    """block.run() with its columns as a walk.Run."""
+    columns, failures = block.run()
+    return walk._join(block.config, block.classes, [columns]), failures
+
+
 def one_block(mu, cfg):
     """Every trial as one block of the backend the walk chooses."""
-    return walk._run_trials(walk._block_class(mu, cfg), mu, cfg, 0, cfg.trials)
+    cls, classes = walk._backend(mu, cfg)
+    return block_run(cls(mu, cfg, 0, cfg.trials, classes))
 
 
 def same_record(a, b):
@@ -605,7 +613,7 @@ def random_rank2_measure(rng, atoms=4):
 
 
 def word_engine_path(mu, cfg, trial):
-    records, failures = walk._WordBlock(mu, cfg, trial, trial + 1).run()
+    records, failures = block_run(walk._WordBlock(mu, cfg, trial, trial + 1))
     assert not failures
     return records[0]
 
@@ -698,7 +706,7 @@ def test_the_block_budget_gives_each_of_two_workers_one_tree_block():
     # workers get one block of 500 trials each
     cfg = load_config(os.path.join(ROOT, "configs", "tree_srw_f2.json"))
     mu, wcfg = build_measure(cfg), build_walk_config(cfg)
-    assert walk._block_class(mu, wcfg) is walk._TreeBlock
+    assert walk._backend(mu, wcfg) == (walk._TreeBlock, None)
     row = walk._TreeBlock.row_bytes(mu, wcfg)
     assert row == 4000
     size = walk._block_size(wcfg.trials, 2, walk._BLOCK_BYTES // row)
@@ -728,13 +736,13 @@ def run_with_fault(block, step, fault):
             fault(block)
 
     block.advance = faulty
-    return block.run()
+    return block_run(block)
 
 
 def test_gl2z_spot_check_catches_a_corrupted_vector():
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
-    records, failures = walk._GL2ZBlock(mu, cfg, 0, 1).run()
+    records, failures = block_run(walk._GL2ZBlock(mu, cfg, 0, 1))
     assert not failures and records[0].spot_checked == (30,)
 
     def corrupt(block):
@@ -749,7 +757,7 @@ def test_gl2z_spot_check_catches_a_corrupted_vector():
 def test_word_spot_check_catches_a_corrupted_word():
     mu = rank3_measure()
     cfg = WalkConfig(horizon=12, trials=1, master_seed=1, checkpoints=(12,))
-    records, failures = walk._WordBlock(mu, cfg, 0, 1).run()
+    records, failures = block_run(walk._WordBlock(mu, cfg, 0, 1))
     assert not failures and records[0].spot_checked == (12,)
 
     def corrupt(block):
@@ -801,7 +809,7 @@ def test_the_replay_matches_the_recomposed_automorphism(mu, idle, tracked,
                      checkpoints=(1, 2, 5, 16),
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
     assert walk.outer_backend(mu, cfg) == backend
-    block = walk._block_class(mu, cfg)(mu, cfg, 0, cfg.trials)
+    block = walk._backend(mu, cfg)[0](mu, cfg, 0, cfg.trials)
     block.plan(np.ones((len(cfg.checkpoints), cfg.trials), dtype=bool))
     replay = block.replay
     storage = block.classes.storage
@@ -828,7 +836,7 @@ def test_gl2z_spot_check_catches_a_wrong_step_matrix():
     # matrices then disagrees with the replayed words' cyclic lengths
     mu = nielsen_measure()
     cfg = WalkConfig(horizon=30, trials=1, master_seed=1, checkpoints=(30,))
-    records, failures = walk._GL2ZBlock(mu, cfg, 0, 1).run()
+    records, failures = block_run(walk._GL2ZBlock(mu, cfg, 0, 1))
     assert not failures and records[0].spot_checked == (30,)
     block = walk._GL2ZBlock(mu, cfg, 0, 1)
     a, b, c, d = block.atom_mats[0]
@@ -846,7 +854,7 @@ def test_gl2z_spot_check_compares_the_start_vectors_at_step_0(trial):
                      spot_check_rate=1.0)
     assert [float_draw(mu, 1, t, 1)[0] == 0 for t in (0, 1)] == \
         [False, True]
-    records, failures = walk._GL2ZBlock(mu, cfg, trial, trial + 1).run()
+    records, failures = block_run(walk._GL2ZBlock(mu, cfg, trial, trial + 1))
     assert not failures and records[0].spot_checked == (12,)
     block = walk._GL2ZBlock(mu, cfg, trial, trial + 1)
     assert block.start_vecs[0] == (1, 0)            # the class of a
@@ -929,13 +937,11 @@ def per_row_block_run(block):
             except AssertionError as exc:
                 block.fail(r, exc)
             else:
-                block.spots[r].append(step)
+                block.spots[k, r] = True
         done = step
     block.advance(done, cfg.horizon)
-    records = [block.record(r) for r in range(block.rows)
-               if r not in block.failures]
-    return records, [(block.lo + r, block.failures[r])
-                     for r in sorted(block.failures)]
+    columns, failures = block.columns()
+    return walk._join(cfg, block.classes, [columns]), failures
 
 
 def rank3_lazy_measure():
@@ -1000,7 +1006,7 @@ def test_outer_spot_checks_match_the_per_row_reference(case, fault, workers,
                      checkpoints=(5, 10, 20, 30, 40), spot_check_rate=0.4,
                      max_word_letters=10 ** 5,
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
-    cls = walk._block_class(mu, cfg)
+    cls = walk._backend(mu, cfg)[0]
     assert walk.outer_backend(mu, cfg) == case.split("-")[0]
     if horizon > 40:
         dtype = cls(mu, cfg, 0, 1).p.dtype
@@ -1073,7 +1079,7 @@ def test_replay_limit_steps_match_the_per_row_reference(fault, workers,
     cfg = WalkConfig(horizon=30, trials=24, master_seed=9,
                      checkpoints=(10, 20, 30), spot_check_rate=1.0,
                      tracked_classes=OUTER_TRACKED)
-    cls = walk._block_class(mu, cfg)
+    cls = walk._backend(mu, cfg)[0]
     assert cls is walk._GL2ZBlock
     limit = landing_length(cls(mu, cfg, 0, 1), 0, cfg.horizon)
     assert limit is not None
@@ -1113,7 +1119,7 @@ def test_a_start_class_past_the_limit_matches_the_per_row_reference(
                      checkpoints=(5, 10, 20, 30, 40), spot_check_rate=0.4,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word("a" + "b" * 1101)))
-    cls = walk._block_class(mu, cfg)
+    cls = walk._backend(mu, cfg)[0]
     assert cls is walk._GL2ZBlock
     monkeypatch.setattr(walk, "_BLOCK_BYTES", 4 * cls.row_bytes(mu, cfg))
     block = cls(mu, cfg, 0, cfg.trials)
@@ -1472,7 +1478,7 @@ def assert_reads_match_the_per_row_reference(mu, cfg):
     """Two blocks of every trial, advanced alike: one read by the block,
     one by per_row_read, field by field at every checkpoint.  Returns the
     block's failures."""
-    cls = walk._block_class(mu, cfg)
+    cls = walk._backend(mu, cfg)[0]
     got, want = cls(mu, cfg, 0, cfg.trials), cls(mu, cfg, 0, cfg.trials)
     done = 0
     for k, step in enumerate(cfg.checkpoints):
@@ -1535,7 +1541,7 @@ def test_a_planted_domination_failure_fails_its_row_alone(backend,
                      checkpoints=(5, 10, 20, 30), max_word_letters=10 ** 5,
                      spot_check_rate=0.0,
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
-    cls = walk._block_class(mu, cfg)
+    cls = walk._backend(mu, cfg)[0]
     assert walk.outer_backend(mu, cfg) == backend
     classes = walk._Classes(mu, cfg)
     bumped = [slot for lab, slot in classes.tracked if lab in ("aba", "aabab")]
@@ -1555,7 +1561,7 @@ def test_a_planted_domination_failure_fails_its_row_alone(backend,
     failures = assert_reads_match_the_per_row_reference(mu, cfg)
     assert list(failures) == [3]
     assert str(failures[3]) == "trial 3 step 5: sigma(aba) exceeded kappa"
-    records, [(trial, exc)] = walk._run_trials(cls, mu, cfg, 0, cfg.trials)
+    records, [(trial, exc)] = one_block(mu, cfg)
     assert trial == 3 and str(exc) == str(failures[3])
     assert_same_outer_records(records,
                               [r for r in clean if r.trial_index != 3])
@@ -1930,7 +1936,7 @@ def test_the_plan_redraws_each_due_row_once(rate, monkeypatch):
         return draw_indices(self, master_seed, trials, n)
 
     monkeypatch.setattr(MeasureSpec, "draw_indices", counting)
-    records, failures = block.run()
+    records, failures = block_run(block)
     assert not failures
     # each row with a checked checkpoint, through its last one
     want = sorted((r.trial_index, r.spot_checked[-1]) for r in records
@@ -1960,7 +1966,7 @@ def test_the_plan_cuts_its_letters_at_its_budget(monkeypatch):
         return reduce(letters)
 
     monkeypatch.setattr(fg, "reduce", recording)
-    records, failures = walk._TreeBlock(mu, cfg, 0, cfg.trials).run()
+    records, failures = block_run(walk._TreeBlock(mu, cfg, 0, cfg.trials))
     assert not failures
     # 18 pairs in several calls, each within the budget, and no call's
     # first pair would have fit in the call before it
@@ -2020,7 +2026,7 @@ def test_a_corrupted_row_of_tree_letters_fails_alone():
     assert not failures
     block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
     block.letters[6, 0, 5] = -block.letters[6, 0, 5]
-    got, [(trial, exc)] = block.run()
+    got, [(trial, exc)] = block_run(block)
     assert trial == 5 and isinstance(exc, AssertionError)
     assert str(exc) == "trial 5 step 20: position stack diverged from " \
         "from-scratch reduction"
@@ -2043,9 +2049,9 @@ def test_a_corrupted_row_of_outer_steps_fails_alone(backend, tracked):
     assert walk.outer_backend(mu, cfg) == backend
     clean, failures = one_block(mu, cfg)
     assert not failures
-    block = walk._block_class(mu, cfg)(mu, cfg, 0, cfg.trials)
+    block = walk._backend(mu, cfg)[0](mu, cfg, 0, cfg.trials)
     block.steps[6, 5] = (block.steps[6, 5] + 1) % len(mu.atoms)
-    got, [(trial, exc)] = block.run()
+    got, [(trial, exc)] = block_run(block)
     assert trial == 5 and isinstance(exc, AssertionError)
     assert str(exc).startswith("trial 5 step 20: incremental ")
     assert_same_outer_records(got, [r for r in clean if r.trial_index != 5])
@@ -2115,3 +2121,144 @@ def test_tracked_kinds_are_checked_before_any_trial_runs():
                         tracked_classes=(tree.parse_boundary("per:a"),))
     with pytest.raises(ValueError, match="outer mode tracks words"):
         run_experiment(nielsen_measure(), points, workers=2)
+
+
+# -- the Run: blocks hand back columns, and a Run gives each trial
+
+def run_case(case):
+    """(mu, cfg) of a walk on each backend, with spot checks."""
+    if case == "tree":
+        mu = random_tree_measure(np.random.default_rng(4), 2)
+        tracked = tuple(tree.parse_boundary(s) for s in TREE_POINTS[2])
+        horizon = 60
+    else:
+        mu = nielsen_measure() if case == "gl2z" else rank3_measure()
+        tracked = tuple(fg.parse_word(w) for w in
+                        (("a", "ab", "aba") if case == "gl2z"
+                         else ("a", "abc", "aB")))
+        horizon = 30
+    cfg = WalkConfig(horizon=horizon, trials=10, master_seed=6,
+                     checkpoints=(10, 20, 30), spot_check_rate=0.3,
+                     max_word_letters=10 ** 5, tracked_classes=tracked)
+    assert (case == "tree") == (mu.mode == "tree")
+    assert case == "tree" or walk.outer_backend(mu, cfg) == case
+    return mu, cfg
+
+
+def assert_plain(value):
+    """value holds no per-trial object: an ndarray of numbers (of Python
+    ints where it is an object array), bytes or an int."""
+    if isinstance(value, np.ndarray):
+        if value.dtype == object:
+            assert all(type(v) is int for v in value.ravel())
+        else:
+            assert value.dtype.kind in "biuf"
+    else:
+        assert type(value) in (bytes, int)
+
+
+@pytest.mark.parametrize("case", ["tree", "gl2z", "words"])
+def test_a_block_hands_back_only_arrays_bytes_and_ints(case):
+    mu, cfg = run_case(case)
+    cls, classes = walk._backend(mu, cfg)
+    assert not hasattr(cls, "record")
+    columns, failures = walk._run_trials(cls, mu, cfg, 2, 7, classes)
+    assert failures == []
+    keys = {"trials", "kappa", "sigma", "peak", "spots"}
+    keys |= {"limits", "limit_lens"} if case == "tree" else {"lengths"}
+    assert set(columns) == keys
+    for value in columns.values():
+        assert_plain(value)
+    assert columns["trials"].tolist() == [2, 3, 4, 5, 6]
+    assert columns["kappa"].shape == columns["spots"].shape == (5, 3)
+    assert columns["sigma"].shape == (len(cfg.tracked_classes), 5, 3)
+
+
+def per_row_records(mu, cfg):
+    """Every trial as one block of the outer backend read a row at a time
+    by per_row_read, each trial's PathRecord built field by field from the
+    block's arrays, its spot checks from the scalar hash."""
+    cls, classes = walk._backend(mu, cfg)
+    block = cls(mu, cfg, 0, cfg.trials, classes)
+    done = 0
+    for k, step in enumerate(cfg.checkpoints):
+        block.advance(done, step)
+        per_row_read(block, k, step)
+        done = step
+    block.advance(done, cfg.horizon)
+    labels = [lab for lab, _ in classes.tracked]
+    return [walk.PathRecord(
+        trial_index=r, checkpoints=cfg.checkpoints,
+        kappa=tuple(block.kappa[:, r].tolist()),
+        sigma={lab: tuple(block.sigma[:, r, i].tolist())
+               for i, lab in enumerate(labels)},
+        lengths={lab: tuple(block.lengths[:, r, i].tolist())
+                 for i, lab in enumerate(labels)},
+        peak_letters=int(block.peak[r]),
+        spot_checked=tuple(c for c in cfg.checkpoints if spot_selected(
+            cfg.master_seed, r, c, cfg.spot_check_rate)
+            or (r == 0 and c == cfg.checkpoints[-1])))
+        for r in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("case", ["tree", "gl2z", "words"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_gives_each_trial_as_the_per_row_reference(case, workers,
+                                                         monkeypatch):
+    # blocks of three rows, so block edges cut the trials, and at two
+    # workers the blocks run on the pool
+    mu, cfg = run_case(case)
+    cls, classes = walk._backend(mu, cfg)
+    monkeypatch.setattr(walk, "_BLOCK_BYTES",
+                        3 * cls.row_bytes(mu, cfg, classes))
+    run = run_experiment(mu, cfg, workers=workers)
+    assert isinstance(run, walk.Run)
+    if case == "tree":
+        want = [per_letter_trial(mu, cfg, t) for t in range(cfg.trials)]
+
+        def same(got, want):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_tree_record(g, w)
+    else:
+        want = per_row_records(mu, cfg)
+        same = assert_same_outer_records
+    assert len(run) == cfg.trials
+    same(list(run), want)
+    same([run[t] for t in range(len(run))], want)
+    same([run[-1]], want[-1:])
+    with pytest.raises(IndexError):
+        run[len(run)]
+    # what the bench's trace replay reads, against the arrays
+    assert [r.peak_letters for r in run] == run.peak.tolist()
+    assert [r.spot_checked for r in run] == [
+        tuple(c for c, s in zip(cfg.checkpoints, row) if s)
+        for row in run.spots.tolist()]
+    assert sum(len(r.spot_checked) for r in run) == run.spots.sum() > 0
+
+
+@pytest.mark.parametrize("case", ["tree", "gl2z", "words"])
+def test_observable_matrices_equal_those_built_from_the_trials(case):
+    # the matrices the estimators read: float64, trials x checkpoints, C
+    # order, bit for bit those built from per-trial tuples
+    mu, cfg = run_case(case)
+    run = run_experiment(mu, cfg)
+    names = ["kappa"] + ["sigma:" + lab for lab in stats.class_labels(run)]
+    rows = {"kappa": [r.kappa for r in run]}
+    rows.update({"sigma:" + lab: [r.sigma[lab] for r in run]
+                 for lab in stats.class_labels(run)})
+    if case != "tree":
+        names += ["loglen:" + lab for lab in stats.class_labels(run)]
+        rows.update({"loglen:" + lab: [list(map(math.log, r.lengths[lab]))
+                                       for r in run]
+                     for lab in stats.class_labels(run)})
+        # the logs are taken once per run
+        lab = stats.class_labels(run)[0]
+        assert run.log_lengths(lab) is run.log_lengths(lab)
+    for name in names:
+        cps, mat = stats.observable_matrix(run, name)
+        want = np.asarray(rows[name], dtype=np.float64)
+        assert cps.tolist() == list(cfg.checkpoints)
+        assert mat.dtype == np.float64 and mat.flags.c_contiguous
+        assert mat.shape == (cfg.trials, len(cfg.checkpoints))
+        assert mat.tobytes() == want.tobytes()
