@@ -298,7 +298,8 @@ def build_parser():
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the config seed, in [0, 2^64)")
         p.add_argument("--threads", type=_threads, default=1,
-                       help="worker processes for trials")
+                       help="processes that run the trials, this one "
+                            "included; capped at the CPUs and the blocks")
         p.set_defaults(fn=cmd_walk)
 
     p = sub.add_parser("distance", help="pairwise rose distances")

@@ -215,7 +215,9 @@ def row_prefix(rows, ref, n):
     axis) over their common width, at least 1, capped at the row's n."""
     width = min(rows.shape[-1], ref.shape[-1])
     off = rows[..., :width] != ref[..., :width]
-    return np.minimum(n, np.where(off.any(axis=-1), off.argmax(axis=-1), width))
+    first = off.argmax(axis=-1)
+    # argmax is 0 both where column 0 differs and where no column does
+    return np.minimum(n, np.where((first == 0) & ~off[..., 0], width, first))
 
 
 def cyclic_reduce(w):

@@ -396,12 +396,13 @@ class _HeadScreen:
 
     The samples are the run's limits with at least one certified letter.
     The first _HEAD letters of every sample are stacked once, from the
-    run's limit bytes, as int8 rows padded with 0.  For a query x,
-    fg.row_prefix with x's head finds each row's first mismatch; a mismatch
-    of two known letters is the product.  A row without one (a product of
-    _HEAD or more, a certified depth reached) gets fallback(x, y), y the
-    sample as a BoundaryPoint (Run.limit), which sees exactly what the
-    scalar definition would, in sample order."""
+    run's limit bytes, as int8 rows padded with 0.  The heads of all the
+    queries are stacked too, and one fg.row_prefix call finds each row's
+    first mismatch with each of them; a mismatch of two known letters is
+    the product.  A pair without one (a product of _HEAD or more, a
+    certified depth reached) gets its query's fallback(x, y), y the sample
+    as a BoundaryPoint (Run.limit), which sees exactly what the scalar
+    definition would, in query then sample order."""
 
     def __init__(self, run):
         self.run = run
@@ -417,14 +418,18 @@ class _HeadScreen:
     def __len__(self):
         return len(self.trials)
 
-    def products(self, x, fallback):
-        """(x|y) for every sample y as a float array."""
-        head, n = _known_head(x)
-        known = np.minimum(self.known, n)
-        first = fg.row_prefix(self.rows, _view(head), known)
+    def products(self, queries):
+        """(x|y) for every (x, fallback) of queries and every sample y, as a
+        float (queries x samples) array."""
+        heads = [_known_head(x) for x, _ in queries]
+        stack = _view(b"".join(h for h, _ in heads)).reshape(-1, 1, _HEAD)
+        known = np.minimum(self.known, np.array([n for _, n in heads],
+                                                dtype=np.intp)[:, None])
+        first = fg.row_prefix(self.rows, stack, known)
         out = first.astype(np.float64)
-        for i in np.flatnonzero(first == known):
-            out[i] = fallback(x, self.run.limit(self.trials[i]))
+        for q, i in zip(*np.nonzero(first == known)):
+            x, fallback = queries[q]
+            out[q, i] = fallback(x, self.run.limit(self.trials[i]))
         return out
 
 
@@ -456,11 +461,11 @@ def centering_check(mu, x_points, run, h2=None):
 
     The samples y are the limit points of a tree-mode walk.Run, which also
     gives the drift; for a centerable cocycle every centering estimate
-    matches it.  One _HeadScreen of the run's limit prefixes serves every
-    product, and (x|y) is taken once for both ψ(x) and the centering term.
-    A sample the screen cannot decide gets the scalar gromov_product, so an
-    undecidable pair fails as that function does; the tail gets
-    _product_lower_value instead."""
+    matches it.  One _HeadScreen of the run's limit prefixes takes every
+    product in one call, and (x|y) is taken once for both ψ(x) and the
+    centering term.  A sample the screen cannot decide gets the scalar
+    gromov_product, so an undecidable pair fails as that function does; the
+    tail gets _product_lower_value instead."""
     if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
         raise ValueError("centering_check needs a tree-mode (word) measure")
     screen = _HeadScreen(run)
@@ -470,20 +475,30 @@ def centering_check(mu, x_points, run, h2=None):
     lambda_hat, lambda_se = stats.end_stats(
         *stats.observable_matrix(run, "kappa"))
     size = len(screen)
+    # every product's query point, in the order they are read: each x, then
+    # its image under each atom, and last the h2 point
+    queries, consts = [], []
+    for x in x_points:
+        queries.append((x, gromov_product))
+        const = 0.0
+        for atom, weight in zip(mu.atoms, mu.weights):
+            const += weight * busemann(atom, x)
+            queries.append((boundary_action(atom, x), gromov_product))
+        consts.append(const)
+    if h2:
+        queries.append((h2["point"], _product_lower_value))
+    products = iter(screen.products(queries))
     psi = {}
     results = {}
     max_drift_disc = 0.0
-    for x in x_points:
+    for x, const in zip(x_points, consts):
         label = format_boundary(x)
-        own = screen.products(x, gromov_product)
+        own = next(products)
         psi[label] = (-2.0 * float(own.mean()),
                       2.0 * own.std(ddof=1) / math.sqrt(size))
-        const = 0.0
         per_sample = np.zeros(size)
-        for atom, weight in zip(mu.atoms, mu.weights):
-            const += weight * busemann(atom, x)
-            sx = boundary_action(atom, x)
-            per_sample += weight * (-2.0) * screen.products(sx, gromov_product)
+        for weight in mu.weights:
+            per_sample += weight * (-2.0) * next(products)
         per_sample += 2.0 * own
         est = const + float(per_sample.mean())
         se = float(per_sample.std(ddof=1)) / math.sqrt(size)
@@ -493,7 +508,7 @@ def centering_check(mu, x_points, run, h2=None):
             max_drift_disc = max(max_drift_disc, abs(est - lambda_hat) / comb)
     tail = None
     if h2:
-        prods = screen.products(h2["point"], _product_lower_value)
+        prods = next(products)
         alpha = h2["alpha"]
         tail = stats.tail_curve(
             alpha, [(int(n), float((prods >= alpha * n).mean()))

@@ -19,7 +19,9 @@ primitive: abelianized vectors moved by int64 products of step matrices)
 and _WordBlock (exact reduced image words, a row at a time).  Each sizes
 a row by row_bytes, so
 run_experiment cuts blocks the same way for any worker count, and a lone
-trial (sample_path) is a block of one.
+trial (sample_path) is a block of one.  The calling process runs blocks
+itself, beside any forked workers; every process takes the next block from
+one shared counter (_deal).
 
 A block hands back its values as arrays, a row per finished trial, and
 run_experiment joins the blocks' arrays into one Run, which the analyses
@@ -39,12 +41,12 @@ time.
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.random import Philox
@@ -1158,6 +1160,15 @@ class _TreeBlock(_Block):
 # ---------------------------------------------------------------------------
 # driver
 
+try:
+    # the fork start method, with the modules its workers, lock and pipes
+    # use, imported once with this one and not on the first run with workers
+    from multiprocessing import connection, popen_fork, synchronize  # noqa
+    _FORK = multiprocessing.get_context("fork")
+except (ImportError, ValueError):       # no fork start method here
+    _FORK = None
+
+
 def _backend(mu, config):
     """(block class, classes): tree blocks in tree mode; in outer mode
     GL(2,Z) blocks when the rank is 2 and every rose candidate and tracked
@@ -1226,6 +1237,93 @@ def _cpus():
         return os.cpu_count() or 1
 
 
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a walk worker, as text: the
+    cause of that exception where the caller raises it again."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+def _deal(run, blocks, procs):
+    """[run(lo, hi) for (lo, hi) in blocks], run by this process and
+    procs - 1 forked workers.
+
+    Every process takes the next block index from one shared counter, an
+    int64 in an anonymous shared mmap under a fork-context Lock, until none
+    is left, so the blocks are dealt as the processes free up.  A worker
+    sends its (index, result) pairs, or the exception that stopped it with
+    its traceback, once through a Pipe.  A worker that fails sets the
+    counter past the last block, as this process does on any error, so
+    that the others stop after their current block.  Every worker is joined
+    before this returns or raises."""
+    if procs <= 1:
+        return [run(lo, hi) for lo, hi in blocks]
+    shared = memoryview(mmap.mmap(-1, 8)).cast("q")
+    lock = _FORK.Lock()
+
+    def take():
+        with lock:
+            i = shared[0]
+            shared[0] = i + 1
+        return i
+
+    def stop():
+        with lock:
+            shared[0] = len(blocks)
+
+    pipes, workers = [], []     # this process's receiving ends; (proc, end)
+
+    def work(send):
+        for end in pipes:       # so that only this process reads them
+            end.close()
+        try:
+            out = []
+            while (i := take()) < len(blocks):
+                out.append((i, run(*blocks[i])))
+        except BaseException as exc:
+            import traceback
+            stop()
+            out = exc, traceback.format_exc()
+        try:
+            send.send(out)
+        except BrokenPipeError:     # the caller is raising already
+            pass
+
+    results = [None] * len(blocks)
+    try:
+        for _ in range(procs - 1):
+            end, send = _FORK.Pipe(duplex=False)
+            pipes.append(end)
+            proc = _FORK.Process(target=work, args=(send,))
+            proc.start()
+            send.close()
+            workers.append((proc, end))
+        while (i := take()) < len(blocks):
+            results[i] = run(*blocks[i])
+        for proc, end in workers:
+            try:
+                got = end.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    "walk worker %s (pid %d) exited with code %s without "
+                    "sending its blocks" % (proc.name, proc.pid,
+                                            proc.exitcode)) from None
+            if isinstance(got, tuple):      # the exception that stopped it
+                exc, trace = got
+                raise exc from _WorkerTraceback(trace)
+            for i, result in got:
+                results[i] = result
+    finally:
+        stop()
+        for end in pipes:
+            end.close()
+        for proc, _ in workers:
+            proc.join()
+    return results
+
+
 def run_experiment(mu, config, workers=1):
     """All trials as one Run, ordered by trial index; identical for any
     worker count.
@@ -1233,22 +1331,21 @@ def run_experiment(mu, config, workers=1):
     The trials are cut into blocks of near-equal size, each holding at most
     _BLOCK_BYTES by its backend's row_bytes (at least one row), about a
     multiple of `workers` of them, `workers` capped at the CPUs this process
-    may use.  The blocks run in process, or on a pool of one worker per
-    block up to that cap."""
+    may use.  The blocks run on min(workers, blocks) processes, this one
+    and forked workers (_deal), which take them as they free up; in
+    process alone where the platform cannot fork."""
     trials = config.trials
     cls, classes = _backend(mu, config)
     rows = _BLOCK_BYTES // cls.row_bytes(mu, config, classes)
     parts = min(workers, _cpus())
     size = _block_size(trials, parts, max(1, rows))
-    los = range(0, trials, size)
-    his = [min(lo + size, trials) for lo in los]
-    run = partial(_run_trials, cls, mu, config, classes=classes)
-    pool = min(parts, len(los))
-    if pool <= 1:
-        runs = list(map(run, los, his))
-    else:
-        with ProcessPoolExecutor(max_workers=pool) as executor:
-            runs = list(executor.map(run, los, his))
+    blocks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+    def run(lo, hi):
+        return _run_trials(cls, mu, config, lo, hi, classes)
+
+    procs = min(parts, len(blocks)) if _FORK is not None else 1
+    runs = _deal(run, blocks, procs)
     failures = [fail for _, fails in runs for fail in fails]
     if failures:
         raise ExperimentError(failures)

@@ -717,3 +717,14 @@ def test_console_script_is_installed():
     for name in ("verify", "drift", "clt", "deviation", "gap",
                  "distance", "tree-lab"):
         assert name in proc.stdout
+
+
+def test_the_cli_starts_without_concurrent_futures():
+    # walk workers are forked multiprocessing processes: importing the
+    # command does not import the executor machinery
+    child = ("import sys\nimport outwalk.cli\n"
+             "print('concurrent.futures' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

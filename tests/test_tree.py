@@ -340,8 +340,10 @@ class LoopScreen:
     def __len__(self):
         return len(self.samples)
 
-    def products(self, x, fallback):
-        return np.array([fallback(x, y) for y in self.samples])
+    def products(self, queries):
+        return np.array([[fallback(x, y) for y in self.samples]
+                         for x, fallback in queries]).reshape(
+            len(queries), len(self.samples))
 
 
 def letters_of_rank(rank):
@@ -442,7 +444,7 @@ def test_head_screen_matches_the_scalar_products(seed):
             seen.append(outcome(tree.gromov_product, x, y))
             return -1.0
 
-        got = tree._HeadScreen(records_of(ys)).products(x, fallback)
+        got = tree._HeadScreen(records_of(ys)).products([(x, fallback)])[0]
         ys = [y for y in ys if y.depth]             # the usable samples
         screened = iter(seen)
         merged = [next(screened) if v == -1.0 else int(v) for v in got]
@@ -452,6 +454,29 @@ def test_head_screen_matches_the_scalar_products(seed):
         assert seen == [
             o for o, y in zip(expected, ys)
             if not isinstance(o, int) or o >= min(head_known(x), head_known(y))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_head_screen_takes_many_queries_in_one_call(seed):
+    # one call of several queries gives each query's row of one-query
+    # calls, and calls the fallbacks in query then sample order
+    rng = np.random.default_rng(seed)
+    xs = [random_x(rng) for _ in range(4)] + [bp("per:ab"), fg.parse_word("b")]
+    screen = tree._HeadScreen(records_of(mixed_samples(rng, bp("per:ab"))))
+    seen = []
+
+    def fallback(x, y):
+        seen.append((id(x), tree._product_lower_value(x, y)))
+        return -1.0
+
+    got = screen.products([(x, fallback) for x in xs])
+    batched = seen[:]
+    seen.clear()
+    rows = [screen.products([(x, fallback)])[0] for x in xs]
+    assert got.shape == (len(xs), len(screen))
+    assert np.array_equal(got, np.array(rows))
+    assert seen == batched
+    assert screen.products([]).shape == (0, len(screen))
 
 
 def estimator_pair(monkeypatch, fn, *args):

@@ -2,6 +2,7 @@
 and the from-scratch spot checks."""
 
 import math
+import multiprocessing
 import os
 import pickle
 import re
@@ -423,34 +424,109 @@ def test_outer_worker_count_does_not_change_results():
                                                (1, 12, None)])
 def test_the_pool_is_capped_by_the_cpus_and_the_blocks(cpus, trials, pool,
                                                        monkeypatch):
-    # a stand-in pool records its size and maps in process, so no worker
-    # process starts however many workers are asked for
-    sizes = []
+    # the blocks run on min(workers, CPUs, blocks) processes, the caller and
+    # forked workers, however many workers are asked for; one process
+    # starts none
+    started = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    class CountedProcess(walk._FORK.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
     assert 1 <= walk._cpus() <= os.cpu_count()
     cfg = WalkConfig(horizon=50, trials=trials, master_seed=4,
                      checkpoints=(25, 50),
                      tracked_classes=(tree.parse_boundary("per:b"),))
     want = run_experiment(srw_measure(), cfg)
-    monkeypatch.setattr(walk, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(walk._FORK, "Process", CountedProcess)
     monkeypatch.setattr(walk, "_cpus", lambda: cpus)
     got = run_experiment(srw_measure(), cfg, workers=10 ** 6)
-    assert sizes == ([] if pool is None else [pool])
+    assert len(started) == (0 if pool is None else pool - 1)
     assert len(got) == trials
     assert all(records_equal(x, y) for x, y in zip(want, got))
+
+
+def plant_in_tree_blocks(monkeypatch, fault, in_worker):
+    """Blocks of 3 rows of a 6-trial tree walk on two processes, whose
+    blocks call fault() as they advance: a worker's if in_worker, else the
+    caller's.  The other process's blocks wait until fault() has run, so
+    the process with the fault takes at least one block."""
+    caller = os.getpid()
+    planted = walk._FORK.Event()
+    advance = walk._TreeBlock.advance
+
+    def faulty(self, start, stop):
+        if (os.getpid() != caller) == in_worker:
+            planted.set()
+            fault()
+        else:
+            planted.wait(30)
+        advance(self, start, stop)
+
+    monkeypatch.setattr(walk._TreeBlock, "advance", faulty)
+    monkeypatch.setattr(walk, "_cpus", lambda: 2)
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 3 * 2 * 20)
+    cfg = WalkConfig(horizon=20, trials=6, master_seed=5,
+                     checkpoints=(10, 20),
+                     tracked_classes=(tree.parse_boundary("per:b"),))
+    return lambda: run_experiment(srw_measure(), cfg, workers=2)
+
+
+def raise_planted():
+    raise RuntimeError("planted")
+
+
+@pytest.mark.parametrize("in_worker", [True, False])
+def test_an_exception_in_any_process_reaches_the_caller(in_worker,
+                                                        monkeypatch):
+    run = plant_in_tree_blocks(monkeypatch, raise_planted, in_worker)
+    with pytest.raises(RuntimeError, match="^planted$") as err:
+        run()
+    if in_worker:       # with the worker's traceback as its cause
+        assert "in raise_planted" in str(err.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_without_sending_is_named(monkeypatch):
+    # no hang: the worker's pipe closes, and the caller names it
+    def die():
+        os._exit(3)
+
+    run = plant_in_tree_blocks(monkeypatch, die, True)
+    with pytest.raises(RuntimeError, match="walk worker .* exited with "
+                                           "code 3"):
+        run()
+    assert multiprocessing.active_children() == []
+
+
+def test_every_block_runs_once_on_more_processes_than_cpus(monkeypatch,
+                                                          tmp_path):
+    # 40 one-row blocks dealt to the caller and three workers through the
+    # shared counter: a lost update would run a block twice or skip one
+    cfg = WalkConfig(horizon=20, trials=40, master_seed=3,
+                     checkpoints=(10, 20),
+                     tracked_classes=(tree.parse_boundary("per:ab"),))
+    want = run_experiment(srw_measure(), cfg)
+    log = tmp_path / "blocks"
+    run_trials = walk._run_trials
+
+    def logged(cls, mu, config, lo, hi, classes=None):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, b"%d\n" % lo)
+        finally:
+            os.close(fd)
+        return run_trials(cls, mu, config, lo, hi, classes)
+
+    monkeypatch.setattr(walk, "_run_trials", logged)
+    monkeypatch.setattr(walk, "_cpus", lambda: 4)
+    monkeypatch.setattr(walk, "_BLOCK_BYTES", 2 * 20)
+    got = run_experiment(srw_measure(), cfg, workers=4)
+    assert sorted(map(int, log.read_text().split())) == list(range(40))
+    assert [r.trial_index for r in got] == list(range(40))
+    assert all(records_equal(x, y) for x, y in zip(want, got))
+    assert multiprocessing.active_children() == []
 
 
 # -- spot checks
