@@ -220,8 +220,9 @@ def row_prefix(rows, ref, n):
     return np.minimum(n, np.where((first == 0) & ~off[..., 0], width, first))
 
 
-def cyclic_reduce(w):
-    """Split reduced w as (cyclic part, conjugator): w = s * c * s^-1."""
+def _peel(w):
+    """w as a letter array and k, the pairs peeled from its ends: reduced w
+    is s * c * s^-1 with |s| = k and c cyclically reduced."""
     w = np.asarray(w, dtype=LETTER_DTYPE)
     n = len(w)
     half = n // 2
@@ -237,14 +238,19 @@ def cyclic_reduce(w):
     # a reduced word cannot cancel across its own midpoint
     if half and 2 * k == n:
         raise ValueError("input word is not freely reduced")
-    core = w[k:n - k]
-    return _freeze(core.copy()), _freeze(w[:k].copy())
+    return w, k
+
+
+def cyclic_reduce(w):
+    """Split reduced w as (cyclic part, conjugator): w = s * c * s^-1."""
+    w, k = _peel(w)
+    return _freeze(w[k:len(w) - k].copy()), _freeze(w[:k].copy())
 
 
 def cyclic_length(w):
     """Length of the cyclic reduction; conjugation-invariant."""
-    core, _ = cyclic_reduce(w)
-    return len(core)
+    w, k = _peel(w)
+    return len(w) - 2 * k
 
 
 def cyclic_lengths(w, lens):
@@ -420,12 +426,9 @@ class Automorphism:
         widest = max(len(w) for w in self.inverse)
         if total * max(widest, 1) > self._VERIFY_BUDGET:
             return
-        table = _letter_images(self.inverse)
+        table = _letter_images([w.tolist() for w in self.inverse])
         for i, w in enumerate(self.forward, 1):
-            out = []
-            for v in w.tolist():
-                out.extend(table[v])
-            if _reduce_list(out) != [i]:
+            if _image_list(table, w.tolist()) != [i]:
                 raise ValueError("forward and inverse images do not invert "
                                  "each other at a_%d" % i)
         self._inverse_lists = table
@@ -447,7 +450,7 @@ class Automorphism:
     def _image_lists(self):
         """Letter -> image as a list, for every letter and its inverse."""
         if self._lists is None:
-            self._lists = _letter_images(self.forward)
+            self._lists = _letter_images([w.tolist() for w in self.forward])
         return self._lists
 
     def _image_arrays(self):
@@ -470,15 +473,12 @@ class Automorphism:
         if len(w) == 0:
             return _EMPTY
         if len(w) <= _SMALL:
-            table = self._image_lists()
-            out = []
             try:
-                for v in w.tolist():
-                    out.extend(table[v])
+                out = _image_list(self._image_lists(), w.tolist())
             except KeyError:
                 raise RankError("word uses letters beyond rank %d"
                                 % self.rank) from None
-            return _freeze(np.array(_reduce_list(out), dtype=LETTER_DTYPE))
+            return _freeze(np.array(out, dtype=LETTER_DTYPE))
         if int(np.abs(w).max()) > self.rank:
             raise RankError("word uses letters beyond rank %d" % self.rank)
         codes = ((np.abs(w).astype(np.intp) - 1) << 1) | (w < 0)
@@ -500,12 +500,20 @@ class Automorphism:
 
 
 def _letter_images(images):
-    """Letter -> image as a list, from the images of the basis letters."""
+    """Letter -> image as a list, from the basis letters' images as lists."""
     table = {}
     for i, img in enumerate(images, 1):
-        table[i] = img.tolist()
-        table[-i] = [-v for v in reversed(table[i])]
+        table[i] = img
+        table[-i] = [-v for v in reversed(img)]
     return table
+
+
+def _image_list(table, letters):
+    """The reduced image of a letter list under a letter -> image table."""
+    out = []
+    for v in letters:
+        out.extend(table[v])
+    return _reduce_list(out)
 
 
 def _gather(images, codes):
@@ -642,13 +650,51 @@ def compose(phi, psi):
 
 
 def from_trace(rank, moves):
-    """Compose elementary moves left to right: the last move acts last."""
-    if not moves:
-        return Automorphism.identity(rank)
-    phi = elementary(moves[0], rank)
-    for mv in moves[1:]:
-        phi = compose(elementary(mv, rank), phi)
+    """Compose elementary moves left to right: the last move acts last.
+
+    The images are composed as letter lists, and the result is checked
+    once.  phi = m_k o ... o m_1 is built from the right (m_k, then
+    m_k o m_k-1, ...) and phi^-1 = m_1^-1 o ... o m_k^-1 from the left, so
+    each step precomposes with one move and rewrites only the images of
+    the letters that move does not fix."""
+    if len(moves) < 2:
+        return (elementary(moves[0], rank) if moves
+                else Automorphism.identity(rank))
+    inv = [[i] for i in range(1, rank + 1)]
+    for mv in moves:
+        _precompose(inv, _moved(mv, rank)[1])
+    fwd = [[i] for i in range(1, rank + 1)]
+    for mv in reversed(moves):
+        _precompose(fwd, _moved(mv, rank)[0])
+    phi = Automorphism._trusted(
+        rank, [_freeze(np.array(w, dtype=LETTER_DTYPE)) for w in fwd],
+        [_freeze(np.array(w, dtype=LETTER_DTYPE)) for w in inv])
+    phi._lists = _letter_images(fwd)
     return phi
+
+
+@lru_cache(maxsize=None)
+def _moved(move, rank):
+    """The letters an elementary move does not fix, each with its image as
+    a tuple: (i, m(a_i)) pairs for m, then for m^-1."""
+    m = elementary(move, rank)
+    return tuple(tuple((i, tuple(w.tolist())) for i, w in enumerate(side, 1)
+                       if w.tolist() != [i])
+                 for side in (m.forward, m.inverse))
+
+
+def _precompose(images, moved):
+    """images, the basis letters' images as lists, become those of the map
+    precomposed with a move m, given m's moved letters (i, m(a_i))."""
+    new = []
+    for i, w in moved:
+        out = []
+        for v in w:
+            out.extend(images[v - 1] if v > 0
+                       else [-u for u in reversed(images[-v - 1])])
+        new.append((i, _reduce_list(out)))
+    for i, img in new:
+        images[i - 1] = img
 
 
 def random_automorphism(rng, rank, n_moves):

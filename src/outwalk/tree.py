@@ -14,6 +14,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,14 +226,23 @@ def _stream_prefix_with_word(w, xi):
     return c
 
 
+@lru_cache(maxsize=4096)
+def _periodic_product(xpre, xper, ypre, yper):
+    """Common prefix of two eventually periodic streams, given by the bytes
+    of their preperiods and periods; INFINITE if equal."""
+    # Fine and Wilf: two streams that are periodic beyond m with periods
+    # p, q and agree on m + p + q letters agree everywhere.
+    bound = max(len(xpre), len(ypre)) + len(xper) + len(yper)
+    c = fg.common_prefix_len(
+        xpre + xper * ((bound - len(xpre)) // len(xper) + 1),
+        ypre + yper * ((bound - len(ypre)) // len(yper) + 1))
+    return INFINITE if c >= bound else c
+
+
 def _stream_prefix_pair(x, y):
     """Common prefix of two boundary streams; INFINITE if equal."""
     if x._per is not None and y._per is not None:
-        # Fine and Wilf: two streams that are periodic beyond m with periods
-        # p, q and agree on m + p + q letters agree everywhere.
-        bound = max(len(x._pre), len(y._pre)) + len(x._per) + len(y._per)
-        c = fg.common_prefix_len(x._head(bound), y._head(bound))
-        return INFINITE if c >= bound else c
+        return _periodic_product(x._pre, x._per, y._pre, y._per)
     # a truncated stream holds exactly its certified letters, so the
     # comparison stops at the smaller certified depth
     bound = min(d for d in (x.depth, y.depth) if d is not None)

@@ -157,6 +157,67 @@ def test_a_checked_compose_builds_each_image_table_once(monkeypatch):
     assert psi._inverse_lists is None       # handed to its twin
 
 
+def compose_chain(rank, moves):
+    """from_trace as it was before it composed on letter lists: one checked
+    compose a move, the last move acting last; kept as the reference."""
+    if not moves:
+        return fg.Automorphism.identity(rank)
+    phi = fg.elementary(moves[0], rank)
+    for mv in moves[1:]:
+        phi = fg.compose(fg.elementary(mv, rank), phi)
+    return phi
+
+
+def random_move(rng, rank):
+    """A move of every kind: R and L of either sign, I, and T, including
+    the transposition of a letter with itself."""
+    i, j = (int(v) for v in rng.integers(1, rank + 1, size=2))
+    kind = "RLIT"[int(rng.integers(4))]
+    if kind == "I":
+        return "I:%d" % i
+    if kind == "T":
+        return "T:%d:%d" % (i, j)
+    if i == j:
+        j = i % rank + 1
+    return "%s:%d:%d:%s" % (kind, i, j, "+-"[int(rng.integers(2))])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_from_trace_matches_the_compose_chain(rank):
+    rng = np.random.default_rng(rank)
+    kinds = set()
+    for n in range(13):
+        for _ in range(12):
+            trace = [random_move(rng, rank) for _ in range(n)]
+            kinds.update(mv[0] + mv[6:] if mv[0] in "RL" else mv[0]
+                         for mv in trace)
+            got, want = fg.from_trace(rank, trace), compose_chain(rank, trace)
+            assert got.rank == want.rank == rank
+            for side in ("forward", "inverse"):
+                for a, b in zip(getattr(got, side), getattr(want, side)):
+                    assert a.dtype == fg.LETTER_DTYPE and not a.flags.writeable
+                    assert a.tobytes() == b.tobytes(), (trace, side)
+            # the letter table from_trace hands over with its result
+            assert got._image_lists() == want._image_lists()
+    assert kinds == {"R+", "R-", "L+", "L-", "I", "T"}
+
+
+def test_from_trace_checks_its_result_once(monkeypatch):
+    # the moves are composed as lists, and only the composite is built
+    checked = []
+    verify = fg.Automorphism._verify_round_trip
+
+    def counted(self):
+        checked.append(images(self))
+        return verify(self)
+
+    for mv in ("R:1:2:+", "L:3:1:-", "I:2", "T:1:3"):
+        fg.elementary(mv, 3)            # built and checked once, cached
+    monkeypatch.setattr(fg.Automorphism, "_verify_round_trip", counted)
+    phi = fg.from_trace(3, ["R:1:2:+", "L:3:1:-", "I:2", "T:1:3"])
+    assert checked == [images(phi)] == [["cB", "B", "Ca"]]
+
+
 def test_trusted_constructor_rejects_mismatched_inverse():
     fwd = [fg.parse_word("ab"), fg.parse_word("b")]
     bad_inv = [fg.parse_word("a"), fg.parse_word("b")]

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output files, and reproducibility."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -572,6 +573,64 @@ def test_bench_tree_lab_input_keeps_its_recorded_digests(tmp_path):
     for name, digest in digests.items():
         with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_bench_exact_oracles_keep_their_recorded_digest():
+    # the benchmark's exact_oracles call sequence at seed 0, run as
+    # bench/child.py runs it, after the warm-up of its set-up; its summary,
+    # written as the child writes it, must have the digest that
+    # bench/digests.json records
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.warm_oracle_caches()
+    attempted, failed, summary = workloads.run_oracles(0)
+    assert (attempted, failed) == (12608, 0)
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(ROOT, "bench", "digests.json")) as fh:
+        digests = json.load(fh)["exact_oracles"]
+    assert sorted(digests) == ["oracles_summary.json"]
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        digests["oracles_summary.json"]
+
+
+# tests/golden_digests.json: config -> command -> output file -> sha256, for
+# every walk command that applies to each shipped config and for distance
+# on rose_asymmetry.json.  manifest.json is not pinned, as it names the
+# Python and numpy versions; it must be the same at both thread counts.
+GOLDEN_COMMANDS = ("drift", "clt", "deviation", "gap", "tree-lab", "distance")
+
+
+def test_shipped_configs_keep_their_golden_digests(tmp_path):
+    with open(os.path.join(ROOT, "tests", "golden_digests.json")) as fh:
+        golden = json.load(fh)
+    names = sorted(os.listdir(os.path.join(ROOT, "configs")))
+    assert set(golden) == set(names)
+    for name in names:
+        path = os.path.join(ROOT, "configs", name)
+        for command in GOLDEN_COMMANDS:
+            want = golden[name].get(command)
+            manifests = set()
+            for threads in ("1",) if command == "distance" else ("1", "2"):
+                out = str(tmp_path / name / command / threads)
+                argv = [command, "--config", path, "--out", out]
+                if command != "distance":
+                    argv += ["--threads", threads]
+                code = run(argv)
+                if want is None:        # a command that does not apply
+                    assert code == 2, (name, command)
+                    continue
+                assert code == 0, (name, command, threads)
+                with open(os.path.join(out, "manifest.json"), "rb") as fh:
+                    manifests.add(fh.read())
+                got = {}
+                for file in sorted(os.listdir(out)):
+                    with open(os.path.join(out, file), "rb") as fh:
+                        got[file] = hashlib.sha256(fh.read()).hexdigest()
+                assert got.pop("manifest.json")
+                assert got == want, (name, command, threads)
+            assert len(manifests) == (want is not None)
 
 
 # sha256 of `outwalk gap` on configs/outf2_gap.json as shipped (400 trials,

@@ -683,6 +683,88 @@ def test_bytes_calculus_matches_the_numpy_reference(rank, seed):
     assert depth_errors > 0     # undecidable cases were reached
 
 
+def random_periodic(rng, rank, pre=None):
+    """An eventually periodic point: a random preperiod of 0-5 letters, or
+    pre followed by 1-3 random letters, then a period of 1-5 letters."""
+    while True:
+        head = (extend(rng, [], int(rng.integers(0, 6)), rank=rank)
+                if pre is None else
+                extend(rng, pre, int(rng.integers(1, 4)), rank=rank))
+        per = extend(rng, [], int(rng.integers(1, 6)), rank=rank)
+        try:
+            return tree.BoundaryPoint.periodic(head, per)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("rank,seed", [(2, 0), (2, 1), (3, 2)])
+def test_cached_periodic_products_match_fine_wilf(rank, seed):
+    # against ref_prefix_pair, the Fine-Wilf window read from each point's
+    # own letters: unrelated pairs, pairs that share a prefix, and one point
+    # written again with a longer preperiod and a rotated period, which is
+    # the same point under another cache key; each product is asked twice,
+    # in both orders, so that the second comes from the cache
+    tree._periodic_product.cache_clear()
+    rng = np.random.default_rng(seed)
+    infinite = 0
+    for _ in range(300):
+        x = random_periodic(rng, rank)
+        kind = int(rng.integers(3))
+        if kind == 0:
+            y = random_periodic(rng, rank)
+        elif kind == 1:
+            y = random_periodic(rng, rank,
+                                x.letters(int(rng.integers(0, 12))).tolist())
+        else:
+            k = len(x.preperiod) + int(rng.integers(0, 9))
+            j = (k - len(x.preperiod)) % len(x.period)
+            y = tree.BoundaryPoint.periodic(x.letters(k),
+                                            np.roll(x.period, -j))
+        want = outcome(ref_prefix_pair, x, y)
+        for _ in range(2):
+            assert outcome(tree.gromov_product, x, y) == want
+            assert outcome(tree.gromov_product, y, x) == want
+        infinite += want == ("inf",)
+        if kind == 2:
+            assert want == ("inf",)
+    assert infinite >= 50
+    info = tree._periodic_product.cache_info()
+    assert info.maxsize is not None and info.hits >= 600
+
+
+def test_periodic_products_at_the_edge_of_the_window():
+    # streams periodic beyond m with periods p and q that agree on
+    # m + p + q - gcd(p, q) letters agree everywhere (Fine and Wilf), so a
+    # product of distinct points stops at m + p + q - gcd(p, q) - 1, and the
+    # cache's bound m + p + q is never reached short of INFINITE; points
+    # with equal letters parsed from different literals are equal
+    for x, y, edge in (("per:ab", "per:abaB", 3), ("per:ab", "per:aba", 3),
+                       ("pre:B per:ab", "pre:B per:aba", 4)):
+        x, y = bp(x), bp(y)
+        m = max(len(x.preperiod), len(y.preperiod))
+        p, q = len(x.period), len(y.period)
+        assert tree.gromov_product(x, y) == edge == \
+            m + p + q - math.gcd(p, q) - 1 == ref_prefix_pair(x, y)
+    for x, y in (("per:ab", "per:ab"), ("per:ab", "pre:a per:ba"),
+                 ("per:ab", "pre:abab per:abab"),
+                 ("pre:Ba per:abAB", "pre:Baab per:ABab")):
+        assert tree.is_infinite(tree.gromov_product(bp(x), bp(y)))
+        assert tree.is_infinite(tree.gromov_product(bp(y), bp(x)))
+
+
+def test_truncated_products_raise_on_every_call():
+    # truncated points never reach the periodic cache, so an undecidable
+    # product raises each time it is asked
+    for x, y in (("prefix:abab depth:4", "per:ab"),
+                 ("prefix:ab", "prefix:abA"), ("prefix: depth:0", "per:b")):
+        for _ in range(3):
+            with pytest.raises(tree.DepthError):
+                tree.gromov_product(bp(x), bp(y))
+            with pytest.raises(tree.DepthError):
+                tree.gromov_product(bp(y), bp(x))
+    assert tree.gromov_product(bp("prefix:abab depth:4"), bp("per:aB")) == 1
+
+
 def test_boundary_point_pickles_its_letters_once():
     import pickle
     for xi in (bp("pre:Ba per:abAB"), bp("per:b"), bp("prefix:abAB depth:3"),

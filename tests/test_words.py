@@ -140,6 +140,33 @@ def test_cyclic_lengths_peel_in_rounds_then_scan(rank, seed):
                                  ).tolist() == cyc
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65])
+def test_cyclic_length_counts_what_cyclic_reduce_peels(n):
+    # reduced words of n letters, on either side of the 64-letter list path,
+    # with conjugators of every depth a reduced word of n letters allows
+    rng = np.random.default_rng(n)
+    for k in range(max(1, (n + 1) // 2)):
+        while True:
+            s = fg.random_reduced_word(rng, 3, k).tolist()
+            core = fg.random_reduced_word(rng, 3, n - 2 * k).tolist()
+            w = np.array(s + core + [-v for v in reversed(s)],
+                         dtype=fg.LETTER_DTYPE)
+            if fg.is_reduced(w):
+                break
+        assert len(w) == n
+        assert fg.cyclic_length(w) == len(fg.cyclic_reduce(w)[0]) <= n - 2 * k
+
+
+@pytest.mark.parametrize("half", [1, 32, 33])
+def test_cyclic_length_rejects_a_word_that_cancels_at_its_middle(half):
+    # s s^-1 of 2, 64 and 66 letters: list path and array path
+    s = fg.random_reduced_word(np.random.default_rng(half), 3, half)
+    w = np.concatenate((s, fg.inverse(s)))
+    for fn in (fg.cyclic_length, fg.cyclic_reduce):
+        with pytest.raises(ValueError, match="not freely reduced"):
+            fn(w)
+
+
 @given(letters_f3)
 def test_cyclic_reduce_conjugacy_relation(raw):
     w = fg.reduce(raw)
