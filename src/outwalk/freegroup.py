@@ -346,6 +346,12 @@ def exponent_sums(w, rank):
                  for i in range(1, rank + 1))
 
 
+# letter code c, in the order a1, a1^-1, a2, a2^-1, ..., to its letter as a
+# signed byte
+_CODE_LETTERS = bytes(((c >> 1) + 1) * (1 - 2 * (c & 1)) & 0xFF
+                      for c in range(256))
+
+
 def random_reduced_word(rng, rank, length):
     """Uniform reduced word of exactly the given length.
 
@@ -354,13 +360,13 @@ def random_reduced_word(rng, rank, length):
     that are not the inverse of the letter before it."""
     if length == 0:
         return _EMPTY
-    gens = np.array([g for i in range(1, rank + 1) for g in (i, -i)],
-                    dtype=LETTER_DTYPE)
     codes = [int(rng.integers(2 * rank))]
     for j in rng.integers(2 * rank - 1, size=length - 1).tolist():
         # skip the code of the previous letter's inverse (its code ^ 1)
         codes.append(j + (j >= (codes[-1] ^ 1)))
-    return _freeze(gens[codes])
+    # frombuffer over bytes is read-only, as a returned word must be
+    return np.frombuffer(bytes(codes).translate(_CODE_LETTERS),
+                         dtype=LETTER_DTYPE)
 
 
 # ---------------------------------------------------------------------------

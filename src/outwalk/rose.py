@@ -166,8 +166,18 @@ def sigma_ratio(phi, g):
 # as both pieces are reduced, letters cancel only at the seam between
 # them.  A necklace's row is then cyclically reduced by peeling inverse
 # letters off both of its ends.
+#
+# Nodes are processed in chunks, each within one working-set budget: a
+# node's int8 row plus the int64 vectors that the kernel holds for it at
+# its peak (parent index, letter code, lengths, seam offsets, the child's
+# lengths and the temporaries between them).  A chunk whose children
+# exceed the budget is halved until they fit or it has one parent; grow
+# and peel are functions so that their temporaries go when they return.
+# At 2 MB, rank 2 and length 12, one oracle call peaks at about 2 MB
+# traced; smaller budgets cost time in per-chunk overhead.
 
-_STACK_BYTES = 1 << 22   # largest image stack built for one chunk of nodes
+_CHUNK_BYTES = 1 << 21   # working set of one chunk of nodes
+_NODE_VECTORS = 20       # int64 vectors held per node of a chunk
 
 
 def _enumeration_count(rank, max_len):
@@ -201,22 +211,46 @@ def _prenecklace_levels(rank, max_len):
     # a prenecklace iff c >= the letter p places back; p becomes the new
     # length iff c is larger; a prenecklace of length n is a necklace iff
     # p divides n.  Extending a sorted array row by row keeps it sorted.
+    # A level is built into arrays of its final size, in chunks of parents
+    # whose temporaries (about 64 bytes a child) fit the chunk budget;
+    # ENUMERATION_BOUND keeps every index below 2^31, so parent is int32.
     vals = codes
     lyn = np.ones(2 * rank, dtype=np.int64)
-    yield vals, np.zeros(2 * rank, dtype=np.int64), codes, lyn == 1
+    yield vals, np.zeros(2 * rank, dtype=np.int32), codes.astype(np.int8), \
+        lyn == 1
+    step = max(1, _CHUNK_BYTES // (64 * 2 * rank))
     for n in range(2, max_len + 1):
         ref = (vals >> ((lyn - 1) * bits)) & mask
-        ok = (codes >= ref[:, None]) & (codes != ((vals & mask) ^ 1)[:, None])
-        rows, c = np.nonzero(ok)
-        vals = (vals[rows] << bits) | c
-        lyn = np.where(c > ref[rows], n, lyn[rows])
-        first = vals >> ((n - 1) * bits)
-        yield vals, rows, c, (n % lyn == 0) & (first != (c ^ 1))
+        inv = (vals & mask) ^ 1
+        # a parent keeps the codes c >= ref other than inv
+        size = int((2 * rank - ref).sum()) - np.count_nonzero(inv >= ref)
+        out_vals = np.empty(size, dtype=np.int64)
+        out_lyn = np.empty(size, dtype=np.int64)
+        parent = np.empty(size, dtype=np.int32)
+        code = np.empty(size, dtype=np.int8)
+        keep = np.empty(size, dtype=bool)
+        at = 0
+        for lo in range(0, len(vals), step):
+            r = ref[lo:lo + step]
+            rows, c = np.nonzero((codes >= r[:, None])
+                                 & (codes != inv[lo:lo + step, None]))
+            end = at + len(rows)
+            v = (vals[lo:lo + step][rows] << bits) | c
+            out_vals[at:end] = v
+            out_lyn[at:end] = np.where(c > r[rows], n, lyn[lo:lo + step][rows])
+            parent[at:end] = rows + lo
+            code[at:end] = c
+            keep[at:end] = ((n % out_lyn[at:end] == 0)
+                            & ((v >> ((n - 1) * bits)) != (c ^ 1)))
+            at = end
+        vals, lyn = out_vals, out_lyn
+        yield vals, parent, code, keep
 
 
 @lru_cache(maxsize=8)
 def _prenecklace_tree(rank, max_len):
-    """(parent, code, keep) of _prenecklace_levels, one triple per length."""
+    """(parent, code, keep) of _prenecklace_levels, one triple per length:
+    int32, int8 and bool, 6 bytes a node."""
     return tuple(level[1:] for level in _prenecklace_levels(rank, max_len))
 
 
@@ -227,6 +261,8 @@ def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
     chunk: the necklaces' length n, their indices among the prenecklaces
     of that length, and as int64 vectors the weighted length of each
     necklace and the weighted cyclic length of its image under theta_inv.
+    Raises ResourceLimitError before the first chunk if a weighted length
+    could pass int64.
     """
     tree = _prenecklace_tree(rank, max_len)
     # letter code c < 2 rank has image flat[starts[c]:starts[c] + lens[c]];
@@ -234,6 +270,13 @@ def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
     flat, starts, lens = fg.image_table([theta_inv])
     k_max = int(lens.max())
     width = max_len * k_max      # the longest image a word can have
+    # a word weighs at most max_len x its largest T weight, and its image,
+    # before and after cancelling, at most width x the largest U weight
+    top = max(width * int(max(num_u)), max_len * int(max(num_t)))
+    if top >= 1 << 63:
+        raise ResourceLimitError(
+            "weighted lengths up to %d do not fit in the 2^63 bound of "
+            "int64" % top)
     # imgs[c, :lens[c]] is the image of letter code c, zero-padded to twice
     # the longest image so that k_max letters read from any cancelled
     # offset stay in its row; pre_u[c, i] weighs its first i letters in U,
@@ -248,28 +291,9 @@ def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
     whole_u = pre_u[:, -1]
     letter_t = np.repeat(np.asarray(num_t, dtype=np.int64), 2)
 
-    # a chunk: the rows of prenecklaces lo..hi-1 of length n, the empty
-    # word at n = 0, with their row lengths and weighted lengths
-    zero = np.zeros(1, dtype=np.int64)
-    pending = [(0, 0, 1, np.zeros((1, width), dtype=np.int8), zero, zero,
-                zero)]
-    while pending:
-        n, lo, hi, stack, m, u, t = pending.pop()
-        parent, code, keep = tree[n]
-        first, last = np.searchsorted(parent, (lo, hi))
-        if (last - first) * width > _STACK_BYTES and hi - lo > 1:
-            mid = (hi - lo) // 2
-            pending.append((n, lo + mid, hi, stack[mid:], m[mid:], u[mid:],
-                            t[mid:]))
-            pending.append((n, lo, lo + mid, stack[:mid], m[:mid], u[:mid],
-                            t[:mid]))
-            continue
-        # the longest words have no children: only their necklaces count
-        nodes = np.arange(first, last)
-        if n + 1 == max_len:
-            nodes = nodes[keep[first:last]]
-        p = parent[nodes] - lo
-        c = code[nodes]
+    def grow(stack, m, u, t, p, c):
+        """Rows, row lengths and weighted lengths of the words p c: p
+        indexes the parents' rows, c is the appended letter's code."""
         mp, k = m[p], lens[c]
         child = stack.take(p, axis=0)
         flat_child = child.reshape(-1)
@@ -293,26 +317,57 @@ def _necklace_lengths(rank, max_len, theta_inv, num_t, num_u):
         src += j
         for col in range(k_max):
             flat_child[end + col] = img_flat[src + col]
-        m_child = mp + k - 2 * j
-        u_child = u[p] + whole_u[c] - 2 * pre_flat[c * pre_u.shape[1] + j]
-        t_child = t[p] + letter_t[c]
+        return (child, mp + k - 2 * j,
+                u[p] + whole_u[c] - 2 * pre_flat[c * pre_u.shape[1] + j],
+                t[p] + letter_t[c])
 
-        # a reduced row is s x s^-1 with x cyclically reduced: peel s, s^-1
-        rows = np.flatnonzero(keep[nodes])
-        u_core = u_child[rows]
+    def peel(stack, m, u, rows):
+        """Weighted cyclic lengths of the given reduced rows: a reduced row
+        is s x s^-1 with x cyclically reduced, so peel s and s^-1."""
+        flat = stack.reshape(-1)
+        u_core = u[rows]
         head = rows * width
-        tail = head + m_child[rows] - 1
-        live = np.flatnonzero(flat_child[head] == -flat_child[tail])
+        tail = head + m[rows] - 1
+        live = np.flatnonzero(flat[head] == -flat[tail])
         while live.size:
-            u_core[live] -= 2 * w_u[np.abs(flat_child[head[live]])]
+            u_core[live] -= 2 * w_u[np.abs(flat[head[live]])]
             head[live] += 1
             tail[live] -= 1
             live = live[tail[live] > head[live]]
-            live = live[flat_child[head[live]] == -flat_child[tail[live]]]
-        yield n + 1, nodes[rows], t_child[rows], u_core
+            live = live[flat[head[live]] == -flat[tail[live]]]
+        return u_core
+
+    # a chunk: the rows of prenecklaces lo..hi-1 of length n, the empty
+    # word at n = 0, with their row lengths and weighted lengths
+    zero = np.zeros(1, dtype=np.int64)
+    pending = [(0, 0, 1, np.zeros((1, width), dtype=np.int8), zero, zero,
+                zero)]
+    while pending:
+        n, lo, hi, stack, m, u, t = pending.pop()
+        parent, code, keep = tree[n]
+        first, last = np.searchsorted(parent, (lo, hi))
+        if ((last - first) * (width + 8 * _NODE_VECTORS) > _CHUNK_BYTES
+                and hi - lo > 1):
+            mid = (hi - lo) // 2
+            pending.append((n, lo + mid, hi, stack[mid:], m[mid:], u[mid:],
+                            t[mid:]))
+            pending.append((n, lo, lo + mid, stack[:mid], m[:mid], u[:mid],
+                            t[:mid]))
+            continue
+        # the longest words have no children: only their necklaces count
+        nodes = np.arange(first, last)
+        if n + 1 == max_len:
+            nodes = nodes[keep[first:last]]
+        child, m_child, u_child, t_child = grow(
+            stack, m, u, t, parent[nodes] - lo, code[nodes].astype(np.int64))
+        rows = np.flatnonzero(keep[nodes])
+        yield (n + 1, nodes[rows], t_child[rows],
+               peel(child, m_child, u_child, rows))
         if n + 1 < max_len:
             pending.append((n + 1, first, last, child, m_child, u_child,
                             t_child))
+        # free this chunk's arrays before the next chunk builds its own
+        del nodes, rows, child, m_child, u_child, t_child
 
 
 def brute_force_max_stretch(t, u, max_len):

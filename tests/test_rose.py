@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,12 +297,12 @@ def _tree_lengths(rank, max_len, theta_inv, num_t, num_u):
     return got
 
 
-@pytest.mark.parametrize("stack_bytes", [rose._STACK_BYTES, 1],
+@pytest.mark.parametrize("chunk_bytes", [rose._CHUNK_BYTES, 1],
                          ids=["default-budget", "one-parent-chunks"])
 def test_tree_kernel_matches_the_block_kernel_and_the_word_engine(
-        monkeypatch, stack_bytes):
+        monkeypatch, chunk_bytes):
     # a budget of one byte splits every chunk down to a single parent
-    monkeypatch.setattr(rose, "_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(rose, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(77)
     for rank, max_len in ((2, 8), (3, 5)):
         blocks = necklace_blocks(rank, max_len)
@@ -319,6 +321,64 @@ def test_tree_kernel_matches_the_block_kernel_and_the_word_engine(
                     core, _ = fg.cyclic_reduce(theta.apply(row))
                     want.append(int(sum(num_u[abs(int(v)) - 1] for v in core)))
                 assert u.tolist() == want
+
+
+def test_the_held_tree_is_six_bytes_a_node():
+    tree = rose._prenecklace_tree(2, 12)
+    nodes = sum(len(parent) for parent, _, _ in tree)
+    assert [(parent.dtype, code.dtype, keep.dtype)
+            for parent, code, keep in tree] == \
+        [(np.int32, np.int8, np.bool_)] * 12
+    assert sum(a.nbytes for level in tree for a in level) == 6 * nodes
+
+
+def test_a_tree_built_in_one_parent_chunks_is_the_same(monkeypatch):
+    whole = rose._prenecklace_tree.__wrapped__(3, 6)
+    monkeypatch.setattr(rose, "_CHUNK_BYTES", 1)
+    chunked = rose._prenecklace_tree.__wrapped__(3, 6)
+    for a, b in zip(whole, chunked):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+
+def test_one_oracle_call_stays_within_its_working_set():
+    # the chunk budget counts rows and int64 vectors: 2 MB, against about
+    # 9 MB traced when it counted the rows alone
+    rng = np.random.default_rng(414)
+    t, u = invariants.random_rose(rng, 2), invariants.random_rose(rng, 2)
+    rose.brute_force_max_stretch(t, u, 12)           # builds the cached tree
+    tracemalloc.start()
+    try:
+        rose.brute_force_max_stretch(t, u, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def _tiny_edge_pair(k):
+    # u has an edge of length 2^-k; its relative marking has images of up
+    # to 4 letters at max_len 8, so weighted U-lengths reach 32 (2^k - 1)
+    phi = fg.from_trace(2, ["R:1:2:+", "R:1:2:+", "L:2:1:+"])
+    return rose.unit_rose(2), rose.rose_point(
+        [Fraction(1, 2 ** k), 1 - Fraction(1, 2 ** k)], phi)
+
+
+def test_the_oracle_refuses_lengths_past_int64():
+    t, u = _tiny_edge_pair(62)
+    for a, b in ((t, u), (u, t)):
+        with pytest.raises(rose.ResourceLimitError, match="2\\^63"):
+            rose.brute_force_max_stretch(a, b, 8)
+    t, u = _tiny_edge_pair(59)          # 32 (2^59 - 1) >= 2^63
+    with pytest.raises(rose.ResourceLimitError, match="2\\^63"):
+        rose.brute_force_max_stretch(t, u, 8)
+
+
+def test_lengths_just_inside_int64_are_exact():
+    t, u = _tiny_edge_pair(58)          # 32 (2^58 - 1) < 2^63
+    assert rose.brute_force_max_stretch(t, u, 8) == rose.max_stretch(t, u)
+    t, u = _tiny_edge_pair(60)          # T-lengths up to 8 (2^60 - 1)
+    assert rose.brute_force_max_stretch(u, t, 8) == rose.max_stretch(u, t)
 
 
 def test_every_class_ties_between_a_point_and_itself():
