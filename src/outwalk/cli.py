@@ -126,6 +126,10 @@ def _deviation(cfg, mu, run, grid):
     de = stats.drift_estimate(run)
     epsilon = (float(cfg.get("deviation", {}).get("epsilon_factor", 0.2))
                * de.lambda_hat)
+    if epsilon <= 0:
+        raise ValueError("deviation: lambda_hat is %r, so the band "
+                         "$.deviation.epsilon_factor x lambda_hat is empty"
+                         % de.lambda_hat)
     curve = stats.deviation_curve(run, de.lambda_hat, epsilon, grid)
     summary = {
         "lambda_hat": de.lambda_hat,

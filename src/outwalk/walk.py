@@ -17,11 +17,10 @@ backends supply the rows: _TreeBlock (position stacks, each step a few
 numpy operations over all rows), _GL2ZBlock (rank 2 with every class
 primitive: abelianized vectors moved by int64 products of step matrices)
 and _WordBlock (exact reduced image words, a row at a time).  Each sizes
-a row by row_bytes, so
-run_experiment cuts blocks the same way for any worker count, and a lone
-trial (sample_path) is a block of one.  The calling process runs blocks
-itself, beside any forked workers; every process takes the next block from
-one shared counter (_deal).
+a row by row_bytes, so run_experiment cuts blocks the same way for any
+worker count, and a lone trial (sample_path) is a block of one.  The
+calling process runs blocks itself, beside any forked workers, and the
+blocks are dealt round-robin, with no shared state (_deal).
 
 A block hands back its values as arrays, a row per finished trial, and
 run_experiment joins the blocks' arrays into one Run, which the analyses
@@ -41,7 +40,6 @@ time.
 from __future__ import annotations
 
 import math
-import mmap
 import multiprocessing
 import numbers
 import os
@@ -632,7 +630,9 @@ class _GL2ZBlock(_OuterBlock):
     product moves the vectors once.  The read takes the cyclic lengths as
     Python ints either way.  No words are held, so the letter cap does not
     apply: a row's peak is its largest |p|+|q| at the start, a checkpoint or
-    the horizon.
+    the horizon.  A due row's vectors are checked against the lock-step
+    _Replay's, moved from the start vectors by the row's redrawn step
+    matrices and bounded the same way for the replay's own matrices.
     """
 
     # the spot check compares cyclic lengths while its words stay this short
@@ -675,10 +675,10 @@ class _GL2ZBlock(_OuterBlock):
 
     def segment(self, start, stop):
         """Steps start+1 .. stop as one product per row."""
-        prod = self.mats[self.steps[start]]
+        mat = self.mats[self.steps[start]]
         for s in range(start + 1, stop):
-            prod = self.mats[self.steps[s]] @ prod
-        a, b, c, d = prod.reshape(-1, 4).T.astype(self.p.dtype)[:, :, None]
+            mat = self.mats[self.steps[s]] @ mat
+        a, b, c, d = mat.reshape(-1, 4).T.astype(self.p.dtype)[:, :, None]
         self.p, self.q = a * self.p + b * self.q, c * self.p + d * self.q
 
     def cyclic_lengths(self, rows):
@@ -689,7 +689,7 @@ class _GL2ZBlock(_OuterBlock):
                               self.start_vecs)
 
     def spot_check(self, k, step, rows):
-        """Each row against the product of its redrawn step matrices, after
+        """Each row's vectors against the replay's (_Replay.vectors), after
         the replay's first mismatch of |p|+|q| with its words' cyclic
         lengths, if any."""
         replay = self.replay
@@ -704,11 +704,10 @@ class _GL2ZBlock(_OuterBlock):
                     "from its cyclic word length"
                     % (self.lo + r, at, fg.format_word(storage[i])))
                 continue
-            a, b, c, d = replay.product(r)
-            for w0, (p, q), vec in zip(storage, self.start_vecs,
-                                      zip(self.p[r].tolist(),
-                                          self.q[r].tolist())):
-                if (a * p + b * q, c * p + d * q) != vec:
+            for w0, got, vec in zip(storage, replay.vectors(r),
+                                    zip(self.p[r].tolist(),
+                                        self.q[r].tolist())):
+                if got != vec:
                     bad[r] = AssertionError(
                         "trial %d step %d: incremental vector of %r diverged "
                         "from the product of the step matrices"
@@ -730,20 +729,18 @@ class _Replay:
     without an m-th taking the identity.  Words never cancel across rows,
     so a row fails alone.
 
-    With a letter limit (GL(2,Z) blocks), each held row also multiplies its
-    step matrices (mats).  While it carries its words, a row does so a step
-    at a time and compares |p|+|q| of each start vector (vecs) with its
-    word's cyclic length, at step 0 and after each moving step.  It keeps
-    its first mismatch, (step, class), and stops carrying its words after a
+    With a letter limit (GL(2,Z) blocks), each held row also moves the start
+    vectors by its step matrices (mats): vecs[h, :, i] is held row h's image
+    of start vector i, int64 when r^(the block's last due checkpoint)
+    (_column_sum) times the longest start |p|+|q| is below 2^63, which
+    bounds every |p|+|q| and partial sum of the replay, as in _GL2ZBlock,
+    and Python ints otherwise.  While it carries its words, a row steps its
+    vectors a step at a time and compares their |p|+|q| with its words'
+    cyclic lengths, at step 0 and after each moving step.  It keeps its
+    first mismatch, (step, class), and stops carrying its words after a
     mismatch or once one passes the limit; one mask a step decides both.
-    The carried rows' products are int64 where that is exact.  Classes 0
-    and 1 are a and b, so a product's columns are their vectors, whose l1
-    norms a passed comparison bounds by the limit; one more step, and the
-    product with the start vectors, then stay below r (_column_sum) x
-    limit x the largest |p|+|q| of a start vector, which is checked against
-    2^63 once.  A row that stops carrying hands its product on in Python
-    ints, and its moving steps up to each due checkpoint are one pairwise
-    product (multiply).
+    The moving steps of a row that no longer carries words, up to each due
+    checkpoint, are one pairwise product (multiply).
     """
 
     def __init__(self, block, due, limit=None, mats=None, vecs=None):
@@ -761,9 +758,9 @@ class _Replay:
         self.last = len(cps) - 1 - due[::-1, self.held].argmax(axis=0)
         # every held row's steps up to the block's last due checkpoint; a
         # row is dropped at its own, before its later steps apply
+        reach = int(cps[self.last.max()])
         drawn = [row for _, idx in mu.draw_indices(
-            config.master_seed, block.lo + self.held, cps[self.last.max()])
-            for row in idx]
+            config.master_seed, block.lo + self.held, reach) for row in idx]
         at = [np.flatnonzero(moves[idx]) for idx in drawn]
         n = max(map(len, at), default=0)
         # atoms[m, h], steps[m, h]: held row h's m-th moving atom and its
@@ -782,25 +779,22 @@ class _Replay:
         self.carried = np.ones(rows, dtype=bool)   # the rows in flat
         self.mismatch = {}                          # row -> (step, class)
         if limit is not None:
-            # 2x2 matrices of Python ints, the identity last
-            self.mats = np.array(list(mats) + [(1, 0, 0, 1)],
-                                 dtype=object).reshape(-1, 2, 2)
-            self.prod = self.mats[[-1] * rows]      # rows no longer carried
-            bound = _column_sum(mats) * limit * max(abs(p) + abs(q)
-                                                    for p, q in vecs)
+            bound = _column_sum(mats) ** reach * max(abs(p) + abs(q)
+                                                      for p, q in vecs)
             dtype = np.int64 if bound < 2 ** 63 else object
-            # the carried rows' matrices, products and start (p, q) columns
-            self.cmats = self.mats.astype(dtype)
-            self.cprod = self.cmats[[-1] * rows]
-            self.cvecs = np.array(vecs, dtype=dtype).T
-            self.compare(np.ones(rows, dtype=bool), np.zeros(rows, dtype=int),
-                         math.inf)
+            # 2x2 matrices, the identity last
+            self.mats = np.array(list(mats) + [(1, 0, 0, 1)],
+                                 dtype=dtype).reshape(-1, 2, 2)
+            self.vecs = np.repeat(np.array(vecs, dtype=dtype).T[None], rows,
+                                  axis=0)
+            self.compare(self.vecs, np.ones(rows, dtype=bool),
+                         np.zeros(rows, dtype=int), math.inf)
 
     def advance(self, k, failures):
         """Every held row through its moving steps up to checkpoint k; the
         rows failed or with no due checkpoint from k on are dropped first.
         The rows that carry words take their steps together, a step at a
-        time; then the others' products are completed (multiply)."""
+        time; then the others' vectors are moved on (multiply)."""
         self.drop((self.last >= k) & np.array(
             [r not in failures for r in self.held.tolist()], dtype=bool))
         counts = self.counts[k]
@@ -814,34 +808,40 @@ class _Replay:
         live = t < todo
         m = np.where(live, done + t, -1)
         atoms, steps = self.atoms[m, held], self.steps[m, held]
+        if self.limit is not None:
+            vecs = self.vecs[held]
         for j in range(n):
             self.flat = fg.apply_segments(self.table, self.flat, self.lens,
                                           atoms[j].repeat(self.width))
             self.lens = fg.segment_lengths(self.flat)
             if self.limit is None:
                 continue
-            self.cprod = self.cmats[atoms[j]] @ self.cprod
-            stop = self.compare(live[j], steps[j], self.limit)
+            vecs = self.mats[atoms[j]] @ vecs
+            stop = self.compare(vecs, live[j], steps[j], self.limit)
             if stop is not None:
                 # the stopped rows go on from the moving steps they took
                 self.done[held[stop]] = done[stop] + np.minimum(todo[stop],
                                                                 j + 1)
+                self.vecs[held[stop]] = vecs[stop]
                 on = ~stop
-                held, done, todo = held[on], done[on], todo[on]
+                held, done, todo, vecs = held[on], done[on], todo[on], \
+                    vecs[on]
                 atoms, steps, live = atoms[:, on], steps[:, on], live[:, on]
                 if not live[j + 1:].any():
                     break
         self.done[held] = counts[held]
         if self.limit is not None:
+            self.vecs[held] = vecs
             self.multiply(counts)
         self.done = counts
 
     def multiply(self, counts):
-        """Each held row's product through its moving steps up to counts:
-        the steps it has yet to take stacked step-major, padded with the
-        identity, and multiplied in pairs, a later step on the left, about
-        log2(steps) matmuls in all; the first level multiplies each
-        distinct pair of consecutive steps once."""
+        """Each held row's vectors moved through its moving steps up to
+        counts: the steps it has yet to take stacked step-major, padded with
+        the identity, and multiplied in pairs, a later step on the left,
+        about log2(steps) matmuls in all, then applied to the vectors; the
+        first level multiplies each distinct pair of consecutive steps
+        once."""
         todo = counts - self.done
         rows = np.flatnonzero(todo)
         if not len(rows):
@@ -859,15 +859,15 @@ class _Replay:
             if len(stack) % 2:
                 stack = np.concatenate((stack, pad))
             stack = stack[1::2] @ stack[::2]
-        self.prod[rows] = stack[0] @ self.prod[rows]
+        self.vecs[rows] = stack[0] @ self.vecs[rows]
 
-    def compare(self, live, steps, limit):
-        """Each carried row's |p|+|q| against its words' cyclic lengths, in
-        one mask: a row with a word past `limit` letters stops carrying its
-        words uncompared; a live row that differs keeps its first mismatch,
-        (its step steps[c], class), and stops carrying them too.  The mask
-        of the rows that stopped, or None."""
-        off = np.abs(self.cprod @ self.cvecs).sum(axis=1) != \
+    def compare(self, vecs, live, steps, limit):
+        """The |p|+|q| of each carried row's vectors vecs against its words'
+        cyclic lengths, in one mask: a row with a word past `limit` letters
+        stops carrying its words uncompared; a live row that differs keeps
+        its first mismatch, (its step steps[c], class), and stops carrying
+        them too.  The mask of the rows that stopped, or None."""
+        off = np.abs(vecs).sum(axis=1) != \
             fg.cyclic_lengths(self.flat, self.lens).reshape(-1, self.width)
         off &= live[:, None]
         over = self.lens.reshape(-1, self.width) > limit
@@ -884,18 +884,13 @@ class _Replay:
         return stop
 
     def drop_words(self, off):
-        """Stop carrying the words of the carried rows where off holds; their
-        products go on in Python ints."""
+        """Stop carrying the words of the carried rows where off holds."""
         if not off.any():
             return
         seg = (~off).repeat(self.width)
         self.flat = self.flat[seg.repeat(self.lens + 1)]
         self.lens = self.lens[seg]
-        held = self.carried.nonzero()[0][off]
-        self.carried[held] = False
-        if self.limit is not None:
-            self.prod[held] = self.cprod[off].astype(object)
-            self.cprod = self.cprod[~off]
+        self.carried[self.carried.nonzero()[0][off]] = False
 
     def drop(self, keep):
         """Stop holding the rows where keep fails."""
@@ -907,22 +902,16 @@ class _Replay:
         self.atoms, self.steps, self.counts = \
             self.atoms[:, keep], self.steps[:, keep], self.counts[:, keep]
         if self.limit is not None:
-            self.prod = self.prod[keep]
+            self.vecs = self.vecs[keep]
 
     def words(self, r):
         """Row r's replayed words, while they are carried."""
         h = np.count_nonzero(self.carried[:np.searchsorted(self.held, r)])
         return fg.split(self.flat)[h * self.width:(h + 1) * self.width]
 
-    def product(self, r):
-        """Row r's product of its step matrices, as (a, b, c, d) in Python
-        ints."""
-        h = np.searchsorted(self.held, r)
-        if self.carried[h]:
-            prod = self.cprod[np.count_nonzero(self.carried[:h])]
-        else:
-            prod = self.prod[h]
-        return prod.ravel().tolist()
+    def vectors(self, r):
+        """Row r's image of each start vector, as (p, q) in Python ints."""
+        return list(zip(*self.vecs[np.searchsorted(self.held, r)].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -1161,9 +1150,9 @@ class _TreeBlock(_Block):
 # driver
 
 try:
-    # the fork start method, with the modules its workers, lock and pipes
-    # use, imported once with this one and not on the first run with workers
-    from multiprocessing import connection, popen_fork, synchronize  # noqa
+    # the fork start method, with the modules its workers and pipes use,
+    # imported once with this one and not on the first run with workers
+    from multiprocessing import connection, popen_fork  # noqa
     _FORK = multiprocessing.get_context("fork")
 except (ImportError, ValueError):       # no fork start method here
     _FORK = None
@@ -1185,11 +1174,6 @@ def _backend(mu, config):
         return _TreeBlock, None
     classes = _Classes(mu, config)
     return (_GL2ZBlock if classes.gl2z else _WordBlock), classes
-
-
-def outer_backend(mu, config):
-    """The backend an outer walk uses: "gl2z" or "words"."""
-    return "gl2z" if _backend(mu, config)[0] is _GL2ZBlock else "words"
 
 
 def _block_size(trials, parts, rows):
@@ -1246,44 +1230,23 @@ class _WorkerTraceback(Exception):
 
 
 def _deal(run, blocks, procs):
-    """[run(lo, hi) for (lo, hi) in blocks], run by this process and
-    procs - 1 forked workers.
+    """[run(lo, hi) for (lo, hi) in blocks], run round-robin by this process
+    and procs - 1 forked workers: process i of procs runs blocks i, i +
+    procs, and so on, this one being process 0.
 
-    Every process takes the next block index from one shared counter, an
-    int64 in an anonymous shared mmap under a fork-context Lock, until none
-    is left, so the blocks are dealt as the processes free up.  A worker
-    sends its (index, result) pairs, or the exception that stopped it with
-    its traceback, once through a Pipe.  A worker that fails sets the
-    counter past the last block, as this process does on any error, so
-    that the others stop after their current block.  Every worker is joined
+    A worker sends its list of results, or the exception that stopped it
+    with its traceback, once through a Pipe.  On any exception this process
+    terminates the workers, which hold no lock; every worker is joined
     before this returns or raises."""
-    if procs <= 1:
-        return [run(lo, hi) for lo, hi in blocks]
-    shared = memoryview(mmap.mmap(-1, 8)).cast("q")
-    lock = _FORK.Lock()
-
-    def take():
-        with lock:
-            i = shared[0]
-            shared[0] = i + 1
-        return i
-
-    def stop():
-        with lock:
-            shared[0] = len(blocks)
-
     pipes, workers = [], []     # this process's receiving ends; (proc, end)
 
-    def work(send):
+    def work(i, send):
         for end in pipes:       # so that only this process reads them
             end.close()
         try:
-            out = []
-            while (i := take()) < len(blocks):
-                out.append((i, run(*blocks[i])))
+            out = [run(lo, hi) for lo, hi in blocks[i::procs]]
         except BaseException as exc:
             import traceback
-            stop()
             out = exc, traceback.format_exc()
         try:
             send.send(out)
@@ -1292,16 +1255,15 @@ def _deal(run, blocks, procs):
 
     results = [None] * len(blocks)
     try:
-        for _ in range(procs - 1):
+        for i in range(1, procs):
             end, send = _FORK.Pipe(duplex=False)
             pipes.append(end)
-            proc = _FORK.Process(target=work, args=(send,))
+            proc = _FORK.Process(target=work, args=(i, send))
             proc.start()
             send.close()
             workers.append((proc, end))
-        while (i := take()) < len(blocks):
-            results[i] = run(*blocks[i])
-        for proc, end in workers:
+        results[::procs] = [run(lo, hi) for lo, hi in blocks[::procs]]
+        for i, (proc, end) in enumerate(workers, 1):
             try:
                 got = end.recv()
             except EOFError:
@@ -1313,10 +1275,12 @@ def _deal(run, blocks, procs):
             if isinstance(got, tuple):      # the exception that stopped it
                 exc, trace = got
                 raise exc from _WorkerTraceback(trace)
-            for i, result in got:
-                results[i] = result
+            results[i::procs] = got
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
     finally:
-        stop()
         for end in pipes:
             end.close()
         for proc, _ in workers:
@@ -1332,8 +1296,8 @@ def run_experiment(mu, config, workers=1):
     _BLOCK_BYTES by its backend's row_bytes (at least one row), about a
     multiple of `workers` of them, `workers` capped at the CPUs this process
     may use.  The blocks run on min(workers, blocks) processes, this one
-    and forked workers (_deal), which take them as they free up; in
-    process alone where the platform cannot fork."""
+    and forked workers, dealt round-robin (_deal); in process alone where
+    the platform cannot fork."""
     trials = config.trials
     cls, classes = _backend(mu, config)
     rows = _BLOCK_BYTES // cls.row_bytes(mu, config, classes)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from outwalk import cli, config, rose, tree, walk
+from test_walk import outer_backend
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -413,8 +414,8 @@ def test_word_cap_failure_exits_1(tmp_path, capsys):
     cfg = outer_cfg(measure=[{"trace": ["R:1:2:+"], "weight": 1.0}],
                     horizon=100, trials=2, checkpoints=[50, 100],
                     tracked=["a", "abAB"], max_word_letters=64)
-    assert walk.outer_backend(config.build_measure(cfg),
-                              config.build_walk_config(cfg)) == "words"
+    assert outer_backend(config.build_measure(cfg),
+                         config.build_walk_config(cfg)) == "words"
     path = write_cfg(tmp_path, cfg)
     assert run(["gap", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "trial" in capsys.readouterr().err
@@ -528,8 +529,8 @@ def test_outer_outputs_do_not_depend_on_the_thread_count(tmp_path, command,
         cfg["trials"] = 201
     else:
         cfg.update(trials=32, horizon=24, tracked=["a", "abAB", "aba"])
-    assert walk.outer_backend(config.build_measure(cfg),
-                              config.build_walk_config(cfg)) == backend
+    assert outer_backend(config.build_measure(cfg),
+                         config.build_walk_config(cfg)) == backend
     path = write_cfg(tmp_path, cfg)
     outs = [str(tmp_path / "t1"), str(tmp_path / "t2")]
     for out, threads in zip(outs, ("1", "2")):
@@ -664,6 +665,17 @@ def test_clt_csv_layout(tmp_path):
     rows = open(os.path.join(out, "clt.csv")).read().splitlines()
     assert rows[0] == "trial,standardized_value"
     assert len(rows) == 41
+
+
+def test_deviation_on_a_zero_drift_names_the_empty_band(tmp_path, capsys):
+    # the identity point mass: every trial walks, kappa stays 0, so
+    # lambda_hat is 0 and no epsilon_factor gives a band
+    cfg = outer_cfg(measure=[{"trace": [], "weight": 1}])
+    path = write_cfg(tmp_path, cfg)
+    assert run(["deviation", "--config", path,
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "lambda_hat is 0" in err and "$.deviation.epsilon_factor" in err
 
 
 def test_deviation_csv_layout(tmp_path):

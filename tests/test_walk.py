@@ -30,6 +30,12 @@ def outer_point_mass(trace):
     return MeasureSpec([fg.from_trace(2, trace)], [1.0])
 
 
+def outer_backend(mu, cfg):
+    """The backend an outer walk uses: "gl2z" or "words"."""
+    return "gl2z" if walk._backend(mu, cfg)[0] is walk._GL2ZBlock \
+        else "words"
+
+
 # -- measure validation
 
 def test_measure_weights_must_sum_to_one():
@@ -502,8 +508,9 @@ def test_a_worker_that_dies_without_sending_is_named(monkeypatch):
 
 def test_every_block_runs_once_on_more_processes_than_cpus(monkeypatch,
                                                           tmp_path):
-    # 40 one-row blocks dealt to the caller and three workers through the
-    # shared counter: a lost update would run a block twice or skip one
+    # 40 one-row blocks dealt round-robin to the caller and three workers:
+    # the caller runs blocks 0, 4, 8, ..., each worker one other residue
+    # class mod 4, every block once
     cfg = WalkConfig(horizon=20, trials=40, master_seed=3,
                      checkpoints=(10, 20),
                      tracked_classes=(tree.parse_boundary("per:ab"),))
@@ -514,7 +521,7 @@ def test_every_block_runs_once_on_more_processes_than_cpus(monkeypatch,
     def logged(cls, mu, config, lo, hi, classes=None):
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         try:
-            os.write(fd, b"%d\n" % lo)
+            os.write(fd, b"%d %d\n" % (os.getpid(), lo))
         finally:
             os.close(fd)
         return run_trials(cls, mu, config, lo, hi, classes)
@@ -523,7 +530,12 @@ def test_every_block_runs_once_on_more_processes_than_cpus(monkeypatch,
     monkeypatch.setattr(walk, "_cpus", lambda: 4)
     monkeypatch.setattr(walk, "_BLOCK_BYTES", 2 * 20)
     got = run_experiment(srw_measure(), cfg, workers=4)
-    assert sorted(map(int, log.read_text().split())) == list(range(40))
+    ran = {}
+    for line in log.read_text().splitlines():
+        pid, lo = map(int, line.split())
+        ran.setdefault(pid, []).append(lo)
+    assert ran.pop(os.getpid()) == list(range(0, 40, 4))
+    assert sorted(ran.values()) == [list(range(i, 40, 4)) for i in (1, 2, 3)]
     assert [r.trial_index for r in got] == list(range(40))
     assert all(records_equal(x, y) for x, y in zip(want, got))
     assert multiprocessing.active_children() == []
@@ -616,7 +628,7 @@ def word_engine_point_mass(trials):
     cfg = WalkConfig(horizon=100, trials=trials, master_seed=0,
                      checkpoints=(100,), max_word_letters=64,
                      tracked_classes=(fg.parse_word("abAB"),))
-    assert walk.outer_backend(mu, cfg) == "words"
+    assert outer_backend(mu, cfg) == "words"
     return mu, cfg
 
 
@@ -695,7 +707,7 @@ def word_engine_path(mu, cfg, trial):
 
 
 def both_backends(mu, cfg):
-    assert walk.outer_backend(mu, cfg) == "gl2z"
+    assert outer_backend(mu, cfg) == "gl2z"
     for trial in range(cfg.trials):
         yield walk.sample_path(mu, cfg, trial), word_engine_path(mu, cfg, trial)
 
@@ -750,7 +762,7 @@ def test_non_primitive_tracked_class_uses_the_word_engine():
                      checkpoints=(6, 12),
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word("abAB")))
-    assert walk.outer_backend(mu, cfg) == "words"
+    assert outer_backend(mu, cfg) == "words"
     for trial in range(cfg.trials):
         assert same_record(walk.sample_path(mu, cfg, trial),
                            word_engine_path(mu, cfg, trial))
@@ -764,7 +776,7 @@ def rank3_measure():
 def test_rank3_walks_use_the_word_engine():
     mu = rank3_measure()
     cfg = WalkConfig(horizon=6, trials=1, master_seed=0, checkpoints=(6,))
-    assert walk.outer_backend(mu, cfg) == "words"
+    assert outer_backend(mu, cfg) == "words"
 
 
 def test_a_word_block_holds_one_trial_at_the_default_cap():
@@ -884,7 +896,7 @@ def test_the_replay_matches_the_recomposed_automorphism(mu, idle, tracked,
     cfg = WalkConfig(horizon=16, trials=6, master_seed=1,
                      checkpoints=(1, 2, 5, 16),
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
-    assert walk.outer_backend(mu, cfg) == backend
+    assert outer_backend(mu, cfg) == backend
     block = walk._backend(mu, cfg)[0](mu, cfg, 0, cfg.trials)
     block.plan(np.ones((len(cfg.checkpoints), cfg.trials), dtype=bool))
     replay = block.replay
@@ -1024,9 +1036,10 @@ def rank3_lazy_measure():
     return lazy_measure(3, (["R:1:2:+"], ["L:3:1:-"], ["R:2:3:-"]))
 
 
-# case -> (measure, tracked, horizon); the Nielsen moves have column sum
-# 2 and the longest class, aba, 3 letters: 2^61 x 3 < 2^63 < 2^62 x 3, so
-# the block holds int64 vectors at horizon 61 and Python ints at 62
+# case -> (measure, tracked, horizon[, checkpoints, spot-check rate]); the
+# Nielsen moves have column sum 2 and the longest class, aba, 3 letters:
+# 2^61 x 3 < 2^63 < 2^62 x 3, so the block holds int64 vectors at horizon
+# 61 and Python ints at 62, and the replay at a last checkpoint of 61 and 62
 OUTER_CASES = {
     "gl2z": (nielsen_measure, ("a", "b", "ab", "aB", "aba"), 40),
     "gl2z-lazy": (lambda: lazy_measure(2, (["R:1:2:+"], ["R:1:2:-"],
@@ -1034,6 +1047,10 @@ OUTER_CASES = {
                   ("a", "b", "ab", "aB", "aba"), 40),
     "gl2z-int64": (nielsen_measure, ("a", "b", "ab", "aB", "aba"), 61),
     "gl2z-object": (nielsen_measure, ("a", "b", "ab", "aB", "aba"), 62),
+    "gl2z-replay-int64": (nielsen_measure, ("aba",), 61, (5, 20, 40, 61),
+                          1.0),
+    "gl2z-replay-object": (nielsen_measure, ("aba",), 62, (5, 20, 40, 62),
+                           1.0),
     "words": (rank3_measure, ("a", "abc", "aB"), 40),
     "words-lazy": (rank3_lazy_measure, ("a", "abc", "aB"), 40),
 }
@@ -1076,23 +1093,29 @@ def words_fault(monkeypatch, mu):
 def test_outer_spot_checks_match_the_per_row_reference(case, fault, workers,
                                                        monkeypatch):
     # blocks of 4 rows, so at two workers the blocks run on the pool
-    measure, tracked, horizon = OUTER_CASES[case]
+    measure, tracked, horizon, *rest = OUTER_CASES[case]
+    checkpoints, rate = rest or ((5, 10, 20, 30, 40), 0.4)
     mu = measure()
     cfg = WalkConfig(horizon=horizon, trials=12, master_seed=5,
-                     checkpoints=(5, 10, 20, 30, 40), spot_check_rate=0.4,
+                     checkpoints=checkpoints, spot_check_rate=rate,
                      max_word_letters=10 ** 5,
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
     cls = walk._backend(mu, cfg)[0]
-    assert walk.outer_backend(mu, cfg) == case.split("-")[0]
+    assert outer_backend(mu, cfg) == case.split("-")[0]
     if horizon > 40:
-        dtype = cls(mu, cfg, 0, 1).p.dtype
-        assert dtype == (np.int64 if case == "gl2z-int64" else object)
+        assert cls(mu, cfg, 0, 1).p.dtype == \
+            (np.int64 if horizon == 61 else object)
+        block = cls(mu, cfg, 0, cfg.trials)
+        block.run()
+        assert block.replay.vecs.dtype == \
+            (object if checkpoints[-1] == 62 else np.int64)
     monkeypatch.setattr(walk, "_BLOCK_BYTES", 4 * cls.row_bytes(mu, cfg))
     if fault:
         (gl2z_fault if cls is walk._GL2ZBlock else words_fault)(monkeypatch,
                                                                 mu)
     want, want_failures = per_row_block_run(cls(mu, cfg, 0, cfg.trials))
-    assert want and bool(want_failures) == fault
+    # at rate 1.0 the fault fails every trial
+    assert (want or rate == 1.0) and bool(want_failures) == fault
     assert all(isinstance(e, AssertionError) for _, e in want_failures)
     if not fault:
         assert sum(len(r.spot_checked) for r in want) > cfg.trials
@@ -1220,7 +1243,7 @@ def test_a_corrupted_idle_row_fails_at_its_own_next_moving_step(monkeypatch):
                      checkpoints=(20, 40), spot_check_rate=1.0,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word("aba")))
-    assert walk.outer_backend(mu, cfg) == "gl2z"
+    assert outer_backend(mu, cfg) == "gl2z"
     firsts = [float_draw(mu, 3, t, 40).tolist() for t in range(8)]
     firsts = [next(s for s, i in enumerate(d, 1) if i) for d in firsts]
     victim = max(range(8), key=firsts.__getitem__)
@@ -1254,7 +1277,7 @@ def test_a_corrupted_row_of_the_lock_step_fails_alone(backend, tracked,
                      max_word_letters=10 ** 5,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word(tracked)))
-    assert walk.outer_backend(mu, cfg) == backend
+    assert outer_backend(mu, cfg) == backend
     clean, failures = one_block(mu, cfg)
     assert not failures
     storage = walk._Classes(mu, cfg).storage
@@ -1288,7 +1311,7 @@ def test_gl2z_cap_counts_exact_cyclic_length():
     cfg = WalkConfig(horizon=100, trials=1, master_seed=0,
                      checkpoints=(100,), max_word_letters=64)
     mu = outer_point_mass(["R:1:2:+"])
-    assert walk.outer_backend(mu, cfg) == "gl2z"
+    assert outer_backend(mu, cfg) == "gl2z"
     rec = walk.sample_path(mu, cfg, 0)
     assert rec.peak_letters == 102
     assert_same_outer_records([rec], [per_step_gl2z_trial(mu, cfg, 0)])
@@ -1319,7 +1342,7 @@ def test_outer_failures_are_attributed_to_their_own_trials(workers, backend,
                      spot_check_rate=0.5,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word(tracked)))
-    assert walk.outer_backend(mu, cfg) == backend
+    assert outer_backend(mu, cfg) == backend
     storage = walk._Classes(mu, cfg).storage
     breach = {t: first_cap_breach(mu, cfg, t, storage)
               for t in range(cfg.trials)}
@@ -1440,7 +1463,7 @@ def test_an_exact_ratio_past_the_float_range_reads_as_a_difference_of_logs():
     mu = outer_point_mass(["R:1:2:+", "R:2:1:+"])
     cfg = WalkConfig(horizon=800, trials=2, master_seed=0,
                      checkpoints=(400, 800), tracked_classes=OUTER_TRACKED)
-    assert walk.outer_backend(mu, cfg) == "gl2z"
+    assert outer_backend(mu, cfg) == "gl2z"
     block = walk._GL2ZBlock(mu, cfg, 0, 1)
     assert block.p.dtype == object
     records = run_experiment(mu, cfg)
@@ -1500,7 +1523,7 @@ def test_outf2_clt_trials_past_the_default_cap_finish(seed, trial):
     # checkpoint, which may be below the cap again
     mu, cfg = shipped_walk("outf2_clt", seed=seed)
     assert cfg.max_word_letters == walk.DEFAULT_WORD_CAP
-    assert walk.outer_backend(mu, cfg) == "gl2z"
+    assert outer_backend(mu, cfg) == "gl2z"
     mats = [walk._abelian_matrix(phi) for phi in mu.atoms]
     vecs = [fg.exponent_sums(w, 2) for w in walk._Classes(mu, cfg).storage]
     top = 0
@@ -1586,7 +1609,7 @@ def test_block_reads_match_the_per_row_reference(backend, measure, tracked):
     cfg = WalkConfig(horizon=40, trials=9, master_seed=4,
                      checkpoints=(1, 5, 20, 40), max_word_letters=10 ** 5,
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
-    assert walk.outer_backend(mu, cfg) == backend
+    assert outer_backend(mu, cfg) == backend
     assert not assert_reads_match_the_per_row_reference(mu, cfg)
 
 
@@ -1598,7 +1621,7 @@ def test_the_block_read_skips_word_rows_failed_at_the_cap():
                      checkpoints=(10, 20, 30), max_word_letters=64,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word("abAB")))
-    assert walk.outer_backend(mu, cfg) == "words"
+    assert outer_backend(mu, cfg) == "words"
     failures = assert_reads_match_the_per_row_reference(mu, cfg)
     assert 0 < len(failures) < cfg.trials
     assert all(isinstance(e, WordCapExceeded) for e in failures.values())
@@ -1618,7 +1641,7 @@ def test_a_planted_domination_failure_fails_its_row_alone(backend,
                      spot_check_rate=0.0,
                      tracked_classes=tuple(fg.parse_word(w) for w in tracked))
     cls = walk._backend(mu, cfg)[0]
-    assert walk.outer_backend(mu, cfg) == backend
+    assert outer_backend(mu, cfg) == backend
     classes = walk._Classes(mu, cfg)
     bumped = [slot for lab, slot in classes.tracked if lab in ("aba", "aabab")]
     assert len(bumped) == 2
@@ -2122,7 +2145,7 @@ def test_a_corrupted_row_of_outer_steps_fails_alone(backend, tracked):
                      max_word_letters=10 ** 5,
                      tracked_classes=(fg.parse_word("a"),
                                       fg.parse_word(tracked)))
-    assert walk.outer_backend(mu, cfg) == backend
+    assert outer_backend(mu, cfg) == backend
     clean, failures = one_block(mu, cfg)
     assert not failures
     block = walk._backend(mu, cfg)[0](mu, cfg, 0, cfg.trials)
@@ -2217,7 +2240,7 @@ def run_case(case):
                      checkpoints=(10, 20, 30), spot_check_rate=0.3,
                      max_word_letters=10 ** 5, tracked_classes=tracked)
     assert (case == "tree") == (mu.mode == "tree")
-    assert case == "tree" or walk.outer_backend(mu, cfg) == case
+    assert case == "tree" or outer_backend(mu, cfg) == case
     return mu, cfg
 
 
