@@ -454,20 +454,15 @@ def test_the_pool_is_capped_by_the_cpus_and_the_blocks(cpus, trials, pool,
 
 
 def plant_in_tree_blocks(monkeypatch, fault, in_worker):
-    """Blocks of 3 rows of a 6-trial tree walk on two processes, whose
-    blocks call fault() as they advance: a worker's if in_worker, else the
-    caller's.  The other process's blocks wait until fault() has run, so
-    the process with the fault takes at least one block."""
+    """Two blocks of 3 rows of a 6-trial tree walk on two processes, one
+    block each, whose blocks call fault() as they advance: the worker's if
+    in_worker, else the caller's."""
     caller = os.getpid()
-    planted = walk._FORK.Event()
     advance = walk._TreeBlock.advance
 
     def faulty(self, start, stop):
         if (os.getpid() != caller) == in_worker:
-            planted.set()
             fault()
-        else:
-            planted.wait(30)
         advance(self, start, stop)
 
     monkeypatch.setattr(walk._TreeBlock, "advance", faulty)
