@@ -736,7 +736,9 @@ class _Replay:
     bounds every |p|+|q| and partial sum of the replay, as in _GL2ZBlock,
     and Python ints otherwise.  While it carries its words, a row steps its
     vectors a step at a time and compares their |p|+|q| with its words'
-    cyclic lengths, at step 0 and after each moving step.  It keeps its
+    cyclic lengths, at step 0 and after each moving step; those steps run in
+    int64 when r times the larger of the limit and the longest start is
+    below 2^63, since a carried row's |p|+|q| matched its words.  It keeps its
     first mismatch, (step, class), and stops carrying its words after a
     mismatch or once one passes the limit; one mask a step decides both.
     The moving steps of a row that no longer carries words, up to each due
@@ -779,9 +781,14 @@ class _Replay:
         self.carried = np.ones(rows, dtype=bool)   # the rows in flat
         self.mismatch = {}                          # row -> (step, class)
         if limit is not None:
-            bound = _column_sum(mats) ** reach * max(abs(p) + abs(q)
-                                                      for p, q in vecs)
-            dtype = np.int64 if bound < 2 ** 63 else object
+            r = _column_sum(mats)
+            longest = max(abs(p) + abs(q) for p, q in vecs)
+            dtype = np.int64 if r ** reach * longest < 2 ** 63 else object
+            # before a step a carried row's |p|+|q| matched words of at most
+            # limit letters, or is a start's: its steps stay in int64 while
+            # r x max(limit, longest) does
+            self.carry = np.int64 if r * max(limit, longest) < 2 ** 63 \
+                else dtype
             # 2x2 matrices, the identity last
             self.mats = np.array(list(mats) + [(1, 0, 0, 1)],
                                  dtype=dtype).reshape(-1, 2, 2)
@@ -809,14 +816,15 @@ class _Replay:
         m = np.where(live, done + t, -1)
         atoms, steps = self.atoms[m, held], self.steps[m, held]
         if self.limit is not None:
-            vecs = self.vecs[held]
+            mats = self.mats.astype(self.carry)
+            vecs = self.vecs[held].astype(self.carry)
         for j in range(n):
             self.flat = fg.apply_segments(self.table, self.flat, self.lens,
                                           atoms[j].repeat(self.width))
             self.lens = fg.segment_lengths(self.flat)
             if self.limit is None:
                 continue
-            vecs = self.mats[atoms[j]] @ vecs
+            vecs = mats[atoms[j]] @ vecs
             stop = self.compare(vecs, live[j], steps[j], self.limit)
             if stop is not None:
                 # the stopped rows go on from the moving steps they took
@@ -1235,9 +1243,11 @@ def _deal(run, blocks, procs):
     procs, and so on, this one being process 0.
 
     A worker sends its list of results, or the exception that stopped it
-    with its traceback, once through a Pipe.  On any exception this process
-    terminates the workers, which hold no lock; every worker is joined
-    before this returns or raises."""
+    with its traceback, once through a Pipe.  This process reads the pipes
+    in worker order after running its own blocks, so a worker's exception
+    is raised only once this process's blocks, and every earlier worker's,
+    are done.  On any exception this process terminates the workers, which
+    hold no lock; every worker is joined before this returns or raises."""
     pipes, workers = [], []     # this process's receiving ends; (proc, end)
 
     def work(i, send):

@@ -1104,6 +1104,8 @@ def test_outer_spot_checks_match_the_per_row_reference(case, fault, workers,
         block.run()
         assert block.replay.vecs.dtype == \
             (object if checkpoints[-1] == 62 else np.int64)
+        # the carried rows' |p|+|q| stays within the letter limit
+        assert block.replay.carry is np.int64
     monkeypatch.setattr(walk, "_BLOCK_BYTES", 4 * cls.row_bytes(mu, cfg))
     if fault:
         (gl2z_fault if cls is walk._GL2ZBlock else words_fault)(monkeypatch,
