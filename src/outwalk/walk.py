@@ -9,12 +9,12 @@ walk position in the Cayley tree.
 
 Every walk runs in blocks of trials under one protocol, _Block: advance
 all rows to a checkpoint, read them there, spot-check the rows that are
-due from scratch, and fail a row alone.  The due pairs of every
-checkpoint are known before the first step: an outer block replays all
-its due rows' start words in one lock-step _Replay, and a tree block
-reduces all its due pairs' redrawn letters before its first step.  Three
-backends supply the rows: _TreeBlock (position stacks, each step a few
-numpy operations over all rows), _GL2ZBlock (rank 2 with every class
+due from scratch, and fail a row alone.  The due pairs are known before
+the first step, and a block redraws its due rows once (_Block.redraw):
+an outer block replays them in one lock-step _Replay, and a tree block
+reduces every due pair's letters before its first step.  Three backends
+supply the rows: _TreeBlock (position stacks, each step a few numpy
+operations over all rows), _GL2ZBlock (rank 2 with every class
 primitive: abelianized vectors moved by int64 products of step matrices)
 and _WordBlock (exact reduced image words, a row at a time).  Each sizes
 a row by row_bytes, so run_experiment cuts blocks the same way for any
@@ -32,9 +32,9 @@ counter-based stream keyed by (master_seed, t), so every trial is an
 independent pure function of (measure, config, trial index), whichever
 block it runs in.  Runs are therefore identical whatever the worker
 count, block size or execution order, and a failing trial fails alone.
-Blocks and spot checks alike turn the draws into atoms through one
-function, MeasureSpec.draw_indices, in integers, a chunk of trials at a
-time.
+A block draws its rows' steps once, at construction, and its due rows'
+once more for their spot checks, both through one function,
+MeasureSpec.draw_indices, in integers, a chunk of trials at a time.
 """
 
 from __future__ import annotations
@@ -330,12 +330,12 @@ class _Block:
     to every row; read(k, step), checkpoint k's values; spot_check(k, step,
     rows), mapping each of `rows` that disagrees with its steps redone from
     scratch to an AssertionError; values(live), the live rows' arrays as Run
-    takes them; and the classmethod row_bytes(mu, config, classes).  It may
-    extend plan to prepare its spot checks: plan(due) is called before the
-    first advance when any pair is due, due[k, r] true where row r is
-    checked at checkpoint k unless it has failed by then.  A failed row
-    walks on with its block, and nothing reads it again.  classes is the
-    run's _Classes in outer mode, built once per run, and None in tree mode.
+    takes them; plan(due), called before the first advance when any pair is
+    due, due[k, r] true where row r is checked at checkpoint k unless it has
+    failed by then, to prepare the checks from redraw(due); and the
+    classmethod row_bytes(mu, config, classes).  A failed row walks on with
+    its block, and nothing reads it again.  classes is the run's _Classes in
+    outer mode, built once per run, and None in tree mode.
     """
 
     def __init__(self, mu, config, lo, hi, classes=None):
@@ -353,8 +353,17 @@ class _Block:
         keeps its first failure."""
         self.failures.setdefault(r, exc)
 
-    def plan(self, due):
-        """Prepare the spot checks of due[k, r]."""
+    def redraw(self, due):
+        """(held, last, idx): the rows with a due pair, the index of each
+        one's last due checkpoint, and idx[h, s], held row h's atom at step
+        s+1, drawn anew in one pass through the block's last due checkpoint:
+        a Philox stream's first draws do not depend on how many follow."""
+        cps = self.config.checkpoints
+        held = np.flatnonzero(due.any(axis=0))
+        last = len(cps) - 1 - due[::-1, held].argmax(axis=0)
+        return held, last, np.concatenate([idx for _, idx in (
+            self.mu.draw_indices(self.config.master_seed, self.lo + held,
+                                 cps[last.max()]))])
 
     def run(self):
         """Walk every step; then columns()."""
@@ -566,7 +575,7 @@ class _WordBlock(_OuterBlock):
             len(rows), len(self.classes.storage))
 
     def plan(self, due):
-        self.replay = _Replay(self, due)
+        self.replay = _Replay(self, self.redraw(due))
 
     def spot_check(self, k, step, rows):
         """Each row against its start words replayed from scratch."""
@@ -685,34 +694,33 @@ class _GL2ZBlock(_OuterBlock):
         return self.lens[rows].astype(object)
 
     def plan(self, due):
-        self.replay = _Replay(self, due, self.REPLAY_LETTERS, self.atom_mats,
-                              self.start_vecs)
+        self.replay = _Replay(self, self.redraw(due), self.REPLAY_LETTERS,
+                              self.atom_mats, self.start_vecs)
 
     def spot_check(self, k, step, rows):
-        """Each row's vectors against the replay's (_Replay.vectors), after
+        """Each row's vectors against the replay's, in one comparison, after
         the replay's first mismatch of |p|+|q| with its words' cyclic
-        lengths, if any."""
+        lengths, if any; a row names its first class that differs."""
         replay = self.replay
         replay.advance(k, self.failures)
         storage = self.classes.storage
         bad = {}
         for r in rows:
+            # off[i]: row r's vector of class i differs from the replay's
+            off = (replay.vecs[replay.held.searchsorted(r)] !=
+                   (self.p[r], self.q[r])).any(axis=0)
             if r in replay.mismatch:        # at a step up to this one
                 at, i = replay.mismatch[r]
                 bad[r] = AssertionError(
                     "trial %d step %d: |p|+|q| of the image of %r differs "
                     "from its cyclic word length"
                     % (self.lo + r, at, fg.format_word(storage[i])))
-                continue
-            for w0, got, vec in zip(storage, replay.vectors(r),
-                                    zip(self.p[r].tolist(),
-                                        self.q[r].tolist())):
-                if got != vec:
-                    bad[r] = AssertionError(
-                        "trial %d step %d: incremental vector of %r diverged "
-                        "from the product of the step matrices"
-                        % (self.lo + r, step, fg.format_word(w0)))
-                    break
+            elif off.any():
+                bad[r] = AssertionError(
+                    "trial %d step %d: incremental vector of %r diverged "
+                    "from the product of the step matrices"
+                    % (self.lo + r, step,
+                       fg.format_word(storage[off.argmax()])))
         return bad
 
 
@@ -720,14 +728,14 @@ class _Replay:
     """The due rows of an outer block redone from scratch, in lock-step.
 
     A row due a spot check is held until its last due checkpoint or its
-    failure.  The held rows' steps are redrawn from Philox once, up to the
-    block's last due checkpoint, and only their moving steps are kept: an
-    atom whose images are the basis fixes every word and matrix.  The held
-    rows' start words sit in one separated array (fg.join), a row's classes
-    in storage order, and advancing to a checkpoint applies the m-th moving
-    step of every held row at once, one fg.apply_segments call per m, a row
-    without an m-th taking the identity.  Words never cancel across rows,
-    so a row fails alone.
+    failure.  The replay takes the held rows' steps from the block's one
+    redraw (_Block.redraw), through the block's last due checkpoint, and
+    keeps only their moving steps: an atom whose images are the basis fixes
+    every word and matrix.  The held rows' start words sit in one separated
+    array (fg.join), a row's classes in storage order, and advancing to a
+    checkpoint applies the m-th moving step of every held row at once, one
+    fg.apply_segments call per m, a row without an m-th taking the
+    identity.  Words never cancel across rows, so a row fails alone.
 
     With a letter limit (GL(2,Z) blocks), each held row also moves the start
     vectors by its step matrices (mats): vecs[h, :, i] is held row h's image
@@ -745,7 +753,7 @@ class _Replay:
     checkpoint, are one pairwise product (multiply).
     """
 
-    def __init__(self, block, due, limit=None, mats=None, vecs=None):
+    def __init__(self, block, redrawn, limit=None, mats=None, vecs=None):
         mu, config = block.mu, block.config
         self.width = len(block.classes.storage)     # words a row
         self.limit = limit
@@ -754,15 +762,10 @@ class _Replay:
         moves = np.array([any(w.tolist() != [x] for x, w in
                               enumerate(phi.forward, 1)) for phi in mu.atoms])
         cps = np.array(config.checkpoints)
-        self.held = np.flatnonzero(due.any(axis=0))
+        # the held rows, their last due checkpoints and steps (_Block.redraw):
+        # a row is dropped at its own last, before its later steps apply
+        self.held, self.last, drawn = redrawn
         rows = len(self.held)
-        # last[h]: held row h's last due checkpoint
-        self.last = len(cps) - 1 - due[::-1, self.held].argmax(axis=0)
-        # every held row's steps up to the block's last due checkpoint; a
-        # row is dropped at its own, before its later steps apply
-        reach = int(cps[self.last.max()])
-        drawn = [row for _, idx in mu.draw_indices(
-            config.master_seed, block.lo + self.held, reach) for row in idx]
         at = [np.flatnonzero(moves[idx]) for idx in drawn]
         n = max(map(len, at), default=0)
         # atoms[m, h], steps[m, h]: held row h's m-th moving atom and its
@@ -783,7 +786,8 @@ class _Replay:
         if limit is not None:
             r = _column_sum(mats)
             longest = max(abs(p) + abs(q) for p, q in vecs)
-            dtype = np.int64 if r ** reach * longest < 2 ** 63 else object
+            dtype = np.int64 if r ** drawn.shape[1] * longest < 2 ** 63 \
+                else object
             # before a step a carried row's |p|+|q| matched words of at most
             # limit letters, or is a start's: its steps stay in int64 while
             # r x max(limit, longest) does
@@ -917,10 +921,6 @@ class _Replay:
         h = np.count_nonzero(self.carried[:np.searchsorted(self.held, r)])
         return fg.split(self.flat)[h * self.width:(h + 1) * self.width]
 
-    def vectors(self, r):
-        """Row r's image of each start vector, as (p, q) in Python ints."""
-        return list(zip(*self.vecs[np.searchsorted(self.held, r)].tolist()))
-
 
 # ---------------------------------------------------------------------------
 # tree mode
@@ -988,9 +988,10 @@ class _TreeBlock(_Block):
     again at every later checkpoint.
 
     The steps are drawn once, at construction, a chunk of trials at a time
-    (MeasureSpec.draw_indices), into letters.  plan redraws the rows due a
-    spot check from Philox the same way and never reads letters or the
-    stacks, so the checks stay independent of the copy they check.
+    (MeasureSpec.draw_indices), into letters.  plan takes the rows due a
+    spot check from the block's one redraw (_Block.redraw) and never reads
+    letters or the stacks, so the checks stay independent of the copy they
+    check.
     """
 
     @classmethod
@@ -1048,13 +1049,10 @@ class _TreeBlock(_Block):
         inverse = (-letters).view(np.uint8)
         if self.padded:         # the no-op letter 0 pads short atoms
             inverse[letters == 0] = _IDLE
-        diff = np.empty(self.rows, dtype=np.uint8)
-        move = np.empty(self.rows, dtype=np.intp)
         for vs, ws in zip(letters, inverse):
             for v, w in zip(vs, ws):
-                np.subtract(bytes_.take(top), w, out=diff)
                 above[top] = v
-                top += _MOVES.take(diff, out=move)
+                top += _MOVES.take(bytes_.take(top) - w)
             np.maximum(peak, top, out=peak)
 
     def read(self, k, step):
@@ -1088,25 +1086,19 @@ class _TreeBlock(_Block):
 
     def plan(self, due):
         """Each due (checkpoint, row) pair's word and common prefixes with
-        the tracked points, from scratch.  A row is redrawn once, through
-        its last due checkpoint, by one draw_indices call per such
-        checkpoint; every pair's letters are then reduced anew, as many
-        pairs a fg.reduce call as fit in _PLAN_LETTERS letters."""
-        config, width = self.config, self.table.shape[1]
-        cps = config.checkpoints
-        held = np.flatnonzero(due.any(axis=0))
-        last = len(cps) - 1 - due[::-1, held].argmax(axis=0)
+        the tracked points, from scratch: the letters of the block's redraw
+        (_Block.redraw), a row's through its last due checkpoint, each
+        pair's reduced anew, as many pairs a fg.reduce call as fit in
+        _PLAN_LETTERS letters."""
+        cps, width = self.config.checkpoints, self.table.shape[1]
+        held, last, idx = self.redraw(due)
         pairs, pieces = [], []
-        for k in sorted(set(last.tolist())):
-            rows = held[last == k]
-            for j, idx in self.mu.draw_indices(config.master_seed,
-                                               self.lo + rows, cps[k]):
-                steps = self.table[idx].reshape(len(idx), -1)
-                for r, flat in zip(rows[j:j + len(idx)].tolist(), steps):
-                    for c in np.flatnonzero(due[:k + 1, r]).tolist():
-                        prefix = flat[:cps[c] * width]
-                        pairs.append((c, r))
-                        pieces.append(prefix[prefix != 0])
+        for r, k, steps in zip(held.tolist(), last.tolist(), idx):
+            flat = self.table[steps[:cps[k]]].ravel()
+            for c in np.flatnonzero(due[:, r]).tolist():
+                prefix = flat[:cps[c] * width]
+                pairs.append((c, r))
+                pieces.append(prefix[prefix != 0])
         words, chunk, size = [], [], 0
         for piece in pieces:
             if chunk and size + len(piece) + 1 > _PLAN_LETTERS:

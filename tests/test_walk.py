@@ -128,6 +128,22 @@ def test_draw_indices_cut_long_rows_into_chunks_of_a_few_trials():
     assert_draws_match_the_float_search(mu, 3, [], 10)
 
 
+@pytest.mark.parametrize("short,long", [(1, 3000), (2000, 20000)])
+def test_a_shorter_draw_is_the_first_columns_of_a_longer_one(short, long):
+    # a Philox stream's first draws do not depend on how many follow, also
+    # where the two lengths cut the trials into chunks of different sizes:
+    # the one redraw of a block's due rows rests on this
+    mu = random_tree_measure(np.random.default_rng(2), 2)
+    trials = [9, 0, 4, 2 ** 40, 7, 1, 30, 2, 11, 5, 8, 3]
+
+    def chunks(n):
+        return len(list(mu.draw_indices(6, trials, n)))
+
+    assert chunks(short) < chunks(long)
+    assert np.array_equal(drawn(mu, 6, trials, long)[:, :short],
+                          drawn(mu, 6, trials, short))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1,
                 max_size=70),
@@ -835,6 +851,30 @@ def test_gl2z_spot_check_catches_a_corrupted_vector():
                                        corrupt)
     assert trial == 0 and isinstance(exc, AssertionError)
     assert "incremental vector" in str(exc)
+
+
+def test_gl2z_spot_check_names_the_first_class_whose_vector_diverged():
+    # q of the fourth class, aB, is corrupted, and then p of the third,
+    # ab: the check names ab
+    mu = nielsen_measure()
+    cfg = WalkConfig(horizon=30, trials=2, master_seed=1, checkpoints=(30,),
+                     spot_check_rate=1.0, tracked_classes=OUTER_TRACKED)
+    storage = walk._Classes(mu, cfg).storage
+    assert [fg.format_word(w) for w in storage[2:4]] == ["ab", "aB"]
+
+    def corrupt_q(block):
+        block.q[1, 3] += 1
+
+    def corrupt_both(block):
+        corrupt_q(block)
+        block.p[1, 2] -= 1
+
+    for fault, name in ((corrupt_q, "aB"), (corrupt_both, "ab")):
+        _, [(trial, exc)] = run_with_fault(walk._GL2ZBlock(mu, cfg, 0, 2),
+                                           30, fault)
+        assert (trial, str(exc)) == (
+            1, "trial 1 step 30: incremental vector of %r diverged from the "
+               "product of the step matrices" % name)
 
 
 def test_word_spot_check_catches_a_corrupted_word():
@@ -2019,30 +2059,42 @@ def test_a_truncated_point_past_the_head_fails_as_the_reference():
 
 @pytest.mark.parametrize("rate", [0.3, 1.0])
 def test_the_plan_redraws_each_due_row_once(rate, monkeypatch):
-    mu = random_tree_measure(np.random.default_rng(8), 2)
-    cfg = WalkConfig(horizon=50, trials=12, master_seed=8,
-                     checkpoints=(10, 20, 30, 40), spot_check_rate=rate,
-                     tracked_classes=(tree.parse_boundary("per:a"),))
-    block = walk._TreeBlock(mu, cfg, 0, cfg.trials)
-    draws = []
+    # a tree block and a GL(2,Z) block each draw their rows once, at
+    # construction, and their rows with a due pair once more, in one call
+    # through the block's last due checkpoint, short of the horizon
+    calls = []
     draw_indices = MeasureSpec.draw_indices
 
     def counting(self, master_seed, trials, n):
-        draws.extend((int(t), n) for t in trials)
+        calls.append(([int(t) for t in trials], n))
         return draw_indices(self, master_seed, trials, n)
 
     monkeypatch.setattr(MeasureSpec, "draw_indices", counting)
-    records, failures = block_run(block)
-    assert not failures
-    # each row with a checked checkpoint, through its last one
-    want = sorted((r.trial_index, r.spot_checked[-1]) for r in records
-                  if r.spot_checked)
-    assert sorted(draws) == want
-    if rate == 1.0:
-        assert want == [(t, 40) for t in range(cfg.trials)]
-    for rec in records:
-        assert_same_tree_record(rec, per_letter_trial(mu, cfg,
-                                                      rec.trial_index))
+    for mu, tracked in ((random_tree_measure(np.random.default_rng(8), 2),
+                         (tree.parse_boundary("per:a"),)),
+                        (nielsen_measure(), OUTER_TRACKED)):
+        cfg = WalkConfig(horizon=50, trials=24, master_seed=8,
+                         checkpoints=(10, 20, 30, 40), spot_check_rate=rate,
+                         tracked_classes=tracked)
+        cls = walk._backend(mu, cfg)[0]
+        for lo in (0, 12):
+            del calls[:]
+            records, failures = block_run(cls(mu, cfg, lo, lo + 12))
+            assert not failures
+            checked = [r for r in records if r.spot_checked]
+            assert calls == [
+                (list(range(lo, lo + 12)), cfg.horizon),
+                ([r.trial_index for r in checked],
+                 max(r.spot_checked[-1] for r in checked))]
+            if rate == 1.0:
+                assert len(checked) == 12
+            for rec in records:
+                if cls is walk._TreeBlock:
+                    assert_same_tree_record(rec, per_letter_trial(
+                        mu, cfg, rec.trial_index))
+                else:
+                    assert_same_outer_records([rec], [per_step_gl2z_trial(
+                        mu, cfg, rec.trial_index)])
 
 
 def test_the_plan_cuts_its_letters_at_its_budget(monkeypatch):
