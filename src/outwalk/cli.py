@@ -99,9 +99,8 @@ def _clt_json(rep):
 def _clt(cfg, mu, run, setting):
     de = stats.drift_estimate(run)
     main = stats.clt_report(run, de.lambda_hat)
-    per_class = {lab: _clt_json(stats.clt_report(
-        run, de.lambda_hat, stats.class_observable(run, lab)))
-        for lab in stats.class_labels(run)}
+    per_class = {lab: _clt_json(stats.clt_report(run, de.lambda_hat, lab))
+                 for lab in run.sigma}
     summary = {
         "lambda_hat": de.lambda_hat,
         "main": _clt_json(main),

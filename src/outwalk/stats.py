@@ -1,8 +1,11 @@
 """Statistical verification layer over walk runs.
 
 Everything here is pure aggregation: a walk.Run in, report dataclasses out.
-Every estimator reads the run's (trials x checkpoints) float64 matrices.
-The estimators are the plain Monte Carlo ones; the variance is estimated
+Every estimator reads the run's (trials x checkpoints) matrices directly,
+as float64: run.kappa, run.sigma[label] and, in outer mode,
+run.log_lengths(label).  A report names what it read ("kappa",
+"sigma:<label>" or "loglen:<label>"); the names are only written.  The
+estimators are the plain Monte Carlo ones; the variance is estimated
 from the standardized end-of-horizon values rather than from a boundary
 integral, which has no closed form in these settings.
 """
@@ -19,57 +22,29 @@ KS_SERIES_TERMS = 100
 
 
 # ---------------------------------------------------------------------------
-# observable extraction
+# the run's matrices
 
-def observable_matrix(run, observable):
-    """The checkpoints, and the C-ordered float64 (trials x checkpoints)
-    matrix of a named observable.
-
-    Names: "kappa", "sigma:<label>", "loglen:<label>" (outer mode cyclic
-    length of the tracked class, unnormalized, its logs taken once per
-    run)."""
-    if not len(run):
-        raise ValueError("no records")
-    if observable == "kappa":
-        mat = run.kappa
-    elif observable.startswith("sigma:"):
-        lab = observable[len("sigma:"):]
-        try:
-            mat = run.sigma[lab]
-        except KeyError:
-            raise ValueError("class %r was not tracked" % lab) from None
-    elif observable.startswith("loglen:"):
-        lab = observable[len("loglen:"):]
-        try:
-            mat = run.log_lengths(lab)
-        except KeyError:
-            raise ValueError("class %r has no tracked lengths" % lab) from None
-    else:
-        raise ValueError("unknown observable %r" % observable)
-    return np.asarray(run.checkpoints, dtype=np.int64), \
-        np.asarray(mat, dtype=np.float64)
+def _f64(mat):
+    """A Run matrix as float64: tree-mode matrices hold int64."""
+    return np.asarray(mat, dtype=np.float64)
 
 
-def class_labels(run):
-    return tuple(run.sigma)
-
-
-def class_observable(run, label):
-    """The observable of one tracked class: its cyclic log length when the
-    run carries lengths (outer mode), else its cocycle."""
-    return ("loglen:" if run.lengths else "sigma:") + label
+def _class_matrix(run, label):
+    """A tracked class's matrix and its name in reports: its cyclic log
+    length (unnormalized) when the run carries lengths (outer mode), else
+    its cocycle."""
+    if run.lengths:
+        return run.log_lengths(label), "loglen:" + label
+    return _f64(run.sigma[label]), "sigma:" + label
 
 
 def verify_sigma_domination(run):
     """Hard invariant: sigma(Phi_n, g) <= kappa(Phi_n) at every checkpoint.
     A violation names the first failing trial, and in it the first label
     that fails."""
-    if not len(run):
-        return True
-    labels = class_labels(run)
-    kappa = observable_matrix(run, "kappa")[1]
-    over = np.array([(observable_matrix(run, "sigma:" + lab)[1]
-                      > kappa).any(axis=1) for lab in labels])
+    labels = tuple(run.sigma)
+    over = np.array([(run.sigma[lab] > run.kappa).any(axis=1)
+                     for lab in labels])
     if over.any():
         t = int(over.any(axis=0).argmax())
         raise AssertionError("sigma(%s) exceeds kappa in trial %d"
@@ -93,7 +68,7 @@ class DriftEstimate:
 
 def end_stats(cps, mat):
     n = int(cps[-1])
-    ends = mat[:, -1]
+    ends = _f64(mat[:, -1])
     est = float(ends.mean()) / n
     se = float(ends.std(ddof=1)) / math.sqrt(len(ends)) / n if len(ends) > 1 else 0.0
     return est, se
@@ -106,6 +81,7 @@ def _slope_stats(cps, mat):
     # order 1/n, while the increment cancels the constant entirely.
     if len(cps) < 2:
         return end_stats(cps, mat)
+    cps = np.asarray(cps, dtype=np.int64)
     mid = int(np.argmin(np.abs(cps - cps[-1] / 2.0)))
     if mid == len(cps) - 1:
         mid = len(cps) - 2
@@ -128,12 +104,10 @@ def drift_estimate(run):
     if len(run) < MIN_DRIFT_TRIALS:
         raise ValueError("drift needs >= %d trials, got %d"
                          % (MIN_DRIFT_TRIALS, len(run)))
-    cps, mat = observable_matrix(run, "kappa")
-    lam, se = end_stats(cps, mat)
-    per_class = {}
-    for lab in class_labels(run):
-        ccps, cmat = observable_matrix(run, class_observable(run, lab))
-        per_class[lab] = _slope_stats(ccps, cmat)
+    cps = run.checkpoints
+    lam, se = end_stats(cps, run.kappa)
+    per_class = {lab: _slope_stats(cps, _class_matrix(run, lab)[0])
+                 for lab in run.sigma}
     flagged = False
     labs = list(per_class)
     for i in range(len(labs)):
@@ -197,14 +171,17 @@ class CltReport:
     degenerate: bool
 
 
-def clt_report(run, lambda_hat, observable="kappa"):
+def clt_report(run, lambda_hat, label=None):
     """Standardize end-of-horizon values as (v - n*lambda)/sqrt(n), estimate
-    the CLT variance by their sample variance, and KS-test normality."""
+    the CLT variance by their sample variance, and KS-test normality.  The
+    values are kappa's, or with a label that tracked class's (_class_matrix
+    names the report)."""
     if len(run) < MIN_DRIFT_TRIALS:
         raise ValueError("CLT report needs >= %d trials, got %d"
                          % (MIN_DRIFT_TRIALS, len(run)))
-    cps, mat = observable_matrix(run, observable)
-    n = int(cps[-1])
+    mat, observable = (_f64(run.kappa), "kappa") if label is None else \
+        _class_matrix(run, label)
+    n = int(run.checkpoints[-1])
     std = (mat[:, -1] - n * lambda_hat) / math.sqrt(n)
     if np.all(std == std[0]):
         return CltReport(observable, n, tuple(std), 0.0, None, None, True)
@@ -252,8 +229,8 @@ def deviation_curve(run, lambda_hat, epsilon, n_grid):
     checkpoints, with a log-linear decay fit."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cps, mat = observable_matrix(run, "kappa")
-    pos = {int(c): i for i, c in enumerate(cps)}
+    mat = _f64(run.kappa)
+    pos = {int(c): i for i, c in enumerate(run.checkpoints)}
     missing = [n for n in n_grid if int(n) not in pos]
     if missing:
         raise ValueError("grid points %r are not checkpoints" % missing)
@@ -291,8 +268,7 @@ def kappa_sigma_gap(run, label):
     if not half_mask.any():
         raise ValueError("no checkpoints at or below half horizon")
     # gap[t, k]: trial t's |kappa - sigma| at checkpoint k
-    gap = np.abs(observable_matrix(run, "kappa")[1]
-                 - observable_matrix(run, "sigma:" + label)[1])
+    gap = np.abs(_f64(run.kappa) - _f64(run.sigma[label]))
     sf = gap.max(axis=1)
     sh = gap[:, half_mask].max(axis=1)
     quants = {q: (float(np.quantile(sf, q)), float(np.quantile(sh, q)))

@@ -132,17 +132,6 @@ class BoundaryPoint:
             self._stream = s
         return s
 
-    def letter(self, k):
-        """The k-th letter (0-based) of the stream."""
-        if self._per is not None:
-            pre, per = self._pre, self._per
-            v = pre[k] if k < len(pre) else per[(k - len(pre)) % len(per)]
-        elif k >= self.depth:
-            raise DepthError("letter %d beyond certified depth %d" % (k, self.depth))
-        else:
-            v = self._stream[k]
-        return (v ^ 0x80) - 0x80   # the byte as a signed letter
-
     def letters(self, n):
         """First n letters as a read-only array (n within certified depth)."""
         if self._per is None and n > self.depth:
@@ -482,8 +471,7 @@ def centering_check(mu, x_points, run, h2=None):
     if len(screen) < 2:
         raise ValueError("need at least 2 usable boundary samples, got %d "
                          "(walks too short?)" % len(screen))
-    lambda_hat, lambda_se = stats.end_stats(
-        *stats.observable_matrix(run, "kappa"))
+    lambda_hat, lambda_se = stats.end_stats(run.checkpoints, run.kappa)
     size = len(screen)
     # every product's query point, in the order they are read: each x, then
     # its image under each atom, and last the h2 point

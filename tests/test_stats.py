@@ -274,21 +274,6 @@ def test_gap_unknown_class_raises():
 
 # -- shared plumbing
 
-def test_observable_matrix_names():
-    recs = make_records(5, [10, 20], lambda t, n: float(n),
-                        sigma_fns={"g": lambda t, n: -1.0},
-                        lengths_fns={"g": lambda t, n: 4})
-    cps, mat = stats.observable_matrix(recs, "kappa")
-    assert cps.tolist() == [10, 20]
-    assert mat.shape == (5, 2)
-    _, lg = stats.observable_matrix(recs, "loglen:g")
-    assert lg[0][0] == pytest.approx(math.log(4))
-    with pytest.raises(ValueError):
-        stats.observable_matrix(recs, "sigma:missing")
-    with pytest.raises(ValueError):
-        stats.observable_matrix(recs, "nonsense")
-
-
 def test_sigma_domination_check_names_label_and_trial():
     recs = make_records(3, [10], lambda t, n: 1.0,
                         sigma_fns={"bad": lambda t, n: 2.0 if t == 2 else 0.5})
@@ -331,8 +316,20 @@ def test_sigma_domination_names_the_first_failing_record_then_label(late,
         lambda t, n: 1.0, sigma_fns={lab: sigma(lab) for lab in "xyz"}))
 
 
-def test_class_labels_preserve_tracking_order():
-    recs = make_records(2, [10], lambda t, n: 0.0,
-                        sigma_fns={"b": lambda t, n: 0.0,
-                                   "a": lambda t, n: 0.0})
-    assert stats.class_labels(recs) == ("b", "a")
+@pytest.mark.parametrize("outer", [False, True])
+def test_class_reports_keep_tracking_order_and_name_what_they_read(outer):
+    # classes b, a, tracked in that order; a run with length tables (outer
+    # mode) reports a class by its log length, one without by its cocycle
+    sig = {"b": lambda t, n: 0.1 * n + t % 3, "a": lambda t, n: 0.2 * n - t}
+    lens = {"b": lambda t, n: 2 ** n + t, "a": lambda t, n: 3 ** n + t % 5}
+    recs = make_records(40, [10, 20], lambda t, n: 0.3 * n + t % 7,
+                        sigma_fns=sig, lengths_fns=lens if outer else None)
+    assert list(recs.sigma) == ["b", "a"]
+    assert list(stats.drift_estimate(recs).per_class) == ["b", "a"]
+    assert stats.clt_report(recs, 0.1).observable == "kappa"
+    for lab in ("b", "a"):
+        rep = stats.clt_report(recs, 0.1, lab)
+        mat = recs.log_lengths(lab) if outer else recs.sigma[lab]
+        assert rep.observable == ("loglen:" if outer else "sigma:") + lab
+        assert rep.standardized_samples == tuple(
+            (mat[:, -1] - 20 * 0.1) / math.sqrt(20))

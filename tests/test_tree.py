@@ -75,7 +75,7 @@ def test_truncated_point_keeps_only_certified_letters():
     assert xi.depth == 3
     assert xi.letters(3).tolist() == [1, 2, 1]
     with pytest.raises(tree.DepthError):
-        xi.letter(3)
+        xi.letters(4)
 
 
 # -- products and distances
@@ -381,7 +381,7 @@ def branching_sample(rng, x):
     if known is not None:
         k = min(k, known)
     base = list(x.letters(k))
-    nxt = x.letter(k) if known is None or k < known else None
+    nxt = int(x.letters(k + 1)[k]) if known is None or k < known else None
     word = extend(rng, base, int(rng.integers(1, 40)), first_not=nxt)
     if rng.random() < 0.5:
         return as_limit(periodic_after(rng, word),

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.random import Philox
 
 from outwalk import freegroup as fg
-from outwalk import stats, tree, walk
+from outwalk import tree, walk
 from outwalk.config import build_measure, build_walk_config, load_config
 from outwalk.walk import (ExperimentError, MeasureSpec, WalkConfig,
                           WordCapExceeded, run_experiment)
@@ -1456,13 +1456,6 @@ def assert_same_outer_records(got, want):
                                       for v in n)])
 
 
-def lazy_nielsen_measure():
-    # mostly the identity, as in configs/outf2_gap.json
-    traces = ([], ["R:1:2:+"], ["R:1:2:-"], ["R:2:1:+"], ["R:2:1:-"])
-    return MeasureSpec([fg.from_trace(2, t) for t in traces],
-                       [0.6, 0.1, 0.1, 0.1, 0.1])
-
-
 OUTER_TRACKED = tuple(fg.parse_word(w) for w in ("a", "b", "ab", "aB", "aba"))
 
 
@@ -1723,8 +1716,9 @@ def _reference_prefixes(u, tracked):
         k = len(u) if xi.is_periodic else min(len(u), xi.depth)
         cps.append(fg.common_prefix_len(np.array(u[:k], dtype=np.int8),
                                         xi.letters(k)))
-        if cps[-1] == k < len(u):
-            xi.letter(k)                            # DepthError
+        if cps[-1] == k < len(u):       # u's next letter is past the depth
+            raise tree.DepthError("letter %d beyond certified depth %d"
+                                  % (k, xi.depth))
     return cps
 
 
@@ -2387,26 +2381,24 @@ def test_a_run_gives_each_trial_as_the_per_row_reference(case, workers,
 
 @pytest.mark.parametrize("case", ["tree", "gl2z", "words"])
 def test_observable_matrices_equal_those_built_from_the_trials(case):
-    # the matrices the estimators read: float64, trials x checkpoints, C
-    # order, bit for bit those built from per-trial tuples
+    # the matrices the estimators read (run.kappa, run.sigma and the log
+    # lengths): trials x checkpoints, C order, int64 in tree mode and
+    # float64 in outer mode, bit for bit those built from per-trial tuples
     mu, cfg = run_case(case)
     run = run_experiment(mu, cfg)
-    names = ["kappa"] + ["sigma:" + lab for lab in stats.class_labels(run)]
-    rows = {"kappa": [r.kappa for r in run]}
-    rows.update({"sigma:" + lab: [r.sigma[lab] for r in run]
-                 for lab in stats.class_labels(run)})
+    assert run.checkpoints == tuple(cfg.checkpoints)
+    dtype = np.int64 if case == "tree" else np.float64
+    pairs = [(run.kappa, [r.kappa for r in run], dtype)]
+    pairs += [(run.sigma[lab], [r.sigma[lab] for r in run], dtype)
+              for lab in run.sigma]
     if case != "tree":
-        names += ["loglen:" + lab for lab in stats.class_labels(run)]
-        rows.update({"loglen:" + lab: [list(map(math.log, r.lengths[lab]))
-                                       for r in run]
-                     for lab in stats.class_labels(run)})
+        pairs += [(run.log_lengths(lab),
+                   [list(map(math.log, r.lengths[lab])) for r in run],
+                   np.float64) for lab in run.sigma]
         # the logs are taken once per run
-        lab = stats.class_labels(run)[0]
+        lab = next(iter(run.sigma))
         assert run.log_lengths(lab) is run.log_lengths(lab)
-    for name in names:
-        cps, mat = stats.observable_matrix(run, name)
-        want = np.asarray(rows[name], dtype=np.float64)
-        assert cps.tolist() == list(cfg.checkpoints)
-        assert mat.dtype == np.float64 and mat.flags.c_contiguous
+    for mat, rows, dtype in pairs:
+        assert mat.dtype == dtype and mat.flags.c_contiguous
         assert mat.shape == (cfg.trials, len(cfg.checkpoints))
-        assert mat.tobytes() == want.tobytes()
+        assert mat.tobytes() == np.asarray(rows, dtype=dtype).tobytes()
