@@ -18,7 +18,6 @@ from importlib import resources
 
 from . import freegroup as fg
 from . import rose
-from . import stats
 from . import tree as treemod
 from . import walk
 
@@ -253,6 +252,10 @@ def _no_repeats(where, labels):
 
 # The settings of the walk commands: each checks what its command needs of
 # the config before any trial runs, and returns what its analysis reads.
+# stats and tree.centering_check trust these checks and make none of their own.
+
+MIN_DRIFT_TRIALS = 30
+
 
 def _enough_trials(wcfg, what, need):
     if wcfg.trials < need:
@@ -262,7 +265,7 @@ def _enough_trials(wcfg, what, need):
 
 def drift_trials(cfg, wcfg):
     """The drift and clt commands' only need: enough trials for a drift."""
-    _enough_trials(wcfg, "the drift estimate", stats.MIN_DRIFT_TRIALS)
+    _enough_trials(wcfg, "the drift estimate", MIN_DRIFT_TRIALS)
 
 
 def gap_class(cfg, wcfg):

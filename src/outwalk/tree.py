@@ -465,8 +465,6 @@ def centering_check(mu, x_points, run, h2=None):
     centering term.  A sample the screen cannot decide gets the scalar
     gromov_product, so an undecidable pair fails as that function does; the
     tail gets _product_lower_value instead."""
-    if len(mu.atoms) and not isinstance(mu.atoms[0], np.ndarray):
-        raise ValueError("centering_check needs a tree-mode (word) measure")
     screen = _HeadScreen(run)
     if len(screen) < 2:
         raise ValueError("need at least 2 usable boundary samples, got %d "

@@ -419,7 +419,6 @@ class _Classes:
     def __init__(self, mu, config):
         self.storage = []       # start words, cyclically reduced
         keys = {}
-        labels = {}             # label -> storage slot
 
         def slot_for(word, label):
             core, _ = fg.cyclic_reduce(fg.reduce(word))
@@ -429,16 +428,14 @@ class _Classes:
             if k not in keys:
                 keys[k] = len(self.storage)
                 self.storage.append(core)
-            labels[label] = keys[k]
             return keys[k]
 
         cands = [slot_for(w, "cand:" + fg.format_word(w))
                  for w in rose.base_candidates(mu.atoms[0].rank)]
-        for g, label in zip(config.tracked_classes, tracked_labels(config)):
-            slot_for(fg.as_word(g), label)
-        self.tracked = [(lab, slot) for lab, slot in labels.items()
-                        if not lab.startswith("cand:")]
-        self.labels = [lab for lab, _ in self.tracked]
+        # one (label, slot) per tracked class, a repeat too, as Run pairs
+        # the sigma columns with tracked_labels(config)
+        self.tracked = [(label, slot_for(fg.as_word(g), label)) for g, label
+                        in zip(config.tracked_classes, tracked_labels(config))]
         self.slots = [slot for _, slot in self.tracked]
         self.start_lens = [len(w) for w in self.storage]
         self.den = math.lcm(*(self.start_lens[i] for i in cands))
@@ -1183,16 +1180,14 @@ def _block_size(trials, parts, rows):
     return -(-trials // runs)
 
 
-def _join(config, classes, parts):
+def _join(config, parts):
     """One Run of the blocks' columns `parts`, in trial order."""
-    labels = tracked_labels(config) if classes is None else classes.labels
-
     def join(values):
         if isinstance(values[0], bytes):
             return b"".join(values)
         return np.concatenate(values, axis=1 if values[0].ndim == 3 else 0)
 
-    return Run(config.checkpoints, labels,
+    return Run(config.checkpoints, tracked_labels(config),
                **{key: join([p[key] for p in parts]) for key in parts[0]})
 
 
@@ -1205,7 +1200,7 @@ def sample_path(mu, config, trial):
                                     classes)
     if failures:
         raise failures[0][1]
-    return _join(config, classes, [columns])[0]
+    return _join(config, [columns])[0]
 
 
 def _run_trials(cls, mu, config, lo, hi, classes=None):
@@ -1315,4 +1310,4 @@ def run_experiment(mu, config, workers=1):
     failures = [fail for _, fails in runs for fail in fails]
     if failures:
         raise ExperimentError(failures)
-    return _join(config, classes, [columns for columns, _ in runs])
+    return _join(config, [columns for columns, _ in runs])

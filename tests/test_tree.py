@@ -316,12 +316,6 @@ def test_centering_check_rejects_a_sample_equal_to_a_query_point():
             [bp("prefix:aaaa depth:4"), bp("prefix:bbbb depth:4")]))
 
 
-def test_centering_check_rejects_outer_measures():
-    mu = MeasureSpec([fg.from_trace(2, ["R:1:2:+"])], [1.0])
-    with pytest.raises(ValueError):
-        tree.centering_check(mu, [bp("per:a")], [])
-
-
 def test_centering_check_needs_two_usable_samples():
     records = records_of([bp("prefix:ab depth:2"), bp("prefix:b depth:0")])
     with pytest.raises(ValueError, match="at least 2 usable"):

@@ -388,6 +388,23 @@ def test_tracked_class_label_uses_the_input_spelling():
     assert set(rec.sigma) == {"ab", "BA"}
 
 
+@pytest.mark.parametrize("repeated", [("a", "ab", "a"), ("aa", "aa", "ab")])
+def test_a_repeated_tracked_class_keeps_each_label_its_own_values(repeated):
+    # WalkConfig lets a class repeat (config refuses it): each label still
+    # gets its own class's values, on the GL(2,Z) and the word engine
+    def run(words):
+        cfg = WalkConfig(horizon=12, trials=3, master_seed=5,
+                         checkpoints=(6, 12),
+                         tracked_classes=tuple(map(fg.parse_word, words)))
+        return run_experiment(nielsen_measure(), cfg, workers=1)
+
+    got, want = run(repeated), run(sorted(set(repeated)))
+    assert set(got.sigma) == set(want.sigma)
+    for label in want.sigma:
+        assert np.array_equal(got.sigma[label], want.sigma[label])
+        assert np.array_equal(got.lengths[label], want.lengths[label])
+
+
 # -- determinism
 
 def srw_measure():
@@ -687,7 +704,7 @@ def test_peak_letters_reported():
 def block_run(block):
     """block.run() with its columns as a walk.Run."""
     columns, failures = block.run()
-    return walk._join(block.config, block.classes, [columns]), failures
+    return walk._join(block.config, [columns]), failures
 
 
 def one_block(mu, cfg):
@@ -1064,7 +1081,7 @@ def per_row_block_run(block):
         done = step
     block.advance(done, cfg.horizon)
     columns, failures = block.columns()
-    return walk._join(cfg, block.classes, [columns]), failures
+    return walk._join(cfg, [columns]), failures
 
 
 def rank3_lazy_measure():
